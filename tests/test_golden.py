@@ -1,0 +1,128 @@
+"""Golden digests: byte-identical preset CSVs.
+
+Every shipped preset runs at a reduced seed count and the SHA-256 digests of
+its metrics.csv, convergence.csv and timeline.csv must equal the pinned
+values.  A refactor or optimisation that changes any simulated number fails
+here even when every run-vs-run replay test stays green.  Two variants pin
+the contracts that outputs depend on neither ``record_level`` nor ``--jobs``:
+they must reproduce the digests of their summary-mode, serial twins.
+
+A change that is meant to alter simulated numbers re-pins these digests and
+explains every changed cell.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from smarton_sim.cli import main
+from smarton_sim.reports import emit_csv, run_sweep
+from smarton_sim.scenario import PRESETS, load_scenario, write_config
+
+CSV_FILES = ("metrics.csv", "convergence.csv", "timeline.csv")
+
+# fig-perf restricted to one event type and two entry levels, short enough to
+# also run per tick
+FIG_PERF_SUBSET = (
+    ("sweep", "event_type", "type1"),
+    ("sweep", "entry_level", "1,4"),
+    ("run", "n_periods", 40),
+)
+
+# case -> (preset, overrides)
+CASES = {
+    "fig-perf": ("fig-perf", (("sweep", "seeds", "0"),)),
+    "conv-vs-ratio": ("conv-vs-ratio", (("sweep", "seeds", "0:3"),)),
+    "conv-per-entry": ("conv-per-entry", (("sweep", "seeds", "0:2"),)),
+    "learning-order": ("learning-order", (("sweep", "seeds", "2:4"),)),
+    "state-duration": ("state-duration", (("sweep", "seeds", "0"),)),
+    "adaptation": ("adaptation", ()),
+    "fig-perf-subset": ("fig-perf", (("sweep", "seeds", "0"),) + FIG_PERF_SUBSET),
+}
+
+DIGESTS = {
+    "adaptation": (
+        "532af741aabedd302985202fda5e65c1d7caad117444d3eea166759a6b030819",
+        "7e94d2e28ed77b1a941930c78764dd3a350f809dc5568982d7dc7666dfc326d6",
+        "51ec9df335811de6dce27f74df265fe172ddaae7ec91df4751f87bd25ee903a1",
+    ),
+    "conv-per-entry": (
+        "544b9055ba106d7a37ba11ce94740027cee35f2a289e9228c8f08a8e9ca393c3",
+        "1e5ff34ea308c3d362ffd7ac3e2be5077a9c5075141f23f7d824b55a962a0c54",
+        "e34aabe8663b5af38b7623094ca768cbb2af736636afe0ae49e48e3b050fcc8b",
+    ),
+    "conv-vs-ratio": (
+        "d1dee4ff8602070c143a31fc536a4a36696afa52b6e3bf86a25d5162c0e6f0c0",
+        "682f805a23a13ecbf7d4c05c132aa2b5c27629594cefd7836e6ed31fe6b94672",
+        "a96243256803eaa50cf73f65ef7a8a93b016f92ffb69a70ff80fce9ad534fa94",
+    ),
+    "fig-perf": (
+        "497b3108acc4a284206bb08295950192fa2e52ec1af1e1a797da2398c2524c15",
+        "b763737cc2a2c9621b92d7c22bdf4b94c1cc31a0bc20c0c7c120c1bbafe601fb",
+        "fda73f467a02e10fdc6c7dfce21240ef2458d21dbdfc58c65906b5a3a60f108c",
+    ),
+    "fig-perf-subset": (
+        "e7bb2dd1c2cbf71eaf7a9870966fe03a38a763a6d8354f4badedc534abd62dad",
+        "a3ec42a7a124d2622fd304282061740f597acb921d50b66f169d51660d5e2b84",
+        "cd10e3480c542a7a7aa71e29780b0f60c7528eea12aa455b14dd811507272739",
+    ),
+    "learning-order": (
+        "544b9055ba106d7a37ba11ce94740027cee35f2a289e9228c8f08a8e9ca393c3",
+        "128724bed17e17296844f4cc2744015becaa4f9d1a4a037af3d35d4a0ce45b1f",
+        "e34aabe8663b5af38b7623094ca768cbb2af736636afe0ae49e48e3b050fcc8b",
+    ),
+    "state-duration": (
+        "0c2abaa4f4c25f98877f8c3ee9941224a8d484d5b8efce0e2ef66a739cb0bccc",
+        "a3b087ad87ec3b6d96feb815daad18ee9d729d8c6d5c3017ffc7766d319e6745",
+        "8598c0e65db7519e2385b3826f23e9f17ca5a9e7365b9903a3fcbf60677558b2",
+    ),
+}
+
+
+def scenario_for(case: str):
+    preset, overrides = CASES[case]
+    scenario = load_scenario(preset)
+    for section, key, value in overrides:
+        scenario = scenario.with_value(section, key, value)
+    return scenario
+
+
+def digests(out_dir) -> tuple[str, ...]:
+    return tuple(
+        hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
+        for name in CSV_FILES
+    )
+
+
+def sweep_digests(scenario, out_dir) -> tuple[str, ...]:
+    records = run_sweep(scenario)
+    emit_csv(records, out_dir, measure_from=scenario.values[("run", "measure_from")])
+    return digests(out_dir)
+
+
+def test_every_preset_is_pinned():
+    assert {preset for preset, _ in CASES.values()} == set(PRESETS)
+    assert set(DIGESTS) == set(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_preset_digests(case, tmp_path):
+    assert sweep_digests(scenario_for(case), tmp_path) == DIGESTS[case]
+
+
+def test_per_tick_recording_reproduces_summary_digests(tmp_path):
+    scenario = scenario_for("fig-perf-subset").with_value(
+        "run", "record_level", "per-tick"
+    )
+    assert sweep_digests(scenario, tmp_path) == DIGESTS["fig-perf-subset"]
+
+
+def test_cli_sweep_with_two_jobs_reproduces_serial_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("SMARTON_SIM_SEED", raising=False)
+    config = tmp_path / "state-duration.ini"
+    config.write_text(write_config(scenario_for("state-duration")), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["sweep", "--scenario", str(config), "--out", str(out), "--jobs", "2"]
+    assert main(argv) == 0
+    assert digests(out) == DIGESTS["state-duration"]
