@@ -1,11 +1,18 @@
 """Deterministic per-second simulation loop and experiment orchestration.
 
 One run binds a store, a sampled event trace and a policy, then walks the
-period tick by tick.  Within a tick the order is fixed: slot-boundary
-bookkeeping (entry-level forcing, slot planning), the wake decision, the
-energy draw (a wake-up that cannot be funded is skipped, never partial),
-then harvesting -- so a decision sees the energy banked up to the end of the
-previous tick.  Periods repeat until the period cap or a stop rule.
+period.  Within a tick the order is fixed: slot-boundary bookkeeping
+(entry-level forcing, slot planning), the wake decision, the energy draw (a
+wake-up that cannot be funded is skipped, never partial), then harvesting --
+so a decision sees the energy banked up to the end of the previous tick.
+Periods repeat until the period cap or a stop rule.
+
+Two loops implement these semantics.  The general loop steps every tick
+through the store's methods and can record per-tick arrays.  The summary
+kernel is event-driven: it jumps from one decision to the next and covers
+the harvest-only ticks between them with the same float additions, in the
+same order, so its logs are bit-identical to the general loop's (see
+`run_period`).
 
 Pattern-change schedules swap the pattern between periods (shift, morph or
 replace) and resample the trace from a fresh substream, which is how the
@@ -15,6 +22,8 @@ adaptation experiments drive the learner back through re-profiling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -147,10 +156,16 @@ class Metrics:
     harvested: float
 
     def __post_init__(self):
-        assert self.total_catches <= min(self.awake_ticks, self.event_ticks) or (
-            self.awake_ticks == 0 and self.total_catches == 0
-        )
-        assert 0.0 <= self.energy_efficiency <= 1.0
+        if not (
+            self.total_catches <= min(self.awake_ticks, self.event_ticks)
+            or (self.awake_ticks == 0 and self.total_catches == 0)
+        ):
+            raise ValueError(
+                f"{self.total_catches} catches exceed min(awake {self.awake_ticks}, "
+                f"events {self.event_ticks})"
+            )
+        if not 0.0 <= self.energy_efficiency <= 1.0:
+            raise ValueError(f"energy efficiency {self.energy_efficiency} outside [0, 1]")
 
 
 @dataclass
@@ -242,10 +257,24 @@ def run_period(
 ) -> PeriodLog:
     """Simulate one period; `events` is the period's per-tick 0/1 list.
 
-    The abstract-store/constant-source combination takes an inlined fast
-    path whose arithmetic mirrors the store methods operation for operation;
-    everything else (capacitor arrays, varying sources, per-tick recording)
-    runs the general loop.  Both paths produce identical logs.
+    The abstract store under a constant or constant-gated source takes the
+    event-driven kernel; everything else (capacitor arrays, varying sources,
+    per-tick recording) runs the general per-tick loop, which stays the
+    reference the kernel is tested against.  Both produce identical logs.
+
+    The kernel advances from one event to the next instead of stepping every
+    tick: slot boundaries (entry forcing, planning), wake-ups, CTID mode
+    flips.  Between events the store only charges, and an idle run of `n`
+    ticks is `n` bare `s += inc` additions -- the very float operations of
+    the per-tick loop in the same order, because every later decision reads
+    the stored energy.  Saturation is monotone in the stored energy, so one
+    check of the run's last pre-tick value shows whether any tick clamped;
+    only then is the run replayed up to the first clamp (see `_idle_run`).
+    GT is closed form (awake every tick, catches every event), CTID charge
+    phases jump to the tick that first sees `e_on` when the store cannot
+    saturate below it, and drain slots count their draws.  The period's
+    harvest total is the sequential sum of its banked inflows, read from a
+    cached table by the count of nonzero-inflow ticks.
     """
     if (
         not record_ticks
@@ -285,18 +314,9 @@ def _run_period_general(
     waste_before = store.wasted_saturation
     harvested_total = 0.0
 
-    rec = None
-    if record_ticks:
-        rec = {
-            "awake": np.zeros(period_ticks, dtype=bool),
-            "event": np.array(events, dtype=bool),
-            "drawn": np.zeros(period_ticks),
-            "harvested": np.zeros(period_ticks),
-            "stored": np.zeros(period_ticks),
-            "phase": np.zeros(period_ticks, dtype=np.int8),
-            "slot": np.zeros(period_ticks, dtype=np.int16),
-            "step": np.zeros(period_ticks, dtype=np.int8),
-        }
+    # per-tick rows (awake, drawn, harvested, stored, phase, slot, step),
+    # turned into arrays once at the end of the period
+    rows = [] if record_ticks else None
 
     draws = policy.draws_energy
     tick_driven = policy.tick_driven
@@ -364,14 +384,11 @@ def _run_period_general(
                 harvested_here = store.harvest_tick(source, global_base + t)
             harvested_total += harvested_here
 
-            if rec is not None:
-                rec["awake"][t] = awake
-                rec["drawn"][t] = drawn_here
-                rec["harvested"][t] = harvested_here
-                rec["stored"][t] = store.stored
-                rec["phase"][t] = policy.current_phase
-                rec["slot"][t] = slot
-                rec["step"][t] = step
+            if rows is not None:
+                rows.append((
+                    awake, drawn_here, harvested_here, store.stored,
+                    policy.current_phase, slot, step,
+                ))
 
             drawn_total += drawn_here
         awake_total += slot_awake
@@ -379,6 +396,26 @@ def _run_period_general(
         policy.on_slot_end(slot, slot_awake, slot_catches, store)
 
     policy.on_period_end(period_index)
+
+    rec = None
+    if rows is not None:
+        awake, drawn, harvested, stored, phase, slot, step = (
+            np.fromiter(column, dtype, count=period_ticks)
+            for column, dtype in zip(
+                zip(*rows),
+                (bool, np.float64, np.float64, np.float64, np.int8, np.int16, np.int8),
+            )
+        )
+        rec = {
+            "awake": awake,
+            "event": np.array(events, dtype=bool),
+            "drawn": drawn,
+            "harvested": harvested,
+            "stored": stored,
+            "phase": phase,
+            "slot": slot,
+            "step": step,
+        }
 
     return PeriodLog(
         period=period_index,
@@ -397,6 +434,102 @@ def _run_period_general(
     )
 
 
+def _idle_run(s: float, waste: float, inc: float, cap: float, n: int):
+    """`n` harvest-only ticks at a constant inflow `inc`: the same result, bit
+    for bit, as `n` rounds of AbstractStore.harvest_tick's clamp
+
+        room = cap - s
+        if inc > room: waste += inc - room; s = cap
+        else: s += inc
+
+    Saturation is monotone in `s`: if the last tick's pre-tick value does not
+    clamp, no earlier one did, and the run is `n` bare additions.  Otherwise
+    the run is replayed tick by tick to the first clamp; from then on `s`
+    sits at `cap`, every room is 0.0 and every tick wastes exactly `inc`.
+    No closed form (`s + n * inc`, `sum`) rounds like the per-tick sum.
+    Returns (s, waste).
+    """
+    if n <= 0:
+        return s, waste
+    if not inc > cap - s:
+        e = s
+        for _ in repeat(None, n - 1):
+            e += inc
+        if not inc > cap - e:
+            return e + inc, waste
+    for left in range(n - 1, -1, -1):
+        room = cap - s
+        if inc > room:
+            waste += inc - room
+            s = cap
+            for _ in repeat(None, left):
+                waste += inc
+            break
+        s += inc
+    return s, waste
+
+
+def _charge_until(s: float, inc: float, level: float, limit: int):
+    """Charge by `inc` per tick while the pre-tick value is below `level`, for
+    at most `limit` ticks; the caller guarantees no tick can clamp.  Returns
+    (s, ticks charged).  The additions are the per-tick ones: a conservative
+    estimate of the ticks that stay below `level` runs as bare additions,
+    checked once at its end, and the last few ticks compare one by one.
+    """
+    n = 0
+    if inc > 0.0:
+        q = (level - s) / inc
+        m = limit if q > limit + 1 else int(q) - 1
+        if m > 0:
+            e = s
+            for _ in repeat(None, m):
+                e += inc
+            if e < level:
+                s, n = e, m
+    while n < limit and s < level:
+        s += inc
+        n += 1
+    return s, n
+
+
+def _bank(s: float, waste: float, cap: float, runs, a: int, b: int):
+    """Harvest-only ticks a..b-1 of the period over its constant-inflow runs
+    [(start, end, inc)].  Returns (s, waste, ticks banked with nonzero inflow).
+    """
+    banked = 0
+    for start, end, inc in runs:
+        lo = a if a > start else start
+        hi = b if b < end else end
+        if lo < hi:
+            s, waste = _idle_run(s, waste, inc, cap, hi - lo)
+            if inc:
+                banked += hi - lo
+    return s, waste, banked
+
+
+def _inflow_runs(inflows: list) -> list:
+    """Maximal runs of equal per-tick inflow as (start, end, inc)."""
+    runs = []
+    start = 0
+    for t in range(1, len(inflows) + 1):
+        if t == len(inflows) or inflows[t] != inflows[start]:
+            runs.append((start, t, inflows[start]))
+            start = t
+    return runs
+
+
+@lru_cache(maxsize=16)
+def _harvest_sums(inc: float, period_ticks: int) -> tuple[float, ...]:
+    """Entry k is the k-fold sequential sum 0.0 + inc + ... + inc: a period's
+    harvest total after k ticks that banked `inc`."""
+    sums = [0.0]
+    total = 0.0
+    for _ in range(period_ticks):
+        total += inc
+        sums.append(total)
+    return tuple(sums)
+
+
 def _run_period_fast(
     policy: BasePolicy,
     store: AbstractStore,
@@ -408,141 +541,132 @@ def _run_period_fast(
     entry_ticks: frozenset,
     entry_value: float | None,
 ) -> PeriodLog:
-    """Summary-mode loop with the store arithmetic inlined.
-
-    Every float operation replicates AbstractStore.harvest_tick / draw in
-    the same order, so results are bit-identical to the general path.
-    """
+    """Event-driven summary-mode kernel; see run_period for why it is exact."""
     phase_start = policy.current_phase
     stored_start = store.stored
     policy.on_period_start(period_index)
 
     cap = store.capacity
-    global_base = period_index * period_ticks
     ratio = store.charging_ratio
-    if source.kind == "constant":
-        level = source(0)
-        inflows = [level * WAKE_COST / ratio] * period_ticks
+    constant = source.kind == "constant"
+    if constant:
+        # (a zero inflow sums to 0.0 whatever the count of banked ticks)
+        inc = source(0) * WAKE_COST / ratio
+        runs = [(0, period_ticks, inc)]
     else:
+        global_base = period_index * period_ticks
         inflows = [
             source(global_base + t) * WAKE_COST / ratio for t in range(period_ticks)
         ]
+        runs = _inflow_runs(inflows)
+        # a gated source banks one nonzero inflow or nothing
+        inc = max(inflows)
     draw_floor = WAKE_COST - DRAW_SLACK
     s = store.stored
     waste = store.wasted_saturation
     waste_before = waste
+    event_ticks = int(sum(events))
 
     awake_total = 0
     catches_total = 0
-    drawn_total = 0.0
-    harvested_total = 0.0
+    banked = 0  # harvest ticks with nonzero inflow
     skipped = 0
-
-    draws = policy.draws_energy
-    is_ctid = isinstance(policy, CtidPolicy)
-    n_slots = period_ticks // slot_len
     forced_delta = 0.0
 
-    if is_ctid:
-        ctid = policy
-        e_on = ctid.cfg.e_on - DRAW_SLACK
-        e_off = ctid.cfg.e_off + DRAW_SLACK
-        interval = ctid.wake_interval
-        discharging = ctid.discharging
-        start = ctid.discharge_start
-
-    for slot in range(n_slots):
-        base = slot * slot_len
-        if (
-            entry_value is not None
-            and base in entry_ticks
-            and policy.current_phase >= 2
-        ):
-            forced = min(entry_value, cap)
-            forced_delta += forced - s
-            s = forced
-
-        burst = False
-        offsets = ()
-        if not is_ctid:
-            store.stored = s
-            plan = policy.plan_slot(slot, store)
-            if plan == BURST:
-                burst = True
-            else:
-                offsets = plan
-
-        slot_awake = 0
-        slot_catches = 0
-
-        if is_ctid:
-            for i in range(slot_len):
-                t = base + i
-                if discharging and (s <= e_off or s < draw_floor):
-                    discharging = False
-                if not discharging and s >= e_on:
+    if isinstance(policy, GtPolicy):
+        # awake at every tick, draws nothing, harvests throughout
+        s, waste, banked = _bank(s, waste, cap, runs, 0, period_ticks)
+        awake_total = period_ticks
+        catches_total = event_ticks
+    elif isinstance(policy, CtidPolicy):
+        e_on = policy.cfg.e_on - DRAW_SLACK
+        e_off = policy.cfg.e_off + DRAW_SLACK
+        interval = policy.wake_interval
+        discharging = policy.discharging
+        start = policy.discharge_start
+        # below e_on the store cannot saturate, so a charge phase is bare
+        # additions up to the tick whose pre-tick check sees e_on
+        jump = len(runs) == 1 and not inc > cap - e_on
+        t = 0
+        while t < period_ticks:
+            if discharging and (s <= e_off or s < draw_floor):
+                discharging = False
+            if not discharging:
+                if s >= e_on:
                     discharging = True
                     start = t
-                if discharging:
-                    if (t - start) % interval == 0:
-                        if s >= draw_floor:
-                            s = max(0.0, s - WAKE_COST)
-                            drawn_total += WAKE_COST
-                            slot_awake += 1
-                            if events[t]:
-                                slot_catches += 1
-                        else:
-                            skipped += 1
+                elif jump:
+                    s, n = _charge_until(s, inc, e_on, period_ticks - t)
+                    if inc:
+                        banked += n
+                    t += n
+                    continue
                 else:
-                    inc = inflows[t]
-                    room = cap - s
-                    if inc > room:
-                        waste += inc - room
-                        s = cap
-                    else:
-                        s += inc
-                    harvested_total += inc
-        elif burst:
-            for i in range(slot_len):
+                    s, waste, k = _bank(s, waste, cap, runs, t, t + 1)
+                    banked += k
+                    t += 1
+                    continue
+            if (t - start) % interval == 0:
                 if s >= draw_floor:
                     s = max(0.0, s - WAKE_COST)
-                    drawn_total += WAKE_COST
-                    slot_awake += 1
-                    if events[base + i]:
-                        slot_catches += 1
-        else:
-            j = 0
-            n_off = len(offsets)
-            next_off = offsets[0] if n_off else -1
-            for i in range(slot_len):
-                if i == next_off:
-                    j += 1
-                    next_off = offsets[j] if j < n_off else -1
-                    if draws:
-                        if s >= draw_floor:
-                            s = max(0.0, s - WAKE_COST)
-                            drawn_total += WAKE_COST
-                            slot_awake += 1
-                            if events[base + i]:
-                                slot_catches += 1
-                        else:
-                            skipped += 1
-                    else:
-                        slot_awake += 1
-                        if events[base + i]:
-                            slot_catches += 1
-                inc = inflows[base + i]
-                room = cap - s
-                if inc > room:
-                    waste += inc - room
-                    s = cap
+                    awake_total += 1
+                    catches_total += events[t]
                 else:
-                    s += inc
-                harvested_total += inc
+                    skipped += 1
+            t += 1
+        policy.discharging = discharging
+        policy.discharge_start = start
+    else:
+        draws = policy.draws_energy
+        for slot in range(period_ticks // slot_len):
+            base = slot * slot_len
+            if (
+                entry_value is not None
+                and base in entry_ticks
+                and policy.current_phase >= 2
+            ):
+                forced = min(entry_value, cap)
+                forced_delta += forced - s
+                s = forced
 
-        awake_total += slot_awake
-        catches_total += slot_catches
-        if not is_ctid:
+            store.stored = s
+            plan = policy.plan_slot(slot, store)
+            slot_awake = 0
+            slot_catches = 0
+            if plan == BURST:
+                # drain while a wake-up can be funded; nothing is harvested
+                while slot_awake < slot_len and s >= draw_floor:
+                    s = max(0.0, s - WAKE_COST)
+                    slot_awake += 1
+                slot_catches = sum(events[base : base + slot_awake])
+            else:
+                # each wake-up is followed by harvest-only ticks up to the
+                # next one or the slot end
+                done = base  # first tick not yet banked
+                for offset in (*plan, slot_len):
+                    t = base + offset
+                    if t > done:
+                        if constant:
+                            s, waste = _idle_run(s, waste, inc, cap, t - done)
+                            banked += t - done
+                        else:
+                            s, waste, k = _bank(s, waste, cap, runs, done, t)
+                            banked += k
+                        done = t
+                    if offset == slot_len:
+                        break
+                    if not draws:
+                        slot_awake += 1
+                        slot_catches += events[t]
+                    elif s >= draw_floor:
+                        s = max(0.0, s - WAKE_COST)
+                        slot_awake += 1
+                        slot_catches += events[t]
+                    else:
+                        skipped += 1
+
+            awake_total += slot_awake
+            catches_total += slot_catches
             store.stored = s
             store.wasted_saturation = waste
             policy.on_slot_end(slot, slot_awake, slot_catches, store)
@@ -551,23 +675,22 @@ def _run_period_fast(
 
     store.stored = s
     store.wasted_saturation = waste
-    if is_ctid:
-        ctid.discharging = discharging
-        ctid.discharge_start = start
     policy.on_period_end(period_index)
 
     return PeriodLog(
         period=period_index,
         phase_start=phase_start,
         awake_ticks=awake_total,
-        event_ticks=int(sum(events)),
+        event_ticks=event_ticks,
         catches=catches_total,
-        drawn=drawn_total,
-        harvested=harvested_total,
+        # every awake tick of a drawing policy drew one WAKE_COST (1.0), so
+        # the per-draw float sum is this integer exactly
+        drawn=awake_total * WAKE_COST if policy.draws_energy else 0.0,
+        harvested=_harvest_sums(inc, period_ticks)[banked],
         wasted_saturation=waste - waste_before,
         skipped_wakeups=skipped,
         stored_start=stored_start,
-        stored_end=store.stored,
+        stored_end=s,
         forced_delta=forced_delta,
         ticks=None,
     )
@@ -608,10 +731,12 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
 
     if config.initial_stored > 0.0:
         set_stored(store, config.initial_stored)
-    elif config.policy == "ctid" and config.ctid_phase_jitter:
+    elif config.policy == "ctid" and config.ctid_phase_jitter and source(0) > 0.0:
         # start at a seeded point of the CTID charge/discharge cycle: warm the
         # real dynamics up for a fraction of one cycle so any phase --
-        # including mid-discharge -- is reachable
+        # including mid-discharge -- is reachable.  Without inflow the store
+        # cannot leave empty, so there is no cycle to warm up (and its length
+        # below would be unbounded).
         u = Stream(config.seed, "ctid-phase").next_double()
         cycle = int(
             config.ctid.e_on * config.charging_ratio / max(config.source_level, 1e-9)

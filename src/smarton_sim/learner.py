@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -75,6 +76,9 @@ class LearnerConfig:
             raise ValueError(f"frequencies must be strictly increasing, got {freqs}")
         if freqs[0] != 0.0:
             raise ValueError("the action set must include frequency 0 (never awake)")
+        if freqs[-1] > 1.0:
+            # one wake-up per tick at most: faster rates would repeat offsets
+            raise ValueError(f"frequencies must not exceed 1 Hz, got {freqs[-1]}")
         if self.convergence_scope not in ("entry_row", "touched"):
             raise ValueError(f"unknown convergence scope {self.convergence_scope!r}")
 
@@ -100,8 +104,11 @@ class LearnerConfig:
         return self.max_step_reward / (1.0 - self.gamma)
 
 
+@cache
 def wake_offsets(freq: float, duration: int) -> tuple[int, ...]:
-    """Tick offsets within a slot for an evenly spread wake-up frequency."""
+    """Tick offsets within a slot for an evenly spread wake-up frequency;
+    strictly increasing for frequencies up to 1 Hz.  Memoised: the learner
+    asks for the same few schedules at every slot."""
     if freq <= 0:
         return ()
     n = round(freq * duration)
@@ -111,8 +118,14 @@ def wake_offsets(freq: float, duration: int) -> tuple[int, ...]:
     return offsets
 
 
+@cache
 def schedule_cost(freq: float, duration: int) -> float:
     return len(wake_offsets(freq, duration)) * WAKE_COST
+
+
+@cache
+def _action_costs(frequencies: tuple[float, ...], duration: int) -> tuple[float, ...]:
+    return tuple(schedule_cost(f, duration) for f in frequencies)
 
 
 class SlotProfile:
@@ -311,19 +324,15 @@ def q_update(
     new = (1.0 - cfg.alpha) * old + cfg.alpha * (reward + cfg.gamma * bootstrap)
     table.values[state, action] = new
     table.touched[state, action] = True
-    assert abs(new) <= cfg.q_bound + 1e-9, (
-        f"Q value {new} escaped bound {cfg.q_bound}"
-    )
+    if not abs(new) <= cfg.q_bound + 1e-9:
+        raise RuntimeError(f"Q value {new} escaped bound {cfg.q_bound}")
     return abs(new - old)
 
 
 def affordable_actions(cfg: LearnerConfig, stored: float) -> list[int]:
     """Actions whose full-step schedule the store can fund right now."""
-    return [
-        i
-        for i, f in enumerate(cfg.frequencies)
-        if schedule_cost(f, cfg.state_duration) <= stored + 1e-9
-    ]
+    costs = _action_costs(tuple(cfg.frequencies), cfg.state_duration)
+    return [i for i, cost in enumerate(costs) if cost <= stored + 1e-9]
 
 
 def choose_action(table: QTable, state: int, phase: int, affordable, stream) -> int:

@@ -261,42 +261,42 @@ def build_sim_config(scenario: Scenario) -> SimConfig:
     """SimConfig for the scenario's base values (no sweep expansion)."""
     v = scenario.values
     learner_d = v[("learner", "state_duration")] or v[("pattern", "state_duration")]
-    pattern = build_pattern(
-        _parse_peaks(v[("pattern", "peaks")]),
-        period_ticks=v[("pattern", "period_ticks")],
-        state_duration=v[("pattern", "state_duration")],
-        p_high=v[("pattern", "p_high")],
-        p_low=v[("pattern", "p_low")],
-        background_rate=v[("pattern", "background_rate")],
-        peak_max_duration=v[("pattern", "peak_max_duration")],
-    )
-    learner = LearnerConfig(
-        alpha=v[("learner", "alpha")],
-        gamma=v[("learner", "gamma")],
-        reward_catch=v[("learner", "reward_catch")],
-        reward_miss=v[("learner", "reward_miss")],
-        k_levels=v[("learner", "energy_levels")],
-        state_duration=learner_d,
-        frequencies=v[("learner", "frequencies")],
-        convergence_epsilon=v[("learner", "convergence_epsilon")],
-        convergence_window=v[("learner", "convergence_window")],
-        convergence_scope=v[("learner", "convergence_scope")],
-        profile_window=v[("learner", "profile_window")],
-        profile_tol_abs=v[("learner", "profile_tol_abs")],
-        profile_tol_rel=v[("learner", "profile_tol_rel")],
-        shape_theta=v[("learner", "shape_theta")],
-        probe_budget=v[("learner", "probe_budget")],
-        probe_trigger=v[("learner", "probe_trigger")],
-        peak_max_duration=v[("pattern", "peak_max_duration")],
-    )
-    source = v[("energy", "source")]
-    source_kind, _, source_path = source.partition(":")
-    ctid = CtidConfig(
-        e_on=v[("policy", "e_on")],
-        e_off=v[("policy", "e_off")],
-        discharge_frequency=v[("policy", "discharge_frequency")],
-    )
     try:
+        pattern = build_pattern(
+            _parse_peaks(v[("pattern", "peaks")]),
+            period_ticks=v[("pattern", "period_ticks")],
+            state_duration=v[("pattern", "state_duration")],
+            p_high=v[("pattern", "p_high")],
+            p_low=v[("pattern", "p_low")],
+            background_rate=v[("pattern", "background_rate")],
+            peak_max_duration=v[("pattern", "peak_max_duration")],
+        )
+        learner = LearnerConfig(
+            alpha=v[("learner", "alpha")],
+            gamma=v[("learner", "gamma")],
+            reward_catch=v[("learner", "reward_catch")],
+            reward_miss=v[("learner", "reward_miss")],
+            k_levels=v[("learner", "energy_levels")],
+            state_duration=learner_d,
+            frequencies=v[("learner", "frequencies")],
+            convergence_epsilon=v[("learner", "convergence_epsilon")],
+            convergence_window=v[("learner", "convergence_window")],
+            convergence_scope=v[("learner", "convergence_scope")],
+            profile_window=v[("learner", "profile_window")],
+            profile_tol_abs=v[("learner", "profile_tol_abs")],
+            profile_tol_rel=v[("learner", "profile_tol_rel")],
+            shape_theta=v[("learner", "shape_theta")],
+            probe_budget=v[("learner", "probe_budget")],
+            probe_trigger=v[("learner", "probe_trigger")],
+            peak_max_duration=v[("pattern", "peak_max_duration")],
+        )
+        source = v[("energy", "source")]
+        source_kind, _, source_path = source.partition(":")
+        ctid = CtidConfig(
+            e_on=v[("policy", "e_on")],
+            e_off=v[("policy", "e_off")],
+            discharge_frequency=v[("policy", "discharge_frequency")],
+        )
         return SimConfig(
             pattern=pattern,
             learner=learner,
@@ -323,6 +323,7 @@ def build_sim_config(scenario: Scenario) -> SimConfig:
             ctid_phase_jitter=v[("run", "ctid_phase_jitter")],
         )
     except ValueError as exc:
+        # LearnerConfig, CtidConfig and SimConfig validate themselves
         raise ScenarioError(str(exc))
 
 

@@ -44,6 +44,18 @@ class TestSimulate:
         assert main(["simulate", "--config", config]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[learner]\nenergy_levels = 1\n", "energy levels"),
+            ("[learner]\nfrequencies = 0,0.5,1.5\n", "1 Hz"),
+        ],
+    )
+    def test_learner_config_errors_exit_2(self, tmp_path, capsys, text, field):
+        config = write_config(tmp_path, "[run]\nn_periods = 3\n" + text)
+        assert main(["simulate", "--config", config]) == 2
+        assert field in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, capsys):
         assert main(["simulate", "--config", "/does/not/exist.ini"]) == 2
 

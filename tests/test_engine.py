@@ -1,7 +1,12 @@
 """Simulation engine: the tick loop, metrics, experiments, studies."""
 
+import signal
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smarton_sim.energy import AbstractStore, HarvestSource
 from smarton_sim.engine import (
@@ -17,11 +22,14 @@ from smarton_sim.engine import (
     run_experiment,
     run_partition_study,
     run_period,
+    _charge_until,
+    _harvest_sums,
+    _idle_run,
     _run_period_general,
 )
 from smarton_sim.events import build_pattern
 from smarton_sim.learner import LearnerConfig
-from smarton_sim.policies import GtPolicy
+from smarton_sim.policies import CtidConfig, GtPolicy
 from smarton_sim.rng import Stream
 
 
@@ -99,6 +107,48 @@ class TestRunPeriod:
                     ])
                 assert logs[0] == logs[1], f"{policy} seed {seed} diverged"
 
+    @pytest.mark.parametrize(
+        "policy, overrides",
+        [
+            # gated source with forced entry levels: inflow runs inside a slot
+            pytest.param("smarton", dict(gate_source_in_peaks=True), id="gated-smarton"),
+            pytest.param("ctidpro", dict(gate_source_in_peaks=True), id="gated-ctidpro"),
+            pytest.param("smarton", dict(gate_source_in_peaks=True, entry_level=1),
+                         id="gated-smarton-entry1"),
+            pytest.param("ctidpro", dict(gate_source_in_peaks=True, entry_level=2),
+                         id="gated-ctidpro-entry2"),
+            # one wake every other tick while discharging
+            pytest.param("ctid", dict(ctid=CtidConfig(discharge_frequency=0.5)),
+                         id="ctid-half-hz"),
+            # a full store saturates from tick 0
+            pytest.param("smarton", dict(initial_stored=120.0, entry_level=None),
+                         id="full-smarton"),
+            pytest.param("ctid", dict(initial_stored=120.0), id="full-ctid"),
+            pytest.param("ctidpro", dict(initial_stored=120.0), id="full-ctidpro"),
+            pytest.param("gt", dict(initial_stored=120.0), id="full-gt"),
+            # nothing to harvest
+            pytest.param("smarton", dict(source_level=0.0, initial_stored=50.0),
+                         id="dark-smarton"),
+            pytest.param("ctid", dict(source_level=0.0, initial_stored=50.0), id="dark-ctid"),
+            pytest.param("ctidpro", dict(source_level=0.0, initial_stored=50.0),
+                         id="dark-ctidpro"),
+            pytest.param("gt", dict(source_level=0.0), id="dark-gt"),
+            # e_on at or above capacity: charge phases saturate, so no jump
+            pytest.param("ctid", dict(ctid=CtidConfig(e_on=120.0)), id="ctid-e_on-at-cap"),
+            pytest.param("ctid", dict(ctid=CtidConfig(e_on=150.0)), id="ctid-e_on-over-cap"),
+        ],
+    )
+    def test_fast_and_general_paths_agree_exactly_on_kernel_branches(
+        self, policy, overrides
+    ):
+        kw = dict(policy=policy, seed=4, n_periods=25, ctid_phase_jitter=True)
+        kw.update(overrides)
+        logs = []
+        for record in ("summary", "per-tick"):  # per-tick runs the general path
+            result = run_experiment(base_config(record_level=record, **kw))
+            logs.append([astuple(p)[:-1] for p in result.periods])  # all but ticks
+        assert logs[0] == logs[1]
+
     def test_per_tick_records_have_period_shape(self):
         config = base_config(record_level="per-tick", n_periods=2)
         result = run_experiment(config)
@@ -106,6 +156,60 @@ class TestRunPeriod:
             assert log.ticks is not None
             assert len(log.ticks["awake"]) == 1200
             assert len(log.ticks["stored"]) == 1200
+
+
+def idle_run_per_tick(s, waste, inc, cap, n):
+    """The store's harvest clamp, one tick at a time."""
+    for _ in range(n):
+        room = cap - s
+        if inc > room:
+            waste += inc - room
+            s = cap
+        else:
+            s += inc
+    return s, waste
+
+
+class TestIdleRuns:
+    @given(
+        cap=st.floats(min_value=1.0, max_value=500.0),
+        fill=st.floats(min_value=0.0, max_value=1.0),
+        inc=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+        waste=st.floats(min_value=0.0, max_value=1e4),
+        n=st.integers(min_value=0, max_value=1200),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_idle_run_is_bit_identical_to_per_tick_loop(self, cap, fill, inc, waste, n):
+        s = fill * cap
+        assert _idle_run(s, waste, inc, cap, n) == idle_run_per_tick(s, waste, inc, cap, n)
+
+    def test_idle_run_from_just_above_capacity(self):
+        cap = 120.0
+        s = np.nextafter(cap, 200.0)
+        for inc in (0.0, 1 / 8.5):
+            assert _idle_run(s, 0.0, inc, cap, 50) == idle_run_per_tick(s, 0.0, inc, cap, 50)
+
+    @given(
+        s=st.floats(min_value=0.0, max_value=30.0),
+        inc=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0)),
+        limit=st.integers(min_value=0, max_value=1200),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_charge_until_matches_per_tick_checks(self, s, inc, limit):
+        level = 30.0 - 1e-9
+        expected_s, expected_n = s, 0
+        while expected_n < limit and expected_s < level:
+            expected_s += inc
+            expected_n += 1
+        assert _charge_until(s, inc, level, limit) == (expected_s, expected_n)
+
+    def test_harvest_sums_are_sequential(self):
+        inc = 1.0 / 8.5
+        sums = _harvest_sums(inc, 1200)
+        total = 0.0
+        for k in range(1201):
+            assert sums[k] == total
+            total += inc
 
 
 class TestMetrics:
@@ -152,7 +256,7 @@ class TestMetrics:
         assert m.energy_efficiency == 1.0
 
     def test_bounds_assertion(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             Metrics(
                 total_catches=10, energy_efficiency=0.5, awake_ticks=5,
                 event_ticks=20, drawn=5.0, harvested=10.0,
@@ -180,6 +284,23 @@ class TestExperiment:
         assert result.policy.current_phase == 3
         assert result.phase_timeline[-4:] == [3] * 4
         assert result.n_periods_run < 200
+
+    def test_ctid_phase_jitter_without_inflow_terminates(self):
+        def too_slow(signum, frame):
+            raise TimeoutError("CTID warm-up did not return within 1 s")
+
+        config = base_config(
+            policy="ctid", ctid_phase_jitter=True, source_level=0.0, n_periods=3,
+            entry_level=None,
+        )
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            result = run_experiment(config)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert all(p.awake_ticks == 0 for p in result.periods)
 
     def test_zero_periods_empty_result(self):
         config = base_config(n_periods=0)

@@ -61,6 +61,10 @@ class TestWakeOffsets:
         assert wake_offsets(0.5, 30) == tuple(range(0, 30, 2))
         assert wake_offsets(1.0, 30) == tuple(range(30))
 
+    def test_frequencies_above_one_hz_rejected(self):
+        with pytest.raises(ValueError, match="1 Hz"):
+            LearnerConfig(frequencies=(0.0, 0.5, 1.5))
+
     def test_other_durations(self):
         assert len(wake_offsets(0.2, 20)) == 4
         assert len(wake_offsets(0.5, 60)) == 30
@@ -186,6 +190,13 @@ class TestQUpdate:
             nxt = rng.next_below(12)
             q_update(table, state, action, reward, nxt, cfg)
         assert np.abs(table.values).max() <= bound + 1e-9
+
+
+    def test_escaping_the_bound_raises(self):
+        cfg = LearnerConfig()
+        table = QTable("LHL", 4, 3, 4)
+        with pytest.raises(RuntimeError, match="escaped bound"):
+            q_update(table, 0, 0, 10 * cfg.q_bound, None, cfg)
 
 
 class TestChooseAction:
