@@ -399,22 +399,16 @@ def _run_period_general(
 
     rec = None
     if rows is not None:
-        awake, drawn, harvested, stored, phase, slot, step = (
-            np.fromiter(column, dtype, count=period_ticks)
-            for column, dtype in zip(
-                zip(*rows),
-                (bool, np.float64, np.float64, np.float64, np.int8, np.int16, np.int8),
-            )
-        )
+        awake, drawn, harvested, stored, phase, slot, step = zip(*rows)
         rec = {
-            "awake": awake,
+            "awake": np.fromiter(awake, bool, period_ticks),
             "event": np.array(events, dtype=bool),
-            "drawn": drawn,
-            "harvested": harvested,
-            "stored": stored,
-            "phase": phase,
-            "slot": slot,
-            "step": step,
+            "drawn": np.fromiter(drawn, np.float64, period_ticks),
+            "harvested": np.fromiter(harvested, np.float64, period_ticks),
+            "stored": np.fromiter(stored, np.float64, period_ticks),
+            "phase": np.fromiter(phase, np.int8, period_ticks),
+            "slot": np.fromiter(slot, np.int16, period_ticks),
+            "step": np.fromiter(step, np.int8, period_ticks),
         }
 
     return PeriodLog(
@@ -548,9 +542,7 @@ def _run_period_fast(
 
     cap = store.capacity
     ratio = store.charging_ratio
-    constant = source.kind == "constant"
-    if constant:
-        # (a zero inflow sums to 0.0 whatever the count of banked ticks)
+    if source.kind == "constant":
         inc = source(0) * WAKE_COST / ratio
         runs = [(0, period_ticks, inc)]
     else:
@@ -561,6 +553,9 @@ def _run_period_fast(
         runs = _inflow_runs(inflows)
         # a gated source banks one nonzero inflow or nothing
         inc = max(inflows)
+    # with one run every tick banks `inc`, so the run lengths count the
+    # banked ticks (a zero `inc` sums to 0.0 at any count)
+    uniform = len(runs) == 1
     draw_floor = WAKE_COST - DRAW_SLACK
     s = store.stored
     waste = store.wasted_saturation
@@ -586,7 +581,7 @@ def _run_period_fast(
         start = policy.discharge_start
         # below e_on the store cannot saturate, so a charge phase is bare
         # additions up to the tick whose pre-tick check sees e_on
-        jump = len(runs) == 1 and not inc > cap - e_on
+        jump = uniform and not inc > cap - e_on
         t = 0
         while t < period_ticks:
             if discharging and (s <= e_off or s < draw_floor):
@@ -597,8 +592,7 @@ def _run_period_fast(
                     start = t
                 elif jump:
                     s, n = _charge_until(s, inc, e_on, period_ticks - t)
-                    if inc:
-                        banked += n
+                    banked += n
                     t += n
                     continue
                 else:
@@ -617,7 +611,6 @@ def _run_period_fast(
         policy.discharging = discharging
         policy.discharge_start = start
     else:
-        draws = policy.draws_energy
         for slot in range(period_ticks // slot_len):
             base = slot * slot_len
             if (
@@ -646,7 +639,7 @@ def _run_period_fast(
                 for offset in (*plan, slot_len):
                     t = base + offset
                     if t > done:
-                        if constant:
+                        if uniform:
                             s, waste = _idle_run(s, waste, inc, cap, t - done)
                             banked += t - done
                         else:
@@ -655,10 +648,7 @@ def _run_period_fast(
                         done = t
                     if offset == slot_len:
                         break
-                    if not draws:
-                        slot_awake += 1
-                        slot_catches += events[t]
-                    elif s >= draw_floor:
+                    if s >= draw_floor:
                         s = max(0.0, s - WAKE_COST)
                         slot_awake += 1
                         slot_catches += events[t]

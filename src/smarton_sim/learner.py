@@ -123,11 +123,6 @@ def schedule_cost(freq: float, duration: int) -> float:
     return len(wake_offsets(freq, duration)) * WAKE_COST
 
 
-@cache
-def _action_costs(frequencies: tuple[float, ...], duration: int) -> tuple[float, ...]:
-    return tuple(schedule_cost(f, duration) for f in frequencies)
-
-
 class SlotProfile:
     """Per-slot catch counters for one Phase-1 stay.
 
@@ -331,8 +326,11 @@ def q_update(
 
 def affordable_actions(cfg: LearnerConfig, stored: float) -> list[int]:
     """Actions whose full-step schedule the store can fund right now."""
-    costs = _action_costs(tuple(cfg.frequencies), cfg.state_duration)
-    return [i for i, cost in enumerate(costs) if cost <= stored + 1e-9]
+    return [
+        i
+        for i, f in enumerate(cfg.frequencies)
+        if schedule_cost(f, cfg.state_duration) <= stored + 1e-9
+    ]
 
 
 def choose_action(table: QTable, state: int, phase: int, affordable, stream) -> int:
