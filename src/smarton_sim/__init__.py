@@ -36,7 +36,7 @@ from .engine import (
     run_experiment,
     run_partition_study,
 )
-from .rng import Stream, rng_streams
+from .rng import Stream
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "event_at",
     "morph_pattern",
     "quantize",
-    "rng_streams",
     "run_experiment",
     "run_partition_study",
     "sample_trace",

@@ -1,13 +1,15 @@
 """Energy storage and harvesting models.
 
-Two interchangeable store flavors sit behind the same operations:
+Two store flavors share the same operations:
 
 * :class:`AbstractStore` -- stored energy in wake-up units; one wake-up costs
   ``WAKE_COST`` and a charging ratio ``r`` means r ticks of harvesting fund
-  one wake-up.  All learning experiments run on this store.
+  one wake-up.  Every simulation runs on this store.
 * :class:`CapacitorArray` -- a physical array with shared voltage, on-the-fly
   activation in ascending capacitance order, and a charging-efficiency curve
-  eta(V) = 1 - V / (2 * v_max).
+  eta(V) = 1 - V / (2 * v_max).  A standalone model, not a scenario store:
+  its presets top out at 1.24 units while one wake-up costs 1.0 and a
+  profiling slot needs 30, so no policy ever woke on it in a simulation.
 
 Saturated inflow is never an error: it is discarded and counted in
 ``wasted_saturation``.
@@ -254,8 +256,8 @@ def quantize(stored: float, capacity: float, k: int) -> int:
     return min(max(level, 1), k)
 
 
-# Capacitor presets selectable by name in scenario configs.  v_max/v_activate
-# defaults (3.3 V / 2.8 V) are project conventions, not measured values.
+# Capacitor presets by name.  v_max/v_activate defaults (3.3 V / 2.8 V) are
+# project conventions, not measured values.
 CAPACITOR_PRESETS = {
     "image": (0.012, 0.012, 0.047, 0.047, 0.110),
     "audio": (0.0047, 0.012, 0.012, 0.047),

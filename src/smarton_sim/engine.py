@@ -1,4 +1,4 @@
-"""Deterministic per-second simulation loop and experiment orchestration.
+"""Deterministic simulation kernel and experiment orchestration.
 
 One run binds a store, a sampled event trace and a policy, then walks the
 period.  Within a tick the order is fixed: slot-boundary bookkeeping
@@ -7,12 +7,12 @@ wake-up that cannot be funded is skipped, never partial), then harvesting --
 so a decision sees the energy banked up to the end of the previous tick.
 Periods repeat until the period cap or a stop rule.
 
-Two loops implement these semantics.  The general loop steps every tick
-through the store's methods and can record per-tick arrays.  The summary
-kernel is event-driven: it jumps from one decision to the next and covers
+One event-driven kernel (`run_period`) implements these semantics for every
+policy and harvest source.  It jumps from one decision to the next and covers
 the harvest-only ticks between them with the same float additions, in the
-same order, so its logs are bit-identical to the general loop's (see
-`run_period`).
+same order, as stepping every tick through the store would.  Per-tick
+recording is an output option of that kernel: it records what the kernel
+decided and cannot change a number.
 
 Pattern-change schedules swap the pattern between periods (shift, morph or
 replace) and resample the trace from a fresh substream, which is how the
@@ -21,20 +21,15 @@ adaptation experiments drive the learner back through re-profiling.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import lru_cache
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
-from .energy import (
-    WAKE_COST,
-    DRAW_SLACK,
-    AbstractStore,
-    CapacitorArray,
-    HarvestSource,
-    capacitor_preset,
-)
+from .energy import WAKE_COST, DRAW_SLACK, AbstractStore, HarvestSource
 from .events import (
     EventPattern,
     morph_pattern,
@@ -73,13 +68,9 @@ class SimConfig:
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     policy: str = "smarton"
     ctid: CtidConfig = field(default_factory=CtidConfig)
-    store_kind: str = "abstract"  # abstract | array
     capacity: float = 120.0
     charging_ratio: float = 9.0
-    capacitor_preset_name: str = "image"
-    v_max: float = 3.3
-    v_activate: float = 2.8
-    source_kind: str = "constant"
+    source_kind: str = "constant"  # constant | diurnal | trace
     source_level: float = 1.0
     source_path: str | None = None
     n_periods: int = 40
@@ -103,6 +94,15 @@ class SimConfig:
             raise ValueError(f"unknown policy {self.policy!r}; valid: {POLICY_NAMES}")
         if self.record_level not in ("summary", "per-tick"):
             raise ValueError(f"unknown record level {self.record_level!r}")
+        if self.source_kind not in ("constant", "diurnal", "trace"):
+            raise ValueError(
+                f"unknown source {self.source_kind!r}; valid: constant, diurnal, trace:<path>"
+            )
+        if self.source_kind == "trace" and not self.source_path:
+            raise ValueError("a trace source needs a path: trace:<path>")
+        if self.n_periods < 0:
+            raise ValueError(f"n_periods must be nonnegative, got {self.n_periods}")
+        _parse_stop_rule(self.stop_rule)
         if self.pattern.period_ticks % self.learner.state_duration != 0:
             raise ValueError(
                 f"learner state duration {self.learner.state_duration} must divide "
@@ -183,14 +183,8 @@ class ExperimentResult:
         return len(self.periods)
 
 
-def make_store(config: SimConfig):
-    if config.store_kind == "abstract":
-        return AbstractStore(capacity=config.capacity, charging_ratio=config.charging_ratio)
-    if config.store_kind == "array":
-        return capacitor_preset(
-            config.capacitor_preset_name, v_max=config.v_max, v_activate=config.v_activate
-        )
-    raise ValueError(f"unknown store kind {config.store_kind!r}")
+def make_store(config: SimConfig) -> AbstractStore:
+    return AbstractStore(capacity=config.capacity, charging_ratio=config.charging_ratio)
 
 
 def make_source(config: SimConfig, pattern: EventPattern | None = None) -> HarvestSource:
@@ -208,9 +202,7 @@ def make_source(config: SimConfig, pattern: EventPattern | None = None) -> Harve
         return HarvestSource.constant(config.source_level)
     if config.source_kind == "diurnal":
         return HarvestSource.diurnal(config.source_level)
-    if config.source_kind == "trace":
-        return HarvestSource.from_trace_file(config.source_path)
-    raise ValueError(f"unknown source kind {config.source_kind!r}")
+    return HarvestSource.from_trace_file(config.source_path)
 
 
 def make_policy(config: SimConfig) -> BasePolicy:
@@ -227,17 +219,6 @@ def make_policy(config: SimConfig) -> BasePolicy:
     )
 
 
-def set_stored(store, value: float) -> None:
-    """Force the store to hold `value` energy (entry-level control)."""
-    if isinstance(store, AbstractStore):
-        store.stored = min(value, store.capacity)
-    elif isinstance(store, CapacitorArray):
-        c = store.active_capacitance
-        store.voltage = (2.0 * min(value, store.capacity) / c) ** 0.5 if c > 0 else 0.0
-    else:
-        raise TypeError(f"cannot force energy on {type(store).__name__}")
-
-
 def entry_level_energy(level: int, capacity: float, k_levels: int) -> float:
     """Midpoint energy of a quantized level."""
     return (level - 0.5) * capacity / k_levels
@@ -245,7 +226,7 @@ def entry_level_energy(level: int, capacity: float, k_levels: int) -> float:
 
 def run_period(
     policy: BasePolicy,
-    store,
+    store: AbstractStore,
     source: HarvestSource,
     events: list,
     period_index: int,
@@ -257,178 +238,235 @@ def run_period(
 ) -> PeriodLog:
     """Simulate one period; `events` is the period's per-tick 0/1 list.
 
-    The abstract store under a constant or constant-gated source takes the
-    event-driven kernel; everything else (capacitor arrays, varying sources,
-    per-tick recording) runs the general per-tick loop, which stays the
-    reference the kernel is tested against.  Both produce identical logs.
+    The kernel advances from one decision to the next instead of stepping
+    every tick: slot boundaries (entry forcing, planning), wake-ups, CTID
+    mode flips.  Between them the store only harvests, and an idle run of
+    `n` ticks at one inflow is `n` bare `s += inc` additions -- the very
+    float operations of a per-tick loop in the same order, because every
+    later decision reads the stored energy.  Saturation is monotone in the
+    stored energy, so one check of the run's last pre-tick value shows
+    whether any tick clamped; only then is the run replayed up to the first
+    clamp (see `_idle_run`).  A varying source is split into runs of equal
+    inflow.  GT is closed form (awake every tick, catches every event),
+    CTID charge phases jump to the tick that first sees `e_on` when the
+    store cannot saturate below it, and burst slots count their draws.
 
-    The kernel advances from one event to the next instead of stepping every
-    tick: slot boundaries (entry forcing, planning), wake-ups, CTID mode
-    flips.  Between events the store only charges, and an idle run of `n`
-    ticks is `n` bare `s += inc` additions -- the very float operations of
-    the per-tick loop in the same order, because every later decision reads
-    the stored energy.  Saturation is monotone in the stored energy, so one
-    check of the run's last pre-tick value shows whether any tick clamped;
-    only then is the run replayed up to the first clamp (see `_idle_run`).
-    GT is closed form (awake every tick, catches every event), CTID charge
-    phases jump to the tick that first sees `e_on` when the store cannot
-    saturate below it, and drain slots count their draws.  The period's
-    harvest total is the sequential sum of its banked inflows, read from a
-    cached table by the count of nonzero-inflow ticks.
+    Burst slots and CTID discharge phases are dark: they harvest nothing.
+    The period's harvest total is the in-order sum of the other ticks'
+    inflows; under one constant inflow it is read from a cached table by
+    their count.  With `record_ticks`, idle runs and drains also append
+    every post-tick stored value and the per-tick arrays are built from the
+    kernel's own decisions, so recording cannot change a number.
     """
-    if (
-        not record_ticks
-        and isinstance(store, AbstractStore)
-        and source.kind in ("constant", "constant-gated")
-    ):
-        return _run_period_fast(
-            policy, store, source, events, period_index, period_ticks,
-            slot_len, entry_ticks, entry_value,
-        )
-    return _run_period_general(
-        policy, store, source, events, period_index, period_ticks,
-        slot_len, entry_ticks, entry_value, record_ticks,
-    )
-
-
-def _run_period_general(
-    policy: BasePolicy,
-    store,
-    source: HarvestSource,
-    events: list,
-    period_index: int,
-    period_ticks: int,
-    slot_len: int,
-    entry_ticks: frozenset,
-    entry_value: float | None,
-    record_ticks: bool,
-) -> PeriodLog:
     phase_start = policy.current_phase
     stored_start = store.stored
     policy.on_period_start(period_index)
 
+    cap = store.capacity
+    ratio = store.charging_ratio
+    if source.kind == "constant":
+        inflows = None
+        runs = [(0, period_ticks, source(0) * WAKE_COST / ratio)]
+    else:
+        base_tick = period_index * period_ticks
+        inflows = [source(base_tick + t) * WAKE_COST / ratio for t in range(period_ticks)]
+        runs = _inflow_runs(inflows)
+    uniform = len(runs) == 1
+    inc = runs[0][2]
+    draw_floor = WAKE_COST - DRAW_SLACK
+    s = store.stored
+    waste = store.wasted_saturation
+    waste_before = waste
+    event_ticks = int(sum(events))
+
+    # recording: post-tick stored values in tick order, awake ticks, and the
+    # (phase, step) of each slot
+    out = [] if record_ticks else None
+    wakes = []
+    slot_info = []
+    dark = []  # (start, end) tick spans that harvested nothing
     awake_total = 0
     catches_total = 0
-    drawn_total = 0.0
     skipped = 0
-    waste_before = store.wasted_saturation
-    harvested_total = 0.0
-
-    # per-tick rows (awake, drawn, harvested, stored, phase, slot, step),
-    # turned into arrays once at the end of the period
-    rows = [] if record_ticks else None
-
-    draws = policy.draws_energy
-    tick_driven = policy.tick_driven
-    global_base = period_index * period_ticks
-    n_slots = period_ticks // slot_len
     forced_delta = 0.0
 
-    for slot in range(n_slots):
-        base = slot * slot_len
-        # entry-level control engages once the policy knows the peak exists
-        # (phases 2/3); profiling runs on the energy it actually banked
-        if (
-            entry_value is not None
-            and base in entry_ticks
-            and policy.current_phase >= 2
-        ):
-            before_force = store.stored
-            set_stored(store, entry_value)
-            forced_delta += store.stored - before_force
+    if isinstance(policy, GtPolicy):
+        # awake at every tick, draws nothing, harvests throughout
+        s, waste = _bank(s, waste, cap, runs, 0, period_ticks, out)
+        awake_total = period_ticks
+        catches_total = event_ticks
+        wakes = range(period_ticks)
+    elif isinstance(policy, CtidPolicy):
+        s, waste, wakes, skipped, dark = _ctid_run(
+            policy, s, waste, cap, runs, 0, period_ticks, out
+        )
+        awake_total = len(wakes)
+        catches_total = sum(map(events.__getitem__, wakes))
+    else:
+        for slot in range(period_ticks // slot_len):
+            base = slot * slot_len
+            if (
+                entry_value is not None
+                and base in entry_ticks
+                and policy.current_phase >= 2
+            ):
+                forced = min(entry_value, cap)
+                forced_delta += forced - s
+                s = forced
 
-        plan = None
-        burst = False
-        offsets = ()
-        if not tick_driven:
+            store.stored = s
             plan = policy.plan_slot(slot, store)
+            if out is not None:
+                slot_info.append((policy.current_phase, policy.current_step))
+            slot_awake = 0
+            slot_catches = 0
             if plan == BURST:
-                burst = True
+                # drain while a wake-up can be funded; nothing is harvested
+                e = s
+                while slot_awake < slot_len and s >= draw_floor:
+                    s = max(0.0, s - WAKE_COST)
+                    slot_awake += 1
+                slot_catches = sum(events[base : base + slot_awake])
+                dark.append((base, base + slot_len))
+                if out is not None:
+                    # replay the drain's draws for their post-tick values
+                    wakes.extend(range(base, base + slot_awake))
+                    for _ in range(slot_awake):
+                        e = max(0.0, e - WAKE_COST)
+                        out.append(e)
+                    out.extend(repeat(s, slot_len - slot_awake))
             else:
-                offsets = set(plan)
-
-        slot_awake = 0
-        slot_catches = 0
-        step = policy.current_step
-
-        for i in range(slot_len):
-            t = base + i
-            awake = False
-            harvest_ok = True
-            if tick_driven:
-                awake, harvest_ok = policy.tick(t, store.stored)
-            elif burst:
-                # CTID-style discharge region: no harvesting for the whole
-                # slot, awake while the store can fund wake-ups
-                awake = store.stored >= WAKE_COST - DRAW_SLACK
-                harvest_ok = False
-            else:
-                awake = i in offsets
-
-            drawn_here = 0.0
-            if awake:
-                if draws:
-                    if store.can_draw(WAKE_COST):
-                        store.draw(WAKE_COST)
-                        drawn_here = WAKE_COST
+                # each wake-up is followed by harvest-only ticks up to the
+                # next one or the slot end
+                done = base  # first tick not yet banked
+                for offset in (*plan, slot_len):
+                    t = base + offset
+                    if t > done:
+                        if uniform:
+                            s, waste = _idle_run(s, waste, inc, cap, t - done, out)
+                        else:
+                            s, waste = _bank(s, waste, cap, runs, done, t, out)
+                        done = t
+                    if offset == slot_len:
+                        break
+                    if s >= draw_floor:
+                        s = max(0.0, s - WAKE_COST)
+                        slot_awake += 1
+                        slot_catches += events[t]
+                        if out is not None:
+                            wakes.append(t)
                     else:
                         skipped += 1
-                        awake = False
-            if awake:
-                slot_awake += 1
-                if events[t]:
-                    slot_catches += 1
 
-            harvested_here = 0.0
-            if harvest_ok:
-                harvested_here = store.harvest_tick(source, global_base + t)
-            harvested_total += harvested_here
+            awake_total += slot_awake
+            catches_total += slot_catches
+            store.stored = s
+            store.wasted_saturation = waste
+            policy.on_slot_end(slot, slot_awake, slot_catches, store)
+            s = store.stored
+            waste = store.wasted_saturation
 
-            if rows is not None:
-                rows.append((
-                    awake, drawn_here, harvested_here, store.stored,
-                    policy.current_phase, slot, step,
-                ))
-
-            drawn_total += drawn_here
-        awake_total += slot_awake
-        catches_total += slot_catches
-        policy.on_slot_end(slot, slot_awake, slot_catches, store)
-
+    store.stored = s
+    store.wasted_saturation = waste
     policy.on_period_end(period_index)
 
-    rec = None
-    if rows is not None:
-        awake, drawn, harvested, stored, phase, slot, step = zip(*rows)
-        rec = {
-            "awake": np.fromiter(awake, bool, period_ticks),
-            "event": np.array(events, dtype=bool),
-            "drawn": np.fromiter(drawn, np.float64, period_ticks),
-            "harvested": np.fromiter(harvested, np.float64, period_ticks),
-            "stored": np.fromiter(stored, np.float64, period_ticks),
-            "phase": np.fromiter(phase, np.int8, period_ticks),
-            "slot": np.fromiter(slot, np.int16, period_ticks),
-            "step": np.fromiter(step, np.int8, period_ticks),
-        }
+    if uniform:
+        lit = period_ticks - sum(b - a for a, b in dark)
+        harvested = _harvest_sums(inc, period_ticks)[lit]
+    else:
+        harvested = _lit_total(inflows, dark)
+    ticks = None
+    if out is not None:
+        ticks = _tick_arrays(
+            policy, events, out, wakes, dark, inflows, inc, slot_info, slot_len
+        )
 
     return PeriodLog(
         period=period_index,
         phase_start=phase_start,
         awake_ticks=awake_total,
-        event_ticks=int(sum(events)),
+        event_ticks=event_ticks,
         catches=catches_total,
-        drawn=drawn_total,
-        harvested=harvested_total,
-        wasted_saturation=store.wasted_saturation - waste_before,
+        # every awake tick of a drawing policy drew one WAKE_COST (1.0), so
+        # the per-draw float sum is this integer exactly
+        drawn=awake_total * WAKE_COST if policy.draws_energy else 0.0,
+        harvested=harvested,
+        wasted_saturation=waste - waste_before,
         skipped_wakeups=skipped,
         stored_start=stored_start,
-        stored_end=store.stored,
+        stored_end=s,
         forced_delta=forced_delta,
-        ticks=rec,
+        ticks=ticks,
     )
 
 
-def _idle_run(s: float, waste: float, inc: float, cap: float, n: int):
+def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
+              t: int, end: int, out):
+    """CTID over ticks t..end-1 of the inflow `runs`: charge until the store
+    holds `e_on`, then discharge -- harvest nothing and wake every
+    `wake_interval` ticks from the flip -- until it falls to `e_off` or
+    cannot fund a wake-up.  Returns (s, waste, wake ticks, skipped
+    wake-ups, dark spans) and leaves the mode on the policy.
+    """
+    e_on = policy.cfg.e_on - DRAW_SLACK
+    e_off = policy.cfg.e_off + DRAW_SLACK
+    draw_floor = WAKE_COST - DRAW_SLACK
+    interval = policy.wake_interval
+    discharging = policy.discharging
+    start = policy.discharge_start
+    inc = runs[0][2]
+    # below e_on the store cannot saturate, so a charge phase is bare
+    # additions up to the tick whose pre-tick check sees e_on
+    jump = out is None and len(runs) == 1 and not inc > cap - e_on
+    wakes = []
+    dark = []
+    skipped = 0
+    dark_from = t
+    while t < end:
+        if discharging and (s <= e_off or s < draw_floor):
+            discharging = False
+            dark.append((dark_from, t))
+        if not discharging:
+            if s >= e_on:
+                discharging = True
+                start = dark_from = t
+            elif jump:
+                s, n = _charge_until(s, inc, e_on, end - t)
+                t += n
+                continue
+            else:
+                s, waste = _bank(s, waste, cap, runs, t, t + 1, out)
+                t += 1
+                continue
+        if (t - start) % interval == 0:
+            if s >= draw_floor:
+                s = max(0.0, s - WAKE_COST)
+                wakes.append(t)
+            else:
+                skipped += 1
+        if out is not None:
+            out.append(s)
+        t += 1
+    if discharging:
+        dark.append((dark_from, end))
+    policy.discharging = discharging
+    policy.discharge_start = start
+    return s, waste, wakes, skipped, dark
+
+
+def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSource,
+                  ticks: int) -> None:
+    """Run CTID's cycle for `ticks` ticks before period 0 at the source's
+    tick-0 inflow, with no events.  The ticks are -ticks..-1, so wake
+    intervals stay aligned to tick 0."""
+    runs = [(-ticks, 0, source(0) * WAKE_COST / store.charging_ratio)]
+    store.stored, store.wasted_saturation, *_ = _ctid_run(
+        policy, store.stored, store.wasted_saturation, store.capacity,
+        runs, -ticks, 0, None,
+    )
+
+
+def _idle_run(s: float, waste: float, inc: float, cap: float, n: int, out=None):
     """`n` harvest-only ticks at a constant inflow `inc`: the same result, bit
     for bit, as `n` rounds of AbstractStore.harvest_tick's clamp
 
@@ -441,8 +479,19 @@ def _idle_run(s: float, waste: float, inc: float, cap: float, n: int):
     the run is replayed tick by tick to the first clamp; from then on `s`
     sits at `cap`, every room is 0.0 and every tick wastes exactly `inc`.
     No closed form (`s + n * inc`, `sum`) rounds like the per-tick sum.
-    Returns (s, waste).
+    With `out` (recording), the run steps that clamp tick by tick and
+    appends every post-tick value.  Returns (s, waste).
     """
+    if out is not None:
+        for _ in repeat(None, n):
+            room = cap - s
+            if inc > room:
+                waste += inc - room
+                s = cap
+            else:
+                s += inc
+            out.append(s)
+        return s, waste
     if n <= 0:
         return s, waste
     if not inc > cap - s:
@@ -486,19 +535,16 @@ def _charge_until(s: float, inc: float, level: float, limit: int):
     return s, n
 
 
-def _bank(s: float, waste: float, cap: float, runs, a: int, b: int):
-    """Harvest-only ticks a..b-1 of the period over its constant-inflow runs
-    [(start, end, inc)].  Returns (s, waste, ticks banked with nonzero inflow).
-    """
-    banked = 0
-    for start, end, inc in runs:
-        lo = a if a > start else start
-        hi = b if b < end else end
-        if lo < hi:
-            s, waste = _idle_run(s, waste, inc, cap, hi - lo)
-            if inc:
-                banked += hi - lo
-    return s, waste, banked
+def _bank(s: float, waste: float, cap: float, runs, a: int, b: int, out=None):
+    """Harvest-only ticks a..b-1 over sorted, contiguous constant-inflow runs
+    [(start, end, inc)].  Returns (s, waste)."""
+    for i in range(bisect_right(runs, a, key=itemgetter(0)) - 1, len(runs)):
+        start, end, inc = runs[i]
+        if start >= b:
+            break
+        n = (b if b < end else end) - (a if a > start else start)
+        s, waste = _idle_run(s, waste, inc, cap, n, out)
+    return s, waste
 
 
 def _inflow_runs(inflows: list) -> list:
@@ -524,166 +570,41 @@ def _harvest_sums(inc: float, period_ticks: int) -> tuple[float, ...]:
     return tuple(sums)
 
 
-def _run_period_fast(
-    policy: BasePolicy,
-    store: AbstractStore,
-    source: HarvestSource,
-    events: list,
-    period_index: int,
-    period_ticks: int,
-    slot_len: int,
-    entry_ticks: frozenset,
-    entry_value: float | None,
-) -> PeriodLog:
-    """Event-driven summary-mode kernel; see run_period for why it is exact."""
-    phase_start = policy.current_phase
-    stored_start = store.stored
-    policy.on_period_start(period_index)
+def _lit_total(inflows: list, dark: list) -> float:
+    """In-order sum of the inflows outside the sorted dark spans."""
+    total = 0.0
+    t = 0
+    for a, b in (*dark, (len(inflows), len(inflows))):
+        for inc in inflows[t:a]:
+            total += inc
+        t = b
+    return total
 
-    cap = store.capacity
-    ratio = store.charging_ratio
-    if source.kind == "constant":
-        inc = source(0) * WAKE_COST / ratio
-        runs = [(0, period_ticks, inc)]
+
+def _tick_arrays(policy, events, out, wakes, dark, inflows, inc, slot_info, slot_len):
+    """The per-tick arrays of one recorded period."""
+    period_ticks = len(events)
+    n_slots = period_ticks // slot_len
+    awake = np.zeros(period_ticks, dtype=bool)
+    awake[np.fromiter(wakes, np.intp)] = True
+    if inflows is None:
+        harvested = np.full(period_ticks, inc)
     else:
-        global_base = period_index * period_ticks
-        inflows = [
-            source(global_base + t) * WAKE_COST / ratio for t in range(period_ticks)
-        ]
-        runs = _inflow_runs(inflows)
-        # a gated source banks one nonzero inflow or nothing
-        inc = max(inflows)
-    # with one run every tick banks `inc`, so the run lengths count the
-    # banked ticks (a zero `inc` sums to 0.0 at any count)
-    uniform = len(runs) == 1
-    draw_floor = WAKE_COST - DRAW_SLACK
-    s = store.stored
-    waste = store.wasted_saturation
-    waste_before = waste
-    event_ticks = int(sum(events))
-
-    awake_total = 0
-    catches_total = 0
-    banked = 0  # harvest ticks with nonzero inflow
-    skipped = 0
-    forced_delta = 0.0
-
-    if isinstance(policy, GtPolicy):
-        # awake at every tick, draws nothing, harvests throughout
-        s, waste, banked = _bank(s, waste, cap, runs, 0, period_ticks)
-        awake_total = period_ticks
-        catches_total = event_ticks
-    elif isinstance(policy, CtidPolicy):
-        e_on = policy.cfg.e_on - DRAW_SLACK
-        e_off = policy.cfg.e_off + DRAW_SLACK
-        interval = policy.wake_interval
-        discharging = policy.discharging
-        start = policy.discharge_start
-        # below e_on the store cannot saturate, so a charge phase is bare
-        # additions up to the tick whose pre-tick check sees e_on
-        jump = uniform and not inc > cap - e_on
-        t = 0
-        while t < period_ticks:
-            if discharging and (s <= e_off or s < draw_floor):
-                discharging = False
-            if not discharging:
-                if s >= e_on:
-                    discharging = True
-                    start = t
-                elif jump:
-                    s, n = _charge_until(s, inc, e_on, period_ticks - t)
-                    banked += n
-                    t += n
-                    continue
-                else:
-                    s, waste, k = _bank(s, waste, cap, runs, t, t + 1)
-                    banked += k
-                    t += 1
-                    continue
-            if (t - start) % interval == 0:
-                if s >= draw_floor:
-                    s = max(0.0, s - WAKE_COST)
-                    awake_total += 1
-                    catches_total += events[t]
-                else:
-                    skipped += 1
-            t += 1
-        policy.discharging = discharging
-        policy.discharge_start = start
-    else:
-        for slot in range(period_ticks // slot_len):
-            base = slot * slot_len
-            if (
-                entry_value is not None
-                and base in entry_ticks
-                and policy.current_phase >= 2
-            ):
-                forced = min(entry_value, cap)
-                forced_delta += forced - s
-                s = forced
-
-            store.stored = s
-            plan = policy.plan_slot(slot, store)
-            slot_awake = 0
-            slot_catches = 0
-            if plan == BURST:
-                # drain while a wake-up can be funded; nothing is harvested
-                while slot_awake < slot_len and s >= draw_floor:
-                    s = max(0.0, s - WAKE_COST)
-                    slot_awake += 1
-                slot_catches = sum(events[base : base + slot_awake])
-            else:
-                # each wake-up is followed by harvest-only ticks up to the
-                # next one or the slot end
-                done = base  # first tick not yet banked
-                for offset in (*plan, slot_len):
-                    t = base + offset
-                    if t > done:
-                        if uniform:
-                            s, waste = _idle_run(s, waste, inc, cap, t - done)
-                            banked += t - done
-                        else:
-                            s, waste, k = _bank(s, waste, cap, runs, done, t)
-                            banked += k
-                        done = t
-                    if offset == slot_len:
-                        break
-                    if s >= draw_floor:
-                        s = max(0.0, s - WAKE_COST)
-                        slot_awake += 1
-                        slot_catches += events[t]
-                    else:
-                        skipped += 1
-
-            awake_total += slot_awake
-            catches_total += slot_catches
-            store.stored = s
-            store.wasted_saturation = waste
-            policy.on_slot_end(slot, slot_awake, slot_catches, store)
-            s = store.stored
-            waste = store.wasted_saturation
-
-    store.stored = s
-    store.wasted_saturation = waste
-    policy.on_period_end(period_index)
-
-    return PeriodLog(
-        period=period_index,
-        phase_start=phase_start,
-        awake_ticks=awake_total,
-        event_ticks=event_ticks,
-        catches=catches_total,
-        # every awake tick of a drawing policy drew one WAKE_COST (1.0), so
-        # the per-draw float sum is this integer exactly
-        drawn=awake_total * WAKE_COST if policy.draws_energy else 0.0,
-        harvested=_harvest_sums(inc, period_ticks)[banked],
-        wasted_saturation=waste - waste_before,
-        skipped_wakeups=skipped,
-        stored_start=stored_start,
-        stored_end=s,
-        forced_delta=forced_delta,
-        ticks=None,
-    )
+        harvested = np.array(inflows, dtype=np.float64)
+    for a, b in dark:
+        harvested[a:b] = 0.0
+    # GT and CTID keep one phase and step all period
+    phase, step = zip(*(slot_info or [(policy.current_phase, policy.current_step)] * n_slots))
+    return {
+        "awake": awake,
+        "event": np.array(events, dtype=bool),
+        "drawn": awake * WAKE_COST if policy.draws_energy else np.zeros(period_ticks),
+        "harvested": harvested,
+        "stored": np.fromiter(out, np.float64, period_ticks),
+        "phase": np.repeat(np.array(phase, dtype=np.int8), slot_len),
+        "slot": np.repeat(np.arange(n_slots, dtype=np.int16), slot_len),
+        "step": np.repeat(np.array(step, dtype=np.int8), slot_len),
+    }
 
 
 def apply_change(pattern: EventPattern, change: PatternChange) -> EventPattern:
@@ -701,8 +622,10 @@ def _parse_stop_rule(rule: str | None):
     if rule is None:
         return None, None
     kind, _, arg = rule.partition(":")
-    if kind not in ("phase_ge", "phase3_stable"):
-        raise ValueError(f"unknown stop rule {rule!r}")
+    if kind not in ("phase_ge", "phase3_stable") or not (arg == "" or arg.isdigit()):
+        raise ValueError(
+            f"unknown stop rule {rule!r}; valid: phase_ge[:N], phase3_stable[:N]"
+        )
     return kind, int(arg) if arg else (2 if kind == "phase_ge" else 5)
 
 
@@ -720,7 +643,7 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
         )
 
     if config.initial_stored > 0.0:
-        set_stored(store, config.initial_stored)
+        store.stored = min(config.initial_stored, store.capacity)
     elif config.policy == "ctid" and config.ctid_phase_jitter and source(0) > 0.0:
         # start at a seeded point of the CTID charge/discharge cycle: warm the
         # real dynamics up for a fraction of one cycle so any phase --
@@ -732,14 +655,7 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
             config.ctid.e_on * config.charging_ratio / max(config.source_level, 1e-9)
             + config.ctid.e_on * policy.wake_interval
         )
-        warmup = int(u * cycle)
-        for t in range(warmup):
-            # negative tick values keep wake intervals aligned to t=0
-            awake, harvest_ok = policy.tick(t - warmup, store.stored)
-            if awake and store.can_draw(WAKE_COST):
-                store.draw(WAKE_COST)
-            if harvest_ok:
-                store.harvest_tick(source, 0)
+        _ctid_warm_up(policy, store, source, int(u * cycle))
 
     pattern = config.pattern
     entry_level = config.entry_level

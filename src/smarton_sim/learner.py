@@ -268,26 +268,6 @@ def get_state(level: int, step: int, k_levels: int, t_steps: int) -> int:
     return (level - 1) * t_steps + (step - 1)
 
 
-def step_reward(awake_instants, trace, window, cfg: LearnerConfig) -> tuple[float, int]:
-    """Reward and catch count for one step's awake schedule.
-
-    Every awake instant contributes reward_catch if an event occurred there,
-    reward_miss otherwise; asleep instants contribute nothing.
-    """
-    start, end = window
-    reward = 0.0
-    catches = 0
-    for t in awake_instants:
-        if not start <= t < end:
-            raise ValueError(f"awake instant {t} outside window [{start}, {end})")
-        if trace.occurrences[t]:
-            catches += 1
-            reward += cfg.reward_catch
-        else:
-            reward += cfg.reward_miss
-    return reward, catches
-
-
 def reward_from_counts(catches: int, awake: int, cfg: LearnerConfig) -> float:
     return catches * cfg.reward_catch + (awake - catches) * cfg.reward_miss
 

@@ -1,11 +1,11 @@
 """Wake-up policies: GT and CTID baselines, CTIDpro, and the learning policy.
 
-All policies speak the same engine protocol.  Slot-planned policies return a
-plan at each slot boundary: a tuple of wake offsets within the slot, or the
-``BURST`` marker for greedy drain-until-empty slots (CTID-style discharge,
-harvest paused for the whole slot).  CTID is tick-driven instead -- its mode
-flips are not slot-aligned -- so the engine consults its per-tick state
-machine.
+The learning policy and CTIDpro are slot-planned: at each slot boundary they
+return a tuple of wake offsets within the slot, or the ``BURST`` marker for a
+greedy drain-until-empty slot (CTID-style discharge, harvest paused for the
+whole slot).  GT and CTID plan nothing: the engine's kernel runs them in
+closed form and as a charge/discharge advance whose mode flips fall on any
+tick, and this module only holds their configuration and carried state.
 
 GT is an oracle: it is awake at every tick and draws no energy, but its
 efficiency metric still prices every awake tick at one wake cost.
@@ -57,20 +57,9 @@ class CtidConfig:
             raise ValueError("discharge frequency must be positive")
 
 
-@dataclass(frozen=True)
-class WakeDecision:
-    awake_instants: frozenset[int]
-    energy_drawn: float
-
-    @classmethod
-    def from_offsets(cls, offsets) -> "WakeDecision":
-        return cls(frozenset(offsets), len(tuple(offsets)) * WAKE_COST)
-
-
 class BasePolicy:
     name = "base"
     draws_energy = True
-    tick_driven = False
     current_phase = 0  # 0 = not a phased policy
     current_step = 0
 
@@ -104,31 +93,16 @@ class GtPolicy(BasePolicy):
 class CtidPolicy(BasePolicy):
     """Charge to e_on, then discharge at the configured frequency until the
     store cannot fund another wake-up (or falls to e_off).  Oblivious to
-    events; harvesting is suspended while discharging."""
+    events; harvesting is suspended while discharging.  The engine kernel
+    runs the cycle and keeps its mode here between periods."""
 
     name = "ctid"
-    tick_driven = True
 
     def __init__(self, cfg: CtidConfig):
         self.cfg = cfg
         self.discharging = False
         self.discharge_start = 0
         self.wake_interval = max(1, round(1.0 / cfg.discharge_frequency))
-
-    def tick(self, t: int, stored: float) -> tuple[bool, bool]:
-        """(awake, harvest_allowed) for this tick, given stored energy."""
-        cfg = self.cfg
-        if self.discharging and (
-            stored <= cfg.e_off + DRAW_SLACK or stored < WAKE_COST - DRAW_SLACK
-        ):
-            self.discharging = False
-        if not self.discharging and stored >= cfg.e_on - DRAW_SLACK:
-            self.discharging = True
-            self.discharge_start = t
-        if self.discharging:
-            awake = (t - self.discharge_start) % self.wake_interval == 0
-            return awake, False
-        return False, True
 
 
 class _ProfileDriver:

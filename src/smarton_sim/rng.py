@@ -28,9 +28,6 @@ import numpy as np
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
-STREAM_NAMES = ("trace", "explore", "probe", "shuffle")
-
-
 def fnv1a64(name: str) -> int:
     """FNV-1a 64-bit hash of the UTF-8 encoding of `name`."""
     h = 0xCBF29CE484222325
@@ -99,11 +96,3 @@ class Stream:
     def shuffled(self, items) -> list:
         return self.sample_without_replacement(list(items), len(items))
 
-
-def rng_streams(seed: int) -> dict[str, Stream]:
-    """The simulator's documented substreams for one scenario seed."""
-    return {name: Stream(seed, name) for name in STREAM_NAMES}
-
-
-def stream(seed: int, name: str) -> Stream:
-    return Stream(seed, name)

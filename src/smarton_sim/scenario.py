@@ -66,15 +66,11 @@ SCHEMA = {
         "peak_max_duration": ("120", int),
     },
     "energy": {
-        "store": ("abstract", str),
         "capacity": ("120", float),
         "charging_ratio": ("9", float),
         "source": ("constant", str),
         "source_level": ("1.0", float),
         "gate_in_peaks": ("false", _bool),
-        "preset": ("image", str),
-        "v_max": ("3.3", float),
-        "v_activate": ("2.8", float),
     },
     "learner": {
         "alpha": ("0.7", float),
@@ -198,6 +194,9 @@ def _num(x: float) -> str:
 
 def validate(scenario: Scenario) -> None:
     v = scenario.values
+    # the name is written raw into CSV rows, which readers split on commas
+    if any(c in v[("run", "name")] for c in ',"\r\n'):
+        raise ScenarioError("[run] name must not contain commas, quotes or line breaks")
     if not 0 < v[("learner", "alpha")] <= 1:
         raise ScenarioError(f"[learner] alpha must be in (0, 1], got {v[('learner', 'alpha')]}")
     if not 0 <= v[("learner", "gamma")] < 1:
@@ -302,12 +301,8 @@ def build_sim_config(scenario: Scenario) -> SimConfig:
             learner=learner,
             policy=v[("policy", "policy")],
             ctid=ctid,
-            store_kind=v[("energy", "store")],
             capacity=v[("energy", "capacity")],
             charging_ratio=v[("energy", "charging_ratio")],
-            capacitor_preset_name=v[("energy", "preset")],
-            v_max=v[("energy", "v_max")],
-            v_activate=v[("energy", "v_activate")],
             source_kind=source_kind,
             source_level=v[("energy", "source_level")],
             source_path=source_path or None,

@@ -1,0 +1,124 @@
+"""Per-tick reference interpreter for the engine's period kernel.
+
+It steps every tick through the store's own methods (`harvest_tick`,
+`can_draw`, `draw`) and the policy hooks in the documented order -- slot
+bookkeeping, wake decision, draw (an unfundable wake-up is skipped), then
+harvest -- with CTID's charge/discharge rule written out per tick.  Tests run
+whole experiments through it by patching it over the kernel and the CTID
+warm-up, then compare every log field and per-tick array with the kernel's.
+"""
+
+from unittest import mock
+
+import numpy as np
+
+from smarton_sim import engine
+from smarton_sim.energy import DRAW_SLACK, WAKE_COST
+from smarton_sim.policies import BURST, CtidPolicy
+
+
+def ctid_tick(policy, t, stored):
+    """CTID's (awake, harvest allowed) at tick t, given the stored energy."""
+    cfg = policy.cfg
+    if policy.discharging and (
+        stored <= cfg.e_off + DRAW_SLACK or stored < WAKE_COST - DRAW_SLACK
+    ):
+        policy.discharging = False
+    if not policy.discharging and stored >= cfg.e_on - DRAW_SLACK:
+        policy.discharging = True
+        policy.discharge_start = t
+    if policy.discharging:
+        return (t - policy.discharge_start) % policy.wake_interval == 0, False
+    return False, True
+
+
+def ctid_warm_up(policy, store, source, ticks):
+    for t in range(-ticks, 0):
+        awake, harvest_ok = ctid_tick(policy, t, store.stored)
+        if awake and store.can_draw(WAKE_COST):
+            store.draw(WAKE_COST)
+        if harvest_ok:
+            store.harvest_tick(source, 0)
+
+
+def run_period(policy, store, source, events, period_index, period_ticks, slot_len,
+               entry_ticks, entry_value, record_ticks):
+    phase_start = policy.current_phase
+    stored_start = store.stored
+    waste_before = store.wasted_saturation
+    policy.on_period_start(period_index)
+    awake_total = catches_total = skipped = 0
+    drawn_total = harvested_total = forced_delta = 0.0
+    rows = []
+    ctid = isinstance(policy, CtidPolicy)
+
+    for slot in range(period_ticks // slot_len):
+        base = slot * slot_len
+        if entry_value is not None and base in entry_ticks and policy.current_phase >= 2:
+            before = store.stored
+            store.stored = min(entry_value, store.capacity)
+            forced_delta += store.stored - before
+        plan = () if ctid else policy.plan_slot(slot, store)
+        step = policy.current_step
+        slot_awake = slot_catches = 0
+        for i in range(slot_len):
+            t = base + i
+            harvest_ok = True
+            if ctid:
+                awake, harvest_ok = ctid_tick(policy, t, store.stored)
+            elif plan == BURST:
+                awake = store.stored >= WAKE_COST - DRAW_SLACK
+                harvest_ok = False
+            else:
+                awake = i in plan
+            drawn = 0.0
+            if awake and policy.draws_energy:
+                if store.can_draw(WAKE_COST):
+                    store.draw(WAKE_COST)
+                    drawn = WAKE_COST
+                else:
+                    skipped += 1
+                    awake = False
+            if awake:
+                slot_awake += 1
+                slot_catches += events[t]
+            harvested = store.harvest_tick(source, period_index * period_ticks + t) \
+                if harvest_ok else 0.0
+            harvested_total += harvested
+            drawn_total += drawn
+            rows.append((awake, drawn, harvested, store.stored, policy.current_phase,
+                         slot, step))
+        awake_total += slot_awake
+        catches_total += slot_catches
+        policy.on_slot_end(slot, slot_awake, slot_catches, store)
+    policy.on_period_end(period_index)
+
+    ticks = None
+    if record_ticks:
+        columns = zip(*rows)
+        dtypes = (bool, np.float64, np.float64, np.float64, np.int8, np.int16, np.int8)
+        names = ("awake", "drawn", "harvested", "stored", "phase", "slot", "step")
+        ticks = {name: np.array(col, dtype=dt)
+                 for name, col, dt in zip(names, columns, dtypes)}
+        ticks["event"] = np.array(events, dtype=bool)
+    return engine.PeriodLog(
+        period=period_index, phase_start=phase_start, awake_ticks=awake_total,
+        event_ticks=int(sum(events)), catches=catches_total, drawn=drawn_total,
+        harvested=harvested_total,
+        wasted_saturation=store.wasted_saturation - waste_before,
+        skipped_wakeups=skipped, stored_start=stored_start,
+        stored_end=store.stored, forced_delta=forced_delta, ticks=ticks,
+    )
+
+
+def run_experiment(config):
+    """`engine.run_experiment` with every period and the CTID warm-up stepped
+    tick by tick."""
+    with mock.patch.object(engine, "run_period", run_period), \
+            mock.patch.object(engine, "_ctid_warm_up", ctid_warm_up):
+        return engine.run_experiment(config)
+
+
+def run_partition_study(config, order):
+    with mock.patch.object(engine, "run_period", run_period):
+        return engine.run_partition_study(config, order)

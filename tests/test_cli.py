@@ -49,10 +49,18 @@ class TestSimulate:
         [
             ("[learner]\nenergy_levels = 1\n", "energy levels"),
             ("[learner]\nfrequencies = 0,0.5,1.5\n", "1 Hz"),
+            ("[run]\nstop_rule = bogus:3\n", "stop rule"),
+            ("[run]\nstop_rule = phase_ge:x\n", "stop rule"),
+            ("[energy]\nsource = solar\n", "unknown source"),
+            ("[energy]\nsource = trace\n", "needs a path"),
+            ("[run]\nn_periods = -3\n", "n_periods"),
+            ("[energy]\nstore = array\n", "unknown key"),
         ],
     )
     def test_learner_config_errors_exit_2(self, tmp_path, capsys, text, field):
-        config = write_config(tmp_path, "[run]\nn_periods = 3\n" + text)
+        # a case that sets [run] keys brings its own [run] section
+        prefix = "" if text.startswith("[run]") else "[run]\nn_periods = 3\n"
+        config = write_config(tmp_path, prefix + text)
         assert main(["simulate", "--config", config]) == 2
         assert field in capsys.readouterr().err
 

@@ -1,7 +1,7 @@
 """Simulation engine: the tick loop, metrics, experiments, studies."""
 
 import signal
-from dataclasses import astuple
+from dataclasses import fields, replace as dc_replace
 
 import numpy as np
 import pytest
@@ -23,14 +23,56 @@ from smarton_sim.engine import (
     run_partition_study,
     run_period,
     _charge_until,
+    _ctid_warm_up,
     _harvest_sums,
     _idle_run,
-    _run_period_general,
 )
 from smarton_sim.events import build_pattern
 from smarton_sim.learner import LearnerConfig
-from smarton_sim.policies import CtidConfig, GtPolicy
+from smarton_sim.policies import CtidConfig, CtidPolicy, GtPolicy
 from smarton_sim.rng import Stream
+
+import per_tick_oracle
+
+
+POLICIES = ("smarton", "ctid", "ctidpro", "gt")
+
+# a cyclic source trace whose 151-tick cycle drifts across the period: long
+# equal-inflow runs, dark ticks and a tick-by-tick varying stretch
+TRACE_VALUES = (
+    [1.0] * 50 + [0.0] * 30 + [2.5] * 17 + [0.3, 0.7, 1.9, 0.0, 4.0] * 6 + [0.95] * 24
+)
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def assert_same_run(kernel, oracle):
+    """Every PeriodLog field bit for bit, and every per-tick array's dtype
+    and bytes."""
+    assert kernel.phase_timeline == oracle.phase_timeline
+    assert kernel.episodes == oracle.episodes
+    assert len(kernel.periods) == len(oracle.periods)
+    names = [f.name for f in fields(oracle.periods[0]) if f.name != "ticks"]
+    for got, want in zip(kernel.periods, oracle.periods):
+        for name in names:
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (
+                f"period {want.period} {name}"
+            )
+        if want.ticks is None:
+            assert got.ticks is None
+            continue
+        assert got.ticks.keys() == want.ticks.keys()
+        for name, array in want.ticks.items():
+            assert got.ticks[name].dtype == array.dtype, name
+            assert got.ticks[name].tobytes() == array.tobytes(), (
+                f"period {want.period} {name}"
+            )
+
+
+def assert_kernel_matches_oracle(config):
+    assert_same_run(run_experiment(config), per_tick_oracle.run_experiment(config))
 
 
 def base_config(**kw):
@@ -89,24 +131,16 @@ class TestRunPeriod:
             assert log.forced_delta == 0.0
             assert log.stored_end == pytest.approx(balance, rel=1e-9, abs=1e-9)
 
-    def test_fast_and_general_paths_agree_exactly(self):
-        for policy in ("smarton", "ctid", "ctidpro", "gt"):
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    def test_fast_and_general_paths_agree_exactly(self, record_level):
+        for policy in POLICIES:
             for seed in (0, 4):
-                logs = []
-                for record in (False, True):  # True forces the general path
-                    config = base_config(
-                        policy=policy, seed=seed, n_periods=25,
-                        record_level="per-tick" if record else "summary",
-                        ctid_phase_jitter=True,
-                    )
-                    result = run_experiment(config)
-                    logs.append([
-                        (p.awake_ticks, p.catches, p.drawn, p.harvested,
-                         p.stored_end, p.wasted_saturation, p.skipped_wakeups)
-                        for p in result.periods
-                    ])
-                assert logs[0] == logs[1], f"{policy} seed {seed} diverged"
+                assert_kernel_matches_oracle(base_config(
+                    policy=policy, seed=seed, n_periods=25,
+                    record_level=record_level, ctid_phase_jitter=True,
+                ))
 
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
     @pytest.mark.parametrize(
         "policy, overrides",
         [
@@ -136,18 +170,66 @@ class TestRunPeriod:
             # e_on at or above capacity: charge phases saturate, so no jump
             pytest.param("ctid", dict(ctid=CtidConfig(e_on=120.0)), id="ctid-e_on-at-cap"),
             pytest.param("ctid", dict(ctid=CtidConfig(e_on=150.0)), id="ctid-e_on-over-cap"),
+            # 20 s and 60 s learner slots
+            pytest.param("smarton", dict(learner=LearnerConfig(state_duration=20)),
+                         id="slot20-smarton"),
+            pytest.param("ctidpro", dict(learner=LearnerConfig(state_duration=60)),
+                         id="slot60-ctidpro"),
         ],
     )
     def test_fast_and_general_paths_agree_exactly_on_kernel_branches(
-        self, policy, overrides
+        self, policy, overrides, record_level
     ):
         kw = dict(policy=policy, seed=4, n_periods=25, ctid_phase_jitter=True)
         kw.update(overrides)
-        logs = []
-        for record in ("summary", "per-tick"):  # per-tick runs the general path
-            result = run_experiment(base_config(record_level=record, **kw))
-            logs.append([astuple(p)[:-1] for p in result.periods])  # all but ticks
-        assert logs[0] == logs[1]
+        assert_kernel_matches_oracle(base_config(record_level=record_level, **kw))
+
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    @pytest.mark.parametrize("source", ["constant", "gated", "diurnal", "trace"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_kernel_matches_per_tick_oracle_on_every_source(
+        self, policy, source, record_level, tmp_path
+    ):
+        kw = dict(policy=policy, seed=2, n_periods=25, record_level=record_level,
+                  ctid_phase_jitter=True)
+        if source == "gated":
+            kw.update(gate_source_in_peaks=True)
+        elif source == "diurnal":
+            # the first day's light ends in period 36
+            kw.update(source_kind="diurnal", n_periods=40)
+        elif source == "trace":
+            path = tmp_path / "source.txt"
+            path.write_text("\n".join(map(str, TRACE_VALUES)) + "\n", encoding="utf-8")
+            kw.update(source_kind="trace", source_path=str(path))
+        assert_kernel_matches_oracle(base_config(**kw))
+
+    @given(
+        policy=st.sampled_from(POLICIES),
+        ratio=st.floats(min_value=1.0, max_value=20.0),
+        capacity=st.floats(min_value=20.0, max_value=300.0),
+        level=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=3.0)),
+        fill=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+        e_on=st.floats(min_value=2.0, max_value=200.0),
+        entry=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+        gated=st.booleans(),
+        record_level=st.sampled_from(("summary", "per-tick")),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_matches_per_tick_oracle_on_random_energy(
+        self, policy, ratio, capacity, level, fill, e_on, entry, gated, record_level
+    ):
+        assert_kernel_matches_oracle(base_config(
+            policy=policy, charging_ratio=ratio, capacity=capacity,
+            source_level=level, initial_stored=fill * capacity,
+            ctid=CtidConfig(e_on=e_on), entry_level=entry,
+            gate_source_in_peaks=gated, record_level=record_level,
+            ctid_phase_jitter=True, n_periods=4, seed=3,
+        ))
+
+    def test_partition_study_matches_per_tick_oracle(self):
+        config = base_config(learner=LearnerConfig(k_levels=4), entry_level=None, seed=5)
+        kernel = run_partition_study(config, [3, 1])
+        assert kernel == per_tick_oracle.run_partition_study(config, [3, 1])
 
     def test_per_tick_records_have_period_shape(self):
         config = base_config(record_level="per-tick", n_periods=2)
@@ -302,6 +384,25 @@ class TestExperiment:
             signal.signal(signal.SIGALRM, previous)
         assert all(p.awake_ticks == 0 for p in result.periods)
 
+    @pytest.mark.parametrize("ticks", [0, 1, 137, 271, 600])
+    @pytest.mark.parametrize("e_on, frequency", [(30.0, 1.0), (10.0, 0.5), (130.0, 1.0)])
+    def test_ctid_warm_up_matches_per_tick_oracle(self, ticks, e_on, frequency):
+        states = []
+        for warm_up in (_ctid_warm_up, per_tick_oracle.ctid_warm_up):
+            policy = CtidPolicy(CtidConfig(e_on=e_on, discharge_frequency=frequency))
+            store = AbstractStore(120, 8.5)
+            warm_up(policy, store, HarvestSource.constant(1.0), ticks)
+            states.append((store.stored.hex(), store.wasted_saturation.hex(),
+                           policy.discharging, policy.discharge_start))
+        assert states[0] == states[1]
+
+    def test_phase_jitter_starts_ctid_mid_cycle(self):
+        config = base_config(policy="ctid", entry_level=None, n_periods=1)
+        cold = run_experiment(config)
+        warm = run_experiment(dc_replace(config, ctid_phase_jitter=True))
+        assert cold.periods[0].stored_start == 0.0
+        assert warm.periods[0].stored_start > 0.0
+
     def test_zero_periods_empty_result(self):
         config = base_config(n_periods=0)
         result = run_experiment(config)
@@ -382,23 +483,7 @@ class TestSharedRowSpeedup:
         assert late < early, f"late {late:.1f} not below early {early:.1f}"
 
 
-class TestArrayStoreRuns:
-    def test_smarton_on_capacitor_array(self):
-        config = SimConfig(
-            pattern=build_pattern([("type1", 10)]),
-            policy="smarton",
-            store_kind="array",
-            capacitor_preset_name="image",
-            source_kind="constant",
-            source_level=0.003,  # joules per tick into the array
-            repeat_first_period=True,
-            n_periods=8,
-            seed=0,
-        )
-        result = run_experiment(config)
-        assert result.n_periods_run == 8
-        assert all(p.harvested >= 0 for p in result.periods)
-
+class TestVaryingSourceRuns:
     def test_diurnal_source_runs(self):
         config = SimConfig(
             pattern=build_pattern([("type1", 10)]),

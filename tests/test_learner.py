@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smarton_sim.events import EventTrace, build_pattern
+from smarton_sim.events import build_pattern
 from smarton_sim.learner import (
     EmptyPeak,
     InvalidTransition,
@@ -30,7 +30,7 @@ from smarton_sim.learner import (
     probe_plan,
     profile_converged,
     q_update,
-    step_reward,
+    reward_from_counts,
     wake_offsets,
 )
 from smarton_sim.rng import Stream
@@ -70,44 +70,16 @@ class TestWakeOffsets:
         assert len(wake_offsets(0.5, 60)) == 30
 
 
-class TestStepReward:
-    def _trace(self, bits):
-        return EventTrace(
-            occurrences=np.array(bits, dtype=np.uint8),
-            seed=0,
-            pattern_id="t",
-            period_ticks=len(bits),
-        )
-
+class TestRewardFromCounts:
     def test_never_awake_is_zero(self):
-        cfg = LearnerConfig()
-        trace = self._trace([1] * 30)
-        assert step_reward([], trace, (0, 30), cfg) == (0.0, 0)
+        assert reward_from_counts(0, 0, LearnerConfig()) == 0.0
 
     def test_fifteen_awake_three_events(self):
         # 3*10 + 12*(-1) = 18
-        cfg = LearnerConfig()
-        bits = [0] * 30
-        for t in (0, 2, 4):
-            bits[t] = 1
-        trace = self._trace(bits)
-        awake = list(range(0, 30, 2))
-        reward, catches = step_reward(awake, trace, (0, 30), cfg)
-        assert reward == 18.0
-        assert catches == 3
+        assert reward_from_counts(3, 15, LearnerConfig()) == 18.0
 
     def test_all_thirty_catch(self):
-        cfg = LearnerConfig()
-        trace = self._trace([1] * 30)
-        reward, catches = step_reward(list(range(30)), trace, (0, 30), cfg)
-        assert reward == 300.0
-        assert catches == 30
-
-    def test_instant_outside_window_rejected(self):
-        cfg = LearnerConfig()
-        trace = self._trace([0] * 60)
-        with pytest.raises(ValueError):
-            step_reward([45], trace, (0, 30), cfg)
+        assert reward_from_counts(30, 30, LearnerConfig()) == 300.0
 
 
 class TestQUpdate:

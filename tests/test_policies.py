@@ -199,10 +199,3 @@ class TestDominanceAtEqualAwakeTime:
                 wins += 1
         assert wins == 20
 
-
-def test_wake_decision_prices_each_instant():
-    from smarton_sim.policies import WakeDecision
-
-    decision = WakeDecision.from_offsets((0, 5, 10))
-    assert decision.energy_drawn == 3.0
-    assert decision.awake_instants == frozenset({0, 5, 10})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from smarton_sim.rng import GOLDEN_GAMMA, Stream, fnv1a64, mix64, rng_streams
+from smarton_sim.rng import GOLDEN_GAMMA, Stream, fnv1a64, mix64
 
 
 def test_golden_values_pin_the_generator():
@@ -40,12 +40,13 @@ def test_batch_matches_scalar():
 
 
 def test_substreams_independent_of_each_other():
-    streams = rng_streams(123)
-    trace_before = [streams["trace"].at(i) for i in range(20)]
+    trace = Stream(123, "trace")
+    explore = Stream(123, "explore")
+    trace_before = [trace.at(i) for i in range(20)]
     # drain the explore stream heavily
     for _ in range(1000):
-        streams["explore"].next_double()
-    assert [streams["trace"].at(i) for i in range(20)] == trace_before
+        explore.next_double()
+    assert [trace.at(i) for i in range(20)] == trace_before
 
 
 def test_different_names_give_different_streams():

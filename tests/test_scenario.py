@@ -71,6 +71,11 @@ class TestParse:
         config = build_sim_config(scenario)
         assert [p.shape_name for p in config.pattern.peaks] == ["type2", "type4"]
 
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\n lines"])
+    def test_name_that_would_break_csv_rows(self, tmp_path, name):
+        with pytest.raises(ScenarioError, match="name"):
+            parse_config(write(tmp_path, f"[run]\nname = {name}\n"))
+
     def test_bad_peak_shape(self, tmp_path):
         with pytest.raises(ScenarioError, match="unknown peak shape"):
             parse_config(write(tmp_path, "[pattern]\npeaks = type9@5\n"))
