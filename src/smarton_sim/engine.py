@@ -8,9 +8,11 @@ so a decision sees the energy banked up to the end of the previous tick.
 Periods repeat until the period cap or a stop rule.
 
 One event-driven kernel (`run_period`) implements these semantics for every
-policy and harvest source.  It jumps from one decision to the next and covers
-the harvest-only ticks between them with the same float additions, in the
-same order, as stepping every tick through the store would.  Per-tick
+policy and harvest source.  It jumps from one decision to the next -- slots
+the policy's look-ahead names as able to act, wake-ups, CTID mode flips --
+and covers the harvest-only ticks between them with the same float
+additions, in the same order, as stepping every tick through the store
+would.  Events arrive as a 0/1 byte string per period.  Per-tick
 recording is an output option of that kernel: it records what the kernel
 decided and cannot change a number.
 
@@ -41,6 +43,7 @@ from .learner import LearnerConfig
 from .policies import (
     BURST,
     BasePolicy,
+    _first_at_or_after,
     CtidConfig,
     CtidPolicy,
     CtidProPolicy,
@@ -50,6 +53,12 @@ from .policies import (
 from .rng import Stream
 
 POLICY_NAMES = ("smarton", "ctid", "ctidpro", "gt")
+
+# The CTID phase-jitter warm-up runs up to one charge/discharge cycle, at a
+# cost that grows with the cycle's ticks; a tiny source level stretches the
+# cycle without bound (e_on * r / level ticks).  10 M ticks is over 8,000
+# periods of 1,200 ticks and warms up in well under a second.
+MAX_JITTER_CYCLE = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,20 @@ class SimConfig:
         if self.n_periods < 0:
             raise ValueError(f"n_periods must be nonnegative, got {self.n_periods}")
         _parse_stop_rule(self.stop_rule)
+        # the warm-up runs from an empty store with some inflow; a trace
+        # file's inflow is not known here, and it ignores source_level
+        if (
+            self.policy == "ctid"
+            and self.ctid_phase_jitter
+            and self.initial_stored <= 0.0
+            and (self.source_level > 0.0 or self.source_kind == "trace")
+            and self.ctid_cycle_ticks > MAX_JITTER_CYCLE
+        ):
+            raise ValueError(
+                f"ctid_phase_jitter needs a CTID cycle of at most {MAX_JITTER_CYCLE} "
+                f"ticks, got {self.ctid_cycle_ticks}; raise source_level or lower "
+                f"e_on or charging_ratio"
+            )
         if self.pattern.period_ticks % self.learner.state_duration != 0:
             raise ValueError(
                 f"learner state duration {self.learner.state_duration} must divide "
@@ -114,6 +137,15 @@ class SimConfig:
             raise ValueError(
                 f"entry level {self.entry_level} outside 1..{self.learner.k_levels}"
             )
+
+    @property
+    def ctid_cycle_ticks(self) -> int:
+        """Ticks of one CTID charge/discharge cycle from empty at
+        `source_level`: the span the phase-jitter warm-up draws from."""
+        return int(
+            self.ctid.e_on * self.charging_ratio / max(self.source_level, 1e-9)
+            + self.ctid.e_on * self.ctid.wake_interval
+        )
 
 
 @dataclass
@@ -228,7 +260,7 @@ def run_period(
     policy: BasePolicy,
     store: AbstractStore,
     source: HarvestSource,
-    events: list,
+    events: bytes | list,
     period_index: int,
     period_ticks: int,
     slot_len: int,
@@ -236,20 +268,26 @@ def run_period(
     entry_value: float | None,
     record_ticks: bool,
 ) -> PeriodLog:
-    """Simulate one period; `events` is the period's per-tick 0/1 list.
+    """Simulate one period; `events` is the period's per-tick 0/1 sequence
+    (`bytes` from a sampled trace, or a list).
 
     The kernel advances from one decision to the next instead of stepping
-    every tick: slot boundaries (entry forcing, planning), wake-ups, CTID
-    mode flips.  Between them the store only harvests, and an idle run of
-    `n` ticks at one inflow is `n` bare `s += inc` additions -- the very
-    float operations of a per-tick loop in the same order, because every
-    later decision reads the stored energy.  Saturation is monotone in the
-    stored energy, so one check of the run's last pre-tick value shows
-    whether any tick clamped; only then is the run replayed up to the first
-    clamp (see `_idle_run`).  A varying source is split into runs of equal
-    inflow.  GT is closed form (awake every tick, catches every event),
-    CTID charge phases jump to the tick that first sees `e_on` when the
-    store cannot saturate below it, and burst slots count their draws.
+    every tick: entry forcing, the slots a policy can act in, wake-ups, CTID
+    mode flips.  A slot-planned policy names the next slot whose hooks can
+    act (`next_active_slot`); the slots before it plan nothing and are
+    banked as one idle run without calling the policy.  Between decisions
+    the store only harvests, and an idle run of `n` ticks at one inflow is
+    `n` bare `s += inc` additions -- the very float operations of a
+    per-tick loop in the same order, because every later decision reads
+    the stored energy.  Saturation is monotone in the stored energy, so one
+    check of the run's last pre-tick value shows whether any tick clamped;
+    only then is the run replayed up to the first clamp (see `_idle_run`).
+    A varying source is split into runs of equal inflow.  GT is closed form
+    (awake every tick, catches every event), CTID charge phases jump to the
+    tick that first sees `e_on` when the store cannot saturate below it,
+    CTID discharge phases step from wake-up to wake-up (the store, and so
+    the stop rule, only changes at a wake-up), and burst slots count their
+    draws.
 
     Burst slots and CTID discharge phases are dark: they harvest nothing.
     The period's harvest total is the in-order sum of the other ticks'
@@ -277,7 +315,7 @@ def run_period(
     s = store.stored
     waste = store.wasted_saturation
     waste_before = waste
-    event_ticks = int(sum(events))
+    event_ticks = events.count(1)
 
     # recording: post-tick stored values in tick order, awake ticks, and the
     # (phase, step) of each slot
@@ -297,13 +335,33 @@ def run_period(
         catches_total = event_ticks
         wakes = range(period_ticks)
     elif isinstance(policy, CtidPolicy):
-        s, waste, wakes, skipped, dark = _ctid_run(
-            policy, s, waste, cap, runs, 0, period_ticks, out
-        )
+        s, waste, wakes, dark = _ctid_run(policy, s, waste, cap, runs, 0, period_ticks, out)
         awake_total = len(wakes)
         catches_total = sum(map(events.__getitem__, wakes))
     else:
-        for slot in range(period_ticks // slot_len):
+        n_slots = period_ticks // slot_len
+        # entry forcing rewrites the store at a slot start: a stop for the
+        # look-ahead whether or not the policy acts there
+        entry_slots = (
+            tuple(sorted(t // slot_len for t in entry_ticks)) if entry_value is not None else ()
+        )
+        slot = 0
+        while slot < n_slots:
+            # bank the slots before the next one that can act in one idle run
+            nxt = policy.next_active_slot(slot)
+            if entry_slots:
+                nxt = min(nxt, _first_at_or_after(entry_slots, slot, n_slots))
+            if nxt > slot:
+                if uniform:
+                    s, waste = _idle_run(s, waste, inc, cap, (nxt - slot) * slot_len, out)
+                else:
+                    s, waste = _bank(s, waste, cap, runs, slot * slot_len,
+                                     nxt * slot_len, out)
+                if out is not None:
+                    slot_info.extend(repeat((policy.current_phase, 0), nxt - slot))
+                slot = nxt
+                if slot == n_slots:
+                    break
             base = slot * slot_len
             if (
                 entry_value is not None
@@ -326,7 +384,7 @@ def run_period(
                 while slot_awake < slot_len and s >= draw_floor:
                     s = max(0.0, s - WAKE_COST)
                     slot_awake += 1
-                slot_catches = sum(events[base : base + slot_awake])
+                slot_catches = events[base : base + slot_awake].count(1)
                 dark.append((base, base + slot_len))
                 if out is not None:
                     # replay the drain's draws for their post-tick values
@@ -365,6 +423,7 @@ def run_period(
             policy.on_slot_end(slot, slot_awake, slot_catches, store)
             s = store.stored
             waste = store.wasted_saturation
+            slot += 1
 
     store.stored = s
     store.wasted_saturation = waste
@@ -405,8 +464,9 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
     """CTID over ticks t..end-1 of the inflow `runs`: charge until the store
     holds `e_on`, then discharge -- harvest nothing and wake every
     `wake_interval` ticks from the flip -- until it falls to `e_off` or
-    cannot fund a wake-up.  Returns (s, waste, wake ticks, skipped
-    wake-ups, dark spans) and leaves the mode on the policy.
+    cannot fund a wake-up.  Since `e_on` is at least one wake cost, every
+    discharge wake-up is funded.  Returns (s, waste, wake ticks, dark spans)
+    and leaves the mode on the policy.
     """
     e_on = policy.cfg.e_on - DRAW_SLACK
     e_off = policy.cfg.e_off + DRAW_SLACK
@@ -420,7 +480,6 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
     jump = out is None and len(runs) == 1 and not inc > cap - e_on
     wakes = []
     dark = []
-    skipped = 0
     dark_from = t
     while t < end:
         if discharging and (s <= e_off or s < draw_floor):
@@ -438,20 +497,29 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
                 s, waste = _bank(s, waste, cap, runs, t, t + 1, out)
                 t += 1
                 continue
-        if (t - start) % interval == 0:
-            if s >= draw_floor:
+        if out is None:
+            # the store, and so the stop rule, only changes at a wake-up:
+            # step from one to the next until the tick after the wake-up
+            # that meets the rule
+            t += (start - t) % interval
+            while t < end:
                 s = max(0.0, s - WAKE_COST)
                 wakes.append(t)
-            else:
-                skipped += 1
-        if out is not None:
-            out.append(s)
+                t += 1
+                if s <= e_off or s < draw_floor:
+                    break
+                t += (start - t) % interval
+            continue
+        if (t - start) % interval == 0:
+            s = max(0.0, s - WAKE_COST)
+            wakes.append(t)
+        out.append(s)
         t += 1
     if discharging:
         dark.append((dark_from, end))
     policy.discharging = discharging
     policy.discharge_start = start
-    return s, waste, wakes, skipped, dark
+    return s, waste, wakes, dark
 
 
 def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSource,
@@ -597,7 +665,7 @@ def _tick_arrays(policy, events, out, wakes, dark, inflows, inc, slot_info, slot
     phase, step = zip(*(slot_info or [(policy.current_phase, policy.current_step)] * n_slots))
     return {
         "awake": awake,
-        "event": np.array(events, dtype=bool),
+        "event": np.fromiter(events, bool, period_ticks),
         "drawn": awake * WAKE_COST if policy.draws_energy else np.zeros(period_ticks),
         "harvested": harvested,
         "stored": np.fromiter(out, np.float64, period_ticks),
@@ -648,14 +716,10 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
         # start at a seeded point of the CTID charge/discharge cycle: warm the
         # real dynamics up for a fraction of one cycle so any phase --
         # including mid-discharge -- is reachable.  Without inflow the store
-        # cannot leave empty, so there is no cycle to warm up (and its length
-        # below would be unbounded).
+        # cannot leave empty, so there is no cycle to warm up; otherwise
+        # SimConfig bounds the cycle by MAX_JITTER_CYCLE.
         u = Stream(config.seed, "ctid-phase").next_double()
-        cycle = int(
-            config.ctid.e_on * config.charging_ratio / max(config.source_level, 1e-9)
-            + config.ctid.e_on * policy.wake_interval
-        )
-        _ctid_warm_up(policy, store, source, int(u * cycle))
+        _ctid_warm_up(policy, store, source, int(u * config.ctid_cycle_ticks))
 
     pattern = config.pattern
     entry_level = config.entry_level
@@ -723,7 +787,7 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
             entry_value = None
 
         offset = (p - trace_base) * period_ticks
-        events = trace.occurrences[offset : offset + period_ticks].tolist()
+        events = trace.occurrences[offset : offset + period_ticks].tobytes()
 
         log = run_period(
             policy,
@@ -826,7 +890,7 @@ def run_partition_study(
     trace = sample_trace(
         pattern, config.seed, 1, repeat_first_period=True
     )
-    events = trace.occurrences[:period_ticks].tolist()
+    events = trace.occurrences[:period_ticks].tobytes()
     entry_ticks = frozenset(
         peak.start_slot * pattern.state_duration for peak in pattern.peaks
     )

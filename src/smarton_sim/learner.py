@@ -147,6 +147,11 @@ class SlotProfile:
     def run_complete(self) -> bool:
         return bool(self.visited.all())
 
+    def next_unvisited(self, slot: int) -> int:
+        """The first unvisited slot at or after `slot`, else `n_slots`."""
+        i = self.visited.tobytes().find(0, slot)
+        return self.n_slots if i < 0 else i
+
     def finish_run(self) -> None:
         """Snapshot the completed profile and start a fresh run."""
         if not self.run_complete():

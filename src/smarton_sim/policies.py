@@ -3,7 +3,10 @@
 The learning policy and CTIDpro are slot-planned: at each slot boundary they
 return a tuple of wake offsets within the slot, or the ``BURST`` marker for a
 greedy drain-until-empty slot (CTID-style discharge, harvest paused for the
-whole slot).  GT and CTID plan nothing: the engine's kernel runs them in
+whole slot).  They also look ahead (`next_active_slot`): the slots before the
+next one that can act -- an unvisited profile slot, a learned peak, a probe
+slot -- plan nothing, so the kernel banks them as one idle run without
+calling the hooks.  GT and CTID plan nothing: the engine's kernel runs them in
 closed form and as a charge/discharge advance whose mode flips fall on any
 tick, and this module only holds their configuration and carried state.
 
@@ -13,6 +16,7 @@ efficiency metric still prices every awake tick at one wake cost.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .energy import WAKE_COST, DRAW_SLACK
@@ -53,8 +57,17 @@ class CtidConfig:
     def __post_init__(self):
         if not self.e_off < self.e_on:
             raise ValueError(f"need e_off < e_on, got {self.e_off} >= {self.e_on}")
+        if self.e_on < WAKE_COST:
+            # a discharge could not fund its first wake-up, so the cycle would
+            # flip straight back and never harvest again
+            raise ValueError(f"need e_on >= one wake cost {WAKE_COST}, got {self.e_on}")
         if self.discharge_frequency <= 0:
             raise ValueError("discharge frequency must be positive")
+
+    @property
+    def wake_interval(self) -> int:
+        """Ticks between discharge wake-ups."""
+        return max(1, round(1.0 / self.discharge_frequency))
 
 
 class BasePolicy:
@@ -66,6 +79,12 @@ class BasePolicy:
     def on_period_start(self, period: int) -> None:
         pass
 
+    def next_active_slot(self, slot: int) -> int:
+        """The first slot at or after `slot` whose `plan_slot` or
+        `on_slot_end` can act, or the period's slot count when none is left.
+        The kernel banks the slots before it without calling either hook."""
+        return slot
+
     def plan_slot(self, slot: int, store):
         """Wake offsets within the slot, or BURST."""
         return ()
@@ -75,6 +94,12 @@ class BasePolicy:
 
     def on_period_end(self, period: int) -> None:
         pass
+
+
+def _first_at_or_after(slots: tuple, slot: int, default: int) -> int:
+    """The first of the sorted `slots` at or after `slot`, else `default`."""
+    i = bisect_left(slots, slot)
+    return slots[i] if i < len(slots) else default
 
 
 class GtPolicy(BasePolicy):
@@ -102,7 +127,7 @@ class CtidPolicy(BasePolicy):
         self.cfg = cfg
         self.discharging = False
         self.discharge_start = 0
-        self.wake_interval = max(1, round(1.0 / cfg.discharge_frequency))
+        self.wake_interval = cfg.wake_interval
 
 
 class _ProfileDriver:
@@ -151,6 +176,7 @@ class SmartOnPolicy(BasePolicy):
         self.episodes: list[dict] = []
         self.phase1_stays: list[dict] = [{"entry": 1, "passes": 0, "profiles": 0}]
         self._peak_starts: dict[int, LearnedPeak] = {}
+        self._active_slots: tuple[int, ...] = ()  # peak starts and probe slots
 
     # -- helpers -----------------------------------------------------------
 
@@ -163,6 +189,10 @@ class SmartOnPolicy(BasePolicy):
 
     def _refresh_peaks(self) -> None:
         self._peak_starts = {p.start_slot: p for p in self.ctx.known_peaks}
+        self._refresh_active_slots()
+
+    def _refresh_active_slots(self) -> None:
+        self._active_slots = tuple(sorted(self._peak_starts.keys() | self._probe_slots))
 
     def _hint(self, store) -> int:
         if self.entry_level_hint is not None:
@@ -182,6 +212,16 @@ class SmartOnPolicy(BasePolicy):
                 self.cfg.probe_budget,
                 self.probe_stream,
             )
+        self._refresh_active_slots()
+
+    def next_active_slot(self, slot: int) -> int:
+        # outside an episode only unvisited profile slots (phase 1), learned
+        # peak starts and this period's probe slots (phase 3) plan anything
+        if self._episode is not None:
+            return slot
+        if self.ctx.phase == 1:
+            return self.ctx.profile.next_unvisited(slot)
+        return _first_at_or_after(self._active_slots, slot, self.ctx.n_slots)
 
     def plan_slot(self, slot: int, store):
         self.current_step = 0
@@ -386,6 +426,7 @@ class CtidProPolicy(BasePolicy):
         self._profiling_slot: int | None = None
         self._probe_slots: set[int] = set()
         self._probe_catches = 0
+        self._active_slots: tuple[int, ...] = ()  # known and probe slots
         self.profile = SlotProfile(n_slots)
 
     @property
@@ -399,6 +440,15 @@ class CtidProPolicy(BasePolicy):
             self._probe_slots = probe_plan(
                 self.n_slots, self.known_slots, self.cfg.probe_budget, self.probe_stream
             )
+        self._refresh_active_slots()
+
+    def _refresh_active_slots(self) -> None:
+        self._active_slots = tuple(sorted(self.known_slots | self._probe_slots))
+
+    def next_active_slot(self, slot: int) -> int:
+        if self.profiling:
+            return self.profile.next_unvisited(slot)
+        return _first_at_or_after(self._active_slots, slot, self.n_slots)
 
     def plan_slot(self, slot: int, store):
         if self.profiling:
@@ -432,6 +482,7 @@ class CtidProPolicy(BasePolicy):
                 for s in range(start, start + len(shape))
             }
             self.profiling = False
+            self._refresh_active_slots()
         else:
             self.profile.finish_run()
 

@@ -250,10 +250,13 @@ def _parse_axis(text: str, parse=int) -> list:
     text = text.strip()
     if not text:
         return []
-    if ":" in text and parse is int:
-        a, _, b = text.partition(":")
-        return list(range(int(a), int(b)))
-    return [parse(x.strip()) for x in text.split(",")]
+    try:
+        if ":" in text and parse is int:
+            a, _, b = text.partition(":")
+            return list(range(int(a), int(b)))
+        return [parse(x.strip()) for x in text.split(",")]
+    except ValueError as exc:
+        raise ScenarioError(f"[sweep] bad axis {text!r}: {exc}") from None
 
 
 def build_sim_config(scenario: Scenario) -> SimConfig:

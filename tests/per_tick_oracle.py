@@ -100,7 +100,7 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
         names = ("awake", "drawn", "harvested", "stored", "phase", "slot", "step")
         ticks = {name: np.array(col, dtype=dt)
                  for name, col, dt in zip(names, columns, dtypes)}
-        ticks["event"] = np.array(events, dtype=bool)
+        ticks["event"] = np.fromiter(events, bool, len(events))
     return engine.PeriodLog(
         period=period_index, phase_start=phase_start, awake_ticks=awake_total,
         event_ticks=int(sum(events)), catches=catches_total, drawn=drawn_total,

@@ -55,6 +55,9 @@ class TestSimulate:
             ("[energy]\nsource = trace\n", "needs a path"),
             ("[run]\nn_periods = -3\n", "n_periods"),
             ("[energy]\nstore = array\n", "unknown key"),
+            ("[policy]\npolicy = ctid\ne_on = 0.5\n", "wake cost"),
+            ("[run]\nn_periods = 3\nctid_phase_jitter = true\n[policy]\npolicy = ctid\n"
+             "[energy]\nsource_level = 1e-8\n", "CTID cycle"),
         ],
     )
     def test_learner_config_errors_exit_2(self, tmp_path, capsys, text, field):
@@ -109,6 +112,16 @@ class TestSweepAndReport:
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "--scenario", "no-such-preset", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "axis", ["seeds = 0:x", "seeds = 1,two", "charging_ratio = 8.5,abc", "entry_level = 1:"]
+    )
+    def test_unparsable_sweep_axis_exits_2(self, tmp_path, capsys, axis):
+        config = write_config(tmp_path, f"[run]\nn_periods = 3\n[sweep]\n{axis}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", config, "--out", str(out)]) == 2
+        assert "[sweep] bad axis" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_with_jobs(self, tmp_path, capsys):
         out = tmp_path / "jobs"

@@ -1,6 +1,7 @@
 """Simulation engine: the tick loop, metrics, experiments, studies."""
 
 import signal
+from contextlib import contextmanager
 from dataclasses import fields, replace as dc_replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from smarton_sim.energy import AbstractStore, HarvestSource
 from smarton_sim.engine import (
+    MAX_JITTER_CYCLE,
     Metrics,
     PatternChange,
     SimConfig,
@@ -73,6 +75,21 @@ def assert_same_run(kernel, oracle):
 
 def assert_kernel_matches_oracle(config):
     assert_same_run(run_experiment(config), per_tick_oracle.run_experiment(config))
+
+
+@contextmanager
+def time_limit(seconds, what):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def base_config(**kw):
@@ -210,21 +227,46 @@ class TestRunPeriod:
         level=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=3.0)),
         fill=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
         e_on=st.floats(min_value=2.0, max_value=200.0),
+        e_off_share=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.99)),
+        frequency=st.sampled_from((0.2, 0.25, 0.5, 1.0)),
+        probe_budget=st.sampled_from((0, 2, 5)),
         entry=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
         gated=st.booleans(),
         record_level=st.sampled_from(("summary", "per-tick")),
     )
     @settings(max_examples=40, deadline=None)
     def test_kernel_matches_per_tick_oracle_on_random_energy(
-        self, policy, ratio, capacity, level, fill, e_on, entry, gated, record_level
+        self, policy, ratio, capacity, level, fill, e_on, e_off_share, frequency,
+        probe_budget, entry, gated, record_level
     ):
         assert_kernel_matches_oracle(base_config(
             policy=policy, charging_ratio=ratio, capacity=capacity,
             source_level=level, initial_stored=fill * capacity,
-            ctid=CtidConfig(e_on=e_on), entry_level=entry,
+            ctid=CtidConfig(e_on=e_on, e_off=e_off_share * e_on,
+                            discharge_frequency=frequency),
+            learner=LearnerConfig(probe_budget=probe_budget), entry_level=entry,
             gate_source_in_peaks=gated, record_level=record_level,
             ctid_phase_jitter=True, n_periods=4, seed=3,
         ))
+
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    @pytest.mark.parametrize("policy", ["smarton", "ctidpro"])
+    def test_kernel_matches_per_tick_oracle_through_phase_3_and_back(
+        self, policy, record_level
+    ):
+        # phase 3 skips every slot outside the known peak and the probe
+        # slots; the replaced pattern is caught by a probe, which sends the
+        # policy back through profiling to phase 3
+        config = base_config(
+            policy=policy, record_level=record_level, n_periods=140,
+            learner=LearnerConfig(probe_budget=5), charging_ratio=8.5,
+            schedule=(PatternChange(70, "replace", build_pattern([("type3", 25)]),
+                                    entry_level=3),),
+        )
+        kernel = run_experiment(config)
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+        timeline = kernel.phase_timeline
+        assert 3 in timeline[:70] and 1 in timeline[70:] and timeline[-1] == 3
 
     def test_partition_study_matches_per_tick_oracle(self):
         config = base_config(learner=LearnerConfig(k_levels=4), entry_level=None, seed=5)
@@ -368,21 +410,32 @@ class TestExperiment:
         assert result.n_periods_run < 200
 
     def test_ctid_phase_jitter_without_inflow_terminates(self):
-        def too_slow(signum, frame):
-            raise TimeoutError("CTID warm-up did not return within 1 s")
-
         config = base_config(
             policy="ctid", ctid_phase_jitter=True, source_level=0.0, n_periods=3,
             entry_level=None,
         )
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        try:
+        with time_limit(1.0, "CTID warm-up"):
             result = run_experiment(config)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
         assert all(p.awake_ticks == 0 for p in result.periods)
+
+    @pytest.mark.parametrize("level", [1e-6, 1e-7, 1e-8, 1e-300])
+    def test_ctid_phase_jitter_with_an_unbounded_warm_up_is_rejected(self, level):
+        with pytest.raises(ValueError, match="CTID cycle"):
+            base_config(policy="ctid", ctid_phase_jitter=True, source_level=level,
+                        entry_level=None)
+
+    def test_ctid_phase_jitter_at_the_cycle_bound_terminates(self):
+        # the longest accepted cycle, and a seed that warms up over 90% of it
+        level = 30.0 * 8.5 / (MAX_JITTER_CYCLE - 100)
+        config = base_config(
+            policy="ctid", ctid_phase_jitter=True, source_level=level,
+            charging_ratio=8.5, n_periods=2, entry_level=None, seed=7,
+        )
+        assert 0.99 * MAX_JITTER_CYCLE < config.ctid_cycle_ticks <= MAX_JITTER_CYCLE
+        assert Stream(7, "ctid-phase").next_double() > 0.9
+        with time_limit(2.0, "CTID warm-up"):
+            result = run_experiment(config)
+        assert result.periods[0].stored_start > 0.0
 
     @pytest.mark.parametrize("ticks", [0, 1, 137, 271, 600])
     @pytest.mark.parametrize("e_on, frequency", [(30.0, 1.0), (10.0, 0.5), (130.0, 1.0)])

@@ -4,8 +4,10 @@ trace obliviousness, and the catch-dominance argument."""
 import numpy as np
 import pytest
 
-from smarton_sim.energy import AbstractStore, HarvestSource
+from smarton_sim import engine
+from smarton_sim.energy import WAKE_COST, AbstractStore, HarvestSource
 from smarton_sim.engine import (
+    PatternChange,
     SimConfig,
     compute_metrics,
     make_policy,
@@ -17,6 +19,8 @@ from smarton_sim.engine import (
 from smarton_sim.events import build_pattern, sample_trace
 from smarton_sim.learner import LearnerConfig
 from smarton_sim.policies import CtidConfig, CtidPolicy, CtidProPolicy, GtPolicy
+
+import per_tick_oracle
 
 
 def run_one_period(policy, store, events, entry_ticks=frozenset(), entry_value=None,
@@ -101,6 +105,21 @@ class TestCtid:
         awake = np.flatnonzero(log.ticks["awake"])
         assert list(awake[:3]) == [90, 92, 94]
 
+    @pytest.mark.parametrize("e_on", [0.5, 0.999])
+    def test_e_on_below_one_wake_is_rejected(self, e_on):
+        # the discharge could not fund its first wake-up and would stall
+        with pytest.raises(ValueError, match="wake cost"):
+            CtidConfig(e_on=e_on)
+
+    def test_e_on_of_one_wake_keeps_cycling(self):
+        policy = CtidPolicy(CtidConfig(e_on=WAKE_COST))
+        store = AbstractStore(120, 9)
+        for p in range(3):
+            log = run_one_period(policy, store, [0] * 1200, record=False, period=p)
+            # one wake-up per nine harvested ticks, none skipped
+            assert log.awake_ticks == 120
+            assert log.skipped_wakeups == 0
+
 
 class TestCtidPro:
     def _exploit_policy(self, known):
@@ -139,6 +158,65 @@ class TestCtidPro:
         log = run_one_period(policy, store, [0] * 1200, record=False)
         # all harvest outside the 3 burst slots banks up
         assert log.harvested == pytest.approx((1200 - 90) / 9)
+
+
+class TestLookAhead:
+    @pytest.mark.parametrize("policy_name", ["smarton", "ctidpro"])
+    def test_slots_before_the_next_active_one_plan_nothing(self, policy_name, monkeypatch):
+        # the per-tick oracle plans every slot; each slot the look-ahead
+        # passes over must plan nothing and leave the look-ahead and the
+        # phase as they were
+        seen = {"slots": 0, "skipped": 0}
+        make_policy_ = engine.make_policy
+
+        def checked_policy(config):
+            policy = make_policy_(config)
+            plan_slot, on_slot_end = policy.plan_slot, policy.on_slot_end
+            ahead = {}
+
+            def plan(slot, store):
+                ahead[slot] = (policy.next_active_slot(slot), policy.current_phase)
+                result = plan_slot(slot, store)
+                seen["slots"] += 1
+                if ahead[slot][0] > slot:
+                    seen["skipped"] += 1
+                    assert result == (), f"slot {slot} planned {result}"
+                return result
+
+            def slot_end(slot, awake, catches, store):
+                on_slot_end(slot, awake, catches, store)
+                nxt, phase = ahead.pop(slot)
+                if nxt > slot:
+                    assert policy.next_active_slot(slot + 1) == nxt
+                    assert policy.current_phase == phase
+
+            policy.plan_slot, policy.on_slot_end = plan, slot_end
+            return policy
+
+        monkeypatch.setattr(engine, "make_policy", checked_policy)
+        config = SimConfig(
+            pattern=build_pattern([("type1", 10)]), policy=policy_name, entry_level=4,
+            repeat_first_period=True, n_periods=140, seed=1, charging_ratio=8.5,
+            learner=LearnerConfig(probe_budget=5),
+            schedule=(PatternChange(70, "replace", build_pattern([("type3", 25)]),
+                                    entry_level=3),),
+        )
+        result = per_tick_oracle.run_experiment(config)
+        assert 1 in result.phase_timeline[70:] and result.phase_timeline[-1] == 3
+        assert seen["skipped"] > seen["slots"] / 2
+
+    def test_exploiting_ctidpro_looks_ahead_to_known_and_probe_slots(self):
+        policy = CtidProPolicy(LearnerConfig(probe_budget=0), 40, seed=0)
+        policy.profiling = False
+        policy.known_slots = {10, 11, 12}
+        policy.on_period_start(0)
+        assert [policy.next_active_slot(s) for s in (0, 10, 11, 12, 13)] == [10, 10, 11, 12, 40]
+
+    def test_profiling_looks_ahead_to_unvisited_slots(self):
+        policy = CtidProPolicy(LearnerConfig(), 4, seed=0)
+        policy.profile.record_slot(0, 0)
+        policy.profile.record_slot(2, 0)
+        assert [policy.next_active_slot(s) for s in range(4)] == [1, 1, 3, 3]
 
 
 class TestEnergyFeasibility:
