@@ -114,6 +114,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
     scenario = load_scenario(args.scenario)
     scenario = _apply_seed_env(scenario)
     records = run_sweep(scenario, jobs=args.jobs)

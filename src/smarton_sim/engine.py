@@ -60,6 +60,11 @@ POLICY_NAMES = ("smarton", "ctid", "ctidpro", "gt")
 # periods of 1,200 ticks and warms up in well under a second.
 MAX_JITTER_CYCLE = 10_000_000
 
+# Harvest runs of at least this many ticks are summed by `np.add.accumulate`
+# (below it a Python loop is faster), in blocks of at most ACCUMULATE_BLOCK.
+ACCUMULATE_MIN = 64
+ACCUMULATE_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class PatternChange:
@@ -277,17 +282,19 @@ def run_period(
     act (`next_active_slot`); the slots before it plan nothing and are
     banked as one idle run without calling the policy.  Between decisions
     the store only harvests, and an idle run of `n` ticks at one inflow is
-    `n` bare `s += inc` additions -- the very float operations of a
-    per-tick loop in the same order, because every later decision reads
-    the stored energy.  Saturation is monotone in the stored energy, so one
-    check of the run's last pre-tick value shows whether any tick clamped;
-    only then is the run replayed up to the first clamp (see `_idle_run`).
-    A varying source is split into runs of equal inflow.  GT is closed form
-    (awake every tick, catches every event), CTID charge phases jump to the
-    tick that first sees `e_on` when the store cannot saturate below it,
-    CTID discharge phases step from wake-up to wake-up (the store, and so
-    the stop rule, only changes at a wake-up), and burst slots count their
-    draws.
+    `n` additions of `inc` -- the very float operations of a per-tick loop
+    in the same order, because every later decision reads the stored
+    energy; long runs are summed by the sequential scan `np.add.accumulate`
+    (see `_idle_run`).  Saturation is monotone in the stored energy, so one
+    check of the run's last pre-tick value shows whether any tick clamped.
+    The single harvest tick between two wake-ups one tick apart is the
+    clamp itself, inline.  A varying source is split into runs of equal
+    inflow.  GT is closed form (awake every tick, catches every event), CTID
+    charge phases jump to the tick that first sees `e_on` when the store
+    cannot saturate below it, and CTID discharge phases and burst slots are
+    draw runs: one wake cost per wake-up leaves `s - j` after `j` of them
+    exactly, so their count and the store after them are closed form
+    (`_draws`).
 
     Burst slots and CTID discharge phases are dark: they harvest nothing.
     The period's harvest total is the in-order sum of the other ticks'
@@ -345,6 +352,7 @@ def run_period(
         entry_slots = (
             tuple(sorted(t // slot_len for t in entry_ticks)) if entry_value is not None else ()
         )
+        inline = uniform and out is None
         slot = 0
         while slot < n_slots:
             # bank the slots before the next one that can act in one idle run
@@ -381,9 +389,7 @@ def run_period(
             if plan == BURST:
                 # drain while a wake-up can be funded; nothing is harvested
                 e = s
-                while slot_awake < slot_len and s >= draw_floor:
-                    s = max(0.0, s - WAKE_COST)
-                    slot_awake += 1
+                slot_awake, s = _draws(s, -1.0, slot_len)
                 slot_catches = events[base : base + slot_awake].count(1)
                 dark.append((base, base + slot_len))
                 if out is not None:
@@ -399,7 +405,16 @@ def run_period(
                 done = base  # first tick not yet banked
                 for offset in (*plan, slot_len):
                     t = base + offset
-                    if t > done:
+                    if t - done == 1 and inline:
+                        # the one harvest tick between consecutive wake-ups
+                        room = cap - s
+                        if inc > room:
+                            waste += inc - room
+                            s = cap
+                        else:
+                            s += inc
+                        done = t
+                    elif t > done:
                         if uniform:
                             s, waste = _idle_run(s, waste, inc, cap, t - done, out)
                         else:
@@ -408,7 +423,7 @@ def run_period(
                     if offset == slot_len:
                         break
                     if s >= draw_floor:
-                        s = max(0.0, s - WAKE_COST)
+                        s = s - WAKE_COST if s >= WAKE_COST else 0.0
                         slot_awake += 1
                         slot_catches += events[t]
                         if out is not None:
@@ -465,8 +480,10 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
     holds `e_on`, then discharge -- harvest nothing and wake every
     `wake_interval` ticks from the flip -- until it falls to `e_off` or
     cannot fund a wake-up.  Since `e_on` is at least one wake cost, every
-    discharge wake-up is funded.  Returns (s, waste, wake ticks, dark spans)
-    and leaves the mode on the policy.
+    discharge wake-up is funded.  Without recording, a charge phase below
+    `e_on` is one sequential sum (`_charge_until`) and a discharge phase's
+    wake-ups in the span are one draw run (`_draws`).  Returns (s, waste,
+    wake ticks, dark spans) and leaves the mode on the policy.
     """
     e_on = policy.cfg.e_on - DRAW_SLACK
     e_off = policy.cfg.e_off + DRAW_SLACK
@@ -498,17 +515,15 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
                 t += 1
                 continue
         if out is None:
-            # the store, and so the stop rule, only changes at a wake-up:
-            # step from one to the next until the tick after the wake-up
-            # that meets the rule
+            # the store, and so the stop rule, only changes at a wake-up: the
+            # phase's wake-ups in this span are one closed-form draw run,
+            # and it goes on at the tick after the wake-up that meets the rule
             t += (start - t) % interval
-            while t < end:
-                s = max(0.0, s - WAKE_COST)
-                wakes.append(t)
-                t += 1
-                if s <= e_off or s < draw_floor:
-                    break
-                t += (start - t) % interval
+            if t < end:
+                s = s - WAKE_COST if s >= WAKE_COST else 0.0
+                k, s = _draws(s, e_off, (end - 1 - t) // interval)
+                wakes.extend(range(t, t + (k + 1) * interval, interval))
+                t = t + k * interval + 1 if s <= e_off or s < draw_floor else end
             continue
         if (t - start) % interval == 0:
             s = max(0.0, s - WAKE_COST)
@@ -544,11 +559,13 @@ def _idle_run(s: float, waste: float, inc: float, cap: float, n: int, out=None):
 
     Saturation is monotone in `s`: if the last tick's pre-tick value does not
     clamp, no earlier one did, and the run is `n` bare additions.  Otherwise
-    the run is replayed tick by tick to the first clamp; from then on `s`
-    sits at `cap`, every room is 0.0 and every tick wastes exactly `inc`.
-    No closed form (`s + n * inc`, `sum`) rounds like the per-tick sum.
-    With `out` (recording), the run steps that clamp tick by tick and
-    appends every post-tick value.  Returns (s, waste).
+    the run goes on from its first clamp, after which `s` sits at `cap`,
+    every room is 0.0 and every tick wastes exactly `inc`.  From
+    `ACCUMULATE_MIN` ticks on, the pre-tick values come from
+    `np.add.accumulate`, a sequential scan that does the loop's additions in
+    the loop's order; a closed form (`s + n * inc`) or the pairwise `np.sum`
+    rounds differently.  With `out` (recording), the run steps that clamp
+    tick by tick and appends every post-tick value.  Returns (s, waste).
     """
     if out is not None:
         for _ in repeat(None, n):
@@ -563,44 +580,100 @@ def _idle_run(s: float, waste: float, inc: float, cap: float, n: int, out=None):
     if n <= 0:
         return s, waste
     if not inc > cap - s:
-        e = s
-        for _ in repeat(None, n - 1):
-            e += inc
-        if not inc > cap - e:
-            return e + inc, waste
+        if n >= ACCUMULATE_MIN:
+            pre = np.empty(n)
+            pre.fill(inc)
+            pre[0] = s
+            pre = np.add.accumulate(pre)  # the pre-tick value of every tick
+            if not inc > cap - pre[-1]:
+                return float(pre[-1] + inc), waste
+            i = int(np.argmax(inc > cap - pre))  # the first tick that clamps
+            s, n = float(pre[i]), n - i
+        else:
+            e = s
+            for _ in repeat(None, n - 1):
+                e += inc
+            if not inc > cap - e:
+                return e + inc, waste
     for left in range(n - 1, -1, -1):
         room = cap - s
         if inc > room:
-            waste += inc - room
-            s = cap
-            for _ in repeat(None, left):
-                waste += inc
-            break
+            return cap, _add_repeated(waste + (inc - room), inc, left)
         s += inc
     return s, waste
+
+
+def _add_repeated(x: float, inc: float, n: int) -> float:
+    """`x + inc + ... + inc`: `n` additions in order, as a Python float.
+    Long runs are scanned by `np.add.accumulate` in blocks, which bounds the
+    memory a long CTID warm-up charge needs.
+    """
+    if n < ACCUMULATE_MIN:
+        for _ in repeat(None, n):
+            x += inc
+        return x
+    block = np.empty(min(n, ACCUMULATE_BLOCK) + 1)
+    block.fill(inc)
+    while n > 0:
+        k = min(n, ACCUMULATE_BLOCK)
+        block[0] = x
+        x = float(np.add.accumulate(block[: k + 1])[-1])
+        n -= k
+    return x
 
 
 def _charge_until(s: float, inc: float, level: float, limit: int):
     """Charge by `inc` per tick while the pre-tick value is below `level`, for
     at most `limit` ticks; the caller guarantees no tick can clamp.  Returns
     (s, ticks charged).  The additions are the per-tick ones: a conservative
-    estimate of the ticks that stay below `level` runs as bare additions,
-    checked once at its end, and the last few ticks compare one by one.
+    estimate of the ticks that stay below `level` runs as one sequential sum
+    (`_add_repeated`), checked once at its end, and the last few ticks
+    compare one by one.
     """
     n = 0
     if inc > 0.0:
         q = (level - s) / inc
         m = limit if q > limit + 1 else int(q) - 1
         if m > 0:
-            e = s
-            for _ in repeat(None, m):
-                e += inc
+            e = _add_repeated(s, inc, m)
             if e < level:
                 s, n = e, m
     while n < limit and s < level:
         s += inc
         n += 1
     return s, n
+
+
+def _draws(s: float, lo: float, limit: int):
+    """Chained wake-ups from a store holding `s`, at most `limit` of them,
+    each one while the store holds more than `lo` and can fund it.  Returns
+    (wake-ups, s after): the result of the per-wake loop
+
+        while k < limit and s > lo and s >= WAKE_COST - DRAW_SLACK:
+            s = max(0.0, s - WAKE_COST); k += 1
+
+    With WAKE_COST = 1.0 and 1 <= s < 2**53, `s - 1.0` is exact, so the
+    loop visits s, s - 1, ..., s - m (m = int(s)), and a draw from s - m < 1
+    empties the store.  Both stop conditions are monotone in `s`, so the
+    count is the first j whose s - j fails them: estimated from `s - lo`,
+    then settled by the loop's own comparisons.  A larger `s` steps wake by
+    wake, since `s - 1.0` may round.
+    """
+    draw_floor = WAKE_COST - DRAW_SLACK
+    if not s < 2.0**53:
+        k = 0
+        while k < limit and s > lo and s >= draw_floor:
+            s = s - WAKE_COST if s >= WAKE_COST else 0.0
+            k += 1
+        return k, s
+    m = int(s)
+    top = min(limit, m + 1)
+    k = max(0, min(top, int(s - lo) + 1))
+    while k > 0 and not (s - (k - 1) > lo and s - (k - 1) >= draw_floor):
+        k -= 1
+    while k < top and s - k > lo and s - k >= draw_floor:
+        k += 1
+    return k, (s - k if k <= m else 0.0)
 
 
 def _bank(s: float, waste: float, cap: float, runs, a: int, b: int, out=None):

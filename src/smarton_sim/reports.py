@@ -107,6 +107,7 @@ def _run_one(args):
 
 def run_sweep(scenario: Scenario, jobs: int = 1) -> list[RunRecord]:
     """Execute every run of the scenario; order of records is deterministic.
+    With `jobs` > 1 the runs go to a pool of at most one worker per run.
 
     When state_duration is swept, each run's scenario label carries a
     `/d<duration>` suffix so that metrics.csv rows (whose schema has no
@@ -134,6 +135,8 @@ def run_sweep(scenario: Scenario, jobs: int = 1) -> list[RunRecord]:
             if multi_duration:
                 label = f"{scenario.name}/d{key.state_duration}"
             runs.append((key, config, label, False))
+    # more workers than runs would only idle
+    jobs = min(jobs, len(runs))
     if jobs > 1:
         with Pool(jobs) as pool:
             return pool.map(_run_one, runs)

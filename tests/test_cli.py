@@ -2,6 +2,7 @@
 
 import pytest
 
+from smarton_sim import reports
 from smarton_sim.cli import main
 
 
@@ -131,3 +132,38 @@ class TestSweepAndReport:
         )
         assert main(["sweep", "--scenario", config, "--out", str(out), "--jobs", "2"]) == 0
         assert (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        config = write_config(tmp_path, "[run]\nn_periods = 3\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", config, "--out", str(out), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pool_has_at_most_one_worker_per_run(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the requested size and maps in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(reports, "Pool", RecordingPool)
+        for seeds, runs in (("0:2", 2), ("0:1", 1)):
+            config = write_config(tmp_path, f"[run]\nn_periods = 3\n[sweep]\nseeds = {seeds}\n")
+            out = tmp_path / f"out{runs}"
+            assert main(["sweep", "--scenario", config, "--out", str(out), "--jobs", "8"]) == 0
+            assert f"{runs} runs" in capsys.readouterr().out
+        # two runs get two workers; a single run needs no pool at all
+        assert sizes == [2]

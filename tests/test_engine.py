@@ -1,6 +1,7 @@
 """Simulation engine: the tick loop, metrics, experiments, studies."""
 
 import signal
+import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace as dc_replace
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smarton_sim.energy import AbstractStore, HarvestSource
+from smarton_sim.energy import DRAW_SLACK, AbstractStore, HarvestSource
 from smarton_sim.engine import (
+    ACCUMULATE_BLOCK,
+    ACCUMULATE_MIN,
     MAX_JITTER_CYCLE,
     Metrics,
     PatternChange,
@@ -24,8 +27,10 @@ from smarton_sim.engine import (
     run_experiment,
     run_partition_study,
     run_period,
+    _add_repeated,
     _charge_until,
     _ctid_warm_up,
+    _draws,
     _harvest_sums,
     _idle_run,
 )
@@ -268,6 +273,33 @@ class TestRunPeriod:
         timeline = kernel.phase_timeline
         assert 3 in timeline[:70] and 1 in timeline[70:] and timeline[-1] == 3
 
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    @pytest.mark.parametrize("frequency", [0.2, 0.25, 0.5, 1.0])
+    def test_ctid_discharge_across_the_period_boundary_matches_oracle(
+        self, frequency, record_level
+    ):
+        config = base_config(
+            policy="ctid", ctid=CtidConfig(discharge_frequency=frequency),
+            charging_ratio=8.5, ctid_phase_jitter=True, n_periods=10,
+            record_level=record_level,
+        )
+        oracle = per_tick_oracle.run_experiment(dc_replace(config, record_level="per-tick"))
+        # a discharge phase (dark under a lit source) runs from the end of
+        # one period into the next
+        assert any(
+            a.ticks["harvested"][-1] == 0.0 and b.ticks["harvested"][0] == 0.0
+            for a, b in zip(oracle.periods, oracle.periods[1:])
+        )
+        assert_kernel_matches_oracle(config)
+
+    @pytest.mark.parametrize("policy", ["smarton", "ctidpro"])
+    def test_kernel_matches_oracle_when_one_tick_gaps_saturate(self, policy):
+        # an inflow above one wake cost refills a full store between two
+        # wake-ups one tick apart, and the tick in between clamps
+        config = base_config(policy=policy, charging_ratio=1.0, source_level=1.5,
+                             initial_stored=120.0, n_periods=6)
+        assert_kernel_matches_oracle(config)
+
     def test_partition_study_matches_per_tick_oracle(self):
         config = base_config(learner=LearnerConfig(k_levels=4), entry_level=None, seed=5)
         kernel = run_partition_study(config, [3, 1])
@@ -327,6 +359,60 @@ class TestIdleRuns:
             expected_n += 1
         assert _charge_until(s, inc, level, limit) == (expected_s, expected_n)
 
+    @pytest.mark.parametrize("inc", [1 / 9, 1 / 8.5, 0.1])
+    @pytest.mark.parametrize("clamp", ["first", "middle", "last", "at-cap", "never"])
+    @pytest.mark.parametrize("n", [ACCUMULATE_MIN - 1, ACCUMULATE_MIN, ACCUMULATE_MIN + 1])
+    def test_idle_run_around_the_accumulate_cut_over(self, n, clamp, inc):
+        cap = 120.0
+        # the pre-tick value of tick j is about cap - inc / 2: j clamps, j - 1 does not
+        j = {"first": 0, "middle": n // 2, "last": n - 1, "never": n + 5}.get(clamp)
+        s = cap if j is None else cap - j * inc - inc / 2
+        got = _idle_run(s, 3.25, inc, cap, n)
+        assert got == idle_run_per_tick(s, 3.25, inc, cap, n)
+        assert all(type(v) is float for v in got)
+        assert (got[1] > 3.25) == (clamp != "never")
+
+    @pytest.mark.parametrize("stop", ["level", "limit"])
+    @pytest.mark.parametrize("run", [ACCUMULATE_MIN - 1, ACCUMULATE_MIN, ACCUMULATE_MIN + 1])
+    def test_charge_until_around_the_accumulate_cut_over(self, run, stop):
+        s, inc = 0.3, 1 / 8.5
+        # the bare-addition stretch is `run` ticks: the whole limit, or the
+        # estimate for a level between the (n-1)-th and n-th post-tick
+        # values, which stops two ticks short of the n = run + 2 charged
+        if stop == "level":
+            n = run + 2
+            level, limit = s + (n - 0.5) * inc, n + 10
+        else:
+            n = run
+            level, limit = 100.0, n
+        expected_s, expected_n = s, 0
+        while expected_n < limit and expected_s < level:
+            expected_s += inc
+            expected_n += 1
+        assert expected_n == n
+        got = _charge_until(s, inc, level, limit)
+        assert got == (expected_s, expected_n)
+        assert type(got[0]) is float
+
+    def test_add_repeated_spans_several_blocks(self):
+        n = 2 * ACCUMULATE_BLOCK + 7
+        expected = 0.25
+        for _ in range(n):
+            expected += 1 / 8.5
+        got = _add_repeated(0.25, 1 / 8.5, n)
+        assert got == expected and type(got) is float
+
+    def test_accumulate_is_sequential_unlike_sum(self):
+        # each 1e-16 is under half an ulp of 1.0, so in order they vanish;
+        # a pairwise sum adds them up first
+        values = np.array([1.0] + [1e-16] * 1000)
+        total = 0.0
+        for v in values.tolist():
+            total += v
+        assert total == 1.0
+        assert np.add.accumulate(values)[-1] == total
+        assert np.sum(values) != total
+
     def test_harvest_sums_are_sequential(self):
         inc = 1.0 / 8.5
         sums = _harvest_sums(inc, 1200)
@@ -334,6 +420,44 @@ class TestIdleRuns:
         for k in range(1201):
             assert sums[k] == total
             total += inc
+
+
+def draws_per_wake(s, lo, limit):
+    """Chained wake-ups, one at a time."""
+    k = 0
+    while k < limit and s > lo and s >= 1.0 - DRAW_SLACK:
+        s = max(0.0, s - 1.0)
+        k += 1
+    return k, s
+
+
+class TestDraws:
+    @given(
+        whole=st.integers(min_value=0, max_value=300),
+        frac=st.one_of(
+            st.sampled_from((0.0, 1e-9, -1e-9, 5e-10, -5e-10)),
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        ),
+        e_off=st.one_of(
+            st.integers(min_value=0, max_value=60).map(float),
+            st.floats(min_value=0.0, max_value=100.0),
+        ),
+        bounded=st.booleans(),
+        limit=st.integers(min_value=0, max_value=40),
+        ctid=st.booleans(),
+    )
+    @settings(max_examples=2000, deadline=None)
+    def test_draws_match_the_per_wake_loop(self, whole, frac, e_off, bounded, limit, ctid):
+        s = max(0.0, whole + frac)
+        lo = e_off + DRAW_SLACK if ctid else -1.0
+        limit = limit if bounded else sys.maxsize
+        got = _draws(s, lo, limit)
+        assert tuple(map(_bits, got)) == tuple(map(_bits, draws_per_wake(s, lo, limit)))
+        assert type(got[1]) is float
+
+    def test_draws_above_exact_integers_step_wake_by_wake(self):
+        s = 2.0**53 + 2.0
+        assert _draws(s, -1.0, 5) == draws_per_wake(s, -1.0, 5)
 
 
 class TestMetrics:
