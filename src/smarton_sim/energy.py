@@ -1,15 +1,15 @@
 """Energy storage and harvesting models.
 
-Two store flavors share the same operations:
-
 * :class:`AbstractStore` -- stored energy in wake-up units; one wake-up costs
   ``WAKE_COST`` and a charging ratio ``r`` means r ticks of harvesting fund
-  one wake-up.  Every simulation runs on this store.
+  one wake-up.  Every simulation runs on this store; the engine's kernel
+  steps its energy, and the store carries it between periods.
 * :class:`CapacitorArray` -- a physical array with shared voltage, on-the-fly
-  activation in ascending capacitance order, and a charging-efficiency curve
-  eta(V) = 1 - V / (2 * v_max).  A standalone model, not a scenario store:
-  its presets top out at 1.24 units while one wake-up costs 1.0 and a
-  profiling slot needs 30, so no policy ever woke on it in a simulation.
+  activation in ascending capacitance order, a charging-efficiency curve
+  eta(V) = 1 - V / (2 * v_max), and its own per-tick harvest and draw.  A
+  standalone model, not a scenario store: its presets top out at 1.24 units
+  while one wake-up costs 1.0 and a profiling slot needs 30, so no policy
+  ever woke on it in a simulation.
 
 Saturated inflow is never an error: it is discarded and counted in
 ``wasted_saturation``.
@@ -111,33 +111,6 @@ class AbstractStore:
             raise ValueError(f"charging ratio must be positive, got {self.charging_ratio}")
         if not 0 <= self.stored <= self.capacity:
             raise ValueError(f"stored {self.stored} outside [0, {self.capacity}]")
-
-    def harvest_tick(self, source: HarvestSource, tick: int) -> float:
-        """Add source(tick) / charging_ratio wake-costs, clamped at capacity.
-
-        Returns the gross inflow (clamped surplus is counted in
-        ``wasted_saturation``, not silently dropped)."""
-        inflow = source(tick) * WAKE_COST / self.charging_ratio
-        room = self.capacity - self.stored
-        if inflow > room:
-            self.wasted_saturation += inflow - room
-            self.stored = self.capacity
-        else:
-            self.stored += inflow
-        return inflow
-
-    def can_draw(self, amount: float) -> bool:
-        return self.stored >= amount - DRAW_SLACK
-
-    def draw(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError(f"draw amount must be nonnegative, got {amount}")
-        if not self.can_draw(amount):
-            raise InsufficientEnergy(f"stored {self.stored} < requested {amount}")
-        self.stored = max(0.0, self.stored - amount)
-
-    def quantize_level(self, k: int) -> int:
-        return quantize(self.stored, self.capacity, k)
 
 
 @dataclass(frozen=True)
@@ -243,9 +216,6 @@ class CapacitorArray:
         energy = max(0.0, self.stored - amount)
         c = self.active_capacitance
         self.voltage = math.sqrt(2.0 * energy / c) if c > 0 else 0.0
-
-    def quantize_level(self, k: int) -> int:
-        return quantize(self.stored, self.capacity, k)
 
 
 def quantize(stored: float, capacity: float, k: int) -> int:

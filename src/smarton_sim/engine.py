@@ -116,6 +116,8 @@ class SimConfig:
             raise ValueError("a trace source needs a path: trace:<path>")
         if self.n_periods < 0:
             raise ValueError(f"n_periods must be nonnegative, got {self.n_periods}")
+        if self.source_level < 0:
+            raise ValueError(f"source_level must be nonnegative, got {self.source_level}")
         _parse_stop_rule(self.stop_rule)
         # the warm-up runs from an empty store with some inflow; a trace
         # file's inflow is not known here, and it ignores source_level
@@ -243,16 +245,16 @@ def make_source(config: SimConfig, pattern: EventPattern | None = None) -> Harve
 
 
 def make_policy(config: SimConfig) -> BasePolicy:
-    slot_len = config.learner.state_duration
-    n_slots = config.pattern.period_ticks // slot_len
+    n_slots = config.pattern.period_ticks // config.learner.state_duration
     if config.policy == "gt":
-        return GtPolicy(slot_len)
+        return GtPolicy()
     if config.policy == "ctid":
         return CtidPolicy(config.ctid)
     if config.policy == "ctidpro":
         return CtidProPolicy(config.learner, n_slots, config.seed)
     return SmartOnPolicy(
-        config.learner, n_slots, config.seed, entry_level_hint=config.entry_level
+        config.learner, n_slots, config.seed, config.capacity,
+        entry_level_hint=config.entry_level,
     )
 
 
@@ -274,7 +276,9 @@ def run_period(
     record_ticks: bool,
 ) -> PeriodLog:
     """Simulate one period; `events` is the period's per-tick 0/1 sequence
-    (`bytes` from a sampled trace, or a list).
+    (`bytes` from a sampled trace, or a list).  The policy hooks get the
+    stored energy as a number; `store` is read at the start and written at
+    the end.
 
     The kernel advances from one decision to the next instead of stepping
     every tick: entry forcing, the slots a policy can act in, wake-ups, CTID
@@ -380,8 +384,7 @@ def run_period(
                 forced_delta += forced - s
                 s = forced
 
-            store.stored = s
-            plan = policy.plan_slot(slot, store)
+            plan = policy.plan_slot(slot, s)
             if out is not None:
                 slot_info.append((policy.current_phase, policy.current_step))
             slot_awake = 0
@@ -433,11 +436,7 @@ def run_period(
 
             awake_total += slot_awake
             catches_total += slot_catches
-            store.stored = s
-            store.wasted_saturation = waste
-            policy.on_slot_end(slot, slot_awake, slot_catches, store)
-            s = store.stored
-            waste = store.wasted_saturation
+            policy.on_slot_end(slot, slot_awake, slot_catches, s)
             slot += 1
 
     store.stored = s
@@ -551,7 +550,7 @@ def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSourc
 
 def _idle_run(s: float, waste: float, inc: float, cap: float, n: int, out=None):
     """`n` harvest-only ticks at a constant inflow `inc`: the same result, bit
-    for bit, as `n` rounds of AbstractStore.harvest_tick's clamp
+    for bit, as `n` rounds of the per-tick harvest clamp
 
         room = cap - s
         if inc > room: waste += inc - room; s = cap

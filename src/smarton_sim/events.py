@@ -27,7 +27,7 @@ CANONICAL_SHAPES = {
 }
 
 
-class InvalidSpec(Exception):
+class InvalidSpec(ValueError):
     """Pattern construction violated a structural constraint."""
 
 
@@ -83,12 +83,6 @@ class EventPattern:
                 probs[peak.start_slot + i] = self.p_high if cls == "H" else self.p_low
         return probs
 
-    def peak_slots(self) -> set[int]:
-        slots: set[int] = set()
-        for peak in self.peaks:
-            slots.update(range(peak.start_slot, peak.end_slot))
-        return slots
-
 
 def build_pattern(
     peaks,
@@ -138,7 +132,9 @@ def build_pattern(
                 f"({peak_max_duration}s at {state_duration}s slots)"
             )
         if spec.end_slot > n_slots:
-            raise InvalidSpec(f"peak {spec} exits the period ({n_slots} slots)")
+            raise InvalidSpec(
+                f"peak {spec.shape_name}@{spec.start_slot} exits the period ({n_slots} slots)"
+            )
         span = set(range(spec.start_slot, spec.end_slot))
         if span & occupied:
             raise InvalidSpec(f"peak {spec} overlaps another peak")

@@ -160,12 +160,6 @@ class SlotProfile:
         self.counts = np.zeros(self.n_slots, dtype=np.int64)
         self.visited = np.zeros(self.n_slots, dtype=bool)
 
-    def latest_counts(self) -> np.ndarray:
-        """Counts of the most recently completed run."""
-        if not self.history:
-            raise ValueError("no completed profiling run yet")
-        return self.history[-1]
-
 
 def _counts_stable(a: np.ndarray, b: np.ndarray, cfg: LearnerConfig) -> bool:
     diff = np.abs(a.astype(float) - b.astype(float))
@@ -415,10 +409,6 @@ class PhaseContext:
         self.profiles_completed = 0
         self.phase1_entries = 1
         self.phase2_episodes = 0
-
-    @property
-    def known_shapes(self) -> set[str]:
-        return {p.shape for p in self.known_peaks}
 
     def table_for(self, shape: str) -> QTable:
         """The shape's table, zero-initialized on first encounter."""

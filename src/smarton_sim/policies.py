@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .energy import WAKE_COST, DRAW_SLACK
+from .energy import WAKE_COST, DRAW_SLACK, quantize
 from .learner import (
     LearnedPeak,
     LearnerConfig,
@@ -85,12 +85,14 @@ class BasePolicy:
         The kernel banks the slots before it without calling either hook."""
         return slot
 
-    def plan_slot(self, slot: int, store):
-        """Wake offsets within the slot, or BURST."""
+    def plan_slot(self, slot: int, stored: float):
+        """Wake offsets within the slot, or BURST, given the energy `stored`
+        at the slot start."""
         return ()
 
-    def on_slot_end(self, slot: int, awake: int, catches: int, store) -> None:
-        pass
+    def on_slot_end(self, slot: int, awake: int, catches: int, stored: float) -> None:
+        """The slot's awake ticks and catches, and the energy `stored` at its
+        end."""
 
     def on_period_end(self, period: int) -> None:
         pass
@@ -107,12 +109,6 @@ class GtPolicy(BasePolicy):
 
     name = "gt"
     draws_energy = False
-
-    def __init__(self, slot_len: int):
-        self._all = tuple(range(slot_len))
-
-    def plan_slot(self, slot, store):
-        return self._all
 
 
 class CtidPolicy(BasePolicy):
@@ -155,9 +151,11 @@ class SmartOnPolicy(BasePolicy):
         cfg: LearnerConfig,
         n_slots: int,
         seed: int,
+        capacity: float,
         entry_level_hint=None,
     ):
         self.cfg = cfg
+        self.capacity = capacity
         self.ctx = PhaseContext(cfg, n_slots)
         self.explore = Stream(seed, "explore")
         self.probe_stream = Stream(seed, "probe")
@@ -184,8 +182,8 @@ class SmartOnPolicy(BasePolicy):
     def current_phase(self) -> int:  # engine records this per slot
         return self.ctx.phase
 
-    def _quantize(self, store) -> int:
-        return store.quantize_level(self.cfg.k_levels)
+    def _quantize(self, stored: float) -> int:
+        return quantize(stored, self.capacity, self.cfg.k_levels)
 
     def _refresh_peaks(self) -> None:
         self._peak_starts = {p.start_slot: p for p in self.ctx.known_peaks}
@@ -194,10 +192,10 @@ class SmartOnPolicy(BasePolicy):
     def _refresh_active_slots(self) -> None:
         self._active_slots = tuple(sorted(self._peak_starts.keys() | self._probe_slots))
 
-    def _hint(self, store) -> int:
+    def _hint(self, stored: float) -> int:
         if self.entry_level_hint is not None:
             return self.entry_level_hint
-        return self._quantize(store)
+        return self._quantize(stored)
 
     # -- engine hooks ------------------------------------------------------
 
@@ -223,34 +221,34 @@ class SmartOnPolicy(BasePolicy):
             return self.ctx.profile.next_unvisited(slot)
         return _first_at_or_after(self._active_slots, slot, self.ctx.n_slots)
 
-    def plan_slot(self, slot: int, store):
+    def plan_slot(self, slot: int, stored: float):
         self.current_step = 0
         phase = self.ctx.phase
         if phase == 1:
-            plan = self.profiler.plan(self.ctx.profile, slot, store.stored)
+            plan = self.profiler.plan(self.ctx.profile, slot, stored)
             self._profiling_slot = slot if plan else None
             return plan
         if self._episode is not None:
-            return self._episode_step_plan(slot, store)
+            return self._episode_step_plan(slot, stored)
         peak = self._peak_starts.get(slot)
         if peak is not None:
-            return self._begin_episode(peak, store)
+            return self._begin_episode(peak, stored)
         if phase == 3 and slot in self._probe_slots:
             offsets = wake_offsets(self.cfg.f_probe, self.cfg.state_duration)
-            if store.stored >= len(offsets) * WAKE_COST - DRAW_SLACK:
+            if stored >= len(offsets) * WAKE_COST - DRAW_SLACK:
                 return offsets
         return ()
 
-    def _begin_episode(self, peak: LearnedPeak, store):
+    def _begin_episode(self, peak: LearnedPeak, stored: float):
         cfg = self.cfg
         table = self.ctx.table_for(peak.shape)
-        entry_level = self._quantize(store)
+        entry_level = self._quantize(stored)
         self._last_entry_level[peak.shape] = entry_level
         self._episode = {
             "peak": peak,
             "table": table,
             "entry_level": entry_level,
-            "entry_affordable": tuple(affordable_actions(cfg, store.stored)),
+            "entry_affordable": tuple(affordable_actions(cfg, stored)),
             "step": 1,
             "pending": None,  # (state, action) awaiting reward
             "transitions": [],
@@ -258,60 +256,57 @@ class SmartOnPolicy(BasePolicy):
             "actions": [],
             "reward": 0.0,
         }
-        return self._plan_episode_action(store)
+        return self._plan_episode_action(stored)
 
-    def _plan_episode_action(self, store):
+    def _plan_episode_action(self, stored: float):
         cfg = self.cfg
         ep = self._episode
-        level = self._quantize(store)
+        level = self._quantize(stored)
         state = ep["table"].get_state(level, ep["step"])
-        affordable = affordable_actions(cfg, store.stored)
+        affordable = affordable_actions(cfg, stored)
         action = choose_action(ep["table"], state, self.ctx.phase, affordable, self.explore)
         ep["pending"] = (state, action)
         ep["actions"].append(action)
         self.current_step = ep["step"]
         return wake_offsets(cfg.frequencies[action], cfg.state_duration)
 
-    def _episode_step_plan(self, slot: int, store):
+    def _episode_step_plan(self, slot: int, stored: float):
         ep = self._episode
         expected = ep["peak"].start_slot + ep["step"] - 1
         if slot != expected:
             raise RuntimeError(f"episode cursor lost: slot {slot}, expected {expected}")
-        return self._plan_episode_action(store)
+        return self._plan_episode_action(stored)
 
-    def on_slot_end(self, slot: int, awake: int, catches: int, store) -> None:
+    def on_slot_end(self, slot: int, awake: int, catches: int, stored: float) -> None:
         phase = self.ctx.phase
         if phase == 1:
             if self._profiling_slot == slot:
                 self.ctx.profile.record_slot(slot, catches)
                 self._profiling_slot = None
                 if self.ctx.profile.run_complete():
-                    self._finish_profile_run(store)
+                    self._finish_profile_run(stored)
             return
         if self._episode is not None:
-            self._finish_episode_step(catches, awake, store)
+            self._finish_episode_step(catches, awake, stored)
             return
         if phase == 3 and slot in self._probe_slots and catches > 0:
             self._probe_catches += catches
 
-    def _finish_profile_run(self, store) -> None:
+    def _finish_profile_run(self, stored: float) -> None:
         ctx = self.ctx
-        stay = self.phase1_stays[-1]
+        self.phase1_stays[-1]["profiles"] += 1
+        ctx.profiles_completed += 1
         if profile_converged(ctx.profile, self.cfg):
             peaks = tuple(
                 LearnedPeak(start, shape)
                 for start, shape in find_peaks(ctx.profile.counts, self.cfg)
             )
-            stay["profiles"] += 1
-            ctx.profiles_completed += 1
-            phase_transition(ctx, ProfileConverged(peaks, self._hint(store)))
+            phase_transition(ctx, ProfileConverged(peaks, self._hint(stored)))
             self._refresh_peaks()
         else:
-            stay["profiles"] += 1
-            ctx.profiles_completed += 1
             ctx.profile.finish_run()
 
-    def _finish_episode_step(self, catches: int, awake: int, store) -> None:
+    def _finish_episode_step(self, catches: int, awake: int, stored: float) -> None:
         cfg = self.cfg
         ep = self._episode
         state, action = ep["pending"]
@@ -320,9 +315,9 @@ class SmartOnPolicy(BasePolicy):
         t_steps = ep["peak"].n_steps
         if self.ctx.phase == 2:
             if ep["step"] < t_steps:
-                next_level = self._quantize(store)
+                next_level = self._quantize(stored)
                 next_state = ep["table"].get_state(next_level, ep["step"] + 1)
-                next_affordable = tuple(affordable_actions(cfg, store.stored))
+                next_affordable = tuple(affordable_actions(cfg, stored))
             else:
                 next_state = None
                 next_affordable = None
@@ -450,20 +445,20 @@ class CtidProPolicy(BasePolicy):
             return self.profile.next_unvisited(slot)
         return _first_at_or_after(self._active_slots, slot, self.n_slots)
 
-    def plan_slot(self, slot: int, store):
+    def plan_slot(self, slot: int, stored: float):
         if self.profiling:
-            plan = self.profiler.plan(self.profile, slot, store.stored)
+            plan = self.profiler.plan(self.profile, slot, stored)
             self._profiling_slot = slot if plan else None
             return plan
         if slot in self.known_slots:
             return BURST
         if slot in self._probe_slots:
             offsets = wake_offsets(self.cfg.f_probe, self.cfg.state_duration)
-            if store.stored >= len(offsets) * WAKE_COST - DRAW_SLACK:
+            if stored >= len(offsets) * WAKE_COST - DRAW_SLACK:
                 return offsets
         return ()
 
-    def on_slot_end(self, slot: int, awake: int, catches: int, store) -> None:
+    def on_slot_end(self, slot: int, awake: int, catches: int, stored: float) -> None:
         if self.profiling:
             if self._profiling_slot == slot:
                 self.profile.record_slot(slot, catches)

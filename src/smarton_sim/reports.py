@@ -116,7 +116,7 @@ def run_sweep(scenario: Scenario, jobs: int = 1) -> list[RunRecord]:
     if scenario.study is not None:
         base = build_sim_config(scenario)
         runs = []
-        seeds = _parse_axis(scenario.values[("sweep", "seeds")]) or [base.seed]
+        seeds = _parse_axis(scenario.values, "seeds") or [base.seed]
         for seed in seeds:
             key = RunKey(
                 policy="smarton",
@@ -128,7 +128,7 @@ def run_sweep(scenario: Scenario, jobs: int = 1) -> list[RunRecord]:
             )
             runs.append((key, dc_replace(base, seed=seed), scenario.name, True))
     else:
-        multi_duration = len(_parse_axis(scenario.values[("sweep", "state_duration")])) > 1
+        multi_duration = len(_parse_axis(scenario.values, "state_duration")) > 1
         runs = []
         for key, config in expand_sweep(scenario):
             label = scenario.name

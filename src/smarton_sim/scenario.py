@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace as dc_replace
 
 from .engine import PatternChange, SimConfig
@@ -40,8 +41,17 @@ def _opt_str(s: str):
     return s.strip() or None
 
 
+def _finite(s: str) -> float:
+    # float() accepts nan, which fails every comparison and so slips past
+    # range checks, and inf
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return x
+
+
 def _floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.split(","))
+    return tuple(_finite(x) for x in s.split(","))
 
 
 SCHEMA = {
@@ -60,41 +70,41 @@ SCHEMA = {
         "period_ticks": ("1200", int),
         "state_duration": ("30", int),
         "peaks": ("type1@10", str),
-        "p_high": ("0.8", float),
-        "p_low": ("0.2", float),
-        "background_rate": ("0.0", float),
+        "p_high": ("0.8", _finite),
+        "p_low": ("0.2", _finite),
+        "background_rate": ("0.0", _finite),
         "peak_max_duration": ("120", int),
     },
     "energy": {
-        "capacity": ("120", float),
-        "charging_ratio": ("9", float),
+        "capacity": ("120", _finite),
+        "charging_ratio": ("9", _finite),
         "source": ("constant", str),
-        "source_level": ("1.0", float),
+        "source_level": ("1.0", _finite),
         "gate_in_peaks": ("false", _bool),
     },
     "learner": {
-        "alpha": ("0.7", float),
-        "gamma": ("0.618", float),
-        "reward_catch": ("10", float),
-        "reward_miss": ("-1", float),
+        "alpha": ("0.7", _finite),
+        "gamma": ("0.618", _finite),
+        "reward_catch": ("10", _finite),
+        "reward_miss": ("-1", _finite),
         "energy_levels": ("4", int),
         "state_duration": ("", _opt_int),
         "frequencies": ("0,0.2,0.5,1", _floats),
-        "convergence_epsilon": ("3.0", float),
+        "convergence_epsilon": ("3.0", _finite),
         "convergence_window": ("5", int),
         "convergence_scope": ("entry_row", str),
         "profile_window": ("2", int),
-        "profile_tol_abs": ("2", float),
-        "profile_tol_rel": ("0.25", float),
-        "shape_theta": ("0.5", float),
+        "profile_tol_abs": ("2", _finite),
+        "profile_tol_rel": ("0.25", _finite),
+        "shape_theta": ("0.5", _finite),
         "probe_budget": ("2", int),
         "probe_trigger": ("1", int),
     },
     "policy": {
         "policy": ("smarton", str),
-        "e_on": ("30", float),
-        "e_off": ("0", float),
-        "discharge_frequency": ("1.0", float),
+        "e_on": ("30", _finite),
+        "e_off": ("0", _finite),
+        "discharge_frequency": ("1.0", _finite),
     },
     "sweep": {
         "charging_ratio": ("", str),
@@ -245,9 +255,10 @@ def _parse_peaks(text: str) -> list[tuple[str, int]]:
     return peaks
 
 
-def _parse_axis(text: str, parse=int) -> list:
-    """Sweep axis syntax: comma list, or `a:b` half-open integer range."""
-    text = text.strip()
+def _parse_axis(values: dict, key: str, parse=int) -> list:
+    """The [sweep] axis `key`: a comma list, or an `a:b` half-open integer
+    range."""
+    text = values[("sweep", key)].strip()
     if not text:
         return []
     try:
@@ -256,7 +267,7 @@ def _parse_axis(text: str, parse=int) -> list:
             return list(range(int(a), int(b)))
         return [parse(x.strip()) for x in text.split(",")]
     except ValueError as exc:
-        raise ScenarioError(f"[sweep] bad axis {text!r}: {exc}") from None
+        raise ScenarioError(f"[sweep] bad axis {key} = {text!r}: {exc}") from None
 
 
 def build_sim_config(scenario: Scenario) -> SimConfig:
@@ -338,17 +349,15 @@ class RunKey:
 def expand_sweep(scenario: Scenario) -> list[tuple[RunKey, SimConfig]]:
     """Cross product of the sweep axes; empty axes pin the base value."""
     v = scenario.values
-    ratios = _parse_axis(v[("sweep", "charging_ratio")], float) or [
-        v[("energy", "charging_ratio")]
-    ]
-    levels = _parse_axis(v[("sweep", "entry_level")]) or [v[("run", "entry_level")]]
+    ratios = _parse_axis(v, "charging_ratio", _finite) or [v[("energy", "charging_ratio")]]
+    levels = _parse_axis(v, "entry_level") or [v[("run", "entry_level")]]
     base_peaks = _parse_peaks(v[("pattern", "peaks")])
-    types = _parse_axis(v[("sweep", "event_type")], str) or [base_peaks[0][0]]
-    durations = _parse_axis(v[("sweep", "state_duration")]) or [
+    types = _parse_axis(v, "event_type", str) or [base_peaks[0][0]]
+    durations = _parse_axis(v, "state_duration") or [
         v[("learner", "state_duration")] or v[("pattern", "state_duration")]
     ]
-    policies = _parse_axis(v[("sweep", "policy")], str) or [v[("policy", "policy")]]
-    seeds = _parse_axis(v[("sweep", "seeds")]) or [v[("run", "seed")]]
+    policies = _parse_axis(v, "policy", str) or [v[("policy", "policy")]]
+    seeds = _parse_axis(v, "seeds") or [v[("run", "seed")]]
 
     runs = []
     for policy in policies:

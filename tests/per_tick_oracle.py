@@ -1,11 +1,13 @@
 """Per-tick reference interpreter for the engine's period kernel.
 
-It steps every tick through the store's own methods (`harvest_tick`,
-`can_draw`, `draw`) and the policy hooks in the documented order -- slot
-bookkeeping, wake decision, draw (an unfundable wake-up is skipped), then
-harvest -- with CTID's charge/discharge rule written out per tick.  Tests run
-whole experiments through it by patching it over the kernel and the CTID
-warm-up, then compare every log field and per-tick array with the kernel's.
+It steps every tick through the per-tick store operations defined here
+(`harvest_tick`, `can_draw`, `draw` on an `AbstractStore`) and the policy
+hooks in the documented order -- slot bookkeeping, wake decision, draw (an
+unfundable wake-up is skipped), then harvest -- with CTID's
+charge/discharge rule written out per tick and GT awake at every tick.
+Tests run whole experiments through it by patching it over the kernel and
+the CTID warm-up, then compare every log field and per-tick array with the
+kernel's.
 """
 
 from unittest import mock
@@ -14,7 +16,31 @@ import numpy as np
 
 from smarton_sim import engine
 from smarton_sim.energy import DRAW_SLACK, WAKE_COST
-from smarton_sim.policies import BURST, CtidPolicy
+from smarton_sim.policies import BURST, CtidPolicy, GtPolicy
+
+
+def harvest_tick(store, source, tick):
+    """Add source(tick) / charging_ratio wake costs, clamped at capacity.
+
+    Returns the gross inflow (clamped surplus is counted in
+    ``wasted_saturation``, not silently dropped)."""
+    inflow = source(tick) * WAKE_COST / store.charging_ratio
+    room = store.capacity - store.stored
+    if inflow > room:
+        store.wasted_saturation += inflow - room
+        store.stored = store.capacity
+    else:
+        store.stored += inflow
+    return inflow
+
+
+def can_draw(store, amount=WAKE_COST):
+    return store.stored >= amount - DRAW_SLACK
+
+
+def draw(store, amount=WAKE_COST):
+    """Draw `amount`, which `can_draw` has allowed."""
+    store.stored = max(0.0, store.stored - amount)
 
 
 def ctid_tick(policy, t, stored):
@@ -35,10 +61,10 @@ def ctid_tick(policy, t, stored):
 def ctid_warm_up(policy, store, source, ticks):
     for t in range(-ticks, 0):
         awake, harvest_ok = ctid_tick(policy, t, store.stored)
-        if awake and store.can_draw(WAKE_COST):
-            store.draw(WAKE_COST)
+        if awake and can_draw(store):
+            draw(store)
         if harvest_ok:
-            store.harvest_tick(source, 0)
+            harvest_tick(store, source, 0)
 
 
 def run_period(policy, store, source, events, period_index, period_ticks, slot_len,
@@ -51,6 +77,7 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
     drawn_total = harvested_total = forced_delta = 0.0
     rows = []
     ctid = isinstance(policy, CtidPolicy)
+    gt = isinstance(policy, GtPolicy)
 
     for slot in range(period_ticks // slot_len):
         base = slot * slot_len
@@ -58,7 +85,7 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
             before = store.stored
             store.stored = min(entry_value, store.capacity)
             forced_delta += store.stored - before
-        plan = () if ctid else policy.plan_slot(slot, store)
+        plan = () if ctid or gt else policy.plan_slot(slot, store.stored)
         step = policy.current_step
         slot_awake = slot_catches = 0
         for i in range(slot_len):
@@ -66,6 +93,8 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
             harvest_ok = True
             if ctid:
                 awake, harvest_ok = ctid_tick(policy, t, store.stored)
+            elif gt:
+                awake = True
             elif plan == BURST:
                 awake = store.stored >= WAKE_COST - DRAW_SLACK
                 harvest_ok = False
@@ -73,8 +102,8 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
                 awake = i in plan
             drawn = 0.0
             if awake and policy.draws_energy:
-                if store.can_draw(WAKE_COST):
-                    store.draw(WAKE_COST)
+                if can_draw(store):
+                    draw(store)
                     drawn = WAKE_COST
                 else:
                     skipped += 1
@@ -82,7 +111,7 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
             if awake:
                 slot_awake += 1
                 slot_catches += events[t]
-            harvested = store.harvest_tick(source, period_index * period_ticks + t) \
+            harvested = harvest_tick(store, source, period_index * period_ticks + t) \
                 if harvest_ok else 0.0
             harvested_total += harvested
             drawn_total += drawn
@@ -90,7 +119,7 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
                          slot, step))
         awake_total += slot_awake
         catches_total += slot_catches
-        policy.on_slot_end(slot, slot_awake, slot_catches, store)
+        policy.on_slot_end(slot, slot_awake, slot_catches, store.stored)
     policy.on_period_end(period_index)
 
     ticks = None

@@ -59,6 +59,15 @@ class TestSimulate:
             ("[policy]\npolicy = ctid\ne_on = 0.5\n", "wake cost"),
             ("[run]\nn_periods = 3\nctid_phase_jitter = true\n[policy]\npolicy = ctid\n"
              "[energy]\nsource_level = 1e-8\n", "CTID cycle"),
+            ("[pattern]\nbackground_rate = 2\n", "background_rate"),
+            ("[pattern]\npeaks = type1@999\n", "peak type1@999"),
+            ("[pattern]\nperiod_ticks = 0\n", "period_ticks"),
+            ("[energy]\ncapacity = nan\n", "capacity"),
+            ("[energy]\ncapacity = inf\n", "capacity"),
+            ("[energy]\ncharging_ratio = nan\n", "charging_ratio"),
+            ("[energy]\nsource_level = -1\n", "source_level"),
+            ("[policy]\npolicy = ctid\ndischarge_frequency = nan\n", "discharge_frequency"),
+            ("[learner]\nfrequencies = 0,nan,1\n", "frequencies"),
         ],
     )
     def test_learner_config_errors_exit_2(self, tmp_path, capsys, text, field):
@@ -115,13 +124,16 @@ class TestSweepAndReport:
         assert main(["sweep", "--scenario", "no-such-preset", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "axis", ["seeds = 0:x", "seeds = 1,two", "charging_ratio = 8.5,abc", "entry_level = 1:"]
+        "axis",
+        ["seeds = 0:x", "seeds = 1,two", "charging_ratio = 8.5,abc", "entry_level = 1:",
+         "charging_ratio = 8.5,nan"],
     )
     def test_unparsable_sweep_axis_exits_2(self, tmp_path, capsys, axis):
         config = write_config(tmp_path, f"[run]\nn_periods = 3\n[sweep]\n{axis}\n")
         out = tmp_path / "out"
         assert main(["sweep", "--scenario", config, "--out", str(out)]) == 2
-        assert "[sweep] bad axis" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[sweep] bad axis" in err and axis.split(" =")[0] in err
         assert not out.exists()
 
     def test_sweep_with_jobs(self, tmp_path, capsys):

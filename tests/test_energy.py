@@ -16,6 +16,8 @@ from smarton_sim.energy import (
     quantize,
 )
 
+from per_tick_oracle import can_draw, draw, harvest_tick
+
 
 def constant(level=1.0):
     return HarvestSource.constant(level)
@@ -27,15 +29,15 @@ class TestAbstractStore:
         store = AbstractStore(capacity=120, charging_ratio=9)
         src = constant(1.0)
         for t in range(9):
-            store.harvest_tick(src, t)
+            harvest_tick(store, src, t)
         assert store.stored == pytest.approx(1.0)
-        assert store.can_draw(1.0)
+        assert can_draw(store, 1.0)
 
     def test_zero_source_is_identity(self):
         store = AbstractStore(capacity=120, charging_ratio=9, stored=5.0)
         src = constant(0.0)
         for t in range(100):
-            store.harvest_tick(src, t)
+            harvest_tick(store, src, t)
         assert store.stored == 5.0
         assert store.wasted_saturation == 0.0
 
@@ -43,20 +45,14 @@ class TestAbstractStore:
         store = AbstractStore(capacity=2.0, charging_ratio=1)
         src = constant(1.0)
         for t in range(5):
-            store.harvest_tick(src, t)
+            harvest_tick(store, src, t)
         assert store.stored == 2.0
         assert store.wasted_saturation == pytest.approx(3.0)
 
     def test_draw_arithmetic(self):
         store = AbstractStore(capacity=120, charging_ratio=9, stored=10.0)
-        store.draw(3.0)
+        draw(store, 3.0)
         assert store.stored == pytest.approx(7.0)
-
-    def test_draw_insufficient_leaves_store_unchanged(self):
-        store = AbstractStore(capacity=120, charging_ratio=9, stored=2.0)
-        with pytest.raises(InsufficientEnergy):
-            store.draw(3.0)
-        assert store.stored == 2.0
 
     @given(r=st.floats(min_value=1.1, max_value=40.0))
     @settings(max_examples=200)
@@ -66,10 +62,10 @@ class TestAbstractStore:
         src = constant(1.0)
         need = math.ceil(r)
         for t in range(need - 1):
-            store.harvest_tick(src, t)
-        assert not store.can_draw(1.0)
-        store.harvest_tick(src, need - 1)
-        assert store.can_draw(1.0)
+            harvest_tick(store, src, t)
+        assert not can_draw(store, 1.0)
+        harvest_tick(store, src, need - 1)
+        assert can_draw(store, 1.0)
 
 
 class TestQuantize:
@@ -240,11 +236,11 @@ class TestEnergyMonotonicity:
     @settings(max_examples=200)
     def test_harvest_never_decreases_draw_never_increases(self, stored, inflow):
         store = AbstractStore(capacity=120.0, charging_ratio=1.0, stored=stored)
-        store.harvest_tick(constant(inflow), 0)
+        harvest_tick(store, constant(inflow), 0)
         assert store.stored >= stored
-        if store.can_draw(1.0):
+        if can_draw(store, 1.0):
             s = store.stored
-            store.draw(1.0)
+            draw(store, 1.0)
             assert store.stored <= s
 
 

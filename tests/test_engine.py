@@ -36,7 +36,7 @@ from smarton_sim.engine import (
 )
 from smarton_sim.events import build_pattern
 from smarton_sim.learner import LearnerConfig
-from smarton_sim.policies import CtidConfig, CtidPolicy, GtPolicy
+from smarton_sim.policies import BasePolicy, CtidConfig, CtidPolicy, GtPolicy
 from smarton_sim.rng import Stream
 
 import per_tick_oracle
@@ -61,21 +61,25 @@ def assert_same_run(kernel, oracle):
     assert kernel.phase_timeline == oracle.phase_timeline
     assert kernel.episodes == oracle.episodes
     assert len(kernel.periods) == len(oracle.periods)
-    names = [f.name for f in fields(oracle.periods[0]) if f.name != "ticks"]
     for got, want in zip(kernel.periods, oracle.periods):
-        for name in names:
-            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (
-                f"period {want.period} {name}"
-            )
-        if want.ticks is None:
-            assert got.ticks is None
-            continue
-        assert got.ticks.keys() == want.ticks.keys()
-        for name, array in want.ticks.items():
-            assert got.ticks[name].dtype == array.dtype, name
-            assert got.ticks[name].tobytes() == array.tobytes(), (
-                f"period {want.period} {name}"
-            )
+        assert_same_log(got, want)
+
+
+def assert_same_log(got, want):
+    names = [f.name for f in fields(want) if f.name != "ticks"]
+    for name in names:
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (
+            f"period {want.period} {name}"
+        )
+    if want.ticks is None:
+        assert got.ticks is None
+        return
+    assert got.ticks.keys() == want.ticks.keys()
+    for name, array in want.ticks.items():
+        assert got.ticks[name].dtype == array.dtype, name
+        assert got.ticks[name].tobytes() == array.tobytes(), (
+            f"period {want.period} {name}"
+        )
 
 
 def assert_kernel_matches_oracle(config):
@@ -113,7 +117,7 @@ def base_config(**kw):
 class TestRunPeriod:
     def test_gt_full_period_awake(self):
         log = run_period(
-            GtPolicy(30), AbstractStore(120, 9), HarvestSource.constant(1.0),
+            GtPolicy(), AbstractStore(120, 9), HarvestSource.constant(1.0),
             [0] * 1200, 0, 1200, 30, frozenset(), None, False,
         )
         assert log.awake_ticks == 1200
@@ -299,6 +303,33 @@ class TestRunPeriod:
         config = base_config(policy=policy, charging_ratio=1.0, source_level=1.5,
                              initial_stored=120.0, n_periods=6)
         assert_kernel_matches_oracle(config)
+
+    @pytest.mark.parametrize("record", [False, True], ids=["summary", "per-tick"])
+    @pytest.mark.parametrize("source", [
+        pytest.param(HarvestSource.constant(1.0), id="constant"),
+        # lit for the first period, dark for the second
+        pytest.param(HarvestSource.diurnal(1.0, day_ticks=2400), id="diurnal"),
+    ])
+    def test_unfundable_wake_ups_are_skipped_as_in_the_oracle(self, source, record):
+        class Overplanner(BasePolicy):
+            """Wake-ups one tick apart and with gaps, 11 per 30-tick slot:
+            more than a source at 1/9 of a wake cost per tick funds."""
+
+            def plan_slot(self, slot, stored):
+                return (0, 1, 2, 3, 10, 11, 12, 13, 14, 28, 29)
+
+        events = bytes(t % 3 == 0 for t in range(1200))
+        stores = [AbstractStore(120, 9, stored=40.0) for _ in range(2)]
+        skipped = awake = 0
+        for p in range(3):
+            args = (events, p, 1200, 30, frozenset(), None, record)
+            got = run_period(Overplanner(), stores[0], source, *args)
+            want = per_tick_oracle.run_period(Overplanner(), stores[1], source, *args)
+            assert_same_log(got, want)
+            skipped += got.skipped_wakeups
+            awake += got.awake_ticks
+        assert stores[0] == stores[1]
+        assert skipped > 0 and awake > 0
 
     def test_partition_study_matches_per_tick_oracle(self):
         config = base_config(learner=LearnerConfig(k_levels=4), entry_level=None, seed=5)

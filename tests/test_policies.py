@@ -34,14 +34,14 @@ def run_one_period(policy, store, events, entry_ticks=frozenset(), entry_value=N
 
 class TestGt:
     def test_awake_every_tick(self):
-        log = run_one_period(GtPolicy(30), AbstractStore(120, 9), [0] * 1200)
+        log = run_one_period(GtPolicy(), AbstractStore(120, 9), [0] * 1200)
         assert log.awake_ticks == 1200
 
     def test_catches_all_events(self):
         pattern = build_pattern([("type1", 10)])
         trace = sample_trace(pattern, seed=0, n_periods=1)
         events = trace.occurrences.tolist()
-        log = run_one_period(GtPolicy(30), AbstractStore(120, 9), events)
+        log = run_one_period(GtPolicy(), AbstractStore(120, 9), events)
         assert log.catches == int(trace.occurrences.sum())
         assert log.drawn == 0.0  # oracle never debits the store
 
@@ -50,7 +50,7 @@ class TestGt:
         events = [0] * 1200
         for t in range(0, 1200, 20):
             events[t] = 1
-        log = run_one_period(GtPolicy(30), AbstractStore(120, 9), events)
+        log = run_one_period(GtPolicy(), AbstractStore(120, 9), events)
         m = compute_metrics([log])
         assert m.energy_efficiency == pytest.approx(0.05)
 
@@ -174,17 +174,17 @@ class TestLookAhead:
             plan_slot, on_slot_end = policy.plan_slot, policy.on_slot_end
             ahead = {}
 
-            def plan(slot, store):
+            def plan(slot, stored):
                 ahead[slot] = (policy.next_active_slot(slot), policy.current_phase)
-                result = plan_slot(slot, store)
+                result = plan_slot(slot, stored)
                 seen["slots"] += 1
                 if ahead[slot][0] > slot:
                     seen["skipped"] += 1
                     assert result == (), f"slot {slot} planned {result}"
                 return result
 
-            def slot_end(slot, awake, catches, store):
-                on_slot_end(slot, awake, catches, store)
+            def slot_end(slot, awake, catches, stored):
+                on_slot_end(slot, awake, catches, stored)
                 nxt, phase = ahead.pop(slot)
                 if nxt > slot:
                     assert policy.next_active_slot(slot + 1) == nxt
