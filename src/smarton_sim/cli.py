@@ -15,15 +15,9 @@ import argparse
 import os
 import sys
 
-from .engine import compute_metrics, run_experiment
+from .engine import POLICY_NAMES, compute_metrics, run_experiment
 from .reports import PLOT_IDS, UnknownPlot, emit_csv, emit_plot_data, run_sweep
-from .scenario import (
-    PRESETS,
-    ScenarioError,
-    build_sim_config,
-    load_scenario,
-    parse_config,
-)
+from .scenario import PRESETS, ScenarioError, build_sim_config, load_scenario, parse_config
 
 ENV_SEED = "SMARTON_SIM_SEED"
 
@@ -38,9 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a single scenario")
     sim.add_argument("--config", required=True, help="scenario INI file")
     sim.add_argument("--seed", type=int, default=None, help="seed override")
-    sim.add_argument(
-        "--policy", choices=("smarton", "ctid", "ctidpro", "gt"), default=None
-    )
+    sim.add_argument("--policy", choices=POLICY_NAMES, default=None)
     sim.add_argument("--out", default=None, help="directory for CSV output")
 
     sweep = sub.add_parser("sweep", help="run a sweep preset or scenario")

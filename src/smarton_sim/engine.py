@@ -53,6 +53,10 @@ from .policies import (
 from .rng import Stream
 
 POLICY_NAMES = ("smarton", "ctid", "ctidpro", "gt")
+# entry forcing only makes sense for policies with a notion of peak entry;
+# GT ignores energy and CTID's charge cycle must stay free-running or forcing
+# would synchronize its bursts with the peak
+FORCED_POLICIES = ("smarton", "ctidpro")
 
 # The CTID phase-jitter warm-up runs up to one charge/discharge cycle, at a
 # cost that grows with the cycle's ticks; a tiny source level stretches the
@@ -116,6 +120,13 @@ class SimConfig:
             raise ValueError("a trace source needs a path: trace:<path>")
         if self.n_periods < 0:
             raise ValueError(f"n_periods must be nonnegative, got {self.n_periods}")
+        # measure_from beyond n_periods is allowed: it measures nothing
+        if self.measure_from < 0:
+            raise ValueError(f"measure_from must be nonnegative, got {self.measure_from}")
+        if self.capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {self.capacity}")
+        if self.charging_ratio <= 0:
+            raise ValueError(f"charging_ratio must be positive, got {self.charging_ratio}")
         if self.source_level < 0:
             raise ValueError(f"source_level must be nonnegative, got {self.source_level}")
         _parse_stop_rule(self.stop_rule)
@@ -135,15 +146,29 @@ class SimConfig:
             )
         if self.pattern.period_ticks % self.learner.state_duration != 0:
             raise ValueError(
-                f"learner state duration {self.learner.state_duration} must divide "
+                f"learner state_duration {self.learner.state_duration} must divide "
                 f"the period {self.pattern.period_ticks}"
             )
-        if self.entry_level is not None and not (
-            1 <= self.entry_level <= self.learner.k_levels
-        ):
-            raise ValueError(
-                f"entry level {self.entry_level} outside 1..{self.learner.k_levels}"
-            )
+        # every pattern the run will see, with the entry level it forces there
+        pattern, level = self.pattern, self.entry_level
+        seen = [(pattern, level)]
+        for change in sorted(self.schedule, key=lambda c: c.period):
+            pattern = apply_change(pattern, change)
+            level = level if change.entry_level is None else change.entry_level
+            seen.append((pattern, level))
+        slot_len, k = self.learner.state_duration, self.learner.k_levels
+        for pattern, level in seen:
+            if level is None:
+                continue
+            if not 1 <= level <= k:
+                raise ValueError(f"entry_level {level} outside 1..{k}")
+            # forcing sets the store at each peak start: a learner slot boundary
+            for t in (p.start_slot * pattern.state_duration for p in pattern.peaks):
+                if self.policy in FORCED_POLICIES and t % slot_len:
+                    raise ValueError(
+                        f"entry_level forcing needs peak starts on learner slots; "
+                        f"tick {t} is not a multiple of state_duration {slot_len}"
+                    )
 
     @property
     def ctid_cycle_ticks(self) -> int:
@@ -232,7 +257,7 @@ def make_source(config: SimConfig, pattern: EventPattern | None = None) -> Harve
         # gating implements the controlled-entry protocol, which only the
         # entry-controllable policies run under; the free-running baselines
         # keep the continuous source
-        if config.gate_source_in_peaks and config.policy in ("smarton", "ctidpro"):
+        if config.gate_source_in_peaks and config.policy in FORCED_POLICIES:
             d = pattern.state_duration
             gaps = [(p.start_slot * d, p.end_slot * d) for p in pattern.peaks]
             return HarvestSource.constant_gated(
@@ -838,19 +863,10 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
         if segment == 0:
             trace_base = 0
 
-        # entry forcing only makes sense for policies with a notion of peak
-        # entry; GT ignores energy and CTID's charge cycle must stay free-
-        # running or forcing would synchronize its bursts with the peak
-        if entry_level is not None and config.policy in ("smarton", "ctidpro"):
+        if entry_level is not None and config.policy in FORCED_POLICIES:
             entry_ticks = frozenset(
                 peak.start_slot * pattern.state_duration for peak in pattern.peaks
             )
-            for t in entry_ticks:
-                if t % slot_len != 0:
-                    raise ValueError(
-                        f"entry-level forcing needs peak starts aligned to learner "
-                        f"slots; tick {t} is not a multiple of {slot_len}"
-                    )
             entry_value = entry_level_energy(
                 entry_level, store.capacity, config.learner.k_levels
             )

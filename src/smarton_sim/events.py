@@ -120,7 +120,7 @@ def build_pattern(
             name, start = item
             if name not in CANONICAL_SHAPES:
                 raise InvalidSpec(
-                    f"unknown shape {name!r}; valid: {sorted(CANONICAL_SHAPES)}"
+                    f"unknown peak shape {name!r}; valid: {sorted(CANONICAL_SHAPES)}"
                 )
             specs.append(PeakSpec(start, CANONICAL_SHAPES[name], shape_name=name))
 

@@ -71,6 +71,8 @@ class LearnerConfig:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.k_levels < 2:
             raise ValueError(f"need at least 2 energy levels, got {self.k_levels}")
+        if self.state_duration <= 0:
+            raise ValueError(f"state_duration must be positive, got {self.state_duration}")
         freqs = tuple(self.frequencies)
         if list(freqs) != sorted(freqs) or len(set(freqs)) != len(freqs):
             raise ValueError(f"frequencies must be strictly increasing, got {freqs}")
@@ -81,6 +83,13 @@ class LearnerConfig:
             raise ValueError(f"frequencies must not exceed 1 Hz, got {freqs[-1]}")
         if self.convergence_scope not in ("entry_row", "touched"):
             raise ValueError(f"unknown convergence scope {self.convergence_scope!r}")
+        # below these bounds a window or budget would silently act as another value
+        if self.convergence_window < 1:
+            raise ValueError(f"need convergence_window >= 1, got {self.convergence_window}")
+        if self.profile_window < 1:
+            raise ValueError(f"need profile_window >= 1, got {self.profile_window}")
+        if self.probe_budget < 0:
+            raise ValueError(f"need probe_budget >= 0, got {self.probe_budget}")
 
     @property
     def n_actions(self) -> int:

@@ -61,8 +61,11 @@ class CtidConfig:
             # a discharge could not fund its first wake-up, so the cycle would
             # flip straight back and never harvest again
             raise ValueError(f"need e_on >= one wake cost {WAKE_COST}, got {self.e_on}")
-        if self.discharge_frequency <= 0:
-            raise ValueError("discharge frequency must be positive")
+        if self.e_off < 0:
+            raise ValueError(f"e_off must be nonnegative, got {self.e_off}")
+        # one wake-up per tick at most, as for the learner's frequencies
+        if not 0 < self.discharge_frequency <= 1:
+            raise ValueError(f"need 0 < discharge_frequency <= 1, got {self.discharge_frequency}")
 
     @property
     def wake_interval(self) -> int:

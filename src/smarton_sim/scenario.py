@@ -1,10 +1,15 @@
-"""Scenario configs: INI parsing, validation, presets and sweep expansion.
+"""Scenario configs: INI parsing, presets and sweep expansion.
 
 A scenario is a flat parameter set over six sections ([run], [pattern],
 [energy], [learner], [policy], [sweep]) with every default pre-filled, so an
 empty file is a valid scenario.  Unknown sections or keys are hard errors.
 Sweep axes expand into a cross product of runs keyed by
 (policy, event_type, entry_level, state_duration, charging_ratio, seed).
+
+This layer only parses (syntax, finite numbers).  Each range rule lives in
+the type that owns the field (`build_pattern`, `LearnerConfig`, `CtidConfig`,
+`SimConfig`); `build_sim_config` turns their errors into ScenarioError, for
+base values at parse time and for every sweep run before any run starts.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 from .engine import PatternChange, SimConfig
-from .events import CANONICAL_SHAPES, build_pattern
+from .events import build_pattern
 from .learner import LearnerConfig
 from .policies import CtidConfig
 
@@ -203,37 +208,11 @@ def _num(x: float) -> str:
 
 
 def validate(scenario: Scenario) -> None:
-    v = scenario.values
+    """Raise ScenarioError unless the base values build a SimConfig."""
     # the name is written raw into CSV rows, which readers split on commas
-    if any(c in v[("run", "name")] for c in ',"\r\n'):
+    if any(c in scenario.name for c in ',"\r\n'):
         raise ScenarioError("[run] name must not contain commas, quotes or line breaks")
-    if not 0 < v[("learner", "alpha")] <= 1:
-        raise ScenarioError(f"[learner] alpha must be in (0, 1], got {v[('learner', 'alpha')]}")
-    if not 0 <= v[("learner", "gamma")] < 1:
-        raise ScenarioError(f"[learner] gamma must be in [0, 1), got {v[('learner', 'gamma')]}")
-    if v[("energy", "charging_ratio")] <= 0:
-        raise ScenarioError("[energy] charging_ratio must be positive")
-    if v[("energy", "capacity")] <= 0:
-        raise ScenarioError("[energy] capacity must be positive")
-    if v[("run", "record_level")] not in ("summary", "per-tick"):
-        raise ScenarioError("[run] record_level must be summary or per-tick")
-    if v[("policy", "policy")] not in ("smarton", "ctid", "ctidpro", "gt"):
-        raise ScenarioError(f"[policy] unknown policy {v[('policy', 'policy')]!r}")
-    if not 0 <= v[("pattern", "p_low")] < v[("pattern", "p_high")] <= 1:
-        raise ScenarioError("[pattern] need 0 <= p_low < p_high <= 1")
-    period = v[("pattern", "period_ticks")]
-    duration = v[("pattern", "state_duration")]
-    if duration <= 0 or period % duration != 0:
-        raise ScenarioError("[pattern] state_duration must divide period_ticks")
-    learner_d = v[("learner", "state_duration")]
-    if learner_d is not None and (learner_d <= 0 or period % learner_d != 0):
-        raise ScenarioError("[learner] state_duration must divide period_ticks")
-    entry = v[("run", "entry_level")]
-    if entry is not None and not 1 <= entry <= v[("learner", "energy_levels")]:
-        raise ScenarioError(
-            f"[run] entry_level {entry} outside 1..{v[('learner', 'energy_levels')]}"
-        )
-    _parse_peaks(v[("pattern", "peaks")])
+    build_sim_config(scenario)
 
 
 def _parse_peaks(text: str) -> list[tuple[str, int]]:
@@ -243,13 +222,10 @@ def _parse_peaks(text: str) -> list[tuple[str, int]]:
         if not item:
             continue
         name, _, slot = item.partition("@")
-        if name not in CANONICAL_SHAPES:
-            raise ScenarioError(
-                f"[pattern] unknown peak shape {name!r}; valid: {sorted(CANONICAL_SHAPES)}"
-            )
-        if not slot:
-            raise ScenarioError(f"[pattern] peak {item!r} needs a start slot (name@slot)")
-        peaks.append((name, int(slot)))
+        try:
+            peaks.append((name, int(slot)))
+        except ValueError:
+            raise ScenarioError(f"[pattern] peaks: {item!r} needs name@<integer slot>") from None
     if not peaks:
         raise ScenarioError("[pattern] at least one peak is required")
     return peaks
@@ -270,10 +246,15 @@ def _parse_axis(values: dict, key: str, parse=int) -> list:
         raise ScenarioError(f"[sweep] bad axis {key} = {text!r}: {exc}") from None
 
 
+def _learner_duration(v: dict) -> int:
+    """The learner's slot length: its own key when set, else the pattern's."""
+    d = v[("learner", "state_duration")]
+    return v[("pattern", "state_duration")] if d is None else d
+
+
 def build_sim_config(scenario: Scenario) -> SimConfig:
     """SimConfig for the scenario's base values (no sweep expansion)."""
     v = scenario.values
-    learner_d = v[("learner", "state_duration")] or v[("pattern", "state_duration")]
     try:
         pattern = build_pattern(
             _parse_peaks(v[("pattern", "peaks")]),
@@ -290,7 +271,7 @@ def build_sim_config(scenario: Scenario) -> SimConfig:
             reward_catch=v[("learner", "reward_catch")],
             reward_miss=v[("learner", "reward_miss")],
             k_levels=v[("learner", "energy_levels")],
-            state_duration=learner_d,
+            state_duration=_learner_duration(v),
             frequencies=v[("learner", "frequencies")],
             convergence_epsilon=v[("learner", "convergence_epsilon")],
             convergence_window=v[("learner", "convergence_window")],
@@ -332,7 +313,7 @@ def build_sim_config(scenario: Scenario) -> SimConfig:
             ctid_phase_jitter=v[("run", "ctid_phase_jitter")],
         )
     except ValueError as exc:
-        # LearnerConfig, CtidConfig and SimConfig validate themselves
+        # each config type checks its own fields; InvalidSpec is a ValueError
         raise ScenarioError(str(exc))
 
 
@@ -353,9 +334,7 @@ def expand_sweep(scenario: Scenario) -> list[tuple[RunKey, SimConfig]]:
     levels = _parse_axis(v, "entry_level") or [v[("run", "entry_level")]]
     base_peaks = _parse_peaks(v[("pattern", "peaks")])
     types = _parse_axis(v, "event_type", str) or [base_peaks[0][0]]
-    durations = _parse_axis(v, "state_duration") or [
-        v[("learner", "state_duration")] or v[("pattern", "state_duration")]
-    ]
+    durations = _parse_axis(v, "state_duration") or [_learner_duration(v)]
     policies = _parse_axis(v, "policy", str) or [v[("policy", "policy")]]
     seeds = _parse_axis(v, "seeds") or [v[("run", "seed")]]
 

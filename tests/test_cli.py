@@ -1,9 +1,23 @@
 """CLI subcommands, exit codes, and the seed environment override."""
 
-import pytest
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import smarton_sim
 from smarton_sim import reports
 from smarton_sim.cli import main
+from smarton_sim.scenario import SCHEMA
+
+from test_engine import time_limit
 
 
 @pytest.fixture(autouse=True)
@@ -68,6 +82,15 @@ class TestSimulate:
             ("[energy]\nsource_level = -1\n", "source_level"),
             ("[policy]\npolicy = ctid\ndischarge_frequency = nan\n", "discharge_frequency"),
             ("[learner]\nfrequencies = 0,nan,1\n", "frequencies"),
+            ("[run]\nn_periods = 3\nentry_level = 1\n[pattern]\npeaks = type1@1\n"
+             "[learner]\nstate_duration = 60\n", "entry_level"),
+            ("[pattern]\npeaks = type1@x\n", "peaks"),
+            ("[learner]\nprobe_budget = -1\n", "probe_budget"),
+            ("[learner]\nconvergence_window = 0\n", "convergence_window"),
+            ("[learner]\nprofile_window = 0\n", "profile_window"),
+            ("[run]\nn_periods = 3\nmeasure_from = -5\n", "measure_from"),
+            ("[policy]\npolicy = ctid\ndischarge_frequency = 2\n", "discharge_frequency"),
+            ("[policy]\npolicy = ctid\ne_off = -1\n", "e_off"),
         ],
     )
     def test_learner_config_errors_exit_2(self, tmp_path, capsys, text, field):
@@ -136,6 +159,19 @@ class TestSweepAndReport:
         assert "[sweep] bad axis" in err and axis.split(" =")[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "axis",
+        ["charging_ratio = -1", "charging_ratio = 0", "state_duration = 0",
+         "state_duration = -30"],
+    )
+    def test_out_of_range_sweep_axis_exits_2(self, tmp_path, capsys, axis):
+        # sweep values are checked like base values, before any run starts
+        config = write_config(tmp_path, f"[run]\nn_periods = 3\n[sweep]\n{axis}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", config, "--out", str(out)]) == 2
+        assert axis.split(" =")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_with_jobs(self, tmp_path, capsys):
         out = tmp_path / "jobs"
         config = write_config(
@@ -179,3 +215,127 @@ class TestSweepAndReport:
             assert f"{runs} runs" in capsys.readouterr().out
         # two runs get two workers; a single run needs no pool at all
         assert sizes == [2]
+
+
+def test_process_exit_status(tmp_path):
+    src = str(Path(smarton_sim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for text, status in (("", 0), ("[learner]\nalpha = 1.5\n", 2)):
+        config = write_config(tmp_path, text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "smarton_sim.cli", "simulate", "--config", config],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == status, proc.stderr
+
+
+# Boundary values for every SCHEMA key: negative, zero, at and past each
+# bound, huge, non-finite and malformed.  Sizes stay small: at most 3
+# periods, and no value builds a large table, trace or sweep.  A trace
+# source with a real path is left out: a missing file is a runtime error.
+BOUNDARY = {
+    ("run", "name"): ["fuzz", "a,b", ""],
+    ("run", "n_periods"): ["-1", "0", "1", "3", "3.0", "x"],
+    ("run", "seed"): ["-1", "0", str(2**64), "x"],
+    # valid levels are set by the test itself
+    ("run", "record_level"): ["all", "", "Summary"],
+    ("run", "measure_from"): ["-5", "0", "2", "3", "110", "x"],
+    ("run", "entry_level"): ["-1", "0", "1", "4", "5", "x"],
+    ("run", "repeat_events"): ["true", "false", "maybe"],
+    ("run", "stop_rule"): ["phase_ge", "phase_ge:0", "phase3_stable:1", "bogus:3", "phase_ge:x"],
+    ("run", "ctid_phase_jitter"): ["true", "false", "2"],
+    ("pattern", "period_ticks"): ["-1200", "0", "1", "30", "1199", "1200", "2400", "12000", "x"],
+    ("pattern", "state_duration"): ["-30", "0", "1", "7", "30", "60", "1200", "1201", "x"],
+    ("pattern", "peaks"): ["type1@0", "type1@37", "type1@38", "type1@39", "type1@-3",
+                           "type1@x", "type9@1", "type1", "", "type1@5,type2@5",
+                           "type2@5,type4@20"],
+    ("pattern", "p_high"): ["-0.1", "0", "0.2", "0.8", "1", "1.1", "nan", "inf", "x"],
+    ("pattern", "p_low"): ["-0.1", "0", "0.2", "0.8", "1", "nan", "-inf", "x"],
+    ("pattern", "background_rate"): ["-1", "0", "0.5", "1", "2", "nan", "x"],
+    ("pattern", "peak_max_duration"): ["-1", "0", "29", "30", "90", "120", "100000", "x"],
+    ("energy", "capacity"): ["-1", "0", "1e-300", "0.5", "1", "120", "1e300", "nan", "inf", "x"],
+    ("energy", "charging_ratio"): ["-1", "0", "1e-300", "1", "8.5", "1e300", "nan", "-inf", "x"],
+    ("energy", "source"): ["constant", "diurnal", "trace", "solar", ""],
+    ("energy", "source_level"): ["-1", "0", "1e-300", "1", "1e300", "nan", "inf", "x"],
+    ("energy", "gate_in_peaks"): ["true", "false", "x"],
+    ("learner", "alpha"): ["-0.5", "0", "1e-300", "1", "1.5", "nan", "x"],
+    ("learner", "gamma"): ["-0.5", "0", "0.999", "1", "nan", "x"],
+    ("learner", "reward_catch"): ["-10", "0", "1e300", "nan", "x"],
+    ("learner", "reward_miss"): ["-1e300", "0", "1", "inf", "x"],
+    ("learner", "energy_levels"): ["-1", "0", "1", "2", "10", "10000", "x"],
+    ("learner", "state_duration"): ["-30", "0", "1", "7", "20", "60", "1200", "2400", "x"],
+    ("learner", "frequencies"): ["0", "0,1", "0,1e-300,1", "0,0.5,1.5", "0.2,1", "0,1,0.5",
+                                 "0,0.5,0.5", "0,nan,1", "0,inf", "x", ""],
+    ("learner", "convergence_epsilon"): ["-1", "0", "1e300", "nan", "x"],
+    ("learner", "convergence_window"): ["-1", "0", "1", "1000000", "x"],
+    ("learner", "convergence_scope"): ["entry_row", "touched", "x"],
+    ("learner", "profile_window"): ["-1", "0", "1", "1000000", "x"],
+    ("learner", "profile_tol_abs"): ["-1", "0", "1e300", "nan", "x"],
+    ("learner", "profile_tol_rel"): ["-1", "0", "1e300", "inf", "x"],
+    ("learner", "shape_theta"): ["-1", "0", "1", "2", "nan", "x"],
+    ("learner", "probe_budget"): ["-1", "0", "1", "1000000", "x"],
+    ("learner", "probe_trigger"): ["-1", "0", "1", "1000000", "x"],
+    ("policy", "policy"): ["smarton", "ctid", "ctidpro", "gt", "nope"],
+    ("policy", "e_on"): ["-1", "0", "0.5", "1", "120", "1e300", "nan", "inf", "x"],
+    ("policy", "e_off"): ["-1", "0", "29", "30", "1e300", "nan", "x"],
+    ("policy", "discharge_frequency"): ["-1", "0", "1e-300", "0.5", "1", "2", "nan", "x"],
+    ("sweep", "charging_ratio"): ["-1", "0", "3,6", "1e300", "8.5,nan", "x"],
+    ("sweep", "entry_level"): ["0", "1,4", "5", "1:3", "1:", "x"],
+    ("sweep", "event_type"): ["type1,type4", "type9", "type1,"],
+    ("sweep", "state_duration"): ["-30", "0", "20,30,60", "7", "1200", "x"],
+    ("sweep", "policy"): ["gt,ctid", "smarton,ctidpro", "nope"],
+    ("sweep", "seeds"): ["0:2", "-1", "3:1", str(2**64), "x"],
+}
+
+SCHEMA_DRAWS = st.lists(
+    st.sampled_from(sorted(BOUNDARY)), min_size=1, max_size=3, unique=True
+).flatmap(lambda keys: st.fixed_dictionaries({k: st.sampled_from(BOUNDARY[k]) for k in keys}))
+
+
+def _ini(values: dict) -> str:
+    sections = {}
+    for (section, key), raw in values.items():
+        sections.setdefault(section, []).append(f"{key} = {raw}\n")
+    return "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+
+
+def _run_cli(args) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue()
+
+
+def test_schema_values_cover_every_key():
+    assert set(BOUNDARY) == {(s, k) for s, keys in SCHEMA.items() for k in keys}
+
+
+@given(drawn=SCHEMA_DRAWS)
+@settings(
+    max_examples=1000, deadline=None, derandomize=True,
+    # the module's env fixture only deletes a variable, so it holds across examples
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_every_scenario_exits_0_or_2_and_records_alike(drawn):
+    """Any mix of boundary values exits 0 or 2 within a time limit, and an
+    accepted scenario writes the same files in summary and per-tick mode."""
+    sweep = any(section == "sweep" for section, _ in drawn)
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for level in ("summary", "per-tick"):
+            text = _ini({("run", "n_periods"): "3", ("run", "record_level"): level, **drawn})
+            config = os.path.join(tmp, f"{level}.ini")
+            out = os.path.join(tmp, level)
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            args = (["sweep", "--scenario", config] if sweep
+                    else ["simulate", "--config", config]) + ["--out", out]
+            with time_limit(20.0, f"{args[0]} on {text!r}"):
+                code, err = _run_cli(args)
+            assert code in (0, 2), f"exit {code} on {text!r}: {err}"
+            files = {}
+            if code == 0:
+                for name in sorted(os.listdir(out)):
+                    files[name] = Path(out, name).read_bytes()
+            outputs[level] = (code, files)
+    assert outputs["summary"] == outputs["per-tick"], text

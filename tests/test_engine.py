@@ -573,6 +573,23 @@ class TestExperiment:
             result = run_experiment(config)
         assert all(p.awake_ticks == 0 for p in result.periods)
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (PatternChange(5, "replace", build_pattern([("type1", 1)]), entry_level=1),
+             "entry_level forcing"),
+            (PatternChange(5, "shift", 1), "entry_level forcing"),
+            (PatternChange(5, "replace", build_pattern([("type1", 10)]), entry_level=9),
+             "entry_level 9"),
+            (PatternChange(5, "rotate"), "change kind"),
+        ],
+        ids=["misaligned-replace", "misaligned-shift", "level-out-of-range", "bad-kind"],
+    )
+    def test_schedule_errors_are_rejected_when_the_config_is_built(self, change, match):
+        # the base peak starts at tick 300, a multiple of the 60 s learner slot
+        with pytest.raises(ValueError, match=match):
+            base_config(learner=LearnerConfig(state_duration=60), schedule=(change,))
+
     @pytest.mark.parametrize("level", [1e-6, 1e-7, 1e-8, 1e-300])
     def test_ctid_phase_jitter_with_an_unbounded_warm_up_is_rejected(self, level):
         with pytest.raises(ValueError, match="CTID cycle"):
