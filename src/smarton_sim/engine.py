@@ -16,6 +16,10 @@ would.  Events arrive as a 0/1 byte string per period.  Per-tick
 recording is an output option of that kernel: it records what the kernel
 decided and cannot change a number.
 
+Within a run, a phase-3 episode of the learning policy (`episode_memo`) and
+a CTID charge phase are computed once per start and then replayed, with
+catches counted from each period's events; per-tick recording bypasses it.
+
 Pattern-change schedules swap the pattern between periods (shift, morph or
 replace) and resample the trace from a fresh substream, which is how the
 adaptation experiments drive the learner back through re-profiling.
@@ -137,11 +141,12 @@ class SimConfig:
             and self.ctid_phase_jitter
             and self.initial_stored <= 0.0
             and (self.source_level > 0.0 or self.source_kind == "trace")
-            and self.ctid_cycle_ticks > MAX_JITTER_CYCLE
+            # whole ticks above the bound, or a float that overflowed to inf
+            and not self.ctid_cycle_ticks < MAX_JITTER_CYCLE + 1
         ):
             raise ValueError(
                 f"ctid_phase_jitter needs a CTID cycle of at most {MAX_JITTER_CYCLE} "
-                f"ticks, got {self.ctid_cycle_ticks}; raise source_level or lower "
+                f"ticks, got {self.ctid_cycle_ticks:.0f}; raise source_level or lower "
                 f"e_on or charging_ratio"
             )
         if self.pattern.period_ticks % self.learner.state_duration != 0:
@@ -171,10 +176,10 @@ class SimConfig:
                     )
 
     @property
-    def ctid_cycle_ticks(self) -> int:
-        """Ticks of one CTID charge/discharge cycle from empty at
+    def ctid_cycle_ticks(self) -> float:
+        """Unrounded ticks of one CTID charge/discharge cycle from empty at
         `source_level`: the span the phase-jitter warm-up draws from."""
-        return int(
+        return (
             self.ctid.e_on * self.charging_ratio / max(self.source_level, 1e-9)
             + self.ctid.e_on * self.ctid.wake_interval
         )
@@ -331,6 +336,11 @@ def run_period(
     their count.  With `record_ticks`, idle runs and drains also append
     every post-tick stored value and the per-tick arrays are built from the
     kernel's own decisions, so recording cannot change a number.
+
+    Under one constant inflow without recording, a phase-3 episode that
+    `episode_memo` offers, with no entry forcing inside, is replayed by
+    (peak, stored energy, inflow), or run and stored unless a harvest reached
+    `cap` (waste is an in-order float sum that a replay cannot redo).
     """
     phase_start = policy.current_phase
     stored_start = store.stored
@@ -356,7 +366,7 @@ def run_period(
     # recording: post-tick stored values in tick order, awake ticks, and the
     # (phase, step) of each slot
     out = [] if record_ticks else None
-    wakes = []
+    wakes = [] if record_ticks else None
     slot_info = []
     dark = []  # (start, end) tick spans that harvested nothing
     awake_total = 0
@@ -371,9 +381,9 @@ def run_period(
         catches_total = event_ticks
         wakes = range(period_ticks)
     elif isinstance(policy, CtidPolicy):
-        s, waste, wakes, dark = _ctid_run(policy, s, waste, cap, runs, 0, period_ticks, out)
-        awake_total = len(wakes)
-        catches_total = sum(map(events.__getitem__, wakes))
+        s, waste, awake_total, catches_total, dark = _ctid_run(
+            policy, s, waste, cap, runs, 0, period_ticks, events, out, wakes
+        )
     else:
         n_slots = period_ticks // slot_len
         # entry forcing rewrites the store at a slot start: a stop for the
@@ -382,6 +392,8 @@ def run_period(
             tuple(sorted(t // slot_len for t in entry_ticks)) if entry_value is not None else ()
         )
         inline = uniform and out is None
+        # the wake tick list, the end of an episode being recorded, its cap flag
+        woken, episode_end, full = wakes, None, False
         slot = 0
         while slot < n_slots:
             # bank the slots before the next one that can act in one idle run
@@ -408,6 +420,24 @@ def run_period(
                 forced = min(entry_value, cap)
                 forced_delta += forced - s
                 s = forced
+
+            if inline and episode_end is None and (frozen := policy.episode_memo(slot, s)):
+                peak, memo = frozen
+                end = slot + peak.n_steps
+                # no forcing inside; a trace source may be constant at another
+                # inflow in another period.  s is never -0.0 (0.0's key): forcing
+                # sets s > 0, draws leave s - 1.0 (s >= 1) or 0.0, inflows are >= 0
+                if end <= n_slots and _first_at_or_after(entry_slots, slot + 1, end) == end:
+                    key = (peak, s, inc)
+                    hit = memo.get(key)
+                    if hit is not None:
+                        ticks, n_skipped, s = hit
+                        awake_total += len(ticks)
+                        catches_total += sum(map(events.__getitem__, ticks))
+                        skipped += n_skipped
+                        slot = end
+                        continue
+                    episode_end, skipped_before, woken, full = end, skipped, [], False
 
             plan = policy.plan_slot(slot, s)
             if out is not None:
@@ -439,12 +469,14 @@ def run_period(
                         if inc > room:
                             waste += inc - room
                             s = cap
+                            full = True
                         else:
                             s += inc
                         done = t
                     elif t > done:
                         if uniform:
                             s, waste = _idle_run(s, waste, inc, cap, t - done, out)
+                            full |= s == cap
                         else:
                             s, waste = _bank(s, waste, cap, runs, done, t, out)
                         done = t
@@ -454,8 +486,8 @@ def run_period(
                         s = s - WAKE_COST if s >= WAKE_COST else 0.0
                         slot_awake += 1
                         slot_catches += events[t]
-                        if out is not None:
-                            wakes.append(t)
+                        if woken is not None:
+                            woken.append(t)
                     else:
                         skipped += 1
 
@@ -463,6 +495,10 @@ def run_period(
             catches_total += slot_catches
             policy.on_slot_end(slot, slot_awake, slot_catches, s)
             slot += 1
+            if slot == episode_end:
+                if not full:
+                    memo[key] = (tuple(woken), skipped - skipped_before, s)
+                episode_end = woken = None
 
     store.stored = s
     store.wasted_saturation = waste
@@ -499,15 +535,17 @@ def run_period(
 
 
 def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
-              t: int, end: int, out):
+              t: int, end: int, events=b"", out=None, wakes=None):
     """CTID over ticks t..end-1 of the inflow `runs`: charge until the store
     holds `e_on`, then discharge -- harvest nothing and wake every
     `wake_interval` ticks from the flip -- until it falls to `e_off` or
     cannot fund a wake-up.  Since `e_on` is at least one wake cost, every
     discharge wake-up is funded.  Without recording, a charge phase below
-    `e_on` is one sequential sum (`_charge_until`) and a discharge phase's
-    wake-ups in the span are one draw run (`_draws`).  Returns (s, waste,
-    wake ticks, dark spans) and leaves the mode on the policy.
+    `e_on` is one sequential sum (`_charge_until`), kept in `charge_memo`
+    once it reaches `e_on`, and a discharge phase's wake-ups in the span are
+    one draw run (`_draws`) with a strided catch count.  Returns (s, waste,
+    awake, catches, dark spans), leaves the mode on the policy and, when
+    recording, lists the wake ticks in `wakes`.
     """
     e_on = policy.cfg.e_on - DRAW_SLACK
     e_off = policy.cfg.e_off + DRAW_SLACK
@@ -519,7 +557,7 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
     # below e_on the store cannot saturate, so a charge phase is bare
     # additions up to the tick whose pre-tick check sees e_on
     jump = out is None and len(runs) == 1 and not inc > cap - e_on
-    wakes = []
+    awake = catches = 0
     dark = []
     dark_from = t
     while t < end:
@@ -531,7 +569,13 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
                 discharging = True
                 start = dark_from = t
             elif jump:
-                s, n = _charge_until(s, inc, e_on, end - t)
+                key = (s, inc, e_on)
+                charge = policy.charge_memo.get(key)
+                if charge is None or charge[1] > end - t:  # a hit must fit the span
+                    charge = _charge_until(s, inc, e_on, end - t)
+                    if charge[0] >= e_on:
+                        policy.charge_memo[key] = charge
+                s, n = charge
                 t += n
                 continue
             else:
@@ -546,11 +590,15 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
             if t < end:
                 s = s - WAKE_COST if s >= WAKE_COST else 0.0
                 k, s = _draws(s, e_off, (end - 1 - t) // interval)
-                wakes.extend(range(t, t + (k + 1) * interval, interval))
-                t = t + k * interval + 1 if s <= e_off or s < draw_floor else end
+                stop = t + (k + 1) * interval
+                awake += k + 1
+                catches += events[t:stop:interval].count(1)
+                t = stop - interval + 1 if s <= e_off or s < draw_floor else end
             continue
         if (t - start) % interval == 0:
             s = max(0.0, s - WAKE_COST)
+            awake += 1
+            catches += events[t]
             wakes.append(t)
         out.append(s)
         t += 1
@@ -558,7 +606,7 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
         dark.append((dark_from, end))
     policy.discharging = discharging
     policy.discharge_start = start
-    return s, waste, wakes, dark
+    return s, waste, awake, catches, dark
 
 
 def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSource,
@@ -569,7 +617,7 @@ def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSourc
     runs = [(-ticks, 0, source(0) * WAKE_COST / store.charging_ratio)]
     store.stored, store.wasted_saturation, *_ = _ctid_run(
         policy, store.stored, store.wasted_saturation, store.capacity,
-        runs, -ticks, 0, None,
+        runs, -ticks, 0,
     )
 
 
@@ -816,7 +864,7 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
         # cannot leave empty, so there is no cycle to warm up; otherwise
         # SimConfig bounds the cycle by MAX_JITTER_CYCLE.
         u = Stream(config.seed, "ctid-phase").next_double()
-        _ctid_warm_up(policy, store, source, int(u * config.ctid_cycle_ticks))
+        _ctid_warm_up(policy, store, source, int(u * int(config.ctid_cycle_ticks)))
 
     pattern = config.pattern
     entry_level = config.entry_level

@@ -78,6 +78,8 @@ class LearnerConfig:
             raise ValueError(f"frequencies must be strictly increasing, got {freqs}")
         if freqs[0] != 0.0:
             raise ValueError("the action set must include frequency 0 (never awake)")
+        if len(freqs) < 2:  # profiling and probes need a nonzero rate
+            raise ValueError("frequencies need a nonzero frequency besides 0")
         if freqs[-1] > 1.0:
             # one wake-up per tick at most: faster rates would repeat offsets
             raise ValueError(f"frequencies must not exceed 1 Hz, got {freqs[-1]}")

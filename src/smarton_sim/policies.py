@@ -88,6 +88,11 @@ class BasePolicy:
         The kernel banks the slots before it without calling either hook."""
         return slot
 
+    def episode_memo(self, slot: int, stored: float):
+        """(peak, memo) when the episode from `slot` is a pure function of
+        the peak, `stored` and the inflow: the kernel replays it from `memo`."""
+        return None
+
     def plan_slot(self, slot: int, stored: float):
         """Wake offsets within the slot, or BURST, given the energy `stored`
         at the slot start."""
@@ -127,6 +132,7 @@ class CtidPolicy(BasePolicy):
         self.discharging = False
         self.discharge_start = 0
         self.wake_interval = cfg.wake_interval
+        self.charge_memo: dict = {}  # (s, inc, e_on) -> (s, ticks) reaching e_on
 
 
 class _ProfileDriver:
@@ -178,6 +184,7 @@ class SmartOnPolicy(BasePolicy):
         self.phase1_stays: list[dict] = [{"entry": 1, "passes": 0, "profiles": 0}]
         self._peak_starts: dict[int, LearnedPeak] = {}
         self._active_slots: tuple[int, ...] = ()  # peak starts and probe slots
+        self._memo_stamp = None  # (phase-1 entries, phase-2 episodes) of _memo
 
     # -- helpers -----------------------------------------------------------
 
@@ -223,6 +230,19 @@ class SmartOnPolicy(BasePolicy):
         if self.ctx.phase == 1:
             return self.ctx.profile.next_unvisited(slot)
         return _first_at_or_after(self._active_slots, slot, self.ctx.n_slots)
+
+    def episode_memo(self, slot: int, stored: float):
+        # phase 3 plans greedily on tables it never updates: an episode is a
+        # pure function of peak, entry energy and inflow until the stamp changes
+        peak = self._peak_starts.get(slot)
+        if self.ctx.phase != 3 or self._episode is not None or peak is None:
+            return None
+        stamp = (self.ctx.phase1_entries, self.ctx.phase2_episodes)
+        if stamp != self._memo_stamp:
+            self._memo_stamp, self._memo = stamp, {}
+        # the one side effect of a replayed episode, as `_begin_episode` sets it
+        self._last_entry_level[peak.shape] = self._quantize(stored)
+        return peak, self._memo
 
     def plan_slot(self, slot: int, stored: float):
         self.current_step = 0

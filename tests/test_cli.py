@@ -73,6 +73,13 @@ class TestSimulate:
             ("[policy]\npolicy = ctid\ne_on = 0.5\n", "wake cost"),
             ("[run]\nn_periods = 3\nctid_phase_jitter = true\n[policy]\npolicy = ctid\n"
              "[energy]\nsource_level = 1e-8\n", "CTID cycle"),
+            # cycles that overflow a float
+            ("[run]\nn_periods = 3\nctid_phase_jitter = true\n[policy]\npolicy = ctid\n"
+             "e_on = 1e300\n[energy]\ncharging_ratio = 1e300\ncapacity = 1e300\n",
+             "CTID cycle"),
+            ("[run]\nn_periods = 3\nctid_phase_jitter = true\n[policy]\npolicy = ctid\n"
+             "e_on = 1e300\n[energy]\nsource_level = 1e-300\n", "CTID cycle"),
+            ("[learner]\nfrequencies = 0\n", "frequencies"),
             ("[pattern]\nbackground_rate = 2\n", "background_rate"),
             ("[pattern]\npeaks = type1@999\n", "peak type1@999"),
             ("[pattern]\nperiod_ticks = 0\n", "period_ticks"),

@@ -36,8 +36,11 @@ from smarton_sim.engine import (
 )
 from smarton_sim.events import build_pattern
 from smarton_sim.learner import LearnerConfig
-from smarton_sim.policies import BasePolicy, CtidConfig, CtidPolicy, GtPolicy
+from smarton_sim.policies import (
+    BasePolicy, CtidConfig, CtidPolicy, GtPolicy, SmartOnPolicy,
+)
 from smarton_sim.rng import Stream
+from smarton_sim.scenario import PRESETS, expand_sweep
 
 import per_tick_oracle
 
@@ -343,6 +346,151 @@ class TestRunPeriod:
             assert log.ticks is not None
             assert len(log.ticks["awake"]) == 1200
             assert len(log.ticks["stored"]) == 1200
+
+
+def phase3_plans(monkeypatch):
+    """Patch the learning policy so that the period of every episode step it
+    plans in phase 3 is appended to the returned list."""
+    planned = []
+    period = [None]
+    on_period_start = SmartOnPolicy.on_period_start
+    plan = SmartOnPolicy._plan_episode_action
+
+    def counting_period_start(self, p):
+        period[0] = p
+        on_period_start(self, p)
+
+    def counting_plan(self, stored):
+        if self.ctx.phase == 3:
+            planned.append(period[0])
+        return plan(self, stored)
+
+    monkeypatch.setattr(SmartOnPolicy, "on_period_start", counting_period_start)
+    monkeypatch.setattr(SmartOnPolicy, "_plan_episode_action", counting_plan)
+    return planned
+
+
+class TestSteadyStateReplay:
+    """Phase-3 episodes and CTID charge phases are replayed from a memo within
+    a run; every number must still match the per-tick oracle."""
+
+    # loose enough that phase 3 starts by period ~60 on fresh events
+    QUICK = LearnerConfig(convergence_epsilon=100.0)
+
+    @pytest.mark.parametrize("entry", [1, 4])
+    def test_fresh_events_in_every_period_match_oracle(self, entry, monkeypatch):
+        config = base_config(n_periods=150, repeat_first_period=False, entry_level=entry,
+                             learner=self.QUICK)
+        planned = phase3_plans(monkeypatch)
+        kernel = run_experiment(config)
+        phase3 = [p for p, phase in enumerate(kernel.phase_timeline) if phase == 3]
+        assert len(phase3) > 50
+        # one key, planned once and replayed while the catches change
+        assert set(planned) == {phase3[0]}
+        assert len({kernel.periods[p].catches for p in phase3}) > 5
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    def test_store_saturating_inside_episodes_matches_oracle(self, monkeypatch):
+        # 1.5 wake costs of inflow per tick refill the store within every episode
+        config = base_config(n_periods=150, charging_ratio=1.0, source_level=1.5)
+        planned = phase3_plans(monkeypatch)
+        kernel = run_experiment(config)
+        oracle = per_tick_oracle.run_experiment(dc_replace(config, record_level="per-tick"))
+        peak = kernel.policy.ctx.known_peaks[0]
+        a, b = peak.start_slot * 30, peak.end_slot * 30
+        phase3 = [log for log in oracle.periods if log.phase_start == 3]
+        assert len(phase3) > 50
+        assert all((log.ticks["stored"][a:b] == config.capacity).any() for log in phase3)
+        # an episode that reached capacity is never stored, so never replayed
+        assert len(set(planned)) == len(phase3)
+        # wasted_saturation too, bit for bit
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    def test_varying_entry_energy_matches_oracle(self, monkeypatch):
+        # without forcing, and with a store too weak to saturate before the
+        # peak, probes leave a different entry energy in every period
+        config = base_config(n_periods=150, repeat_first_period=False, entry_level=None,
+                             learner=self.QUICK, charging_ratio=20.0, capacity=200.0)
+        planned = phase3_plans(monkeypatch)
+        kernel = run_experiment(config)
+        phase3 = [p for p, phase in enumerate(kernel.phase_timeline) if phase == 3]
+        assert len(phase3) > 30
+        assert len(set(planned)) > len(phase3) // 2
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    def test_adaptation_drops_the_memo_at_re_profiling(self, monkeypatch):
+        # the returning pattern skips phase 2, so no table changes; its first
+        # exploit episode is still planned, not replayed from segment one
+        config = dc_replace(
+            expand_sweep(PRESETS["adaptation"]())[0][1], seed=0,
+        )
+        planned = phase3_plans(monkeypatch)
+        kernel = run_experiment(config)
+        third = kernel.phase_timeline[140:]
+        assert 2 not in third and 1 in third and 3 in third
+        returned = 140 + third.index(3, third.index(1))
+        assert any(p < 70 for p in planned) and returned in planned
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    def test_forcing_inside_a_learned_peak_matches_oracle(self):
+        # back-to-back peaks profile as one run of slots, split into learned
+        # peaks of at most 4 slots; the second peak's entry forcing at slot 13
+        # falls inside the learned peak that starts at slot 10
+        config = base_config(pattern=build_pattern([("type1", 10), ("type1", 13)]),
+                             n_periods=150)
+        kernel = run_experiment(config)
+        assert any(p.start_slot < 13 < p.end_slot for p in kernel.policy.ctx.known_peaks)
+        assert kernel.phase_timeline.count(3) > 50
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    def test_periods_at_different_constant_inflows_match_oracle(self, tmp_path):
+        # a trace source that is constant within each period, at a level that
+        # alternates between periods: an episode must not replay across them
+        path = tmp_path / "source.txt"
+        path.write_text("0.5\n" * 1200 + "2.0\n" * 1200, encoding="utf-8")
+        config = base_config(n_periods=150, entry_level=1, source_kind="trace",
+                             source_path=str(path))
+        kernel = run_experiment(config)
+        assert kernel.phase_timeline.count(3) > 50
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    @pytest.mark.parametrize("frequency", [0.5, 1.0])
+    def test_ctid_charge_phases_cut_by_the_period_end_match_oracle(self, frequency):
+        # a 900-tick charge to e_on = 100 crosses most period ends
+        config = base_config(
+            policy="ctid", ctid=CtidConfig(e_on=100.0, discharge_frequency=frequency),
+            entry_level=None, n_periods=40, ctid_phase_jitter=True,
+        )
+        oracle = per_tick_oracle.run_experiment(dc_replace(config, record_level="per-tick"))
+        assert sum(
+            a.ticks["harvested"][-1] > 0.0 and b.ticks["harvested"][0] > 0.0
+            for a, b in zip(oracle.periods, oracle.periods[1:])
+        ) > 10
+        kernel = run_experiment(config)
+        assert kernel.policy.charge_memo
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    def test_ctid_without_inflow_terminates_and_matches_oracle(self):
+        config = base_config(policy="ctid", source_level=0.0, initial_stored=50.0,
+                             entry_level=None, n_periods=20)
+        with time_limit(1.0, "CTID without inflow"):
+            kernel = run_experiment(config)
+        assert not kernel.policy.charge_memo
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_fig_perf_summary_equals_per_tick_over_150_periods(self, policy):
+        scenario = PRESETS["fig-perf"]()
+        for axis, value in (("seeds", "0"), ("event_type", "type1"),
+                            ("entry_level", "1,4"), ("policy", policy)):
+            scenario = scenario.with_value("sweep", axis, value)
+        for _, config in expand_sweep(scenario):
+            assert config.n_periods == 150
+            summary = run_experiment(config)
+            per_tick = run_experiment(dc_replace(config, record_level="per-tick"))
+            for log in per_tick.periods:
+                log.ticks = None
+            assert_same_run(summary, per_tick)
 
 
 def idle_run_per_tick(s, waste, inc, cap, n):
