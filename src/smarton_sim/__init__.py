@@ -4,7 +4,6 @@ duty-cycle learner, baseline policies, and scenario-driven experiments."""
 
 from .energy import (
     AbstractStore,
-    Capacitor,
     CapacitorArray,
     HarvestSource,
     InsufficientEnergy,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbstractStore",
-    "Capacitor",
     "CapacitorArray",
     "CtidConfig",
     "EventPattern",

@@ -85,13 +85,25 @@ class HarvestSource:
 
     @classmethod
     def from_trace_file(cls, path) -> "HarvestSource":
-        """One nonnegative float per line; the trace repeats cyclically."""
-        with open(path, "r", encoding="utf-8") as fh:
-            values = [float(line) for line in fh if line.strip()]
+        """One finite, nonnegative number per line, blank lines skipped; the
+        trace repeats cyclically.  Raises ValueError on anything else."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise ValueError(f"cannot read source trace {path}: {exc.strerror or exc}") from None
+        values = []
+        for number, line in enumerate(lines, 1):
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    values.append(math.nan)
+                if not 0.0 <= values[-1] < math.inf:
+                    raise ValueError(f"source trace {path} line {number}: need a finite "
+                                     f"nonnegative number, got {line.strip()!r}")
         if not values:
             raise ValueError(f"empty source trace: {path}")
-        if any(v < 0 for v in values):
-            raise ValueError(f"negative value in source trace: {path}")
         return cls(lambda t: values[t % len(values)], "trace-file")
 
 
@@ -111,16 +123,6 @@ class AbstractStore:
             raise ValueError(f"charging ratio must be positive, got {self.charging_ratio}")
         if not 0 <= self.stored <= self.capacity:
             raise ValueError(f"stored {self.stored} outside [0, {self.capacity}]")
-
-
-@dataclass(frozen=True)
-class Capacitor:
-    capacitance: float
-    active: bool = False
-
-    def __post_init__(self):
-        if self.capacitance < 0:
-            raise ValueError(f"capacitance must be nonnegative, got {self.capacitance}")
 
 
 class CapacitorArray:
@@ -144,13 +146,6 @@ class CapacitorArray:
         self.v_activate = v_activate
         self.wasted_saturation = 0.0
         self.redistribution_loss = 0.0
-
-    @property
-    def capacitors(self) -> list[Capacitor]:
-        return [
-            Capacitor(c, active=i < self.n_active)
-            for i, c in enumerate(self.capacitances)
-        ]
 
     @property
     def active_capacitance(self) -> float:

@@ -13,12 +13,12 @@ the policy's look-ahead names as able to act, wake-ups, CTID mode flips --
 and covers the harvest-only ticks between them with the same float
 additions, in the same order, as stepping every tick through the store
 would.  Events arrive as a 0/1 byte string per period.  Per-tick
-recording is an output option of that kernel: it records what the kernel
-decided and cannot change a number.
+recording takes the same path and replays the kernel's decisions into
+per-tick arrays (`_tick_arrays`), so it cannot change a number.
 
 Within a run, a phase-3 episode of the learning policy (`episode_memo`) and
 a CTID charge phase are computed once per start and then replayed, with
-catches counted from each period's events; per-tick recording bypasses it.
+catches counted from each period's events, at either record level.
 
 Pattern-change schedules swap the pattern between periods (shift, morph or
 replace) and resample the trace from a fresh substream, which is how the
@@ -120,8 +120,10 @@ class SimConfig:
             raise ValueError(
                 f"unknown source {self.source_kind!r}; valid: constant, diurnal, trace:<path>"
             )
-        if self.source_kind == "trace" and not self.source_path:
-            raise ValueError("a trace source needs a path: trace:<path>")
+        if self.source_kind == "trace":
+            if not self.source_path:
+                raise ValueError("a trace source needs a path: trace:<path>")
+            HarvestSource.from_trace_file(self.source_path)  # raises on a bad file
         if self.n_periods < 0:
             raise ValueError(f"n_periods must be nonnegative, got {self.n_periods}")
         # measure_from beyond n_periods is allowed: it measures nothing
@@ -333,14 +335,13 @@ def run_period(
     Burst slots and CTID discharge phases are dark: they harvest nothing.
     The period's harvest total is the in-order sum of the other ticks'
     inflows; under one constant inflow it is read from a cached table by
-    their count.  With `record_ticks`, idle runs and drains also append
-    every post-tick stored value and the per-tick arrays are built from the
-    kernel's own decisions, so recording cannot change a number.
+    their count.
 
-    Under one constant inflow without recording, a phase-3 episode that
-    `episode_memo` offers, with no entry forcing inside, is replayed by
+    Under one constant inflow, while the policy keeps an `episode_memo`, an
+    episode that `episode_at` names, with no forcing inside, is replayed by
     (peak, stored energy, inflow), or run and stored unless a harvest reached
     `cap` (waste is an in-order float sum that a replay cannot redo).
+    Recording takes this same path and lists its decisions for `_tick_arrays`.
     """
     phase_start = policy.current_phase
     stored_start = store.stored
@@ -363,27 +364,23 @@ def run_period(
     waste_before = waste
     event_ticks = events.count(1)
 
-    # recording: post-tick stored values in tick order, awake ticks, and the
-    # (phase, step) of each slot
-    out = [] if record_ticks else None
-    wakes = [] if record_ticks else None
-    slot_info = []
+    wakes = [] if record_ticks else None  # funded wake ticks of planned slots
+    wake_runs = []  # ranges of funded wake ticks: GT, draw runs
+    forced_at = []  # ticks where entry forcing set the store
+    slot_info = []  # (phase, step) per slot, when recording
     dark = []  # (start, end) tick spans that harvested nothing
-    awake_total = 0
-    catches_total = 0
-    skipped = 0
+    awake_total = catches_total = skipped = 0
     forced_delta = 0.0
 
     if isinstance(policy, GtPolicy):
         # awake at every tick, draws nothing, harvests throughout
-        s, waste = _bank(s, waste, cap, runs, 0, period_ticks, out)
+        s, waste = _bank(s, waste, cap, runs, 0, period_ticks)
         awake_total = period_ticks
         catches_total = event_ticks
-        wakes = range(period_ticks)
+        wake_runs.append(range(period_ticks))
     elif isinstance(policy, CtidPolicy):
-        s, waste, awake_total, catches_total, dark = _ctid_run(
-            policy, s, waste, cap, runs, 0, period_ticks, events, out, wakes
-        )
+        s, waste, awake_total, catches_total, dark, wake_runs = _ctid_run(
+            policy, s, waste, cap, runs, 0, period_ticks, events)
     else:
         n_slots = period_ticks // slot_len
         # entry forcing rewrites the store at a slot start: a stop for the
@@ -391,8 +388,7 @@ def run_period(
         entry_slots = (
             tuple(sorted(t // slot_len for t in entry_ticks)) if entry_value is not None else ()
         )
-        inline = uniform and out is None
-        # the wake tick list, the end of an episode being recorded, its cap flag
+        # the wake tick list, the end of an episode being memoized, its cap flag
         woken, episode_end, full = wakes, None, False
         slot = 0
         while slot < n_slots:
@@ -402,11 +398,10 @@ def run_period(
                 nxt = min(nxt, _first_at_or_after(entry_slots, slot, n_slots))
             if nxt > slot:
                 if uniform:
-                    s, waste = _idle_run(s, waste, inc, cap, (nxt - slot) * slot_len, out)
+                    s, waste = _idle_run(s, waste, inc, cap, (nxt - slot) * slot_len)
                 else:
-                    s, waste = _bank(s, waste, cap, runs, slot * slot_len,
-                                     nxt * slot_len, out)
-                if out is not None:
+                    s, waste = _bank(s, waste, cap, runs, slot * slot_len, nxt * slot_len)
+                if record_ticks:
                     slot_info.extend(repeat((policy.current_phase, 0), nxt - slot))
                 slot = nxt
                 if slot == n_slots:
@@ -420,9 +415,10 @@ def run_period(
                 forced = min(entry_value, cap)
                 forced_delta += forced - s
                 s = forced
+                forced_at.append(base)
 
-            if inline and episode_end is None and (frozen := policy.episode_memo(slot, s)):
-                peak, memo = frozen
+            if (uniform and episode_end is None and (memo := policy.episode_memo) is not None
+                    and (peak := policy.episode_at(slot, s))):
                 end = slot + peak.n_steps
                 # no forcing inside; a trace source may be constant at another
                 # inflow in another period.  s is never -0.0 (0.0's key): forcing
@@ -435,35 +431,31 @@ def run_period(
                         awake_total += len(ticks)
                         catches_total += sum(map(events.__getitem__, ticks))
                         skipped += n_skipped
+                        if record_ticks:
+                            wakes.extend(ticks)
+                            slot_info.extend(zip(repeat(3), range(1, peak.n_steps + 1)))
                         slot = end
                         continue
                     episode_end, skipped_before, woken, full = end, skipped, [], False
 
             plan = policy.plan_slot(slot, s)
-            if out is not None:
+            if record_ticks:
                 slot_info.append((policy.current_phase, policy.current_step))
             slot_awake = 0
             slot_catches = 0
             if plan == BURST:
                 # drain while a wake-up can be funded; nothing is harvested
-                e = s
                 slot_awake, s = _draws(s, -1.0, slot_len)
                 slot_catches = events[base : base + slot_awake].count(1)
+                wake_runs.append(range(base, base + slot_awake))
                 dark.append((base, base + slot_len))
-                if out is not None:
-                    # replay the drain's draws for their post-tick values
-                    wakes.extend(range(base, base + slot_awake))
-                    for _ in range(slot_awake):
-                        e = max(0.0, e - WAKE_COST)
-                        out.append(e)
-                    out.extend(repeat(s, slot_len - slot_awake))
             else:
                 # each wake-up is followed by harvest-only ticks up to the
                 # next one or the slot end
                 done = base  # first tick not yet banked
                 for offset in (*plan, slot_len):
                     t = base + offset
-                    if t - done == 1 and inline:
+                    if t - done == 1 and uniform:
                         # the one harvest tick between consecutive wake-ups
                         room = cap - s
                         if inc > room:
@@ -475,10 +467,10 @@ def run_period(
                         done = t
                     elif t > done:
                         if uniform:
-                            s, waste = _idle_run(s, waste, inc, cap, t - done, out)
+                            s, waste = _idle_run(s, waste, inc, cap, t - done)
                             full |= s == cap
                         else:
-                            s, waste = _bank(s, waste, cap, runs, done, t, out)
+                            s, waste = _bank(s, waste, cap, runs, done, t)
                         done = t
                     if offset == slot_len:
                         break
@@ -496,9 +488,12 @@ def run_period(
             policy.on_slot_end(slot, slot_awake, slot_catches, s)
             slot += 1
             if slot == episode_end:
+                ticks = tuple(woken)
                 if not full:
-                    memo[key] = (tuple(woken), skipped - skipped_before, s)
-                episode_end = woken = None
+                    memo[key] = (ticks, skipped - skipped_before, s)
+                if record_ticks:
+                    wakes.extend(ticks)
+                episode_end, woken = None, wakes
 
     store.stored = s
     store.wasted_saturation = waste
@@ -509,11 +504,9 @@ def run_period(
         harvested = _harvest_sums(inc, period_ticks)[lit]
     else:
         harvested = _lit_total(inflows, dark)
-    ticks = None
-    if out is not None:
-        ticks = _tick_arrays(
-            policy, events, out, wakes, dark, inflows, inc, slot_info, slot_len
-        )
+    ticks = _tick_arrays(
+        policy, events, slot_len, slot_info, wakes, wake_runs, dark, forced_at, entry_value,
+        inflows, inc, cap, stored_start, s) if record_ticks else None
 
     return PeriodLog(
         period=period_index,
@@ -534,18 +527,18 @@ def run_period(
     )
 
 
-def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
-              t: int, end: int, events=b"", out=None, wakes=None):
+def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs, t: int, end: int,
+              events=b""):
     """CTID over ticks t..end-1 of the inflow `runs`: charge until the store
     holds `e_on`, then discharge -- harvest nothing and wake every
     `wake_interval` ticks from the flip -- until it falls to `e_off` or
     cannot fund a wake-up.  Since `e_on` is at least one wake cost, every
-    discharge wake-up is funded.  Without recording, a charge phase below
-    `e_on` is one sequential sum (`_charge_until`), kept in `charge_memo`
-    once it reaches `e_on`, and a discharge phase's wake-ups in the span are
-    one draw run (`_draws`) with a strided catch count.  Returns (s, waste,
-    awake, catches, dark spans), leaves the mode on the policy and, when
-    recording, lists the wake ticks in `wakes`.
+    discharge wake-up is funded.  Under one inflow that cannot saturate the
+    store below `e_on`, a charge phase is one sequential sum
+    (`_charge_until`), kept in `charge_memo` once it reaches `e_on`.  A
+    discharge phase's wake-ups in the span are one draw run (`_draws`) with a
+    strided catch count.  Returns (s, waste, awake, catches, dark spans, wake
+    ranges); the mode stays on the policy.
     """
     e_on = policy.cfg.e_on - DRAW_SLACK
     e_off = policy.cfg.e_off + DRAW_SLACK
@@ -556,9 +549,10 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
     inc = runs[0][2]
     # below e_on the store cannot saturate, so a charge phase is bare
     # additions up to the tick whose pre-tick check sees e_on
-    jump = out is None and len(runs) == 1 and not inc > cap - e_on
+    jump = len(runs) == 1 and not inc > cap - e_on
     awake = catches = 0
     dark = []
+    wakes = []
     dark_from = t
     while t < end:
         if discharging and (s <= e_off or s < draw_floor):
@@ -579,34 +573,26 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs,
                 t += n
                 continue
             else:
-                s, waste = _bank(s, waste, cap, runs, t, t + 1, out)
+                s, waste = _bank(s, waste, cap, runs, t, t + 1)
                 t += 1
                 continue
-        if out is None:
-            # the store, and so the stop rule, only changes at a wake-up: the
-            # phase's wake-ups in this span are one closed-form draw run,
-            # and it goes on at the tick after the wake-up that meets the rule
-            t += (start - t) % interval
-            if t < end:
-                s = s - WAKE_COST if s >= WAKE_COST else 0.0
-                k, s = _draws(s, e_off, (end - 1 - t) // interval)
-                stop = t + (k + 1) * interval
-                awake += k + 1
-                catches += events[t:stop:interval].count(1)
-                t = stop - interval + 1 if s <= e_off or s < draw_floor else end
-            continue
-        if (t - start) % interval == 0:
-            s = max(0.0, s - WAKE_COST)
-            awake += 1
-            catches += events[t]
-            wakes.append(t)
-        out.append(s)
-        t += 1
+        # the store, and so the stop rule, only changes at a wake-up: the
+        # phase's wake-ups in this span are one closed-form draw run, and it
+        # goes on at the tick after the wake-up that meets the rule
+        t += (start - t) % interval
+        if t < end:
+            s = s - WAKE_COST if s >= WAKE_COST else 0.0
+            k, s = _draws(s, e_off, (end - 1 - t) // interval)
+            stop = t + (k + 1) * interval
+            wakes.append(range(t, stop, interval))
+            awake += k + 1
+            catches += events[t:stop:interval].count(1)
+            t = stop - interval + 1 if s <= e_off or s < draw_floor else end
     if discharging:
         dark.append((dark_from, end))
     policy.discharging = discharging
     policy.discharge_start = start
-    return s, waste, awake, catches, dark
+    return s, waste, awake, catches, dark, wakes
 
 
 def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSource,
@@ -616,12 +602,10 @@ def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSourc
     intervals stay aligned to tick 0."""
     runs = [(-ticks, 0, source(0) * WAKE_COST / store.charging_ratio)]
     store.stored, store.wasted_saturation, *_ = _ctid_run(
-        policy, store.stored, store.wasted_saturation, store.capacity,
-        runs, -ticks, 0,
-    )
+        policy, store.stored, store.wasted_saturation, store.capacity, runs, -ticks, 0)
 
 
-def _idle_run(s: float, waste: float, inc: float, cap: float, n: int, out=None):
+def _idle_run(s: float, waste: float, inc: float, cap: float, n: int):
     """`n` harvest-only ticks at a constant inflow `inc`: the same result, bit
     for bit, as `n` rounds of the per-tick harvest clamp
 
@@ -636,19 +620,8 @@ def _idle_run(s: float, waste: float, inc: float, cap: float, n: int, out=None):
     `ACCUMULATE_MIN` ticks on, the pre-tick values come from
     `np.add.accumulate`, a sequential scan that does the loop's additions in
     the loop's order; a closed form (`s + n * inc`) or the pairwise `np.sum`
-    rounds differently.  With `out` (recording), the run steps that clamp
-    tick by tick and appends every post-tick value.  Returns (s, waste).
+    rounds differently.  Returns (s, waste).
     """
-    if out is not None:
-        for _ in repeat(None, n):
-            room = cap - s
-            if inc > room:
-                waste += inc - room
-                s = cap
-            else:
-                s += inc
-            out.append(s)
-        return s, waste
     if n <= 0:
         return s, waste
     if not inc > cap - s:
@@ -748,7 +721,7 @@ def _draws(s: float, lo: float, limit: int):
     return k, (s - k if k <= m else 0.0)
 
 
-def _bank(s: float, waste: float, cap: float, runs, a: int, b: int, out=None):
+def _bank(s: float, waste: float, cap: float, runs, a: int, b: int):
     """Harvest-only ticks a..b-1 over sorted, contiguous constant-inflow runs
     [(start, end, inc)].  Returns (s, waste)."""
     for i in range(bisect_right(runs, a, key=itemgetter(0)) - 1, len(runs)):
@@ -756,7 +729,7 @@ def _bank(s: float, waste: float, cap: float, runs, a: int, b: int, out=None):
         if start >= b:
             break
         n = (b if b < end else end) - (a if a > start else start)
-        s, waste = _idle_run(s, waste, inc, cap, n, out)
+        s, waste = _idle_run(s, waste, inc, cap, n)
     return s, waste
 
 
@@ -794,26 +767,61 @@ def _lit_total(inflows: list, dark: list) -> float:
     return total
 
 
-def _tick_arrays(policy, events, out, wakes, dark, inflows, inc, slot_info, slot_len):
-    """The per-tick arrays of one recorded period."""
+def _tick_arrays(policy, events, slot_len, slot_info, wakes, wake_runs, dark,
+                 forced_at, entry_value, inflows, inc, cap, s, end):
+    """The per-tick arrays of one recorded period, rebuilt from the kernel's
+    decisions.  `stored` replays from `s` per tick: forcing, draw, then the
+    harvest clamped at `cap` (0.0 on a dark tick).  A run of `ACCUMULATE_MIN`
+    or more ticks that neither force nor draw is one `np.add.accumulate` up
+    to its first clamp, and `cap` after it.  Raises RuntimeError unless the
+    replay ends at the kernel's `end`."""
     period_ticks = len(events)
     n_slots = period_ticks // slot_len
     awake = np.zeros(period_ticks, dtype=bool)
     awake[np.fromiter(wakes, np.intp)] = True
-    if inflows is None:
-        harvested = np.full(period_ticks, inc)
-    else:
-        harvested = np.array(inflows, dtype=np.float64)
+    for r in wake_runs:
+        awake[r.start : r.stop : r.step] = True
+    harvested = np.full(period_ticks, inc) if inflows is None else np.array(inflows)
     for a, b in dark:
         harvested[a:b] = 0.0
+    draws = awake if policy.draws_energy else np.zeros(period_ticks, dtype=bool)
+    acts = draws.copy()
+    acts[forced_at] = True
+    ends = np.append(np.flatnonzero(acts), period_ticks)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    runs = ends - starts >= ACCUMULATE_MIN
+    stops = sorted({*zip(starts[runs].tolist(), ends[runs].tolist()),
+                    *zip(forced_at, forced_at), (period_ticks, period_ticks)})
+    stored = np.empty(period_ticks)
+    t = 0
+    for a, b in stops:
+        out = []
+        for h, d in zip(harvested[t:a].tolist(), draws[t:a].tolist()):
+            if d:
+                s = s - WAKE_COST if s >= WAKE_COST else 0.0
+            s = cap if h > cap - s else s + h
+            out.append(s)
+        stored[t:a] = out
+        if a in forced_at:
+            s = min(entry_value, cap)
+        elif a < b:
+            pre = np.add.accumulate(np.concatenate(((s,), harvested[a:b])))
+            clamps = np.flatnonzero(harvested[a:b] > cap - pre[:-1])
+            i = clamps[0] if len(clamps) else b - a
+            stored[a : a + i] = pre[1 : i + 1]
+            stored[a + i : b] = cap
+            s = float(stored[b - 1])
+        t = b
+    if s != end:
+        raise RuntimeError(f"per-tick replay ends at {s!r}, the kernel at {end!r}")
     # GT and CTID keep one phase and step all period
     phase, step = zip(*(slot_info or [(policy.current_phase, policy.current_step)] * n_slots))
     return {
         "awake": awake,
-        "event": np.fromiter(events, bool, period_ticks),
-        "drawn": awake * WAKE_COST if policy.draws_energy else np.zeros(period_ticks),
+        "event": np.frombuffer(bytes(events), np.uint8).astype(bool),
+        "drawn": draws * WAKE_COST,
         "harvested": harvested,
-        "stored": np.fromiter(out, np.float64, period_ticks),
+        "stored": stored,
         "phase": np.repeat(np.array(phase, dtype=np.int8), slot_len),
         "slot": np.repeat(np.arange(n_slots, dtype=np.int16), slot_len),
         "step": np.repeat(np.array(step, dtype=np.int8), slot_len),

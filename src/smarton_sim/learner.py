@@ -253,9 +253,6 @@ class QTable:
     def get_state(self, level: int, step: int) -> int:
         return get_state(level, step, self.k, self.t)
 
-    def row(self, level: int, step: int) -> np.ndarray:
-        return self.values[self.get_state(level, step)]
-
     def record_episode(
         self, entry_level: int, max_change: float, entry_affordable=()
     ) -> None:

@@ -78,6 +78,7 @@ class BasePolicy:
     draws_energy = True
     current_phase = 0  # 0 = not a phased policy
     current_step = 0
+    episode_memo = None  # a dict while `episode_at` names episodes to replay
 
     def on_period_start(self, period: int) -> None:
         pass
@@ -88,9 +89,9 @@ class BasePolicy:
         The kernel banks the slots before it without calling either hook."""
         return slot
 
-    def episode_memo(self, slot: int, stored: float):
-        """(peak, memo) when the episode from `slot` is a pure function of
-        the peak, `stored` and the inflow: the kernel replays it from `memo`."""
+    def episode_at(self, slot: int, stored: float):
+        """The peak whose episode starts at `slot`, or None; asked while
+        `episode_memo` is set, when episodes are pure functions of their start."""
         return None
 
     def plan_slot(self, slot: int, stored: float):
@@ -184,7 +185,6 @@ class SmartOnPolicy(BasePolicy):
         self.phase1_stays: list[dict] = [{"entry": 1, "passes": 0, "profiles": 0}]
         self._peak_starts: dict[int, LearnedPeak] = {}
         self._active_slots: tuple[int, ...] = ()  # peak starts and probe slots
-        self._memo_stamp = None  # (phase-1 entries, phase-2 episodes) of _memo
 
     # -- helpers -----------------------------------------------------------
 
@@ -231,18 +231,19 @@ class SmartOnPolicy(BasePolicy):
             return self.ctx.profile.next_unvisited(slot)
         return _first_at_or_after(self._active_slots, slot, self.ctx.n_slots)
 
-    def episode_memo(self, slot: int, stored: float):
+    def _transition(self, observation) -> None:
+        phase_transition(self.ctx, observation)
         # phase 3 plans greedily on tables it never updates: an episode is a
-        # pure function of peak, entry energy and inflow until the stamp changes
+        # pure function of peak, entry energy and inflow for the whole stay
+        self.episode_memo = (self.episode_memo or {}) if self.ctx.phase == 3 else None
+
+    def episode_at(self, slot: int, stored: float):
         peak = self._peak_starts.get(slot)
-        if self.ctx.phase != 3 or self._episode is not None or peak is None:
+        if self._episode is not None or peak is None:
             return None
-        stamp = (self.ctx.phase1_entries, self.ctx.phase2_episodes)
-        if stamp != self._memo_stamp:
-            self._memo_stamp, self._memo = stamp, {}
         # the one side effect of a replayed episode, as `_begin_episode` sets it
         self._last_entry_level[peak.shape] = self._quantize(stored)
-        return peak, self._memo
+        return peak
 
     def plan_slot(self, slot: int, stored: float):
         self.current_step = 0
@@ -324,7 +325,7 @@ class SmartOnPolicy(BasePolicy):
                 LearnedPeak(start, shape)
                 for start, shape in find_peaks(ctx.profile.counts, self.cfg)
             )
-            phase_transition(ctx, ProfileConverged(peaks, self._hint(stored)))
+            self._transition(ProfileConverged(peaks, self._hint(stored)))
             self._refresh_peaks()
         else:
             ctx.profile.finish_run()
@@ -398,7 +399,7 @@ class SmartOnPolicy(BasePolicy):
             and not self.explore_forever
             and self._all_current_partitions_converged()
         ):
-            phase_transition(self.ctx, PartitionConvergedObs(table.shape, level))
+            self._transition(PartitionConvergedObs(table.shape, level))
 
     def _all_current_partitions_converged(self) -> bool:
         for peak in self.ctx.known_peaks:
@@ -418,12 +419,12 @@ class SmartOnPolicy(BasePolicy):
             self.phase1_stays[-1]["passes"] += 1
         if ctx.phase == 3:
             if self._probe_catches >= self.cfg.probe_trigger:
-                phase_transition(ctx, ProbeCaught(self._probe_catches))
+                self._transition(ProbeCaught(self._probe_catches))
                 self.phase1_stays.append(
                     {"entry": ctx.phase1_entries, "passes": 0, "profiles": 0}
                 )
             else:
-                phase_transition(ctx, ProbeQuiet())
+                self._transition(ProbeQuiet())
 
 
 class CtidProPolicy(BasePolicy):

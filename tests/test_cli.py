@@ -107,6 +107,34 @@ class TestSimulate:
         assert main(["simulate", "--config", config]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["smarton", "ctid", "gt"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read source trace"),
+            ("1.0\nabc\n", "line 2"),
+            ("1.0\n-2\n", "line 2"),
+            ("0.5\nnan\n", "line 2"),
+            ("inf\n", "line 1"),
+            ("1.0\n\n1e309\n", "line 3"),
+        ],
+        ids=["missing", "not-a-number", "negative", "nan", "inf", "overflow"],
+    )
+    def test_bad_trace_source_exits_2_before_any_output(
+        self, tmp_path, capsys, text, message, policy
+    ):
+        trace = tmp_path / "source.txt"
+        if text is not None:
+            trace.write_text(text, encoding="utf-8")
+        config = write_config(
+            tmp_path, f"[run]\nn_periods = 3\n[energy]\nsource = trace:{trace}\n"
+                      f"[policy]\npolicy = {policy}\n"
+        )
+        out_dir = tmp_path / "results"
+        assert main(["simulate", "--config", config, "--out", str(out_dir)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_config_exits_2(self, capsys):
         assert main(["simulate", "--config", "/does/not/exist.ini"]) == 2
 
@@ -238,8 +266,8 @@ def test_process_exit_status(tmp_path):
 
 # Boundary values for every SCHEMA key: negative, zero, at and past each
 # bound, huge, non-finite and malformed.  Sizes stay small: at most 3
-# periods, and no value builds a large table, trace or sweep.  A trace
-# source with a real path is left out: a missing file is a runtime error.
+# periods, and no value builds a large table, trace or sweep.  The trace
+# source names a file that does not exist.
 BOUNDARY = {
     ("run", "name"): ["fuzz", "a,b", ""],
     ("run", "n_periods"): ["-1", "0", "1", "3", "3.0", "x"],
@@ -262,7 +290,8 @@ BOUNDARY = {
     ("pattern", "peak_max_duration"): ["-1", "0", "29", "30", "90", "120", "100000", "x"],
     ("energy", "capacity"): ["-1", "0", "1e-300", "0.5", "1", "120", "1e300", "nan", "inf", "x"],
     ("energy", "charging_ratio"): ["-1", "0", "1e-300", "1", "8.5", "1e300", "nan", "-inf", "x"],
-    ("energy", "source"): ["constant", "diurnal", "trace", "solar", ""],
+    ("energy", "source"): ["constant", "diurnal", "trace", "trace:no-such-source.txt",
+                           "solar", ""],
     ("energy", "source_level"): ["-1", "0", "1e-300", "1", "1e300", "nan", "inf", "x"],
     ("energy", "gate_in_peaks"): ["true", "false", "x"],
     ("learner", "alpha"): ["-0.5", "0", "1e-300", "1", "1.5", "nan", "x"],

@@ -377,15 +377,17 @@ class TestSteadyStateReplay:
     # loose enough that phase 3 starts by period ~60 on fresh events
     QUICK = LearnerConfig(convergence_epsilon=100.0)
 
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
     @pytest.mark.parametrize("entry", [1, 4])
-    def test_fresh_events_in_every_period_match_oracle(self, entry, monkeypatch):
+    def test_fresh_events_in_every_period_match_oracle(self, entry, record_level, monkeypatch):
         config = base_config(n_periods=150, repeat_first_period=False, entry_level=entry,
-                             learner=self.QUICK)
+                             learner=self.QUICK, record_level=record_level)
         planned = phase3_plans(monkeypatch)
         kernel = run_experiment(config)
         phase3 = [p for p, phase in enumerate(kernel.phase_timeline) if phase == 3]
         assert len(phase3) > 50
-        # one key, planned once and replayed while the catches change
+        # one key, planned once and replayed while the catches change, and
+        # recorded runs replay it too
         assert set(planned) == {phase3[0]}
         assert len({kernel.periods[p].catches for p in phase3}) > 5
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
