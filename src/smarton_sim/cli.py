@@ -16,8 +16,8 @@ import os
 import sys
 
 from .engine import POLICY_NAMES, compute_metrics, run_experiment
-from .reports import PLOT_IDS, UnknownPlot, emit_csv, emit_plot_data, run_sweep
-from .scenario import PRESETS, ScenarioError, build_sim_config, load_scenario, parse_config
+from .reports import PLOT_IDS, UnknownPlot, emit_csv, emit_plot_data, record_experiment, run_sweep
+from .scenario import PRESETS, RunKey, ScenarioError, build_sim_config, load_scenario, parse_config
 
 ENV_SEED = "SMARTON_SIM_SEED"
 
@@ -80,26 +80,7 @@ def cmd_simulate(args) -> int:
         f"awake_ticks={metrics.awake_ticks} event_ticks={metrics.event_ticks}"
     )
     if args.out:
-        from .reports import RunRecord, _period_rows
-        from .scenario import RunKey
-
-        key = RunKey(
-            policy=config.policy,
-            event_type=config.pattern.peaks[0].shape_name,
-            entry_level=config.entry_level,
-            state_duration=config.learner.state_duration,
-            charging_ratio=config.charging_ratio,
-            seed=config.seed,
-        )
-        record = RunRecord(
-            key=key,
-            scenario=scenario.name,
-            periods=_period_rows(result),
-            level_rows=[],
-            phase1_passes=(
-                result.phase1_stays[0]["passes"] if result.phase1_stays else None
-            ),
-        )
+        record = record_experiment(RunKey.of(config), result, scenario.name)
         paths = emit_csv([record], args.out, measure_from=config.measure_from)
         print("  wrote " + ", ".join(paths))
     return 0

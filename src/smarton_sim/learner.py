@@ -334,22 +334,19 @@ def choose_action(table: QTable, state: int, phase: int, affordable, stream) -> 
     raise ValueError(f"no action policy for phase {phase}")
 
 
-def partition_converged(
-    table: QTable, entry_level: int, cfg: LearnerConfig, min_episodes: int | None = None
-) -> bool:
+def partition_converged(table: QTable, entry_level: int, cfg: LearnerConfig) -> bool:
     """True when the last convergence_window episodes entered at entry_level
     each kept their tracked updates within convergence_epsilon, after at
-    least `min_episodes` episodes at that level (defaults to window *
-    |actions affordable at the level midpoint|, a floor that guarantees the
-    entry row's actions were each explored several times)."""
+    least 2 * window * |actions affordable at that entry| episodes at that
+    level, a floor that guarantees the entry row's actions were each
+    explored several times."""
     changes = table.episode_changes.get(entry_level, [])
-    if min_episodes is None:
-        # two windows per action affordable at this entry: random exploration
-        # then needs ~2*window visits per first-step action before the entry
-        # row can latch, which keeps the downstream rows it bootstraps from
-        # out of their cold-start regime
-        n_affordable = len(table.entry_affordable.get(entry_level, cfg.frequencies))
-        min_episodes = 2 * cfg.convergence_window * n_affordable
+    # two windows per action affordable at this entry: random exploration
+    # then needs ~2*window visits per first-step action before the entry
+    # row can latch, which keeps the downstream rows it bootstraps from
+    # out of their cold-start regime
+    n_affordable = len(table.entry_affordable.get(entry_level, cfg.frequencies))
+    min_episodes = 2 * cfg.convergence_window * n_affordable
     if len(changes) < max(cfg.convergence_window, min_episodes):
         return False
     return all(c <= cfg.convergence_epsilon for c in changes[-cfg.convergence_window:])
@@ -413,10 +410,8 @@ class PhaseContext:
         self.profile = SlotProfile(n_slots)
         self.tables: dict[str, QTable] = {}
         self.known_peaks: tuple[LearnedPeak, ...] = ()
-        self.phase1_passes = 0
         self.profiles_completed = 0
         self.phase1_entries = 1
-        self.phase2_episodes = 0
 
     def table_for(self, shape: str) -> QTable:
         """The shape's table, zero-initialized on first encounter."""

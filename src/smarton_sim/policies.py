@@ -377,7 +377,6 @@ class SmartOnPolicy(BasePolicy):
         table = ep["table"]
         level = ep["entry_level"]
         table.record_episode(level, ep["max_change"], ep["entry_affordable"])
-        self.ctx.phase2_episodes += 1
         self.episodes.append(
             {
                 "shape": table.shape,
@@ -415,7 +414,6 @@ class SmartOnPolicy(BasePolicy):
         # against the phase the period started in so a mid-period transition
         # still credits the completed pass
         if self._phase_at_period_start == 1:
-            ctx.phase1_passes += 1
             self.phase1_stays[-1]["passes"] += 1
         if ctx.phase == 3:
             if self._probe_catches >= self.cfg.probe_trigger:

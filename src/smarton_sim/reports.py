@@ -12,12 +12,12 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .engine import convergence_stats, run_experiment, run_partition_study
 from .rng import Stream
-from .scenario import RunKey, Scenario, _parse_axis, build_sim_config, expand_sweep
+from .scenario import RunKey, Scenario, expand_sweep
 
 PLOT_IDS = (
     "conv-vs-ratio",
@@ -38,22 +38,9 @@ class RunRecord:
     study: dict | None = None  # first_at / all_at for partition studies
 
 
-def _period_rows(result) -> list:
-    return [
-        (
-            p.period,
-            p.phase_start,
-            p.catches,
-            p.misses,
-            p.awake_ticks,
-            p.event_ticks,
-        )
-        for p in result.periods
-    ]
-
-
-def _record_experiment(key: RunKey, config, scenario_name: str) -> RunRecord:
-    result = run_experiment(config)
+def record_experiment(key: RunKey, result, scenario_name: str) -> RunRecord:
+    """The record of a finished `run_experiment`, as sweeps and `simulate
+    --out` write it."""
     stats = convergence_stats(result)
     level_rows = [
         {
@@ -67,7 +54,10 @@ def _record_experiment(key: RunKey, config, scenario_name: str) -> RunRecord:
     return RunRecord(
         key=key,
         scenario=scenario_name,
-        periods=_period_rows(result),
+        periods=[
+            (p.period, p.phase_start, p.catches, p.misses, p.awake_ticks, p.event_ticks)
+            for p in result.periods
+        ],
         level_rows=level_rows,
         phase1_passes=passes,
     )
@@ -102,39 +92,24 @@ def _run_one(args):
     key, config, scenario_name, study = args
     if study:
         return _record_study(key, config, scenario_name)
-    return _record_experiment(key, config, scenario_name)
+    return record_experiment(key, run_experiment(config), scenario_name)
 
 
 def run_sweep(scenario: Scenario, jobs: int = 1) -> list[RunRecord]:
-    """Execute every run of the scenario; order of records is deterministic.
-    With `jobs` > 1 the runs go to a pool of at most one worker per run.
+    """Execute every run of `expand_sweep(scenario)`, as partition studies
+    when the scenario names one; order of records is deterministic.  With
+    `jobs` > 1 the runs go to a pool of at most one worker per run.
 
     When state_duration is swept, each run's scenario label carries a
     `/d<duration>` suffix so that metrics.csv rows (whose schema has no
     duration column) stay distinguishable.
     """
-    if scenario.study is not None:
-        base = build_sim_config(scenario)
-        runs = []
-        seeds = _parse_axis(scenario.values, "seeds") or [base.seed]
-        for seed in seeds:
-            key = RunKey(
-                policy="smarton",
-                event_type="type1",
-                entry_level=None,
-                state_duration=base.learner.state_duration,
-                charging_ratio=base.charging_ratio,
-                seed=seed,
-            )
-            runs.append((key, dc_replace(base, seed=seed), scenario.name, True))
-    else:
-        multi_duration = len(_parse_axis(scenario.values, "state_duration")) > 1
-        runs = []
-        for key, config in expand_sweep(scenario):
-            label = scenario.name
-            if multi_duration:
-                label = f"{scenario.name}/d{key.state_duration}"
-            runs.append((key, config, label, False))
+    multi_duration = len(scenario.axis("state_duration")) > 1
+    study = scenario.study is not None
+    runs = []
+    for key, config in expand_sweep(scenario):
+        label = f"{scenario.name}/d{key.state_duration}" if multi_duration else scenario.name
+        runs.append((key, config, label, study))
     # more workers than runs would only idle
     jobs = min(jobs, len(runs))
     if jobs > 1:

@@ -3,8 +3,10 @@
 A scenario is a flat parameter set over six sections ([run], [pattern],
 [energy], [learner], [policy], [sweep]) with every default pre-filled, so an
 empty file is a valid scenario.  Unknown sections or keys are hard errors.
-Sweep axes expand into a cross product of runs keyed by
-(policy, event_type, entry_level, state_duration, charging_ratio, seed).
+Sweep axes expand into a cross product of runs; `expand_sweep` is the only
+expansion, for plain sweeps and the partition-study presets alike.  Each
+run's key (policy, event_type, entry_level, state_duration, charging_ratio,
+seed) is read off its built config by `RunKey.of`.
 
 This layer only parses (syntax, finite numbers).  Each range rule lives in
 the type that owns the field (`build_pattern`, `LearnerConfig`, `CtidConfig`,
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace as dc_replace
 
@@ -122,6 +125,17 @@ SCHEMA = {
 }
 
 
+# [sweep] axis -> (parser, the scenario value it sets), in expansion order
+_AXES = {
+    "policy": (str, ("policy", "policy")),
+    "event_type": (str, ("pattern", "peaks")),
+    "entry_level": (int, ("run", "entry_level")),
+    "state_duration": (int, ("learner", "state_duration")),
+    "charging_ratio": (_finite, ("energy", "charging_ratio")),
+    "seeds": (int, ("run", "seed")),
+}
+
+
 @dataclass
 class Scenario:
     values: dict  # {(section, key): parsed value}
@@ -139,6 +153,21 @@ class Scenario:
         values = dict(self.values)
         values[(section, key)] = value
         return dc_replace(self, values=values)
+
+    def axis(self, name: str) -> list:
+        """The [sweep] axis `name`: a comma list, or an `a:b` half-open
+        integer range; empty when the axis is not set."""
+        text = self.values[("sweep", name)].strip()
+        if not text:
+            return []
+        parse = _AXES[name][0]
+        try:
+            if ":" in text and parse is int:
+                a, _, b = text.partition(":")
+                return list(range(int(a), int(b)))
+            return [parse(x.strip()) for x in text.split(",")]
+        except ValueError as exc:
+            raise ScenarioError(f"[sweep] bad axis {name} = {text!r}: {exc}") from None
 
 
 def default_scenario() -> Scenario:
@@ -184,7 +213,13 @@ def parse_config(path) -> Scenario:
 
 
 def write_config(scenario: Scenario) -> str:
-    """Serialize a scenario to INI text; parse_config inverts this."""
+    """Serialize a scenario to INI text; parse_config inverts this.  A study
+    or a pattern schedule has no INI key, so such a scenario is refused."""
+    for what, value in (("study", scenario.study), ("schedule", scenario.schedule)):
+        if value:
+            raise ScenarioError(
+                f"scenario {scenario.name!r} has a {what}, which an INI file cannot hold"
+            )
     out = io.StringIO()
     for section, keys in SCHEMA.items():
         out.write(f"[{section}]\n")
@@ -229,21 +264,6 @@ def _parse_peaks(text: str) -> list[tuple[str, int]]:
     if not peaks:
         raise ScenarioError("[pattern] at least one peak is required")
     return peaks
-
-
-def _parse_axis(values: dict, key: str, parse=int) -> list:
-    """The [sweep] axis `key`: a comma list, or an `a:b` half-open integer
-    range."""
-    text = values[("sweep", key)].strip()
-    if not text:
-        return []
-    try:
-        if ":" in text and parse is int:
-            a, _, b = text.partition(":")
-            return list(range(int(a), int(b)))
-        return [parse(x.strip()) for x in text.split(",")]
-    except ValueError as exc:
-        raise ScenarioError(f"[sweep] bad axis {key} = {text!r}: {exc}") from None
 
 
 def _learner_duration(v: dict) -> int:
@@ -319,6 +339,8 @@ def build_sim_config(scenario: Scenario) -> SimConfig:
 
 @dataclass(frozen=True)
 class RunKey:
+    """The sweep cell a run belongs to; it labels the run's CSV rows."""
+
     policy: str
     event_type: str
     entry_level: int | None
@@ -326,44 +348,37 @@ class RunKey:
     charging_ratio: float
     seed: int
 
+    @classmethod
+    def of(cls, config: SimConfig) -> "RunKey":
+        """The key of a run of `config`; event_type is the shape of the
+        pattern's first peak."""
+        return cls(
+            policy=config.policy,
+            event_type=config.pattern.peaks[0].shape_name,
+            entry_level=config.entry_level,
+            state_duration=config.learner.state_duration,
+            charging_ratio=config.charging_ratio,
+            seed=config.seed,
+        )
+
 
 def expand_sweep(scenario: Scenario) -> list[tuple[RunKey, SimConfig]]:
-    """Cross product of the sweep axes; empty axes pin the base value."""
-    v = scenario.values
-    ratios = _parse_axis(v, "charging_ratio", _finite) or [v[("energy", "charging_ratio")]]
-    levels = _parse_axis(v, "entry_level") or [v[("run", "entry_level")]]
-    base_peaks = _parse_peaks(v[("pattern", "peaks")])
-    types = _parse_axis(v, "event_type", str) or [base_peaks[0][0]]
-    durations = _parse_axis(v, "state_duration") or [_learner_duration(v)]
-    policies = _parse_axis(v, "policy", str) or [v[("policy", "policy")]]
-    seeds = _parse_axis(v, "seeds") or [v[("run", "seed")]]
+    """Cross product of the sweep axes; an empty axis pins the base value.
 
+    The scenario's peaks are kept unless the event_type axis is set, which
+    gives every peak the axis's shape at its own slot.  Every config is built,
+    and so checked, before any run starts."""
+    choices = []
+    for name, (_, target) in _AXES.items():
+        values = scenario.axis(name)
+        if name == "event_type" and values:
+            slots = [slot for _, slot in _parse_peaks(scenario[target])]
+            values = [",".join(f"{shape}@{slot}" for slot in slots) for shape in values]
+        choices.append([(target, v) for v in values] or [(target, scenario[target])])
     runs = []
-    for policy in policies:
-        for event_type in types:
-            for level in levels:
-                for duration in durations:
-                    for ratio in ratios:
-                        for seed in seeds:
-                            sc = scenario
-                            sc = sc.with_value("policy", "policy", policy)
-                            peaks = ",".join(
-                                f"{event_type}@{slot}" for _, slot in base_peaks
-                            )
-                            sc = sc.with_value("pattern", "peaks", peaks)
-                            sc = sc.with_value("run", "entry_level", level)
-                            sc = sc.with_value("learner", "state_duration", duration)
-                            sc = sc.with_value("energy", "charging_ratio", ratio)
-                            sc = sc.with_value("run", "seed", seed)
-                            key = RunKey(
-                                policy=policy,
-                                event_type=event_type,
-                                entry_level=level,
-                                state_duration=duration,
-                                charging_ratio=ratio,
-                                seed=seed,
-                            )
-                            runs.append((key, build_sim_config(sc)))
+    for cell in itertools.product(*choices):
+        config = build_sim_config(dc_replace(scenario, values={**scenario.values, **dict(cell)}))
+        runs.append((RunKey.of(config), config))
     return runs
 
 

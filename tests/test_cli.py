@@ -54,6 +54,19 @@ class TestSimulate:
         assert (out_dir / "metrics.csv").exists()
         assert (out_dir / "timeline.csv").exists()
 
+    def test_out_dir_writes_what_a_one_run_sweep_writes(self, tmp_path, capsys):
+        # long enough for the entry level's partition to converge, which
+        # adds a row to convergence.csv
+        config = write_config(
+            tmp_path, "[run]\nn_periods = 200\nentry_level = 4\nrepeat_events = true\n"
+        )
+        simulated, swept = tmp_path / "simulate", tmp_path / "sweep"
+        assert main(["simulate", "--config", config, "--out", str(simulated)]) == 0
+        assert main(["sweep", "--scenario", config, "--out", str(swept)]) == 0
+        assert "4,1,43,," in (swept / "convergence.csv").read_text(encoding="utf-8")
+        for name in ("metrics.csv", "convergence.csv", "timeline.csv", "manifest.json"):
+            assert (simulated / name).read_bytes() == (swept / name).read_bytes(), name
+
     def test_validation_error_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, "[learner]\nalpha = 1.5\n")
         assert main(["simulate", "--config", config]) == 2

@@ -4,6 +4,7 @@ import pytest
 
 from smarton_sim.scenario import (
     PRESETS,
+    RunKey,
     Scenario,
     ScenarioError,
     build_sim_config,
@@ -96,6 +97,19 @@ class TestRoundTrip:
         path = write(tmp_path, write_config(scenario))
         assert parse_config(path).values == scenario.values
 
+    @pytest.mark.parametrize("name", ["conv-per-entry", "learning-order", "adaptation"])
+    def test_study_and_schedule_presets_are_refused(self, name):
+        # a study or schedule has no INI key; writing the rest would run as
+        # a plain experiment
+        what = "schedule" if name == "adaptation" else "study"
+        with pytest.raises(ScenarioError, match=what):
+            write_config(PRESETS[name]())
+
+    @pytest.mark.parametrize("name", ["fig-perf", "conv-vs-ratio", "state-duration"])
+    def test_preset_round_trip(self, tmp_path, name):
+        scenario = PRESETS[name]()
+        assert parse_config(write(tmp_path, write_config(scenario))) == scenario
+
 
 class TestSweep:
     def test_fig_perf_cardinality(self):
@@ -127,14 +141,40 @@ class TestSweep:
             assert config.learner.state_duration == key.state_duration
             assert config.pattern.state_duration == 30  # the world is fixed
 
+    def test_peaks_kept_without_event_type_axis(self):
+        scenario = default_scenario().with_value("pattern", "peaks", "type1@10,type3@25")
+        [(key, config)] = expand_sweep(scenario)
+        assert [p.shape_name for p in config.pattern.peaks] == ["type1", "type3"]
+        assert key.event_type == "type1"
+
+    def test_event_type_axis_gives_every_peak_its_shape(self):
+        scenario = default_scenario().with_value("pattern", "peaks", "type1@10,type3@25")
+        scenario = scenario.with_value("sweep", "event_type", "type2")
+        [(key, config)] = expand_sweep(scenario)
+        assert [(p.shape_name, p.start_slot) for p in config.pattern.peaks] == [
+            ("type2", 10), ("type2", 25)
+        ]
+        assert key.event_type == "type2"
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_keys_are_read_off_their_configs(self, name):
+        scenario = PRESETS[name]()
+        runs = expand_sweep(scenario)
+        for key, config in runs:
+            assert key == RunKey.of(config)
+        if scenario.study is not None:
+            seeds = range(20 if name == "learning-order" else 10)
+            assert [key for key, _ in runs] == [
+                RunKey("smarton", "type1", None, 30, 9.0, seed) for seed in seeds
+            ]
+
 
 class TestPresets:
     def test_all_presets_build(self):
         for name, build in PRESETS.items():
             scenario = build()
             assert scenario.name == name
-            if scenario.study is None:
-                assert expand_sweep(scenario)
+            assert expand_sweep(scenario)
 
     def test_load_scenario_by_name_and_path(self, tmp_path):
         assert load_scenario("fig-perf").name == "fig-perf"
