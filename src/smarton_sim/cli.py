@@ -81,7 +81,7 @@ def cmd_simulate(args) -> int:
     )
     if args.out:
         record = record_experiment(RunKey.of(config), result, scenario.name)
-        paths = emit_csv([record], args.out, measure_from=config.measure_from)
+        paths = emit_csv([record], args.out, config.measure_from, scenario.name)
         print("  wrote " + ", ".join(paths))
     return 0
 
@@ -93,7 +93,7 @@ def cmd_sweep(args) -> int:
     scenario = _apply_seed_env(scenario)
     records = run_sweep(scenario, jobs=args.jobs)
     measure_from = scenario.values[("run", "measure_from")]
-    paths = emit_csv(records, args.out, measure_from=measure_from)
+    paths = emit_csv(records, args.out, measure_from, scenario.name)
     print(f"{scenario.name}: {len(records)} runs -> " + ", ".join(paths))
     return 0
 

@@ -10,11 +10,13 @@ Periods repeat until the period cap or a stop rule.
 One event-driven kernel (`run_period`) implements these semantics for every
 policy and harvest source.  It jumps from one decision to the next -- slots
 the policy's look-ahead names as able to act, wake-ups, CTID mode flips --
-and covers the harvest-only ticks between them with the same float
-additions, in the same order, as stepping every tick through the store
-would.  Events arrive as a 0/1 byte string per period.  Per-tick
-recording takes the same path and replays the kernel's decisions into
-per-tick arrays (`_tick_arrays`), so it cannot change a number.
+and covers the harvest-only ticks between them with the float results of
+stepping every tick through the store, summed one binade at a time: inside
+[b, 2b) every float shares one grid, so repeated additions of one inflow
+step by one exact constant (`_add_below`).  Events arrive as a 0/1 byte
+string per period.  Per-tick recording takes the same path and replays the
+kernel's decisions into per-tick arrays (`_tick_arrays`), so it cannot
+change a number.
 
 Within a run, a phase-3 episode of the learning policy (`episode_memo`) and
 a CTID charge phase are computed once per start and then replayed, with
@@ -31,6 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import lru_cache
 from itertools import repeat
+from math import frexp, inf, ldexp, nextafter
 from operator import itemgetter
 
 import numpy as np
@@ -68,10 +71,9 @@ FORCED_POLICIES = ("smarton", "ctidpro")
 # periods of 1,200 ticks and warms up in well under a second.
 MAX_JITTER_CYCLE = 10_000_000
 
-# Harvest runs of at least this many ticks are summed by `np.add.accumulate`
-# (below it a Python loop is faster), in blocks of at most ACCUMULATE_BLOCK.
+# Shorter harvest runs add in a plain Python loop; longer ones are summed in
+# closed form, or by `np.add.accumulate` when recording per tick.
 ACCUMULATE_MIN = 64
-ACCUMULATE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -320,7 +322,7 @@ def run_period(
     the store only harvests, and an idle run of `n` ticks at one inflow is
     `n` additions of `inc` -- the very float operations of a per-tick loop
     in the same order, because every later decision reads the stored
-    energy; long runs are summed by the sequential scan `np.add.accumulate`
+    energy; long runs and runs that clamp are summed one binade at a time
     (see `_idle_run`).  Saturation is monotone in the stored energy, so one
     check of the run's last pre-tick value shows whether any tick clamped.
     The single harvest tick between two wake-ups one tick apart is the
@@ -534,8 +536,8 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs, t: i
     `wake_interval` ticks from the flip -- until it falls to `e_off` or
     cannot fund a wake-up.  Since `e_on` is at least one wake cost, every
     discharge wake-up is funded.  Under one inflow that cannot saturate the
-    store below `e_on`, a charge phase is one sequential sum
-    (`_charge_until`), kept in `charge_memo` once it reaches `e_on`.  A
+    store below `e_on`, a charge phase is one sum in closed form
+    (`_add_below`), kept in `charge_memo` once it reaches `e_on`.  A
     discharge phase's wake-ups in the span are one draw run (`_draws`) with a
     strided catch count.  Returns (s, waste, awake, catches, dark spans, wake
     ranges); the mode stays on the policy.
@@ -566,7 +568,7 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs, t: i
                 key = (s, inc, e_on)
                 charge = policy.charge_memo.get(key)
                 if charge is None or charge[1] > end - t:  # a hit must fit the span
-                    charge = _charge_until(s, inc, e_on, end - t)
+                    charge = _add_below(s, inc, e_on, end - t)
                     if charge[0] >= e_on:
                         policy.charge_memo[key] = charge
                 s, n = charge
@@ -613,80 +615,97 @@ def _idle_run(s: float, waste: float, inc: float, cap: float, n: int):
         if inc > room: waste += inc - room; s = cap
         else: s += inc
 
-    Saturation is monotone in `s`: if the last tick's pre-tick value does not
-    clamp, no earlier one did, and the run is `n` bare additions.  Otherwise
-    the run goes on from its first clamp, after which `s` sits at `cap`,
-    every room is 0.0 and every tick wastes exactly `inc`.  From
-    `ACCUMULATE_MIN` ticks on, the pre-tick values come from
-    `np.add.accumulate`, a sequential scan that does the loop's additions in
-    the loop's order; a closed form (`s + n * inc`) or the pairwise `np.sum`
-    rounds differently.  Returns (s, waste).
+    The clamp is monotone in `s`.  So the run adds while `s` stays below
+    `level`, the least float that clamps, then clamps once, after which `s`
+    sits at `cap`, every room is 0.0 and every tick wastes exactly `inc`.
+    `level` lies where the exact `cap - s` passes the midpoint between `inc`
+    and the float below it; rounded, it is settled by the clamp's own
+    comparison on its float neighbours.  A run shorter than `ACCUMULATE_MIN`
+    whose last pre-tick value does not clamp adds in a plain loop; the rest
+    sum both stretches with `_add_below`, one binade at a time.  `s + n * inc`
+    or a pairwise sum rounds differently.  Returns (s, waste).
     """
     if n <= 0:
         return s, waste
-    if not inc > cap - s:
-        if n >= ACCUMULATE_MIN:
-            pre = np.empty(n)
-            pre.fill(inc)
-            pre[0] = s
-            pre = np.add.accumulate(pre)  # the pre-tick value of every tick
-            if not inc > cap - pre[-1]:
-                return float(pre[-1] + inc), waste
-            i = int(np.argmax(inc > cap - pre))  # the first tick that clamps
-            s, n = float(pre[i]), n - i
-        else:
-            e = s
-            for _ in repeat(None, n - 1):
-                e += inc
-            if not inc > cap - e:
-                return e + inc, waste
-    for left in range(n - 1, -1, -1):
-        room = cap - s
-        if inc > room:
-            return cap, _add_repeated(waste + (inc - room), inc, left)
-        s += inc
-    return s, waste
+    if n < ACCUMULATE_MIN and not inc > cap - s:
+        e = s
+        for _ in repeat(None, n - 1):
+            e += inc
+        if not inc > cap - e:
+            return e + inc, waste
+    level = (cap - inc) + (inc - nextafter(inc, -inf)) / 2
+    while inc > cap - level:
+        level = nextafter(level, -inf)
+    while level < inf and not inc > cap - level:
+        level = nextafter(level, inf)
+    s, k = _add_below(s, inc, level, n)
+    if k == n:
+        return s, waste
+    return cap, _add_below(waste + (inc - (cap - s)), inc, inf, n - k - 1)[0]
 
 
-def _add_repeated(x: float, inc: float, n: int) -> float:
-    """`x + inc + ... + inc`: `n` additions in order, as a Python float.
-    Long runs are scanned by `np.add.accumulate` in blocks, which bounds the
-    memory a long CTID warm-up charge needs.
+def _add_below(x: float, inc: float, level: float, limit: int):
+    """Add `inc` to `x` while the sum is below `level`, at most `limit` times,
+    for x, inc >= 0.  Returns (x, additions): bit for bit the result of
+
+        k = 0
+        while k < limit and x < level: x += inc; k += 1
+
+    in O(binades) instead of O(additions).  Inside one binade [b, 2b) every
+    float is a multiple of one ulp `u`, so from a sum `x` in it an addition
+    rounds `x + inc` to `x` plus a multiple of `u` (Sterbenz; Goldberg
+    1991), the same multiple each time -- unless `inc / u` is a half-integer:
+    then every sum is a tie, round-half-even picks the even neighbour, and
+    the step depends on the parity of `x`.  One addition from a pre-value in
+    the binade leaves `x` even, and constant steps keep it even.  So once a
+    sum and its pre-value share a binade, each next addition adds
+    `d = (x + inc) - x`, exact by Sterbenz as x <= x + inc <= 2x, and `m` of
+    them, with every pre-value below `level` and every sum below `2b`, are
+    the exact float `x + m * d`.  The sum adds one `inc` at a time until it
+    reaches `16 * inc`, so that each later binade holds at least eight
+    additions, and after each jump for the one or two additions that enter
+    the next binade.  `d == 0.0` means `inc` is at most half an ulp of `x`:
+    no addition changes the sum again.  The room to `2b` is `b - (x - b)`,
+    exact in the binade and finite in the top one, where `2b` overflows.
     """
-    if n < ACCUMULATE_MIN:
-        for _ in repeat(None, n):
-            x += inc
-        return x
-    block = np.empty(min(n, ACCUMULATE_BLOCK) + 1)
-    block.fill(inc)
-    while n > 0:
-        k = min(n, ACCUMULATE_BLOCK)
-        block[0] = x
-        x = float(np.add.accumulate(block[: k + 1])[-1])
-        n -= k
-    return x
-
-
-def _charge_until(s: float, inc: float, level: float, limit: int):
-    """Charge by `inc` per tick while the pre-tick value is below `level`, for
-    at most `limit` ticks; the caller guarantees no tick can clamp.  Returns
-    (s, ticks charged).  The additions are the per-tick ones: a conservative
-    estimate of the ticks that stay below `level` runs as one sequential sum
-    (`_add_repeated`), checked once at its end, and the last few ticks
-    compare one by one.
-    """
-    n = 0
-    if inc > 0.0:
-        q = (level - s) / inc
-        m = limit if q > limit + 1 else int(q) - 1
+    k = 0
+    floor = 16.0 * inc
+    while k < limit and x < level and not x >= floor:
+        x += inc
+        k += 1
+    if not (k < limit and x < level):
+        return x, k
+    b = ldexp(0.5, frexp(x)[1])  # the next pre-value is in [b, 2b)
+    x += inc
+    k += 1
+    while k < limit and x < level:
+        # x is a sum whose pre-value was in [b, 2b); it jumps if x is too
+        d = (x + inc) - x
+        if d == 0.0:
+            return x, limit
+        room = b - (x - b)  # 2b - x, exact while x < 2b
+        # the most additions with m * d < room and pre-values below level
+        m = min(int(room / d), limit - k)
+        q = (level - x) / d
+        if q < m:
+            m = int(q) + 1
+        while m > 0 and not (m * d < room and x + (m - 1) * d < level):
+            m -= 1
         if m > 0:
-            e = _add_repeated(s, inc, m)
-            if e < level:
-                s, n = e, m
-    while n < limit and s < level:
-        s += inc
-        n += 1
-    return s, n
+            x += m * d
+            k += m
+            if not (k < limit and x < level):
+                break
+        # one addition, and one more from the next binade if it left this one
+        x += inc
+        k += 1
+        if not x - b < b:
+            b += b
+            if not (k < limit and x < level):
+                break
+            x += inc
+            k += 1
+    return x, k
 
 
 def _draws(s: float, lo: float, limit: int):

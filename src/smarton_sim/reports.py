@@ -134,8 +134,9 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def emit_csv(records: list[RunRecord], out_dir, measure_from: int = 0) -> list[str]:
-    """Write metrics.csv, convergence.csv and timeline.csv; returns paths."""
+def emit_csv(records: list[RunRecord], out_dir, measure_from: int = 0,
+             name: str = "") -> list[str]:
+    """Write the three CSVs and manifest.json (scenario `name`); returns paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
@@ -177,7 +178,7 @@ def emit_csv(records: list[RunRecord], out_dir, measure_from: int = 0) -> list[s
     paths.append(path)
 
     manifest = {
-        "scenario": records[0].scenario if records else "",
+        "scenario": name,
         "measure_from": measure_from,
         "runs": len(records),
     }

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -183,6 +184,17 @@ class TestSweepAndReport:
         assert main(["report", "--in", str(out), "--plot", "perf-by-type"]) == 0
         assert (out / "perf-by-type.dat").exists()
         assert (out / "perf-by-type.svg").exists()
+
+    def test_manifest_names_the_scenario_when_state_duration_is_swept(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(
+            tmp_path, "[run]\nname = sd\nn_periods = 3\n[sweep]\nstate_duration = 20,30\n"
+        )
+        assert main(["sweep", "--scenario", config, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["scenario"] == "sd"
+        # the metrics rows keep their per-duration labels
+        rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"sd/d20", "sd/d30"}
 
     def test_unknown_plot_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,9 +1,11 @@
 """Simulation engine: the tick loop, metrics, experiments, studies."""
 
+import math
 import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace as dc_replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from hypothesis import strategies as st
 
 from smarton_sim.energy import DRAW_SLACK, AbstractStore, HarvestSource
 from smarton_sim.engine import (
-    ACCUMULATE_BLOCK,
     ACCUMULATE_MIN,
     MAX_JITTER_CYCLE,
     Metrics,
@@ -27,8 +28,7 @@ from smarton_sim.engine import (
     run_experiment,
     run_partition_study,
     run_period,
-    _add_repeated,
-    _charge_until,
+    _add_below,
     _ctid_warm_up,
     _draws,
     _harvest_sums,
@@ -495,6 +495,15 @@ class TestSteadyStateReplay:
             assert_same_run(summary, per_tick)
 
 
+def add_below_loop(x, inc, level, limit):
+    """The additions `_add_below` sums, one at a time."""
+    k = 0
+    while k < limit and x < level:
+        x += inc
+        k += 1
+    return x, k
+
+
 def idle_run_per_tick(s, waste, inc, cap, n):
     """The store's harvest clamp, one tick at a time."""
     for _ in range(n):
@@ -532,13 +541,9 @@ class TestIdleRuns:
         limit=st.integers(min_value=0, max_value=1200),
     )
     @settings(max_examples=300, deadline=None)
-    def test_charge_until_matches_per_tick_checks(self, s, inc, limit):
+    def test_charge_matches_per_tick_checks(self, s, inc, limit):
         level = 30.0 - 1e-9
-        expected_s, expected_n = s, 0
-        while expected_n < limit and expected_s < level:
-            expected_s += inc
-            expected_n += 1
-        assert _charge_until(s, inc, level, limit) == (expected_s, expected_n)
+        assert _add_below(s, inc, level, limit) == add_below_loop(s, inc, level, limit)
 
     @pytest.mark.parametrize("inc", [1 / 9, 1 / 8.5, 0.1])
     @pytest.mark.parametrize("clamp", ["first", "middle", "last", "at-cap", "never"])
@@ -553,35 +558,103 @@ class TestIdleRuns:
         assert all(type(v) is float for v in got)
         assert (got[1] > 3.25) == (clamp != "never")
 
+    @pytest.mark.parametrize("inc, cap", [
+        (1 / 8.5, 120.0), (0.375, 120.0), (0.0, 120.0), (60.0, 120.0), (90.0, 120.0),
+        (120.0, 120.0), (1.0, 1.0), (0.75, 1.0),
+    ])
+    def test_idle_run_starting_around_the_first_clamping_value(self, inc, cap):
+        # the exact stored energy at which `cap - s` rounds below `inc`, and
+        # three floats on either side of it
+        below = math.nextafter(inc, -math.inf)
+        mid = float(Fraction(cap) - (Fraction(inc) + Fraction(below)) / 2)
+        starts = [mid]
+        for direction in (-math.inf, math.inf):
+            s = mid
+            for _ in range(3):
+                s = math.nextafter(s, direction)
+                starts.append(s)
+        assert {inc > cap - s for s in starts} == {False, True}
+        for s in starts:
+            for n in (1, ACCUMULATE_MIN):
+                assert _idle_run(s, 2.5, inc, cap, n) == idle_run_per_tick(s, 2.5, inc, cap, n)
+
+    @given(
+        x=st.one_of(
+            st.floats(min_value=0.0, max_value=1e3),
+            st.floats(min_value=0.0, max_value=1e300),
+            st.integers(min_value=1, max_value=2**53).map(lambda i: math.ldexp(i, -30)),
+        ),
+        inc=st.one_of(
+            st.sampled_from((0.0, 5e-324, 1e-300, 1 / 3, 1 / 8.5, 0.375, 1.5)),
+            st.floats(min_value=0.0, max_value=10.0),
+            st.integers(min_value=1, max_value=2**20).map(lambda i: math.ldexp(i, -40)),
+        ),
+        level=st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=1e4)),
+        limit=st.integers(min_value=0, max_value=5000),
+    )
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_add_below_matches_the_loop(self, x, inc, level, limit):
+        got = _add_below(x, inc, level, limit)
+        assert tuple(map(_bits, got)) == tuple(map(_bits, add_below_loop(x, inc, level, limit)))
+        assert type(got[0]) is float
+
+    @pytest.mark.parametrize("x, inc, level, limit", [
+        # inc / ulp is a half-integer: every addition is a round-half-even tie
+        (2.0**52 + 1, 1.5, math.inf, 3000),
+        (2.0**50 + 0.75, 0.375, math.inf, 3000),
+        (2.0**50 + 0.25, 0.375, 2.0**50 + 600.0, 3000),
+        (0.6, 1 / 3, math.inf, 20000),
+        (0.6, 1 / 3, 1000.0, 20000),
+        (0.0, 5e-324, math.inf, 3000),  # a subnormal inc: exact additions
+        (1e-310, 3e-320, 1e-305, 3000),
+        (1e4, 1e-300, math.inf, 3000),  # stalled: inc is under half an ulp
+        (1e308, 1e292, math.inf, 3000),  # the top binade
+        (1.79e308, 1e293, math.inf, 3000),  # overflows to inf
+        (3.0, 0.0, 5.0, 3000),
+        (130.0, 0.1, 120.0, 3000),  # starts at or above level
+        (120.0, 0.1, 120.0, 3000),
+        (-0.0, 0.0, 1.0, 10),
+    ])
+    def test_add_below_edge_cases(self, x, inc, level, limit):
+        got = _add_below(x, inc, level, limit)
+        assert tuple(map(_bits, got)) == tuple(map(_bits, add_below_loop(x, inc, level, limit)))
+
+    def test_add_below_stalls_in_constant_time(self):
+        with time_limit(1.0, "a stalled sum"):
+            assert _add_below(1e4, 1e-300, math.inf, 10**15) == (1e4, 10**15)
+            assert _add_below(3.0, 0.0, 5.0, 10**15) == (3.0, 10**15)
+
     @pytest.mark.parametrize("stop", ["level", "limit"])
-    @pytest.mark.parametrize("run", [ACCUMULATE_MIN - 1, ACCUMULATE_MIN, ACCUMULATE_MIN + 1])
-    def test_charge_until_around_the_accumulate_cut_over(self, run, stop):
+    @pytest.mark.parametrize("run", [1, 2, ACCUMULATE_MIN - 1, ACCUMULATE_MIN, 1000])
+    def test_charge_stops_at_level_or_limit(self, run, stop):
         s, inc = 0.3, 1 / 8.5
-        # the bare-addition stretch is `run` ticks: the whole limit, or the
-        # estimate for a level between the (n-1)-th and n-th post-tick
-        # values, which stops two ticks short of the n = run + 2 charged
+        # the level lies between the (n-1)-th and n-th post-tick values, or
+        # the limit cuts the charge first
         if stop == "level":
             n = run + 2
             level, limit = s + (n - 0.5) * inc, n + 10
         else:
             n = run
-            level, limit = 100.0, n
-        expected_s, expected_n = s, 0
-        while expected_n < limit and expected_s < level:
-            expected_s += inc
-            expected_n += 1
-        assert expected_n == n
-        got = _charge_until(s, inc, level, limit)
-        assert got == (expected_s, expected_n)
+            level, limit = 200.0, n
+        expected = add_below_loop(s, inc, level, limit)
+        assert expected[1] == n
+        got = _add_below(s, inc, level, limit)
+        assert got == expected
         assert type(got[0]) is float
 
-    def test_add_repeated_spans_several_blocks(self):
-        n = 2 * ACCUMULATE_BLOCK + 7
-        expected = 0.25
-        for _ in range(n):
-            expected += 1 / 8.5
-        got = _add_repeated(0.25, 1 / 8.5, n)
-        assert got == expected and type(got) is float
+    def test_add_below_spans_several_binades(self):
+        n = 65543
+        got = _add_below(0.25, 1 / 8.5, math.inf, n)
+        assert got == add_below_loop(0.25, 1 / 8.5, math.inf, n) and type(got[0]) is float
+
+    def test_gt_waste_across_binades_matches_oracle(self):
+        # GT never draws: the store saturates in period 0 and every later
+        # period wastes about 133 on a total that grows past 2**14
+        config = base_config(policy="gt", entry_level=None, n_periods=150)
+        kernel = run_experiment(config)
+        waste = [log.wasted_saturation for log in kernel.periods]
+        assert all(w > 0.0 for w in waste) and sum(waste) > 2.0**14
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
     def test_accumulate_is_sequential_unlike_sum(self):
         # each 1e-16 is under half an ulp of 1.0, so in order they vanish;

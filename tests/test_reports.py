@@ -1,6 +1,7 @@
 """CSV schemas, plot data and sweep determinism."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -102,14 +103,14 @@ class TestPlotData:
 
     def test_perf_by_type(self, sweep_dir, tmp_path):
         dat, svg = emit_plot_data(sweep_dir, tmp_path, "perf-by-type")
-        lines = open(dat, encoding="utf-8").read().splitlines()
+        lines = Path(dat).read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("#")
         assert len(lines) > 1
-        assert open(svg, encoding="utf-8").read().startswith("<svg")
+        assert Path(svg).read_text(encoding="utf-8").startswith("<svg")
 
     def test_adaptation_timeline(self, sweep_dir, tmp_path):
         dat, svg = emit_plot_data(sweep_dir, tmp_path, "adaptation")
-        lines = open(dat, encoding="utf-8").read().splitlines()
+        lines = Path(dat).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 2 * 40
 
     def test_conv_vs_ratio_from_study_sweep(self, tmp_path):
@@ -122,7 +123,7 @@ class TestPlotData:
         out = tmp_path / "conv"
         emit_csv(run_sweep(s), out, measure_from=0)
         dat, _ = emit_plot_data(out, out, "conv-vs-ratio")
-        lines = open(dat, encoding="utf-8").read().splitlines()
+        lines = Path(dat).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3  # header + two ratios
         ratio3 = lines[1].split()
         assert float(ratio3[0]) == 3.0
