@@ -22,15 +22,16 @@ Within a run, a phase-3 episode of the learning policy (`episode_memo`) and
 a CTID charge phase are computed once per start and then replayed, with
 catches counted from each period's events, at either record level.
 
-Pattern-change schedules swap the pattern between periods (shift, morph or
-replace) and resample the trace from a fresh substream, which is how the
-adaptation experiments drive the learner back through re-profiling.
+A pattern-change schedule (shift, morph or replace) splits a run into
+segments (`SimConfig.segments`), each with its own source, entry forcing and
+trace, from a substream keyed by the pattern so a returning pattern replays
+its realization; the adaptation experiments use it to force re-profiling.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from math import frexp, inf, ldexp, nextafter
@@ -158,26 +159,40 @@ class SimConfig:
                 f"learner state_duration {self.learner.state_duration} must divide "
                 f"the period {self.pattern.period_ticks}"
             )
-        # every pattern the run will see, with the entry level it forces there
-        pattern, level = self.pattern, self.entry_level
-        seen = [(pattern, level)]
-        for change in sorted(self.schedule, key=lambda c: c.period):
-            pattern = apply_change(pattern, change)
-            level = level if change.entry_level is None else change.entry_level
-            seen.append((pattern, level))
         slot_len, k = self.learner.state_duration, self.learner.k_levels
-        for pattern, level in seen:
+        for start, pattern, level in self.segments():
+            if start < 0:
+                raise ValueError(f"pattern change at period {start}: periods start at 0")
+            # the policy's slot count and the kernel's period are the base's
+            if pattern.period_ticks != self.pattern.period_ticks:
+                raise ValueError(
+                    f"the pattern change at period {start} has {pattern.period_ticks}-tick "
+                    f"periods; the run's are {self.pattern.period_ticks} ticks"
+                )
             if level is None:
                 continue
             if not 1 <= level <= k:
                 raise ValueError(f"entry_level {level} outside 1..{k}")
             # forcing sets the store at each peak start: a learner slot boundary
-            for t in (p.start_slot * pattern.state_duration for p in pattern.peaks):
+            for t in sorted(peak_start_ticks(pattern)):
                 if self.policy in FORCED_POLICIES and t % slot_len:
                     raise ValueError(
                         f"entry_level forcing needs peak starts on learner slots; "
                         f"tick {t} is not a multiple of state_duration {slot_len}"
                     )
+
+    def segments(self) -> list[tuple[int, EventPattern, int | None]]:
+        """(first period, pattern, forced entry level) of the base and of each
+        schedule change, in period order.  Changes at one period apply in list
+        order, each but the last leaving an empty segment; one without
+        `entry_level` keeps the level before it."""
+        pattern, level = self.pattern, self.entry_level
+        out = [(0, pattern, level)]
+        for change in sorted(self.schedule, key=lambda c: c.period):
+            pattern = apply_change(pattern, change)
+            level = level if change.entry_level is None else change.entry_level
+            out.append((change.period, pattern, level))
+        return out
 
     @property
     def ctid_cycle_ticks(self) -> float:
@@ -246,7 +261,6 @@ class ExperimentResult:
     config: SimConfig
     periods: list[PeriodLog]
     episodes: list[dict]
-    phase_timeline: list[int]
     phase1_stays: list[dict]
     tables: dict
     policy: BasePolicy
@@ -255,13 +269,17 @@ class ExperimentResult:
     def n_periods_run(self) -> int:
         return len(self.periods)
 
+    @property
+    def phase_timeline(self) -> list[int]:
+        """The learner phase at the start of each period run."""
+        return [log.phase_start for log in self.periods]
+
 
 def make_store(config: SimConfig) -> AbstractStore:
     return AbstractStore(capacity=config.capacity, charging_ratio=config.charging_ratio)
 
 
-def make_source(config: SimConfig, pattern: EventPattern | None = None) -> HarvestSource:
-    pattern = pattern or config.pattern
+def make_source(config: SimConfig, pattern: EventPattern) -> HarvestSource:
     if config.source_kind == "constant":
         # gating implements the controlled-entry protocol, which only the
         # entry-controllable policies run under; the free-running baselines
@@ -295,6 +313,12 @@ def make_policy(config: SimConfig) -> BasePolicy:
 def entry_level_energy(level: int, capacity: float, k_levels: int) -> float:
     """Midpoint energy of a quantized level."""
     return (level - 0.5) * capacity / k_levels
+
+
+def peak_start_ticks(pattern: EventPattern) -> frozenset[int]:
+    """Ticks within the period at which the pattern's peaks begin: where entry
+    forcing sets the store."""
+    return frozenset(p.start_slot * pattern.state_duration for p in pattern.peaks)
 
 
 def run_period(
@@ -858,133 +882,86 @@ def apply_change(pattern: EventPattern, change: PatternChange) -> EventPattern:
     raise ValueError(f"unknown pattern change kind {change.kind!r}")
 
 
-def _parse_stop_rule(rule: str | None):
+def _parse_stop_rule(rule: str | None) -> tuple[float, int]:
+    """(phase, periods): stop once `periods` periods in a row end in `phase` or
+    above; phase_ge:N is (N, 1), phase3_stable:N is (3, N), no rule never stops."""
     if rule is None:
-        return None, None
+        return inf, 1
     kind, _, arg = rule.partition(":")
     if kind not in ("phase_ge", "phase3_stable") or not (arg == "" or arg.isdigit()):
         raise ValueError(
             f"unknown stop rule {rule!r}; valid: phase_ge[:N], phase3_stable[:N]"
         )
-    return kind, int(arg) if arg else (2 if kind == "phase_ge" else 5)
+    if kind == "phase_ge":
+        return int(arg or 2), 1
+    return 3, int(arg or 5)
+
+
+def _segment_periods(config: SimConfig, policy: BasePolicy):
+    """(period, source, events, entry ticks, entry value) for each period of
+    the run.  Each non-empty segment's world is built once, at its start,
+    where the learning policy's entry-level hint is set too."""
+    segments = config.segments()
+    ends = [min(start, config.n_periods) for start, _, _ in segments[1:]] + [config.n_periods]
+    for (start, pattern, level), end in zip(segments, ends):
+        if start >= end:
+            continue
+        source = make_source(config, pattern)
+        # streams keyed by the pattern: a returning pattern replays its events
+        name = "trace" if pattern == config.pattern else f"trace:{pattern_id(pattern)}"
+        trace = sample_trace(pattern, config.seed, end - start, stream_name=name,
+                             repeat_first_period=config.repeat_first_period)
+        if isinstance(policy, SmartOnPolicy):
+            policy.entry_level_hint = level
+        if level is not None and config.policy in FORCED_POLICIES:
+            entry_ticks = peak_start_ticks(pattern)
+            entry_value = entry_level_energy(level, config.capacity, config.learner.k_levels)
+        else:
+            entry_ticks, entry_value = frozenset(), None
+        for p in range(start, end):
+            offset = (p - start) * pattern.period_ticks
+            events = trace.occurrences[offset : offset + pattern.period_ticks].tobytes()
+            yield p, source, events, entry_ticks, entry_value
 
 
 def run_experiment(config: SimConfig) -> ExperimentResult:
     """Run a full multi-period experiment per the config."""
     store = make_store(config)
-    source = make_source(config)
     policy = make_policy(config)
-    slot_len = config.learner.state_duration
 
     if config.n_periods <= 0:
-        return ExperimentResult(
-            config=config, periods=[], episodes=[], phase_timeline=[],
-            phase1_stays=[], tables={}, policy=policy,
-        )
+        return ExperimentResult(config, [], episodes=[], phase1_stays=[], tables={},
+                                policy=policy)
 
     if config.initial_stored > 0.0:
         store.stored = min(config.initial_stored, store.capacity)
-    elif config.policy == "ctid" and config.ctid_phase_jitter and source(0) > 0.0:
+    elif config.policy == "ctid" and config.ctid_phase_jitter:
         # start at a seeded point of the CTID charge/discharge cycle: warm the
         # real dynamics up for a fraction of one cycle so any phase --
         # including mid-discharge -- is reachable.  Without inflow the store
-        # cannot leave empty, so there is no cycle to warm up; otherwise
-        # SimConfig bounds the cycle by MAX_JITTER_CYCLE.
-        u = Stream(config.seed, "ctid-phase").next_double()
-        _ctid_warm_up(policy, store, source, int(u * int(config.ctid_cycle_ticks)))
+        # cannot leave empty; otherwise SimConfig bounds the cycle by
+        # MAX_JITTER_CYCLE.  No pattern gates CTID's source.
+        source = make_source(config, config.pattern)
+        if source(0) > 0.0:
+            u = Stream(config.seed, "ctid-phase").next_double()
+            _ctid_warm_up(policy, store, source, int(u * int(config.ctid_cycle_ticks)))
 
-    pattern = config.pattern
-    entry_level = config.entry_level
-    changes = sorted(config.schedule, key=lambda c: c.period)
-    change_idx = 0
-    segment = 0
-
-    trace = sample_trace(
-        pattern, config.seed, config.n_periods,
-        repeat_first_period=config.repeat_first_period,
-    )
-    period_ticks = pattern.period_ticks
-
-    stop_kind, stop_arg = _parse_stop_rule(config.stop_rule)
-    phase3_streak = 0
-
+    stop_phase, stop_periods = _parse_stop_rule(config.stop_rule)
+    streak = 0
     periods: list[PeriodLog] = []
-    phase_timeline: list[int] = []
-
-    base_pattern = pattern
-    for p in range(config.n_periods):
-        while change_idx < len(changes) and changes[change_idx].period == p:
-            change = changes[change_idx]
-            pattern = apply_change(pattern, change)
-            source = make_source(config, pattern)
-            if change.entry_level is not None:
-                entry_level = change.entry_level
-                if isinstance(policy, SmartOnPolicy):
-                    policy.entry_level_hint = entry_level
-            segment += 1
-            # a returning pattern replays its emitter schedule: trace streams
-            # are keyed by the pattern itself, so identical patterns yield
-            # identical realizations within one run
-            name = "trace" if pattern == base_pattern else f"trace:{pattern_id(pattern)}"
-            trace = sample_trace(
-                pattern,
-                config.seed,
-                config.n_periods - p,
-                repeat_first_period=config.repeat_first_period,
-                stream_name=name,
-            )
-            trace_base = p
-            change_idx += 1
-        if segment == 0:
-            trace_base = 0
-
-        if entry_level is not None and config.policy in FORCED_POLICIES:
-            entry_ticks = frozenset(
-                peak.start_slot * pattern.state_duration for peak in pattern.peaks
-            )
-            entry_value = entry_level_energy(
-                entry_level, store.capacity, config.learner.k_levels
-            )
-        else:
-            entry_ticks = frozenset()
-            entry_value = None
-
-        offset = (p - trace_base) * period_ticks
-        events = trace.occurrences[offset : offset + period_ticks].tobytes()
-
-        log = run_period(
-            policy,
-            store,
-            source,
-            events,
-            p,
-            period_ticks,
-            slot_len,
-            entry_ticks,
-            entry_value,
-            config.record_level == "per-tick",
-        )
-        periods.append(log)
-        phase_timeline.append(log.phase_start)
-
-        if stop_kind == "phase_ge" and policy.current_phase >= stop_arg:
+    per_tick = config.record_level == "per-tick"
+    for p, source, events, entry_ticks, entry_value in _segment_periods(config, policy):
+        periods.append(run_period(policy, store, source, events, p, config.pattern.period_ticks,
+                                  config.learner.state_duration, entry_ticks, entry_value, per_tick))
+        streak = streak + 1 if policy.current_phase >= stop_phase else 0
+        if streak >= stop_periods:
             break
-        if stop_kind == "phase3_stable":
-            phase3_streak = phase3_streak + 1 if policy.current_phase == 3 else 0
-            if phase3_streak >= stop_arg:
-                break
 
-    episodes = getattr(policy, "episodes", [])
-    stays = getattr(policy, "phase1_stays", [])
-    tables = getattr(policy, "ctx", None)
+    ctx = getattr(policy, "ctx", None)
     return ExperimentResult(
-        config=config,
-        periods=periods,
-        episodes=list(episodes),
-        phase_timeline=phase_timeline,
-        phase1_stays=list(stays),
-        tables=dict(tables.tables) if tables is not None else {},
-        policy=policy,
+        config, periods, episodes=list(getattr(policy, "episodes", [])),
+        phase1_stays=list(getattr(policy, "phase1_stays", [])),
+        tables=dict(ctx.tables) if ctx is not None else {}, policy=policy,
     )
 
 
@@ -1029,34 +1006,30 @@ class PartitionStudyResult:
     order: tuple[int, ...]
     episodes_per_level: dict[int, int]
     first_converged_at: int
-    all_converged_at: int
-    total_episodes: int
+    all_converged_at: int  # also the study's total episode count
 
 
-def run_partition_study(
-    base: SimConfig, order, max_periods: int = 20000
-) -> PartitionStudyResult:
+# a partition study that has not latched every level by then fails
+PARTITION_MAX_PERIODS = 20_000
+
+
+def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
     """Force entry levels in the given order, each until its partition
     converges, and report global episode indices of the first and last
-    convergence (the partitioned vs monolithic exploitation gates)."""
-    config = dc_replace(base, n_periods=max_periods)
+    convergence (the partitioned vs monolithic exploitation gates).  The
+    config's `n_periods` and schedule play no part."""
+    pattern = config.pattern
     store = make_store(config)
-    source = make_source(config)
+    source = make_source(config, pattern)
     policy = make_policy(config)
     if not isinstance(policy, SmartOnPolicy):
         raise ValueError("partition studies need the learning policy")
     policy.explore_forever = True
     slot_len = config.learner.state_duration
-    pattern = config.pattern
     period_ticks = pattern.period_ticks
 
-    trace = sample_trace(
-        pattern, config.seed, 1, repeat_first_period=True
-    )
-    events = trace.occurrences[:period_ticks].tobytes()
-    entry_ticks = frozenset(
-        peak.start_slot * pattern.state_duration for peak in pattern.peaks
-    )
+    events = sample_trace(pattern, config.seed, 1, repeat_first_period=True).occurrences.tobytes()
+    entry_ticks = peak_start_ticks(pattern)
     if len(pattern.peaks) != 1:
         raise ValueError("partition studies use single-peak patterns")
     shape_expected = None
@@ -1067,7 +1040,7 @@ def run_partition_study(
     first_at = None
     latch_at: dict[int, int] = {}
 
-    for p in range(max_periods):
+    for p in range(PARTITION_MAX_PERIODS):
         level = order[target_idx]
         policy.entry_level_hint = level
         entry_value = entry_level_energy(level, store.capacity, config.learner.k_levels)
@@ -1093,7 +1066,7 @@ def run_partition_study(
                 break
     if target_idx < len(order):
         raise RuntimeError(
-            f"partition study did not converge all levels in {max_periods} periods"
+            f"partition study did not converge all levels in {PARTITION_MAX_PERIODS} periods"
         )
     episodes_per_level = {
         level: policy.ctx.tables[shape_expected].episodes_to_converge[level]
@@ -1104,5 +1077,4 @@ def run_partition_study(
         episodes_per_level=episodes_per_level,
         first_converged_at=first_at,
         all_converged_at=episode_count,
-        total_episodes=episode_count,
     )

@@ -24,7 +24,7 @@ DEFAULT_FREQUENCIES = (0.0, 0.2, 0.5, 1.0)
 
 
 class EmptyPeak(Exception):
-    """All slot counts in a candidate peak sat at the noise floor."""
+    """All slot counts in a candidate peak were zero."""
 
 
 class InvalidTransition(Exception):
@@ -59,7 +59,6 @@ class LearnerConfig:
     profile_tol_abs: float = 2.0
     profile_tol_rel: float = 0.25
     shape_theta: float = 0.5
-    noise_floor: float = 0.0
     probe_budget: int = 2
     probe_trigger: int = 1
     peak_max_duration: int = 120
@@ -146,7 +145,6 @@ class SlotProfile:
         self.n_slots = n_slots
         self.counts = np.zeros(n_slots, dtype=np.int64)
         self.visited = np.zeros(n_slots, dtype=bool)
-        self.passes = 0
         self.history: list[np.ndarray] = []
 
     def record_slot(self, slot: int, catches: int) -> None:
@@ -200,14 +198,14 @@ def classify_shape(counts, cfg: LearnerConfig) -> str:
     """H/L signature of a profiled peak: H where count >= theta * peak max."""
     arr = np.asarray(counts, dtype=float)
     peak_max = arr.max() if arr.size else 0.0
-    if arr.size == 0 or peak_max <= cfg.noise_floor:
-        raise EmptyPeak(f"no events above noise floor in counts {list(counts)}")
+    if arr.size == 0 or peak_max <= 0.0:
+        raise EmptyPeak(f"no events in counts {list(counts)}")
     threshold = cfg.shape_theta * peak_max
     return "".join("H" if c >= threshold else "L" for c in arr)
 
 
 def find_peaks(counts, cfg: LearnerConfig) -> list[tuple[int, str]]:
-    """Contiguous runs of slots with counts above the noise floor.
+    """Contiguous runs of slots with nonzero counts.
 
     Returns (start_slot, shape_key) per peak; runs longer than the peak-step
     cap are split into cap-sized chunks.
@@ -217,7 +215,7 @@ def find_peaks(counts, cfg: LearnerConfig) -> list[tuple[int, str]]:
     peaks: list[tuple[int, str]] = []
     start = None
     for i in range(len(arr) + 1):
-        inside = i < len(arr) and arr[i] > cfg.noise_floor
+        inside = i < len(arr) and arr[i] > 0
         if inside and start is None:
             start = i
         elif not inside and start is not None:

@@ -805,13 +805,47 @@ class TestExperiment:
             (PatternChange(5, "replace", build_pattern([("type1", 10)]), entry_level=9),
              "entry_level 9"),
             (PatternChange(5, "rotate"), "change kind"),
+            (PatternChange(-1, "replace", build_pattern([("type1", 10)])), "period -1"),
+            (PatternChange(3, "replace", build_pattern([("type1", 10)], period_ticks=2400)),
+             "change at period 3"),
         ],
-        ids=["misaligned-replace", "misaligned-shift", "level-out-of-range", "bad-kind"],
+        ids=["misaligned-replace", "misaligned-shift", "level-out-of-range", "bad-kind",
+             "negative-period", "other-period-length"],
     )
     def test_schedule_errors_are_rejected_when_the_config_is_built(self, change, match):
         # the base peak starts at tick 300, a multiple of the 60 s learner slot
         with pytest.raises(ValueError, match=match):
             base_config(learner=LearnerConfig(state_duration=60), schedule=(change,))
+
+    def test_a_pattern_with_another_state_duration_is_a_valid_change(self):
+        wide = build_pattern([("type1", 5)], state_duration=60, peak_max_duration=180)
+        config = base_config(policy="gt", n_periods=6,
+                             schedule=(PatternChange(3, "replace", wide),))
+        events = [log.event_ticks for log in run_experiment(config).periods]
+        assert events[:3] == [events[0]] * 3 and events[3:] == [events[3]] * 3
+        assert events[3] != events[0]
+
+    @pytest.mark.parametrize("policy", ["smarton", "ctidpro"])
+    def test_changes_at_one_period_apply_in_list_order(self, policy):
+        # a change without entry_level keeps the level the one before it set
+        def run(*changes):
+            return run_experiment(base_config(policy=policy, n_periods=40, schedule=changes))
+
+        split = run(PatternChange(25, "shift", 2, entry_level=3), PatternChange(25, "shift", 2))
+        assert_same_run(split, run(PatternChange(25, "shift", 4, entry_level=3)))
+        kept = run(PatternChange(25, "shift", 4))
+        assert [p.forced_delta for p in split.periods] != [p.forced_delta for p in kept.periods]
+
+    def test_a_returning_pattern_replays_its_realization(self):
+        t1, t3 = build_pattern([("type1", 10)]), build_pattern([("type3", 25)])
+        config = base_config(
+            n_periods=12, repeat_first_period=False, record_level="per-tick",
+            schedule=(PatternChange(4, "replace", t3), PatternChange(8, "replace", t1)),
+        )
+        events = [log.ticks["event"] for log in run_experiment(config).periods]
+        for p in range(4):
+            assert np.array_equal(events[8 + p], events[p])
+        assert not np.array_equal(events[1], events[0])  # fresh arrivals every period
 
     @pytest.mark.parametrize("level", [1e-6, 1e-7, 1e-8, 1e-300])
     def test_ctid_phase_jitter_with_an_unbounded_warm_up_is_rejected(self, level):
