@@ -84,27 +84,32 @@ class HarvestSource:
         return cls(profile, "constant-gated")
 
     @classmethod
-    def from_trace_file(cls, path) -> "HarvestSource":
-        """One finite, nonnegative number per line, blank lines skipped; the
-        trace repeats cyclically.  Raises ValueError on anything else."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise ValueError(f"cannot read source trace {path}: {exc.strerror or exc}") from None
-        values = []
-        for number, line in enumerate(lines, 1):
-            if line.strip():
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    values.append(math.nan)
-                if not 0.0 <= values[-1] < math.inf:
-                    raise ValueError(f"source trace {path} line {number}: need a finite "
-                                     f"nonnegative number, got {line.strip()!r}")
-        if not values:
-            raise ValueError(f"empty source trace: {path}")
+    def trace(cls, values: tuple[float, ...]) -> "HarvestSource":
+        """The `read_trace_file` values, repeated cyclically."""
         return cls(lambda t: values[t % len(values)], "trace-file")
+
+
+def read_trace_file(path) -> tuple[float, ...]:
+    """One finite, nonnegative number per line, blank lines skipped.  Raises
+    ValueError on anything else."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read source trace {path}: {exc.strerror or exc}") from None
+    values = []
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                values.append(float(line))
+            except ValueError:
+                values.append(math.nan)
+            if not 0.0 <= values[-1] < math.inf:
+                raise ValueError(f"source trace {path} line {number}: need a finite "
+                                 f"nonnegative number, got {line.strip()!r}")
+    if not values:
+        raise ValueError(f"empty source trace: {path}")
+    return tuple(values)
 
 
 @dataclass

@@ -39,7 +39,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .energy import WAKE_COST, DRAW_SLACK, AbstractStore, HarvestSource
+from .energy import WAKE_COST, DRAW_SLACK, AbstractStore, HarvestSource, read_trace_file
 from .events import (
     EventPattern,
     morph_pattern,
@@ -123,10 +123,13 @@ class SimConfig:
             raise ValueError(
                 f"unknown source {self.source_kind!r}; valid: constant, diurnal, trace:<path>"
             )
+        # a trace file is read once, here: every run of the config uses the
+        # values validated now, and the tuple pickles with the config
+        self.source_trace = None
         if self.source_kind == "trace":
             if not self.source_path:
                 raise ValueError("a trace source needs a path: trace:<path>")
-            HarvestSource.from_trace_file(self.source_path)  # raises on a bad file
+            self.source_trace = read_trace_file(self.source_path)
         if self.n_periods < 0:
             raise ValueError(f"n_periods must be nonnegative, got {self.n_periods}")
         # measure_from beyond n_periods is allowed: it measures nothing
@@ -293,7 +296,7 @@ def make_source(config: SimConfig, pattern: EventPattern) -> HarvestSource:
         return HarvestSource.constant(config.source_level)
     if config.source_kind == "diurnal":
         return HarvestSource.diurnal(config.source_level)
-    return HarvestSource.from_trace_file(config.source_path)
+    return HarvestSource.trace(config.source_trace)
 
 
 def make_policy(config: SimConfig) -> BasePolicy:
@@ -561,7 +564,8 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs, t: i
     cannot fund a wake-up.  Since `e_on` is at least one wake cost, every
     discharge wake-up is funded.  Under one inflow that cannot saturate the
     store below `e_on`, a charge phase is one sum in closed form
-    (`_add_below`), kept in `charge_memo` once it reaches `e_on`.  A
+    (`_add_below`), kept in `charge_memo` by its start, or, when the span
+    ends before it reaches `e_on`, by its start and the span's length.  A
     discharge phase's wake-ups in the span are one draw run (`_draws`) with a
     strided catch count.  Returns (s, waste, awake, catches, dark spans, wake
     ranges); the mode stays on the policy.
@@ -591,10 +595,13 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs, t: i
             elif jump:
                 key = (s, inc, e_on)
                 charge = policy.charge_memo.get(key)
-                if charge is None or charge[1] > end - t:  # a hit must fit the span
-                    charge = _add_below(s, inc, e_on, end - t)
-                    if charge[0] >= e_on:
-                        policy.charge_memo[key] = charge
+                if charge is None or charge[1] > end - t:
+                    # a charge cut by the span's end is kept under its span
+                    cut = key + (end - t,)
+                    charge = policy.charge_memo.get(cut)
+                    if charge is None:
+                        charge = _add_below(s, inc, e_on, end - t)
+                        policy.charge_memo[key if charge[0] >= e_on else cut] = charge
                 s, n = charge
                 t += n
                 continue

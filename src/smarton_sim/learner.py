@@ -13,6 +13,7 @@ budget outside known peaks to notice pattern changes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 
@@ -293,42 +294,47 @@ def q_update(
     could actually fund at the next step.  An energy level spans a range of
     stored energy, so without the mask the max borrows value from actions
     the just-executed path can no longer afford, and low-entry policies
-    degenerate into spend-first behavior."""
+    degenerate into spend-first behavior.  Cells are read as Python floats:
+    the IEEE double arithmetic is the same as on NumPy scalars."""
+    values = table.values
     if next_state is None:
         bootstrap = 0.0
     elif next_affordable is None:
-        bootstrap = float(table.values[next_state].max())
+        bootstrap = float(values[next_state].max())
     else:
-        bootstrap = max(float(table.values[next_state, a]) for a in next_affordable)
-    old = table.values[state, action]
+        bootstrap = max(map(values[next_state].tolist().__getitem__, next_affordable))
+    old = values.item(state, action)
     new = (1.0 - cfg.alpha) * old + cfg.alpha * (reward + cfg.gamma * bootstrap)
-    table.values[state, action] = new
+    values[state, action] = new
     table.touched[state, action] = True
     if not abs(new) <= cfg.q_bound + 1e-9:
         raise RuntimeError(f"Q value {new} escaped bound {cfg.q_bound}")
     return abs(new - old)
 
 
-def affordable_actions(cfg: LearnerConfig, stored: float) -> list[int]:
-    """Actions whose full-step schedule the store can fund right now."""
-    return [
-        i
-        for i, f in enumerate(cfg.frequencies)
-        if schedule_cost(f, cfg.state_duration) <= stored + 1e-9
-    ]
+@cache
+def _action_costs(frequencies: tuple[float, ...], duration: int):
+    """Each action's full-step schedule cost, and the action prefixes."""
+    costs = tuple(schedule_cost(f, duration) for f in frequencies)
+    return costs, tuple(tuple(range(n)) for n in range(len(costs) + 1))
+
+
+def affordable_actions(cfg: LearnerConfig, stored: float) -> tuple[int, ...]:
+    """Actions whose full-step schedule the store can fund right now.  A
+    schedule's cost never falls as the frequency rises, so these are the
+    first actions up to the last cost within `stored`: a shared tuple."""
+    costs, prefixes = _action_costs(tuple(cfg.frequencies), cfg.state_duration)
+    return prefixes[bisect_right(costs, stored + 1e-9)]
 
 
 def choose_action(table: QTable, state: int, phase: int, affordable, stream) -> int:
     """Phase-2: uniform over affordable actions.  Phase-3: affordable argmax,
     ties broken toward the lower frequency."""
     if phase == 2:
-        return stream.choice(list(affordable))
+        return stream.choice(affordable)
     if phase == 3:
-        best = affordable[0]
-        for a in affordable[1:]:
-            if table.values[state, a] > table.values[state, best]:
-                best = a
-        return best
+        # max keeps the first of equal values: the lowest such action
+        return max(affordable, key=table.values[state].tolist().__getitem__)
     raise ValueError(f"no action policy for phase {phase}")
 
 

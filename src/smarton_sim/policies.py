@@ -133,7 +133,9 @@ class CtidPolicy(BasePolicy):
         self.discharging = False
         self.discharge_start = 0
         self.wake_interval = cfg.wake_interval
-        self.charge_memo: dict = {}  # (s, inc, e_on) -> (s, ticks) reaching e_on
+        # (s, inc, e_on) -> (s, ticks) reaching e_on; (s, inc, e_on, span) ->
+        # (s, span) for a charge the span's end cuts
+        self.charge_memo: dict = {}
 
 
 class _ProfileDriver:
@@ -170,6 +172,7 @@ class SmartOnPolicy(BasePolicy):
         self.explore = Stream(seed, "explore")
         self.probe_stream = Stream(seed, "probe")
         self.profiler = _ProfileDriver(cfg)
+        self._plans = tuple(wake_offsets(f, cfg.state_duration) for f in cfg.frequencies)
         self.entry_level_hint = entry_level_hint
         # convergence studies keep exploring after partitions converge; the
         # exploitation gate is then read off the latch bookkeeping instead
@@ -264,16 +267,18 @@ class SmartOnPolicy(BasePolicy):
         return ()
 
     def _begin_episode(self, peak: LearnedPeak, stored: float):
-        cfg = self.cfg
         table = self.ctx.table_for(peak.shape)
         entry_level = self._quantize(stored)
+        affordable = affordable_actions(self.cfg, stored)
         self._last_entry_level[peak.shape] = entry_level
         self._episode = {
             "peak": peak,
             "table": table,
             "entry_level": entry_level,
-            "entry_affordable": tuple(affordable_actions(cfg, stored)),
+            "entry_affordable": affordable,
             "step": 1,
+            # (stored, state, affordable) of the step about to be planned
+            "next": (stored, table.get_state(entry_level, 1), affordable),
             "pending": None,  # (state, action) awaiting reward
             "transitions": [],
             "max_change": 0.0,
@@ -283,16 +288,16 @@ class SmartOnPolicy(BasePolicy):
         return self._plan_episode_action(stored)
 
     def _plan_episode_action(self, stored: float):
-        cfg = self.cfg
         ep = self._episode
-        level = self._quantize(stored)
-        state = ep["table"].get_state(level, ep["step"])
-        affordable = affordable_actions(cfg, stored)
+        at, state, affordable = ep["next"]
+        if stored != at:  # entry forcing moved the store since the last step ended
+            state = ep["table"].get_state(self._quantize(stored), ep["step"])
+            affordable = affordable_actions(self.cfg, stored)
         action = choose_action(ep["table"], state, self.ctx.phase, affordable, self.explore)
         ep["pending"] = (state, action)
         ep["actions"].append(action)
         self.current_step = ep["step"]
-        return wake_offsets(cfg.frequencies[action], cfg.state_duration)
+        return self._plans[action]
 
     def _episode_step_plan(self, slot: int, stored: float):
         ep = self._episode
@@ -331,25 +336,22 @@ class SmartOnPolicy(BasePolicy):
             ctx.profile.finish_run()
 
     def _finish_episode_step(self, catches: int, awake: int, stored: float) -> None:
-        cfg = self.cfg
         ep = self._episode
         state, action = ep["pending"]
-        reward = reward_from_counts(catches, awake, cfg)
+        reward = reward_from_counts(catches, awake, self.cfg)
         ep["reward"] += reward
-        t_steps = ep["peak"].n_steps
-        if self.ctx.phase == 2:
-            if ep["step"] < t_steps:
-                next_level = self._quantize(stored)
-                next_state = ep["table"].get_state(next_level, ep["step"] + 1)
-                next_affordable = tuple(affordable_actions(cfg, stored))
-            else:
-                next_state = None
-                next_affordable = None
-            ep["transitions"].append((state, action, reward, next_state, next_affordable))
-        if ep["step"] < t_steps:
+        if ep["step"] < ep["peak"].n_steps:
             ep["step"] += 1
-            return
-        self._complete_episode()
+            next_state = ep["table"].get_state(self._quantize(stored), ep["step"])
+            next_affordable = affordable_actions(self.cfg, stored)
+            # the next step plans from these unless entry forcing moves the store
+            ep["next"] = (stored, next_state, next_affordable)
+        else:
+            next_state = next_affordable = None
+        if self.ctx.phase == 2:
+            ep["transitions"].append((state, action, reward, next_state, next_affordable))
+        if next_state is None:
+            self._complete_episode()
 
     def _apply_episode_updates(self, ep) -> None:
         """Run the episode's Bellman updates in reverse step order so a value

@@ -1,6 +1,7 @@
 """Simulation engine: the tick loop, metrics, experiments, studies."""
 
 import math
+import pickle
 import signal
 import sys
 from contextlib import contextmanager
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smarton_sim import energy, engine
 from smarton_sim.energy import DRAW_SLACK, AbstractStore, HarvestSource
 from smarton_sim.engine import (
     ACCUMULATE_MIN,
@@ -472,12 +474,35 @@ class TestSteadyStateReplay:
         assert kernel.policy.charge_memo
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
+    @pytest.mark.parametrize("e_on", [30.0, 60.0])
+    def test_ctid_charges_are_each_computed_once(self, e_on, monkeypatch):
+        # at e_on = 30 the 300-tick cycle divides the period, so after the
+        # jittered start every period end cuts a charge from empty at the
+        # same tick: the cut charge comes from the memo after the first time
+        sums = []
+
+        def counting_add_below(*args):
+            sums.append(args)
+            return _add_below(*args)
+
+        monkeypatch.setattr(engine, "_add_below", counting_add_below)
+        config = base_config(policy="ctid", ctid=CtidConfig(e_on=e_on), entry_level=None,
+                             n_periods=40, ctid_phase_jitter=True)
+        kernel = run_experiment(config)
+        memo = kernel.policy.charge_memo
+        assert any(len(key) == 4 for key in memo)  # a charge cut by a span's end
+        assert len(sums) == len(memo)
+        monkeypatch.undo()
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
     def test_ctid_without_inflow_terminates_and_matches_oracle(self):
         config = base_config(policy="ctid", source_level=0.0, initial_stored=50.0,
                              entry_level=None, n_periods=20)
         with time_limit(1.0, "CTID without inflow"):
             kernel = run_experiment(config)
-        assert not kernel.policy.charge_memo
+        # no charge reaches e_on; the stalled ones are kept as cut by the period end
+        memo = kernel.policy.charge_memo
+        assert all(len(key) == 4 and charge[0] == key[0] for key, charge in memo.items())
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -966,6 +991,29 @@ class TestSharedRowSpeedup:
 
 
 class TestVaryingSourceRuns:
+    def test_trace_file_is_read_once_per_config(self, tmp_path, monkeypatch):
+        path = tmp_path / "source.txt"
+        path.write_text("\n".join(map(str, TRACE_VALUES)) + "\n", encoding="utf-8")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(energy, "open", counting_open, raising=False)
+        # three segments, each of which builds its own source
+        config = base_config(
+            n_periods=12, source_kind="trace", source_path=str(path),
+            schedule=(PatternChange(4, "shift", 1), PatternChange(8, "shift", 2)),
+        )
+        want = run_experiment(config)
+        # the file changes after validation; runs keep the validated values,
+        # also where the config crosses a process boundary
+        path.write_text("9.0\n", encoding="utf-8")
+        assert_same_run(run_experiment(config), want)
+        assert_same_run(run_experiment(pickle.loads(pickle.dumps(config))), want)
+        assert opened == [str(path)]
+
     def test_diurnal_source_runs(self):
         config = SimConfig(
             pattern=build_pattern([("type1", 10)]),

@@ -31,6 +31,7 @@ from smarton_sim.learner import (
     profile_converged,
     q_update,
     reward_from_counts,
+    schedule_cost,
     wake_offsets,
 )
 from smarton_sim.rng import Stream
@@ -195,10 +196,141 @@ class TestChooseAction:
 
     def test_affordable_actions_filter(self):
         cfg = LearnerConfig()
-        assert affordable_actions(cfg, 0.0) == [0]
-        assert affordable_actions(cfg, 6.0) == [0, 1]
-        assert affordable_actions(cfg, 15.0) == [0, 1, 2]
-        assert affordable_actions(cfg, 30.0) == [0, 1, 2, 3]
+        assert affordable_actions(cfg, 0.0) == (0,)
+        assert affordable_actions(cfg, 6.0) == (0, 1)
+        assert affordable_actions(cfg, 15.0) == (0, 1, 2)
+        assert affordable_actions(cfg, 30.0) == (0, 1, 2, 3)
+
+
+def affordable_reference(cfg, stored):
+    """Every action whose schedule cost is within `stored`, one by one."""
+    return [
+        i for i, f in enumerate(cfg.frequencies)
+        if schedule_cost(f, cfg.state_duration) <= stored + 1e-9
+    ]
+
+
+def q_update_reference(table, state, action, reward, next_state, cfg, next_affordable=None):
+    """The Bellman update on NumPy scalars, cell by cell."""
+    if next_state is None:
+        bootstrap = 0.0
+    elif next_affordable is None:
+        bootstrap = float(table.values[next_state].max())
+    else:
+        bootstrap = max(float(table.values[next_state, a]) for a in next_affordable)
+    old = table.values[state, action]
+    new = (1.0 - cfg.alpha) * old + cfg.alpha * (reward + cfg.gamma * bootstrap)
+    table.values[state, action] = new
+    table.touched[state, action] = True
+    if not abs(new) <= cfg.q_bound + 1e-9:
+        raise RuntimeError(f"Q value {new} escaped bound {cfg.q_bound}")
+    return abs(new - old)
+
+
+def choose_action_reference(table, state, phase, affordable, stream):
+    """Phase-2 draw from a list copy; phase-3 argmax by a loop over cells."""
+    if phase == 2:
+        return stream.choice(list(affordable))
+    best = affordable[0]
+    for a in affordable[1:]:
+        if table.values[state, a] > table.values[state, best]:
+            best = a
+    return best
+
+
+frequency_sets = st.lists(
+    st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=6, unique=True,
+).map(lambda fs: [0.0, *sorted(fs)])
+
+
+def random_table(seed, k, t, n, bound, grid):
+    """A table of values within +-bound; on a coarse grid, ties are common."""
+    rng = np.random.default_rng(seed)
+    table = QTable("H" * t, k, t, n)
+    values = rng.uniform(-bound, bound, size=table.values.shape)
+    table.values[:] = np.round(values / grid) * grid if grid else values
+    return table
+
+
+class TestReferenceEquivalence:
+    """The prefix lookup and the scalar Q reads against the plain versions."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        freqs=frequency_sets,
+        as_tuple=st.booleans(),
+        duration=st.integers(min_value=1, max_value=600),
+        pick=st.integers(min_value=0, max_value=6),
+        delta=st.sampled_from((0.0, -1e-9, 1e-9, -2e-9, 2e-9, 0.5, -0.5)),
+    )
+    def test_affordable_actions_is_the_filtered_list(self, freqs, as_tuple, duration,
+                                                     pick, delta):
+        try:
+            costs = [schedule_cost(f, duration) for f in freqs]
+        except ValueError:  # a frequency too high for the slot
+            return
+        cfg = LearnerConfig(frequencies=tuple(freqs) if as_tuple else freqs,
+                            state_duration=duration)
+        for stored in (costs[pick % len(costs)] + delta, max(costs) + 1.0, 0.0):
+            got = affordable_actions(cfg, stored)
+            assert got == tuple(affordable_reference(cfg, stored))
+            assert got is affordable_actions(cfg, stored)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        k=st.integers(min_value=2, max_value=5),
+        t=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=5),
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+        gamma=st.floats(min_value=0.0, max_value=0.99),
+        grid=st.sampled_from((0.0, 1.0, 25.0)),
+        updates=st.lists(
+            st.tuples(
+                st.integers(min_value=0), st.integers(min_value=0),
+                st.floats(min_value=-1.0, max_value=1.0),
+                st.one_of(st.none(), st.integers(min_value=0)),
+                st.one_of(st.none(), st.integers(min_value=1)),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_q_update_matches_the_cellwise_update(self, seed, k, t, n, alpha, gamma, grid,
+                                                   updates):
+        cfg = LearnerConfig(alpha=alpha, gamma=gamma, k_levels=k)
+        got = random_table(seed, k, t, n, cfg.q_bound, grid)
+        want = random_table(seed, k, t, n, cfg.q_bound, grid)
+        rows = k * t
+        for state, action, reward, next_state, prefix in updates:
+            state, action = state % rows, action % n
+            if next_state is not None:
+                next_state %= rows
+            mask = None if prefix is None else tuple(range(1 + prefix % n))
+            reward *= cfg.max_step_reward
+            dq = q_update(got, state, action, reward, next_state, cfg, next_affordable=mask)
+            ref = q_update_reference(want, state, action, reward, next_state, cfg,
+                                     next_affordable=mask)
+            assert float(dq).hex() == float(ref).hex()
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.touched.tobytes() == want.touched.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=6),
+        state=st.integers(min_value=0, max_value=7),
+        prefix=st.integers(min_value=1),
+        phase=st.sampled_from((2, 3)),
+        grid=st.sampled_from((0.0, 1.0, 50.0)),
+    )
+    def test_choose_action_matches_the_loop(self, seed, n, state, prefix, phase, grid):
+        table = random_table(seed, 2, 4, n, 100.0, grid)
+        affordable = tuple(range(1 + prefix % n))
+        stream, ref_stream = Stream(seed, "explore"), Stream(seed, "explore")
+        for _ in range(3):
+            assert choose_action(table, state, phase, affordable, stream) == \
+                choose_action_reference(table, state, phase, affordable, ref_stream)
+        assert stream.cursor == ref_stream.cursor
 
 
 class TestClassifyShape:

@@ -17,8 +17,8 @@ from smarton_sim.engine import (
     run_period,
 )
 from smarton_sim.events import build_pattern, sample_trace
-from smarton_sim.learner import LearnerConfig
-from smarton_sim.policies import CtidConfig, CtidPolicy, CtidProPolicy, GtPolicy
+from smarton_sim.learner import LearnedPeak, LearnerConfig, wake_offsets
+from smarton_sim.policies import CtidConfig, CtidPolicy, CtidProPolicy, GtPolicy, SmartOnPolicy
 
 import per_tick_oracle
 
@@ -158,6 +158,25 @@ class TestCtidPro:
         log = run_one_period(policy, store, [0] * 1200, record=False)
         # all harvest outside the 3 burst slots banks up
         assert log.harvested == pytest.approx((1200 - 90) / 9)
+
+
+class TestEpisodeSteps:
+    @pytest.mark.parametrize("stored, level, action", [(100.0, 4, 3), (5.0, 1, 0)])
+    def test_step_plans_from_the_store_at_its_start(self, stored, level, action):
+        # the step ends with 100 stored; entry forcing may then set 5, which
+        # is level 1 and affords only the never-awake action
+        policy = SmartOnPolicy(LearnerConfig(), n_slots=40, seed=0, capacity=120.0)
+        policy.ctx.phase = 3
+        policy.ctx.known_peaks = (LearnedPeak(10, "HHH"),)
+        policy._refresh_peaks()
+        table = policy.ctx.table_for("HHH")
+        table.values[table.get_state(4, 2)] = [0.0, 1.0, 2.0, 9.0]
+        table.values[table.get_state(1, 2)] = [0.0, 5.0, 5.0, 5.0]
+        policy.plan_slot(10, 120.0)
+        policy.on_slot_end(10, 0, 0, 100.0)
+        plan = policy.plan_slot(11, stored)
+        assert policy._episode["pending"] == (table.get_state(level, 2), action)
+        assert plan == wake_offsets((0.0, 0.2, 0.5, 1.0)[action], 30)
 
 
 class TestLookAhead:
