@@ -891,7 +891,8 @@ def apply_change(pattern: EventPattern, change: PatternChange) -> EventPattern:
 
 def _parse_stop_rule(rule: str | None) -> tuple[float, int]:
     """(phase, periods): stop once `periods` periods in a row end in `phase` or
-    above; phase_ge:N is (N, 1), phase3_stable:N is (3, N), no rule never stops."""
+    above; phase_ge:N is (N, 1), phase3_stable:N is (3, N) with N >= 1, no
+    rule never stops."""
     if rule is None:
         return inf, 1
     kind, _, arg = rule.partition(":")
@@ -901,7 +902,10 @@ def _parse_stop_rule(rule: str | None) -> tuple[float, int]:
         )
     if kind == "phase_ge":
         return int(arg or 2), 1
-    return 3, int(arg or 5)
+    periods = int(arg or 5)
+    if periods < 1:  # a streak of 0 periods would stop after any period
+        raise ValueError(f"stop rule {rule!r} needs N >= 1 periods")
+    return 3, periods
 
 
 def _segment_periods(config: SimConfig, policy: BasePolicy):

@@ -399,11 +399,6 @@ class ProbeCaught:
     catches: int
 
 
-@dataclass(frozen=True)
-class ProbeQuiet:
-    pass
-
-
 class PhaseContext:
     """Owns the learner's phase, profile, tables and peak knowledge for one run."""
 
@@ -425,20 +420,15 @@ class PhaseContext:
             )
         return self.tables[shape]
 
-    def peak_slot_set(self) -> set[int]:
-        slots: set[int] = set()
-        for p in self.known_peaks:
-            slots.update(range(p.start_slot, p.end_slot))
-        return slots
-
 
 def phase_transition(ctx: PhaseContext, observation) -> PhaseContext:
     """Apply one phase observation; mutates and returns ctx.
 
     P1 -> P3 when every profiled shape already has a table converged at the
-    current entry level (covers positional drift); P1 -> P2 otherwise;
-    P2 -> P3 on partition convergence; P3 -> P1 on a probe catch at or above
-    the trigger.
+    current entry level (covers positional drift), so also for a profile
+    with no peaks, which exploits nothing and keeps probing; P1 -> P2
+    otherwise; P2 -> P3 on partition convergence; P3 -> P1 on a probe catch
+    at or above the trigger.
     """
     cfg = ctx.cfg
     if ctx.phase == 1 and isinstance(observation, ProfileConverged):
@@ -448,7 +438,7 @@ def phase_transition(ctx: PhaseContext, observation) -> PhaseContext:
             p.shape in ctx.tables and level in ctx.tables[p.shape].converged_levels
             for p in observation.peaks
         )
-        ctx.phase = 3 if all_known and observation.peaks else 2
+        ctx.phase = 3 if all_known else 2
         return ctx
     if ctx.phase == 2 and isinstance(observation, PartitionConvergedObs):
         ctx.phase = 3
@@ -458,8 +448,6 @@ def phase_transition(ctx: PhaseContext, observation) -> PhaseContext:
             ctx.phase = 1
             ctx.profile = SlotProfile(ctx.n_slots)
             ctx.phase1_entries += 1
-        return ctx
-    if ctx.phase == 3 and isinstance(observation, ProbeQuiet):
         return ctx
     raise InvalidTransition(
         f"phase {ctx.phase} cannot accept {type(observation).__name__}"

@@ -6,7 +6,9 @@ greedy drain-until-empty slot (CTID-style discharge, harvest paused for the
 whole slot).  They also look ahead (`next_active_slot`): the slots before the
 next one that can act -- an unvisited profile slot, a learned peak, a probe
 slot -- plan nothing, so the kernel banks them as one idle run without
-calling the hooks.  GT and CTID plan nothing: the engine's kernel runs them in
+calling the hooks.  Both profile and probe through one base class,
+`_Profiling`, and a profile with no peaks leaves them exploiting nothing
+and probing.  GT and CTID plan nothing: the engine's kernel runs them in
 closed form and as a charge/discharge advance whose mode flips fall on any
 tick, and this module only holds their configuration and carried state.
 
@@ -26,7 +28,6 @@ from .learner import (
     PartitionConvergedObs,
     PhaseContext,
     ProbeCaught,
-    ProbeQuiet,
     ProfileConverged,
     SlotProfile,
     affordable_actions,
@@ -38,7 +39,6 @@ from .learner import (
     phase_transition,
     q_update,
     reward_from_counts,
-    schedule_cost,
     wake_offsets,
 )
 from .rng import Stream
@@ -138,22 +138,91 @@ class CtidPolicy(BasePolicy):
         self.charge_memo: dict = {}
 
 
-class _ProfileDriver:
-    """Shared Phase-1 mechanics: visit unvisited slots at the top frequency
-    when the store can fund the whole slot, else stay asleep and bank."""
+class _Profiling(BasePolicy):
+    """Phase-1 profiling and Phase-3 probing of the learning policy and
+    CTIDpro, keyed on `current_phase`: 1 while profiling, 3 while exploiting.
 
-    def __init__(self, cfg: LearnerConfig):
+    Profiling wakes at the top frequency in each unvisited slot whose whole
+    schedule the store can fund, until consecutive runs agree; `_exploit`
+    then takes the peaks, if any.  A period that starts in phase 3 probes
+    slots outside `known_slots` at the lowest nonzero frequency, and
+    `probe_trigger` or more catches there call `_reprofile` at its end.
+    Subclasses provide `profile`, `known_slots`, `_exploit_starts`,
+    `_exploit` and `_reprofile`, and define the engine hooks themselves."""
+
+    def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int):
         self.cfg = cfg
-        self.full_offsets = wake_offsets(cfg.f_max, cfg.state_duration)
-        self.full_cost = schedule_cost(cfg.f_max, cfg.state_duration)
+        self.n_slots = n_slots
+        self.probe_stream = Stream(seed, "probe")
+        # one schedule per frequency; the frequencies start at 0, so the
+        # second is the probes' and the last the profiling schedule
+        self._plans = tuple(wake_offsets(f, cfg.state_duration) for f in cfg.frequencies)
+        self.full_offsets, self.probe_offsets = self._plans[-1], self._plans[1]
+        # the least stored energy that funds a whole profiling or probe slot
+        self.full_floor = len(self.full_offsets) * WAKE_COST - DRAW_SLACK
+        self.probe_floor = len(self.probe_offsets) * WAKE_COST - DRAW_SLACK
+        self._profiling_slot: int | None = None
+        self._probe_slots: set[int] = set()
+        self._probe_catches = 0
+        self._active_slots: tuple[int, ...] = ()  # exploit starts and probe slots
 
-    def plan(self, profile, slot: int, stored: float):
-        if not profile.visited[slot] and stored >= self.full_cost - DRAW_SLACK:
-            return self.full_offsets
+    def _refresh_active_slots(self) -> None:
+        self._active_slots = tuple(sorted(self._exploit_starts() | self._probe_slots))
+
+    def _draw_probes(self) -> None:
+        """This period's probe slots, at its start: drawn in phase 3 only."""
+        self._probe_catches = 0
+        self._probe_slots = set()
+        if self.current_phase == 3 and self.cfg.probe_budget > 0:
+            self._probe_slots = probe_plan(
+                self.n_slots, self.known_slots, self.cfg.probe_budget, self.probe_stream
+            )
+        self._refresh_active_slots()
+
+    def next_active_slot(self, slot: int) -> int:
+        # while profiling only unvisited slots plan anything; otherwise the
+        # slots where exploiting begins and this period's probe slots
+        if self.current_phase == 1:
+            return self.profile.next_unvisited(slot)
+        return _first_at_or_after(self._active_slots, slot, self.n_slots)
+
+    def _plan_profile(self, slot: int, stored: float):
+        fund = not self.profile.visited[slot] and stored >= self.full_floor
+        plan = self.full_offsets if fund else ()
+        self._profiling_slot = slot if plan else None
+        return plan
+
+    def _plan_probe(self, slot: int, stored: float):
+        if slot in self._probe_slots and stored >= self.probe_floor:
+            return self.probe_offsets
         return ()
 
+    def _profile_slot_end(self, slot: int, catches: int, stored: float) -> None:
+        if self._profiling_slot == slot:
+            self.profile.record_slot(slot, catches)
+            self._profiling_slot = None
+            if self.profile.run_complete():
+                self._finish_profile_run(stored)
 
-class SmartOnPolicy(BasePolicy):
+    def _finish_profile_run(self, stored: float) -> None:
+        profile = self.profile
+        if profile_converged(profile, self.cfg):
+            peaks = find_peaks(profile.counts, self.cfg)
+            self._exploit(tuple(LearnedPeak(start, shape) for start, shape in peaks), stored)
+        else:
+            profile.finish_run()
+
+    def _probe_slot_end(self, slot: int, catches: int) -> None:
+        if slot in self._probe_slots:
+            self._probe_catches += catches
+
+    def _end_probing(self) -> None:
+        """At the period end: re-profile on enough probe catches."""
+        if self.current_phase == 3 and self._probe_catches >= self.cfg.probe_trigger:
+            self._reprofile()
+
+
+class SmartOnPolicy(_Profiling):
     """The three-phase learner bound to one run."""
 
     name = "smarton"
@@ -166,34 +235,38 @@ class SmartOnPolicy(BasePolicy):
         capacity: float,
         entry_level_hint=None,
     ):
-        self.cfg = cfg
+        super().__init__(cfg, n_slots, seed)
         self.capacity = capacity
         self.ctx = PhaseContext(cfg, n_slots)
         self.explore = Stream(seed, "explore")
-        self.probe_stream = Stream(seed, "probe")
-        self.profiler = _ProfileDriver(cfg)
-        self._plans = tuple(wake_offsets(f, cfg.state_duration) for f in cfg.frequencies)
         self.entry_level_hint = entry_level_hint
         # convergence studies keep exploring after partitions converge; the
         # exploitation gate is then read off the latch bookkeeping instead
         self.explore_forever = False
         # episode state
         self._episode = None
-        self._probe_slots: set[int] = set()
-        self._probe_catches = 0
         self._phase_at_period_start = 1
-        self._profiling_slot: int | None = None
         self._last_entry_level: dict[str, int] = {}
         self.episodes: list[dict] = []
         self.phase1_stays: list[dict] = [{"entry": 1, "passes": 0, "profiles": 0}]
         self._peak_starts: dict[int, LearnedPeak] = {}
-        self._active_slots: tuple[int, ...] = ()  # peak starts and probe slots
 
     # -- helpers -----------------------------------------------------------
 
     @property
     def current_phase(self) -> int:  # engine records this per slot
         return self.ctx.phase
+
+    @property
+    def profile(self) -> SlotProfile:
+        return self.ctx.profile
+
+    @property
+    def known_slots(self) -> set[int]:
+        return {s for p in self.ctx.known_peaks for s in range(p.start_slot, p.end_slot)}
+
+    def _exploit_starts(self):
+        return self._peak_starts.keys()
 
     def _quantize(self, stored: float) -> int:
         return quantize(stored, self.capacity, self.cfg.k_levels)
@@ -202,37 +275,17 @@ class SmartOnPolicy(BasePolicy):
         self._peak_starts = {p.start_slot: p for p in self.ctx.known_peaks}
         self._refresh_active_slots()
 
-    def _refresh_active_slots(self) -> None:
-        self._active_slots = tuple(sorted(self._peak_starts.keys() | self._probe_slots))
-
-    def _hint(self, stored: float) -> int:
-        if self.entry_level_hint is not None:
-            return self.entry_level_hint
-        return self._quantize(stored)
-
     # -- engine hooks ------------------------------------------------------
 
     def on_period_start(self, period: int) -> None:
-        self._probe_catches = 0
-        self._probe_slots = set()
         self._phase_at_period_start = self.ctx.phase
-        if self.ctx.phase == 3 and self.cfg.probe_budget > 0:
-            self._probe_slots = probe_plan(
-                self.ctx.n_slots,
-                self.ctx.peak_slot_set(),
-                self.cfg.probe_budget,
-                self.probe_stream,
-            )
-        self._refresh_active_slots()
+        self._draw_probes()
 
     def next_active_slot(self, slot: int) -> int:
-        # outside an episode only unvisited profile slots (phase 1), learned
-        # peak starts and this period's probe slots (phase 3) plan anything
+        # every slot of an episode plans
         if self._episode is not None:
             return slot
-        if self.ctx.phase == 1:
-            return self.ctx.profile.next_unvisited(slot)
-        return _first_at_or_after(self._active_slots, slot, self.ctx.n_slots)
+        return _Profiling.next_active_slot(self, slot)
 
     def _transition(self, observation) -> None:
         phase_transition(self.ctx, observation)
@@ -250,21 +303,14 @@ class SmartOnPolicy(BasePolicy):
 
     def plan_slot(self, slot: int, stored: float):
         self.current_step = 0
-        phase = self.ctx.phase
-        if phase == 1:
-            plan = self.profiler.plan(self.ctx.profile, slot, stored)
-            self._profiling_slot = slot if plan else None
-            return plan
+        if self.ctx.phase == 1:
+            return self._plan_profile(slot, stored)
         if self._episode is not None:
             return self._episode_step_plan(slot, stored)
         peak = self._peak_starts.get(slot)
         if peak is not None:
             return self._begin_episode(peak, stored)
-        if phase == 3 and slot in self._probe_slots:
-            offsets = wake_offsets(self.cfg.f_probe, self.cfg.state_duration)
-            if stored >= len(offsets) * WAKE_COST - DRAW_SLACK:
-                return offsets
-        return ()
+        return self._plan_probe(slot, stored)
 
     def _begin_episode(self, peak: LearnedPeak, stored: float):
         table = self.ctx.table_for(peak.shape)
@@ -307,33 +353,22 @@ class SmartOnPolicy(BasePolicy):
         return self._plan_episode_action(stored)
 
     def on_slot_end(self, slot: int, awake: int, catches: int, stored: float) -> None:
-        phase = self.ctx.phase
-        if phase == 1:
-            if self._profiling_slot == slot:
-                self.ctx.profile.record_slot(slot, catches)
-                self._profiling_slot = None
-                if self.ctx.profile.run_complete():
-                    self._finish_profile_run(stored)
-            return
-        if self._episode is not None:
+        if self.ctx.phase == 1:
+            self._profile_slot_end(slot, catches, stored)
+        elif self._episode is not None:
             self._finish_episode_step(catches, awake, stored)
-            return
-        if phase == 3 and slot in self._probe_slots and catches > 0:
-            self._probe_catches += catches
+        else:
+            self._probe_slot_end(slot, catches)
 
     def _finish_profile_run(self, stored: float) -> None:
-        ctx = self.ctx
         self.phase1_stays[-1]["profiles"] += 1
-        ctx.profiles_completed += 1
-        if profile_converged(ctx.profile, self.cfg):
-            peaks = tuple(
-                LearnedPeak(start, shape)
-                for start, shape in find_peaks(ctx.profile.counts, self.cfg)
-            )
-            self._transition(ProfileConverged(peaks, self._hint(stored)))
-            self._refresh_peaks()
-        else:
-            ctx.profile.finish_run()
+        self.ctx.profiles_completed += 1
+        super()._finish_profile_run(stored)
+
+    def _exploit(self, peaks: tuple[LearnedPeak, ...], stored: float) -> None:
+        hint = self.entry_level_hint
+        self._transition(ProfileConverged(peaks, self._quantize(stored) if hint is None else hint))
+        self._refresh_peaks()
 
     def _finish_episode_step(self, catches: int, awake: int, stored: float) -> None:
         ep = self._episode
@@ -411,101 +446,62 @@ class SmartOnPolicy(BasePolicy):
         return True
 
     def on_period_end(self, period: int) -> None:
-        ctx = self.ctx
         # a pass is one traversal of the period while profiling; count it
         # against the phase the period started in so a mid-period transition
         # still credits the completed pass
         if self._phase_at_period_start == 1:
             self.phase1_stays[-1]["passes"] += 1
-        if ctx.phase == 3:
-            if self._probe_catches >= self.cfg.probe_trigger:
-                self._transition(ProbeCaught(self._probe_catches))
-                self.phase1_stays.append(
-                    {"entry": ctx.phase1_entries, "passes": 0, "profiles": 0}
-                )
-            else:
-                self._transition(ProbeQuiet())
+        self._end_probing()
+
+    def _reprofile(self) -> None:
+        self._transition(ProbeCaught(self._probe_catches))
+        self.phase1_stays.append({"entry": self.ctx.phase1_entries, "passes": 0, "profiles": 0})
 
 
-class CtidProPolicy(BasePolicy):
+class CtidProPolicy(_Profiling):
     """CTID plus Phase-1 profiling: banks energy outside profiled event slots
     and drains greedily at the top frequency inside them.  No value learning;
-    probing re-triggers profiling, mirroring the learning policy."""
+    probing re-triggers profiling, as for the learning policy."""
 
     name = "ctidpro"
 
     def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int):
-        self.cfg = cfg
-        self.n_slots = n_slots
-        self.profile = None
-        self.profiler = _ProfileDriver(cfg)
-        self.probe_stream = Stream(seed, "probe")
+        super().__init__(cfg, n_slots, seed)
+        self.profile = SlotProfile(n_slots)
         self.known_slots: set[int] = set()
         self.profiling = True
-        self._profiling_slot: int | None = None
-        self._probe_slots: set[int] = set()
-        self._probe_catches = 0
-        self._active_slots: tuple[int, ...] = ()  # known and probe slots
-        self.profile = SlotProfile(n_slots)
 
     @property
     def current_phase(self) -> int:
         return 1 if self.profiling else 3
 
+    def _exploit_starts(self):
+        return self.known_slots
+
     def on_period_start(self, period: int) -> None:
-        self._probe_catches = 0
-        self._probe_slots = set()
-        if not self.profiling and self.cfg.probe_budget > 0:
-            self._probe_slots = probe_plan(
-                self.n_slots, self.known_slots, self.cfg.probe_budget, self.probe_stream
-            )
-        self._refresh_active_slots()
-
-    def _refresh_active_slots(self) -> None:
-        self._active_slots = tuple(sorted(self.known_slots | self._probe_slots))
-
-    def next_active_slot(self, slot: int) -> int:
-        if self.profiling:
-            return self.profile.next_unvisited(slot)
-        return _first_at_or_after(self._active_slots, slot, self.n_slots)
+        self._draw_probes()
 
     def plan_slot(self, slot: int, stored: float):
         if self.profiling:
-            plan = self.profiler.plan(self.profile, slot, stored)
-            self._profiling_slot = slot if plan else None
-            return plan
+            return self._plan_profile(slot, stored)
         if slot in self.known_slots:
             return BURST
-        if slot in self._probe_slots:
-            offsets = wake_offsets(self.cfg.f_probe, self.cfg.state_duration)
-            if stored >= len(offsets) * WAKE_COST - DRAW_SLACK:
-                return offsets
-        return ()
+        return self._plan_probe(slot, stored)
 
     def on_slot_end(self, slot: int, awake: int, catches: int, stored: float) -> None:
         if self.profiling:
-            if self._profiling_slot == slot:
-                self.profile.record_slot(slot, catches)
-                self._profiling_slot = None
-                if self.profile.run_complete():
-                    self._finish_profile_run()
-            return
-        if slot in self._probe_slots and catches > 0:
-            self._probe_catches += catches
-
-    def _finish_profile_run(self) -> None:
-        if profile_converged(self.profile, self.cfg):
-            self.known_slots = {
-                s
-                for start, shape in find_peaks(self.profile.counts, self.cfg)
-                for s in range(start, start + len(shape))
-            }
-            self.profiling = False
-            self._refresh_active_slots()
+            self._profile_slot_end(slot, catches, stored)
         else:
-            self.profile.finish_run()
+            self._probe_slot_end(slot, catches)
+
+    def _exploit(self, peaks: tuple[LearnedPeak, ...], stored: float) -> None:
+        self.known_slots = {s for p in peaks for s in range(p.start_slot, p.end_slot)}
+        self.profiling = False
+        self._refresh_active_slots()
 
     def on_period_end(self, period: int) -> None:
-        if not self.profiling and self._probe_catches >= self.cfg.probe_trigger:
-            self.profile = SlotProfile(self.n_slots)
-            self.profiling = True
+        self._end_probing()
+
+    def _reprofile(self) -> None:
+        self.profile = SlotProfile(self.n_slots)
+        self.profiling = True

@@ -156,7 +156,8 @@ class Scenario:
 
     def axis(self, name: str) -> list:
         """The [sweep] axis `name`: a comma list, or an `a:b` half-open
-        integer range; empty when the axis is not set."""
+        integer range holding at least one value; empty when the axis is
+        not set."""
         text = self.values[("sweep", name)].strip()
         if not text:
             return []
@@ -164,7 +165,10 @@ class Scenario:
         try:
             if ":" in text and parse is int:
                 a, _, b = text.partition(":")
-                return list(range(int(a), int(b)))
+                values = list(range(int(a), int(b)))
+                if not values:
+                    raise ValueError("the range holds no value")
+                return values
             return [parse(x.strip()) for x in text.split(",")]
         except ValueError as exc:
             raise ScenarioError(f"[sweep] bad axis {name} = {text!r}: {exc}") from None
@@ -363,7 +367,7 @@ class RunKey:
 
 
 def expand_sweep(scenario: Scenario) -> list[tuple[RunKey, SimConfig]]:
-    """Cross product of the sweep axes; an empty axis pins the base value.
+    """Cross product of the sweep axes; an axis left unset pins the base value.
 
     The scenario's peaks are kept unless the event_type axis is set, which
     gives every peak the axis's shape at its own slot.  Every config is built,

@@ -80,6 +80,8 @@ class TestSimulate:
             ("[learner]\nfrequencies = 0,0.5,1.5\n", "1 Hz"),
             ("[run]\nstop_rule = bogus:3\n", "stop rule"),
             ("[run]\nstop_rule = phase_ge:x\n", "stop rule"),
+            # a streak of 0 periods would stop after the first period
+            ("[run]\nstop_rule = phase3_stable:0\n", "stop rule"),
             ("[energy]\nsource = solar\n", "unknown source"),
             ("[energy]\nsource = trace\n", "needs a path"),
             ("[run]\nn_periods = -3\n", "n_periods"),
@@ -209,7 +211,7 @@ class TestSweepAndReport:
     @pytest.mark.parametrize(
         "axis",
         ["seeds = 0:x", "seeds = 1,two", "charging_ratio = 8.5,abc", "entry_level = 1:",
-         "charging_ratio = 8.5,nan"],
+         "charging_ratio = 8.5,nan", "seeds = 5:2", "entry_level = 3:3"],
     )
     def test_unparsable_sweep_axis_exits_2(self, tmp_path, capsys, axis):
         config = write_config(tmp_path, f"[run]\nn_periods = 3\n[sweep]\n{axis}\n")

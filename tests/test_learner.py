@@ -16,7 +16,6 @@ from smarton_sim.learner import (
     PartitionConvergedObs,
     PhaseContext,
     ProbeCaught,
-    ProbeQuiet,
     ProfileConverged,
     QTable,
     SlotProfile,
@@ -473,6 +472,13 @@ class TestPhaseTransitions:
         phase_transition(ctx, obs)
         assert ctx.phase == 3
 
+    def test_profile_converged_without_peaks_to_phase3(self):
+        # nothing to learn: exploit nothing and keep probing for events
+        ctx = self._ctx()
+        phase_transition(ctx, ProfileConverged((), 4))
+        assert ctx.phase == 3
+        assert ctx.known_peaks == ()
+
     def test_partition_converged_moves_to_phase3(self):
         ctx = self._ctx()
         ctx.phase = 2
@@ -487,12 +493,6 @@ class TestPhaseTransitions:
         assert ctx.phase == 1
         assert not ctx.profile.visited.any()
         assert ctx.phase1_entries == 2
-
-    def test_probe_quiet_stays_in_phase3(self):
-        ctx = self._ctx()
-        ctx.phase = 3
-        phase_transition(ctx, ProbeQuiet())
-        assert ctx.phase == 3
 
     def test_invalid_transition_raises(self):
         ctx = self._ctx()

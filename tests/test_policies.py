@@ -238,6 +238,46 @@ class TestLookAhead:
         assert [policy.next_active_slot(s) for s in range(4)] == [1, 1, 3, 3]
 
 
+class TestSharedProfiling:
+    @pytest.mark.parametrize(
+        "peaks, seed, entry_level",
+        [([("type1", 10)], 1, 4), ([("type3", 25), ("type2", 5)], 2, 2)],
+    )
+    def test_smarton_and_ctidpro_profile_alike(self, peaks, seed, entry_level):
+        # both policies profile through the same code: every period that
+        # both run wholly in phase 1 is the same
+        results = [
+            run_experiment(SimConfig(
+                pattern=build_pattern(peaks), policy=name, entry_level=entry_level,
+                repeat_first_period=True, n_periods=60, seed=seed,
+            ))
+            for name in ("smarton", "ctidpro")
+        ]
+        timelines = [r.phase_timeline for r in results]
+        # the period in which one of them leaves phase 1; the same profile
+        # converges for both in the same slot
+        left = next(p for p in range(59) if any(t[p + 1] != 1 for t in timelines))
+        assert left > 5 and all(t[left + 1] != 1 for t in timelines)
+        assert results[0].periods[:left] == results[1].periods[:left]
+
+    @pytest.mark.parametrize("policy_name", ["smarton", "ctidpro"])
+    def test_profile_with_no_peaks_keeps_probing(self, policy_name):
+        # the base pattern draws no events at seed 0, so the first profile
+        # converges with no peaks; probes must still find the pattern that
+        # replaces it at period 40
+        config = SimConfig(
+            pattern=build_pattern([("type2", 10)], p_high=0.001, p_low=0.0),
+            policy=policy_name, n_periods=120, seed=0, repeat_first_period=True,
+            schedule=(PatternChange(40, "replace", build_pattern([("type2", 10)])),),
+        )
+        result = run_experiment(config)
+        assert sum(p.event_ticks for p in result.periods[:40]) == 0
+        assert result.phase_timeline[39] == 3
+        assert 1 in result.phase_timeline[40:]
+        tail = result.periods[-10:]
+        assert sum(p.catches for p in tail) == sum(p.event_ticks for p in tail) == 740
+
+
 class TestEnergyFeasibility:
     @pytest.mark.parametrize("policy_name", ["ctid", "ctidpro", "smarton"])
     def test_cumulative_drawn_bounded_by_harvest(self, policy_name):
