@@ -38,7 +38,8 @@ class NoInactiveCapacitor(Exception):
 class HarvestSource:
     """Nonnegative power profile over ticks.
 
-    ``kind`` is one of ``constant``, ``diurnal-ramp`` or ``trace-file``.
+    ``kind`` is one of ``constant``, ``constant-gated``, ``diurnal-ramp`` or
+    ``trace-file``.
     """
 
     def __init__(self, profile, kind: str):

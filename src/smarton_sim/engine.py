@@ -307,10 +307,7 @@ def make_policy(config: SimConfig) -> BasePolicy:
         return CtidPolicy(config.ctid)
     if config.policy == "ctidpro":
         return CtidProPolicy(config.learner, n_slots, config.seed)
-    return SmartOnPolicy(
-        config.learner, n_slots, config.seed, config.capacity,
-        entry_level_hint=config.entry_level,
-    )
+    return SmartOnPolicy(config.learner, n_slots, config.seed, config.capacity)
 
 
 def entry_level_energy(level: int, capacity: float, k_levels: int) -> float:
@@ -1000,7 +997,7 @@ def convergence_stats(result: ExperimentResult) -> dict:
     per_level = {}
     for shape, table in result.tables.items():
         for level in sorted(table.episodes_to_converge):
-            order = table.first_entered.index(level) + 1
+            order = list(table.episode_changes).index(level) + 1
             per_level[(shape, level)] = {
                 "episodes_to_converge": table.episodes_to_converge[level],
                 "learn_order": order,
@@ -1028,7 +1025,13 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
     """Force entry levels in the given order, each until its partition
     converges, and report global episode indices of the first and last
     convergence (the partitioned vs monolithic exploitation gates).  The
-    config's `n_periods` and schedule play no part."""
+    order must hold distinct levels in 1..k_levels, at least one; any other
+    order is refused before a period runs.  The config's `n_periods` and
+    schedule play no part."""
+    order = [int(x) for x in order]
+    k = config.learner.k_levels
+    if not order or len(set(order)) != len(order) or not all(1 <= x <= k for x in order):
+        raise ValueError(f"partition order needs distinct levels in 1..{k}, got {order}")
     pattern = config.pattern
     store = make_store(config)
     source = make_source(config, pattern)
@@ -1045,22 +1048,17 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
         raise ValueError("partition studies use single-peak patterns")
     shape_expected = None
 
-    order = [int(x) for x in order]
     target_idx = 0
-    episode_count = 0
     first_at = None
-    latch_at: dict[int, int] = {}
 
     for p in range(PARTITION_MAX_PERIODS):
         level = order[target_idx]
         policy.entry_level_hint = level
-        entry_value = entry_level_energy(level, store.capacity, config.learner.k_levels)
-        before = len(policy.episodes)
+        entry_value = entry_level_energy(level, store.capacity, k)
         run_period(
             policy, store, source, events, p, period_ticks, slot_len,
             entry_ticks, entry_value, False,
         )
-        episode_count += len(policy.episodes) - before
         if policy.ctx.phase < 2:
             continue
         if shape_expected is None and policy.ctx.known_peaks:
@@ -1068,10 +1066,9 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
         table = policy.ctx.tables.get(shape_expected)
         if table is None:
             continue
-        if level in table.converged_levels and level not in latch_at:
-            latch_at[level] = episode_count
+        if level in table.converged_levels:
             if first_at is None:
-                first_at = episode_count
+                first_at = len(policy.episodes)
             target_idx += 1
             if target_idx >= len(order):
                 break
@@ -1087,5 +1084,5 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
         order=tuple(order),
         episodes_per_level=episodes_per_level,
         first_converged_at=first_at,
-        all_converged_at=episode_count,
+        all_converged_at=len(policy.episodes),
     )

@@ -13,7 +13,7 @@ randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -225,15 +225,8 @@ def event_at(trace: EventTrace, t: int) -> bool:
 
 def shift_pattern(pattern: EventPattern, delta_slots: int) -> EventPattern:
     """Move every peak by delta_slots; positional drift, same shapes."""
-    moved = [replace(p, start_slot=p.start_slot + delta_slots) for p in pattern.peaks]
-    return build_pattern(
-        moved,
-        period_ticks=pattern.period_ticks,
-        state_duration=pattern.state_duration,
-        p_high=pattern.p_high,
-        p_low=pattern.p_low,
-        background_rate=pattern.background_rate,
-        peak_max_duration=pattern.peak_max_duration,
+    return _with_peaks(
+        pattern, [replace(p, start_slot=p.start_slot + delta_slots) for p in pattern.peaks]
     )
 
 
@@ -252,15 +245,13 @@ def morph_pattern(pattern: EventPattern, peak_index: int, new_shape) -> EventPat
         name = "custom"
     peaks = list(pattern.peaks)
     peaks[peak_index] = PeakSpec(old.start_slot, steps, shape_name=name)
-    return build_pattern(
-        peaks,
-        period_ticks=pattern.period_ticks,
-        state_duration=pattern.state_duration,
-        p_high=pattern.p_high,
-        p_low=pattern.p_low,
-        background_rate=pattern.background_rate,
-        peak_max_duration=pattern.peak_max_duration,
-    )
+    return _with_peaks(pattern, peaks)
+
+
+def _with_peaks(pattern: EventPattern, peaks) -> EventPattern:
+    """`pattern` with other peaks, built and checked by `build_pattern`."""
+    params = {f.name: getattr(pattern, f.name) for f in fields(pattern) if f.name != "peaks"}
+    return build_pattern(peaks, **params)
 
 
 def export_rle(trace: EventTrace, path) -> None:

@@ -83,6 +83,12 @@ class LearnerConfig:
         if freqs[-1] > 1.0:
             # one wake-up per tick at most: faster rates would repeat offsets
             raise ValueError(f"frequencies must not exceed 1 Hz, got {freqs[-1]}")
+        for f in freqs[1:]:
+            # a rate that wakes no tick in a slot would profile nothing, forever
+            if round(f * self.state_duration) == 0:
+                raise ValueError(
+                    f"frequencies: {f} wakes no tick in a {self.state_duration}-tick slot"
+                )
         if self.convergence_scope not in ("entry_row", "touched"):
             raise ValueError(f"unknown convergence scope {self.convergence_scope!r}")
         # below these bounds a window or budget would silently act as another value
@@ -92,19 +98,12 @@ class LearnerConfig:
             raise ValueError(f"need profile_window >= 1, got {self.profile_window}")
         if self.probe_budget < 0:
             raise ValueError(f"need probe_budget >= 0, got {self.probe_budget}")
+        if self.probe_trigger < 1:  # 0 would re-profile after every probing period
+            raise ValueError(f"need probe_trigger >= 1, got {self.probe_trigger}")
 
     @property
     def n_actions(self) -> int:
         return len(self.frequencies)
-
-    @property
-    def f_max(self) -> float:
-        return self.frequencies[-1]
-
-    @property
-    def f_probe(self) -> float:
-        """Lowest nonzero frequency; probes wake at this rate."""
-        return next(f for f in self.frequencies if f > 0)
 
     @property
     def max_step_reward(self) -> float:
@@ -241,11 +240,10 @@ class QTable:
         self.n = n_actions
         self.values = np.zeros((k_levels * t_steps, n_actions))
         self.touched = np.zeros((k_levels * t_steps, n_actions), dtype=bool)
-        # per entry level: max |dQ| of each completed episode entered there
+        # per entry level, in first-entry order: max |dQ| of each completed
+        # episode entered there
         self.episode_changes: dict[int, list[float]] = {}
-        self.episodes_at_level: dict[int, int] = {}
         self.entry_affordable: dict[int, set] = {}  # actions affordable at entry
-        self.first_entered: list[int] = []  # levels in first-entry order
         self.converged_levels: set[int] = set()
         self.episodes_to_converge: dict[int, int] = {}
 
@@ -255,13 +253,7 @@ class QTable:
     def record_episode(
         self, entry_level: int, max_change: float, entry_affordable=()
     ) -> None:
-        if entry_level not in self.episode_changes:
-            self.episode_changes[entry_level] = []
-            self.first_entered.append(entry_level)
-        self.episode_changes[entry_level].append(max_change)
-        self.episodes_at_level[entry_level] = (
-            self.episodes_at_level.get(entry_level, 0) + 1
-        )
+        self.episode_changes.setdefault(entry_level, []).append(max_change)
         self.entry_affordable.setdefault(entry_level, set()).update(entry_affordable)
 
 

@@ -227,19 +227,13 @@ class SmartOnPolicy(_Profiling):
 
     name = "smarton"
 
-    def __init__(
-        self,
-        cfg: LearnerConfig,
-        n_slots: int,
-        seed: int,
-        capacity: float,
-        entry_level_hint=None,
-    ):
+    def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int, capacity: float):
         super().__init__(cfg, n_slots, seed)
         self.capacity = capacity
         self.ctx = PhaseContext(cfg, n_slots)
         self.explore = Stream(seed, "explore")
-        self.entry_level_hint = entry_level_hint
+        # the forced entry level of the running segment, if any
+        self.entry_level_hint = None
         # convergence studies keep exploring after partitions converge; the
         # exploitation gate is then read off the latch bookkeeping instead
         self.explore_forever = False
@@ -429,7 +423,7 @@ class SmartOnPolicy(_Profiling):
         )
         if newly:
             table.converged_levels.add(level)
-            table.episodes_to_converge[level] = table.episodes_at_level[level]
+            table.episodes_to_converge[level] = len(table.episode_changes[level])
         if (
             newly
             and not self.explore_forever

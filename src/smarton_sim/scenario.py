@@ -8,6 +8,14 @@ expansion, for plain sweeps and the partition-study presets alike.  Each
 run's key (policy, event_type, entry_level, state_duration, charging_ratio,
 seed) is read off its built config by `RunKey.of`.
 
+`SCHEMA` names each key once, with its default, its parser and its target:
+the config field that takes the parsed value as is, such as
+"learner.k_levels" for [learner] energy_levels ("sim" is `SimConfig` itself,
+"pattern" the `build_pattern` arguments, "ctid" `CtidConfig`).  A key with
+no target is read by `build_sim_config` itself (the peaks, the source, the
+learner's slot, which falls back to the pattern's) or is a sweep axis or the
+run's name.
+
 This layer only parses (syntax, finite numbers).  Each range rule lives in
 the type that owns the field (`build_pattern`, `LearnerConfig`, `CtidConfig`,
 `SimConfig`); `build_sim_config` turns their errors into ScenarioError, for
@@ -32,7 +40,6 @@ class ScenarioError(Exception):
     """Config parsing or validation failed; message names the field."""
 
 
-# section -> key -> (default string, parser)
 def _bool(s: str) -> bool:
     if s.lower() in ("true", "yes", "1", "on"):
         return True
@@ -62,65 +69,66 @@ def _floats(s: str) -> tuple[float, ...]:
     return tuple(_finite(x) for x in s.split(","))
 
 
+# section -> key -> (default string, parser, target field or None)
 SCHEMA = {
     "run": {
-        "name": ("scenario", str),
-        "n_periods": ("60", int),
-        "seed": ("0", int),
-        "record_level": ("summary", str),
-        "measure_from": ("0", int),
-        "entry_level": ("", _opt_int),
-        "repeat_events": ("false", _bool),
-        "stop_rule": ("", _opt_str),
-        "ctid_phase_jitter": ("false", _bool),
+        "name": ("scenario", str, None),
+        "n_periods": ("60", int, "sim.n_periods"),
+        "seed": ("0", int, "sim.seed"),
+        "record_level": ("summary", str, "sim.record_level"),
+        "measure_from": ("0", int, "sim.measure_from"),
+        "entry_level": ("", _opt_int, "sim.entry_level"),
+        "repeat_events": ("false", _bool, "sim.repeat_first_period"),
+        "stop_rule": ("", _opt_str, "sim.stop_rule"),
+        "ctid_phase_jitter": ("false", _bool, "sim.ctid_phase_jitter"),
     },
     "pattern": {
-        "period_ticks": ("1200", int),
-        "state_duration": ("30", int),
-        "peaks": ("type1@10", str),
-        "p_high": ("0.8", _finite),
-        "p_low": ("0.2", _finite),
-        "background_rate": ("0.0", _finite),
-        "peak_max_duration": ("120", int),
+        "period_ticks": ("1200", int, "pattern.period_ticks"),
+        "state_duration": ("30", int, "pattern.state_duration"),
+        "peaks": ("type1@10", str, None),
+        "p_high": ("0.8", _finite, "pattern.p_high"),
+        "p_low": ("0.2", _finite, "pattern.p_low"),
+        "background_rate": ("0.0", _finite, "pattern.background_rate"),
+        "peak_max_duration": ("120", int, "pattern.peak_max_duration"),
     },
     "energy": {
-        "capacity": ("120", _finite),
-        "charging_ratio": ("9", _finite),
-        "source": ("constant", str),
-        "source_level": ("1.0", _finite),
-        "gate_in_peaks": ("false", _bool),
+        "capacity": ("120", _finite, "sim.capacity"),
+        "charging_ratio": ("9", _finite, "sim.charging_ratio"),
+        "source": ("constant", str, None),
+        "source_level": ("1.0", _finite, "sim.source_level"),
+        "gate_in_peaks": ("false", _bool, "sim.gate_source_in_peaks"),
     },
     "learner": {
-        "alpha": ("0.7", _finite),
-        "gamma": ("0.618", _finite),
-        "reward_catch": ("10", _finite),
-        "reward_miss": ("-1", _finite),
-        "energy_levels": ("4", int),
-        "state_duration": ("", _opt_int),
-        "frequencies": ("0,0.2,0.5,1", _floats),
-        "convergence_epsilon": ("3.0", _finite),
-        "convergence_window": ("5", int),
-        "convergence_scope": ("entry_row", str),
-        "profile_window": ("2", int),
-        "profile_tol_abs": ("2", _finite),
-        "profile_tol_rel": ("0.25", _finite),
-        "shape_theta": ("0.5", _finite),
-        "probe_budget": ("2", int),
-        "probe_trigger": ("1", int),
+        "alpha": ("0.7", _finite, "learner.alpha"),
+        "gamma": ("0.618", _finite, "learner.gamma"),
+        "reward_catch": ("10", _finite, "learner.reward_catch"),
+        "reward_miss": ("-1", _finite, "learner.reward_miss"),
+        "energy_levels": ("4", int, "learner.k_levels"),
+        "state_duration": ("", _opt_int, None),
+        "frequencies": ("0,0.2,0.5,1", _floats, "learner.frequencies"),
+        "convergence_epsilon": ("3.0", _finite, "learner.convergence_epsilon"),
+        "convergence_window": ("5", int, "learner.convergence_window"),
+        "convergence_scope": ("entry_row", str, "learner.convergence_scope"),
+        "profile_window": ("2", int, "learner.profile_window"),
+        "profile_tol_abs": ("2", _finite, "learner.profile_tol_abs"),
+        "profile_tol_rel": ("0.25", _finite, "learner.profile_tol_rel"),
+        "shape_theta": ("0.5", _finite, "learner.shape_theta"),
+        "probe_budget": ("2", int, "learner.probe_budget"),
+        "probe_trigger": ("1", int, "learner.probe_trigger"),
     },
     "policy": {
-        "policy": ("smarton", str),
-        "e_on": ("30", _finite),
-        "e_off": ("0", _finite),
-        "discharge_frequency": ("1.0", _finite),
+        "policy": ("smarton", str, "sim.policy"),
+        "e_on": ("30", _finite, "ctid.e_on"),
+        "e_off": ("0", _finite, "ctid.e_off"),
+        "discharge_frequency": ("1.0", _finite, "ctid.discharge_frequency"),
     },
     "sweep": {
-        "charging_ratio": ("", str),
-        "entry_level": ("", str),
-        "event_type": ("", str),
-        "state_duration": ("", str),
-        "policy": ("", str),
-        "seeds": ("", str),
+        "charging_ratio": ("", str, None),
+        "entry_level": ("", str, None),
+        "event_type": ("", str, None),
+        "state_duration": ("", str, None),
+        "policy": ("", str, None),
+        "seeds": ("", str, None),
     },
 }
 
@@ -177,7 +185,7 @@ class Scenario:
 def default_scenario() -> Scenario:
     values = {}
     for section, keys in SCHEMA.items():
-        for key, (default, parse) in keys.items():
+        for key, (default, parse, _) in keys.items():
             values[(section, key)] = parse(default)
     return Scenario(values=values)
 
@@ -206,7 +214,7 @@ def parse_config(path) -> Scenario:
                     f"unknown key {key!r} in [{section}]; "
                     f"valid: {sorted(SCHEMA[section])}"
                 )
-            _, parse = SCHEMA[section][key]
+            parse = SCHEMA[section][key][1]
             try:
                 values[(section, key)] = parse(raw)
             except ValueError as exc:
@@ -270,71 +278,34 @@ def _parse_peaks(text: str) -> list[tuple[str, int]]:
     return peaks
 
 
-def _learner_duration(v: dict) -> int:
-    """The learner's slot length: its own key when set, else the pattern's."""
-    d = v[("learner", "state_duration")]
-    return v[("pattern", "state_duration")] if d is None else d
+# ((section, key), config type, field) for each key with a target
+_TARGETS = [
+    ((section, key), *target.split("."))
+    for section, keys in SCHEMA.items()
+    for key, (_, _, target) in keys.items()
+    if target is not None
+]
 
 
 def build_sim_config(scenario: Scenario) -> SimConfig:
     """SimConfig for the scenario's base values (no sweep expansion)."""
     v = scenario.values
+    kwargs = {"pattern": {}, "learner": {}, "ctid": {}, "sim": {}}
+    for key, kind, field in _TARGETS:
+        kwargs[kind][field] = v[key]
+    slot = v[("learner", "state_duration")]  # the pattern's slot when unset
     try:
-        pattern = build_pattern(
-            _parse_peaks(v[("pattern", "peaks")]),
-            period_ticks=v[("pattern", "period_ticks")],
-            state_duration=v[("pattern", "state_duration")],
-            p_high=v[("pattern", "p_high")],
-            p_low=v[("pattern", "p_low")],
-            background_rate=v[("pattern", "background_rate")],
-            peak_max_duration=v[("pattern", "peak_max_duration")],
-        )
+        pattern = build_pattern(_parse_peaks(v[("pattern", "peaks")]), **kwargs["pattern"])
         learner = LearnerConfig(
-            alpha=v[("learner", "alpha")],
-            gamma=v[("learner", "gamma")],
-            reward_catch=v[("learner", "reward_catch")],
-            reward_miss=v[("learner", "reward_miss")],
-            k_levels=v[("learner", "energy_levels")],
-            state_duration=_learner_duration(v),
-            frequencies=v[("learner", "frequencies")],
-            convergence_epsilon=v[("learner", "convergence_epsilon")],
-            convergence_window=v[("learner", "convergence_window")],
-            convergence_scope=v[("learner", "convergence_scope")],
-            profile_window=v[("learner", "profile_window")],
-            profile_tol_abs=v[("learner", "profile_tol_abs")],
-            profile_tol_rel=v[("learner", "profile_tol_rel")],
-            shape_theta=v[("learner", "shape_theta")],
-            probe_budget=v[("learner", "probe_budget")],
-            probe_trigger=v[("learner", "probe_trigger")],
-            peak_max_duration=v[("pattern", "peak_max_duration")],
+            state_duration=pattern.state_duration if slot is None else slot,
+            peak_max_duration=pattern.peak_max_duration,
+            **kwargs["learner"],
         )
-        source = v[("energy", "source")]
-        source_kind, _, source_path = source.partition(":")
-        ctid = CtidConfig(
-            e_on=v[("policy", "e_on")],
-            e_off=v[("policy", "e_off")],
-            discharge_frequency=v[("policy", "discharge_frequency")],
-        )
+        ctid = CtidConfig(**kwargs["ctid"])
+        source_kind, _, source_path = v[("energy", "source")].partition(":")
         return SimConfig(
-            pattern=pattern,
-            learner=learner,
-            policy=v[("policy", "policy")],
-            ctid=ctid,
-            capacity=v[("energy", "capacity")],
-            charging_ratio=v[("energy", "charging_ratio")],
-            source_kind=source_kind,
-            source_level=v[("energy", "source_level")],
-            source_path=source_path or None,
-            gate_source_in_peaks=v[("energy", "gate_in_peaks")],
-            n_periods=v[("run", "n_periods")],
-            seed=v[("run", "seed")],
-            record_level=v[("run", "record_level")],
-            entry_level=v[("run", "entry_level")],
-            measure_from=v[("run", "measure_from")],
-            repeat_first_period=v[("run", "repeat_events")],
-            schedule=scenario.schedule,
-            stop_rule=v[("run", "stop_rule")],
-            ctid_phase_jitter=v[("run", "ctid_phase_jitter")],
+            pattern=pattern, learner=learner, ctid=ctid, source_kind=source_kind,
+            source_path=source_path or None, schedule=scenario.schedule, **kwargs["sim"],
         )
     except ValueError as exc:
         # each config type checks its own fields; InvalidSpec is a ValueError

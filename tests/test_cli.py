@@ -111,6 +111,10 @@ class TestSimulate:
             ("[learner]\nprobe_budget = -1\n", "probe_budget"),
             ("[learner]\nconvergence_window = 0\n", "convergence_window"),
             ("[learner]\nprofile_window = 0\n", "profile_window"),
+            # 0 would re-profile after every probing period
+            ("[learner]\nprobe_trigger = 0\n", "probe_trigger"),
+            # 0.01 Hz wakes no tick in a 30 s slot, so profiling never ends
+            ("[learner]\nfrequencies = 0,0.01\n", "frequencies"),
             ("[run]\nn_periods = 3\nmeasure_from = -5\n", "measure_from"),
             ("[policy]\npolicy = ctid\ndischarge_frequency = 2\n", "discharge_frequency"),
             ("[policy]\npolicy = ctid\ne_off = -1\n", "e_off"),

@@ -965,6 +965,16 @@ class TestPartitionStudy:
         assert study.first_converged_at == study.episodes_per_level[order[0]]
         assert study.all_converged_at >= 5 * study.first_converged_at
 
+    @pytest.mark.parametrize("order", [[0], [5], [2, 2], []])
+    def test_bad_order_is_refused_before_any_period(self, order, monkeypatch):
+        # a level outside 1..k or a repeated level could never latch
+        def no_period(*args):
+            raise AssertionError("a period ran")
+
+        monkeypatch.setattr(engine, "run_period", no_period)
+        with pytest.raises(ValueError, match=r"distinct levels in 1\.\.4"):
+            run_partition_study(base_config(entry_level=None), order)
+
     def test_entry_forcing_value(self):
         assert entry_level_energy(4, 120.0, 4) == pytest.approx(105.0)
         assert entry_level_energy(1, 120.0, 4) == pytest.approx(15.0)

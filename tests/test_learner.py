@@ -266,10 +266,10 @@ class TestReferenceEquivalence:
                                                      pick, delta):
         try:
             costs = [schedule_cost(f, duration) for f in freqs]
-        except ValueError:  # a frequency too high for the slot
+            cfg = LearnerConfig(frequencies=tuple(freqs) if as_tuple else freqs,
+                                state_duration=duration)
+        except ValueError:  # a frequency too high for the slot, or too low to wake in it
             return
-        cfg = LearnerConfig(frequencies=tuple(freqs) if as_tuple else freqs,
-                            state_duration=duration)
         for stored in (costs[pick % len(costs)] + delta, max(costs) + 1.0, 0.0):
             got = affordable_actions(cfg, stored)
             assert got == tuple(affordable_reference(cfg, stored))

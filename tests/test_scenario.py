@@ -4,6 +4,7 @@ import pytest
 
 from smarton_sim.scenario import (
     PRESETS,
+    SCHEMA,
     RunKey,
     Scenario,
     ScenarioError,
@@ -167,6 +168,90 @@ class TestSweep:
             assert [key for key, _ in runs] == [
                 RunKey("smarton", "type1", None, 30, 9.0, seed) for seed in seeds
             ]
+
+
+# a valid value other than the default for every key with a target
+NON_DEFAULT = {
+    ("run", "n_periods"): "7",
+    ("run", "seed"): "3",
+    ("run", "record_level"): "per-tick",
+    ("run", "measure_from"): "2",
+    ("run", "entry_level"): "2",
+    ("run", "repeat_events"): "true",
+    ("run", "stop_rule"): "phase_ge:3",
+    ("run", "ctid_phase_jitter"): "true",
+    ("pattern", "period_ticks"): "2400",
+    ("pattern", "state_duration"): "20",
+    ("pattern", "p_high"): "0.9",
+    ("pattern", "p_low"): "0.1",
+    ("pattern", "background_rate"): "0.05",
+    ("pattern", "peak_max_duration"): "150",
+    ("energy", "capacity"): "100",
+    ("energy", "charging_ratio"): "6",
+    ("energy", "source_level"): "2",
+    ("energy", "gate_in_peaks"): "true",
+    ("learner", "alpha"): "0.5",
+    ("learner", "gamma"): "0.5",
+    ("learner", "reward_catch"): "5",
+    ("learner", "reward_miss"): "-2",
+    ("learner", "energy_levels"): "6",
+    ("learner", "frequencies"): "0,0.25,1",
+    ("learner", "convergence_epsilon"): "1.5",
+    ("learner", "convergence_window"): "4",
+    ("learner", "convergence_scope"): "touched",
+    ("learner", "profile_window"): "3",
+    ("learner", "profile_tol_abs"): "1",
+    ("learner", "profile_tol_rel"): "0.5",
+    ("learner", "shape_theta"): "0.4",
+    ("learner", "probe_budget"): "3",
+    ("learner", "probe_trigger"): "2",
+    ("policy", "policy"): "ctid",
+    ("policy", "e_on"): "40",
+    ("policy", "e_off"): "5",
+    ("policy", "discharge_frequency"): "0.5",
+}
+
+TARGETED = {(s, k) for s, keys in SCHEMA.items() for k, entry in keys.items() if entry[2]}
+
+
+class TestTargets:
+    def test_keys_without_a_target_are_the_special_ones(self):
+        # a new key without a target would be parsed and then dropped
+        untargeted = {(s, k) for s in SCHEMA for k in SCHEMA[s]} - TARGETED
+        assert untargeted == {
+            ("run", "name"), ("pattern", "peaks"), ("energy", "source"),
+            ("learner", "state_duration"), *(("sweep", k) for k in SCHEMA["sweep"]),
+        }
+
+    def test_every_target_has_a_test_value(self):
+        assert set(NON_DEFAULT) == TARGETED
+
+    @pytest.mark.parametrize("section, key", sorted(NON_DEFAULT))
+    def test_value_reaches_its_target_field(self, section, key):
+        default, parse, target = SCHEMA[section][key]
+        value = parse(NON_DEFAULT[(section, key)])
+        assert value != parse(default)
+        config = build_sim_config(default_scenario().with_value(section, key, value))
+        kind, field = target.split(".")
+        owner = {"sim": config, "pattern": config.pattern, "learner": config.learner,
+                 "ctid": config.ctid}[kind]
+        assert getattr(owner, field) == value
+        if (section, key) == ("pattern", "peak_max_duration"):
+            assert config.learner.peak_max_duration == value
+
+    def test_special_keys(self, tmp_path):
+        trace = write(tmp_path, "1.0\n")
+        scenario = default_scenario().with_value("pattern", "peaks", "type3@4,type2@20")
+        scenario = scenario.with_value("pattern", "state_duration", 20)
+        scenario = scenario.with_value("energy", "source", f"trace:{trace}")
+        config = build_sim_config(scenario)
+        assert [(p.shape_name, p.start_slot) for p in config.pattern.peaks] == [
+            ("type3", 4), ("type2", 20)
+        ]
+        assert (config.source_kind, config.source_path) == ("trace", str(trace))
+        assert config.learner.state_duration == 20  # the pattern's slot
+        config = build_sim_config(scenario.with_value("learner", "state_duration", 60))
+        assert (config.pattern.state_duration, config.learner.state_duration) == (20, 60)
 
 
 class TestPresets:
