@@ -18,7 +18,6 @@ from .events import (
     InvalidSpec,
     PeakSpec,
     build_pattern,
-    event_at,
     morph_pattern,
     sample_trace,
     shift_pattern,
@@ -63,7 +62,6 @@ __all__ = [
     "capacitor_preset",
     "compute_metrics",
     "convergence_stats",
-    "event_at",
     "morph_pattern",
     "quantize",
     "run_experiment",

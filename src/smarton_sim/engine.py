@@ -13,10 +13,11 @@ the policy's look-ahead names as able to act, wake-ups, CTID mode flips --
 and covers the harvest-only ticks between them with the float results of
 stepping every tick through the store, summed one binade at a time: inside
 [b, 2b) every float shares one grid, so repeated additions of one inflow
-step by one exact constant (`_add_below`).  Events arrive as a 0/1 byte
-string per period.  Per-tick recording takes the same path and replays the
-kernel's decisions into per-tick arrays (`_tick_arrays`), so it cannot
-change a number.
+step by one exact constant (`_add_below`); a gap of fewer than
+`ACCUMULATE_MIN` ticks between wake-ups adds tick by tick, inline in the
+wake loop.  Events arrive as a 0/1 byte string per period.  Per-tick
+recording takes the same path and replays the kernel's decisions into
+per-tick arrays (`_tick_arrays`), so it cannot change a number.
 
 Within a run, a phase-3 episode of the learning policy (`episode_memo`) and
 a CTID charge phase are computed once per start and then replayed, with
@@ -30,7 +31,7 @@ its realization; the adaptation experiments use it to force re-profiling.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -349,24 +350,26 @@ def run_period(
     energy; long runs and runs that clamp are summed one binade at a time
     (see `_idle_run`).  Saturation is monotone in the stored energy, so one
     check of the run's last pre-tick value shows whether any tick clamped.
-    The single harvest tick between two wake-ups one tick apart is the
-    clamp itself, inline.  A varying source is split into runs of equal
-    inflow.  GT is closed form (awake every tick, catches every event), CTID
-    charge phases jump to the tick that first sees `e_on` when the store
-    cannot saturate below it, and CTID discharge phases and burst slots are
-    draw runs: one wake cost per wake-up leaves `s - j` after `j` of them
-    exactly, so their count and the store after them are closed form
-    (`_draws`).
+    Under one inflow a gap between wake-ups shorter than `ACCUMULATE_MIN`
+    takes `_idle_run`'s short path inline, its additions and that check,
+    and calls `_idle_run` only when the check clamps.  A varying source is
+    split into runs of equal inflow.  GT is closed form (awake every tick,
+    catches every event), CTID charge phases jump to the tick that first
+    sees `e_on` when the store cannot saturate below it, and CTID discharge
+    phases and burst slots are draw runs: one wake cost per wake-up leaves
+    `s - j` after `j` of them exactly, so their count and the store after
+    them are closed form (`_draws`).
 
     Burst slots and CTID discharge phases are dark: they harvest nothing.
     The period's harvest total is the in-order sum of the other ticks'
     inflows; under one constant inflow it is read from a cached table by
-    their count.
+    their count.  Entry-forcing slots are cached per (entry ticks, slot
+    length).
 
     Under one constant inflow, while the policy keeps an `episode_memo`, an
     episode that `episode_at` names, with no forcing inside, is replayed by
-    (peak, stored energy, inflow), or run and stored unless a harvest reached
-    `cap` (waste is an in-order float sum that a replay cannot redo).
+    (peak, stored energy, inflow), or run and stored unless a harvest clamped
+    at `cap` (waste is an in-order float sum that a replay cannot redo).
     Recording takes this same path and lists its decisions for `_tick_arrays`.
     """
     phase_start = policy.current_phase
@@ -411,9 +414,7 @@ def run_period(
         n_slots = period_ticks // slot_len
         # entry forcing rewrites the store at a slot start: a stop for the
         # look-ahead whether or not the policy acts there
-        entry_slots = (
-            tuple(sorted(t // slot_len for t in entry_ticks)) if entry_value is not None else ()
-        )
+        entry_slots = _entry_slots(entry_ticks, slot_len) if entry_value is not None else ()
         # the wake tick list, the end of an episode being memoized, its cap flag
         woken, episode_end, full = wakes, None, False
         slot = 0
@@ -421,7 +422,9 @@ def run_period(
             # bank the slots before the next one that can act in one idle run
             nxt = policy.next_active_slot(slot)
             if entry_slots:
-                nxt = min(nxt, _first_at_or_after(entry_slots, slot, n_slots))
+                i = bisect_left(entry_slots, slot)
+                if i < len(entry_slots) and entry_slots[i] < nxt:
+                    nxt = entry_slots[i]
             if nxt > slot:
                 if uniform:
                     s, waste = _idle_run(s, waste, inc, cap, (nxt - slot) * slot_len)
@@ -481,19 +484,23 @@ def run_period(
                 done = base  # first tick not yet banked
                 for offset in (*plan, slot_len):
                     t = base + offset
-                    if t - done == 1 and uniform:
-                        # the one harvest tick between consecutive wake-ups
-                        room = cap - s
-                        if inc > room:
-                            waste += inc - room
-                            s = cap
+                    n = t - done
+                    if 0 < n < ACCUMULATE_MIN and uniform:
+                        # `_idle_run`'s short path: n - 1 additions, then the
+                        # clamp check of the last pre-tick value
+                        e = s
+                        if n > 1:
+                            for _ in repeat(None, n - 1):
+                                e += inc
+                        if inc > cap - e:
+                            s, waste = _idle_run(s, waste, inc, cap, n)
                             full = True
                         else:
-                            s += inc
+                            s = e + inc
                         done = t
-                    elif t > done:
+                    elif n > 0:
                         if uniform:
-                            s, waste = _idle_run(s, waste, inc, cap, t - done)
+                            s, waste = _idle_run(s, waste, inc, cap, n)
                             full |= s == cap
                         else:
                             s, waste = _bank(s, waste, cap, runs, done, t)
@@ -526,7 +533,7 @@ def run_period(
     policy.on_period_end(period_index)
 
     if uniform:
-        lit = period_ticks - sum(b - a for a, b in dark)
+        lit = period_ticks - sum(b - a for a, b in dark) if dark else period_ticks
         harvested = _harvest_sums(inc, period_ticks)[lit]
     else:
         harvested = _lit_total(inflows, dark)
@@ -789,6 +796,12 @@ def _inflow_runs(inflows: list) -> list:
             runs.append((start, t, inflows[start]))
             start = t
     return runs
+
+
+@lru_cache(maxsize=16)
+def _entry_slots(entry_ticks: frozenset, slot_len: int) -> tuple[int, ...]:
+    """The sorted slots whose starts are in `entry_ticks`."""
+    return tuple(sorted(t // slot_len for t in entry_ticks))
 
 
 @lru_cache(maxsize=16)

@@ -217,12 +217,6 @@ def sample_trace(
     )
 
 
-def event_at(trace: EventTrace, t: int) -> bool:
-    if not 0 <= t < len(trace.occurrences):
-        raise IndexError(f"tick {t} outside trace of length {len(trace.occurrences)}")
-    return bool(trace.occurrences[t])
-
-
 def shift_pattern(pattern: EventPattern, delta_slots: int) -> EventPattern:
     """Move every peak by delta_slots; positional drift, same shapes."""
     return _with_peaks(
@@ -252,49 +246,3 @@ def _with_peaks(pattern: EventPattern, peaks) -> EventPattern:
     """`pattern` with other peaks, built and checked by `build_pattern`."""
     params = {f.name: getattr(pattern, f.name) for f in fields(pattern) if f.name != "peaks"}
     return build_pattern(peaks, **params)
-
-
-def export_rle(trace: EventTrace, path) -> None:
-    """Write the trace as `<tick>:<0|1>` change points (run-length encoding)."""
-    bits = trace.occurrences
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# length={len(bits)} period={trace.period_ticks} seed={trace.seed}\n")
-        fh.write(f"# pattern={trace.pattern_id}\n")
-        prev = None
-        for t, bit in enumerate(bits):
-            if bit != prev:
-                fh.write(f"{t}:{int(bit)}\n")
-                prev = bit
-
-
-def import_rle(path) -> EventTrace:
-    length = period = seed = None
-    pid = ""
-    changes: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    key, _, value = token.partition("=")
-                    if key == "length":
-                        length = int(value)
-                    elif key == "period":
-                        period = int(value)
-                    elif key == "seed":
-                        seed = int(value)
-                    elif key == "pattern":
-                        pid = value
-                continue
-            tick_s, _, val_s = line.partition(":")
-            changes.append((int(tick_s), int(val_s)))
-    if length is None or period is None:
-        raise ValueError(f"missing length/period header in {path}")
-    bits = np.zeros(length, dtype=np.uint8)
-    for (t, v), nxt in zip(changes, changes[1:] + [(length, 0)]):
-        bits[t : nxt[0]] = v
-    return EventTrace(
-        occurrences=bits, seed=seed or 0, pattern_id=pid, period_ticks=period
-    )

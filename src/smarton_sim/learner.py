@@ -348,9 +348,9 @@ def partition_converged(table: QTable, entry_level: int, cfg: LearnerConfig) -> 
     return all(c <= cfg.convergence_epsilon for c in changes[-cfg.convergence_window:])
 
 
-def probe_plan(n_slots: int, known_peak_slots, budget: int, stream) -> set[int]:
-    """Up to `budget` probe slots drawn uniformly from outside known peaks."""
-    candidates = [s for s in range(n_slots) if s not in known_peak_slots]
+def probe_plan(candidates: tuple[int, ...], budget: int, stream) -> set[int]:
+    """Up to `budget` probe slots drawn uniformly from `candidates`, the
+    slots outside known peaks, which the caller keeps between changes."""
     if budget <= 0 or not candidates:
         return set()
     return set(stream.sample_without_replacement(candidates, budget))
@@ -444,36 +444,3 @@ def phase_transition(ctx: PhaseContext, observation) -> PhaseContext:
     raise InvalidTransition(
         f"phase {ctx.phase} cannot accept {type(observation).__name__}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization: header + one row per (level, step), 6-decimal values
-# ---------------------------------------------------------------------------
-
-def save_qtable(table: QTable, path, cfg: LearnerConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"shape={table.shape} k={table.k} t={table.t} n={table.n} "
-            f"alpha={cfg.alpha:.6f} gamma={cfg.gamma:.6f}\n"
-        )
-        for level in range(1, table.k + 1):
-            for step in range(1, table.t + 1):
-                row = table.values[table.get_state(level, step)]
-                cells = " ".join(f"{v:.6f}" for v in row)
-                fh.write(f"{level} {step} {cells}\n")
-
-
-def load_qtable(path) -> tuple[QTable, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        meta = dict(kv.split("=", 1) for kv in header)
-        table = QTable(meta["shape"], int(meta["k"]), int(meta["t"]), int(meta["n"]))
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            level, step = int(parts[0]), int(parts[1])
-            values = [float(v) for v in parts[2:]]
-            table.values[table.get_state(level, step)] = values
-    params = {"alpha": float(meta["alpha"]), "gamma": float(meta["gamma"])}
-    return table, params

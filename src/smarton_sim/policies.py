@@ -141,11 +141,13 @@ class CtidPolicy(BasePolicy):
 class _Profiling(BasePolicy):
     """Phase-1 profiling and Phase-3 probing of the learning policy and
     CTIDpro, keyed on `current_phase`: 1 while profiling, 3 while exploiting.
+    It is a plain attribute, set where the phase changes.
 
     Profiling wakes at the top frequency in each unvisited slot whose whole
     schedule the store can fund, until consecutive runs agree; `_exploit`
     then takes the peaks, if any.  A period that starts in phase 3 probes
-    slots outside `known_slots` at the lowest nonzero frequency, and
+    slots outside `known_slots` at the lowest nonzero frequency, drawn from
+    a tuple of those slots built once per change of `known_slots`; and
     `probe_trigger` or more catches there call `_reprofile` at its end.
     Subclasses provide `profile`, `known_slots`, `_exploit_starts`,
     `_exploit` and `_reprofile`, and define the engine hooks themselves."""
@@ -153,6 +155,7 @@ class _Profiling(BasePolicy):
     def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int):
         self.cfg = cfg
         self.n_slots = n_slots
+        self.current_phase = 1
         self.probe_stream = Stream(seed, "probe")
         # one schedule per frequency; the frequencies start at 0, so the
         # second is the probes' and the last the profiling schedule
@@ -165,6 +168,8 @@ class _Profiling(BasePolicy):
         self._probe_slots: set[int] = set()
         self._probe_catches = 0
         self._active_slots: tuple[int, ...] = ()  # exploit starts and probe slots
+        # the slots outside `known_slots`; set to None where those change
+        self._probe_candidates: tuple[int, ...] | None = None
 
     def _refresh_active_slots(self) -> None:
         self._active_slots = tuple(sorted(self._exploit_starts() | self._probe_slots))
@@ -174,9 +179,12 @@ class _Profiling(BasePolicy):
         self._probe_catches = 0
         self._probe_slots = set()
         if self.current_phase == 3 and self.cfg.probe_budget > 0:
-            self._probe_slots = probe_plan(
-                self.n_slots, self.known_slots, self.cfg.probe_budget, self.probe_stream
-            )
+            candidates = self._probe_candidates
+            if candidates is None:
+                known = self.known_slots
+                candidates = tuple(s for s in range(self.n_slots) if s not in known)
+                self._probe_candidates = candidates
+            self._probe_slots = probe_plan(candidates, self.cfg.probe_budget, self.probe_stream)
         self._refresh_active_slots()
 
     def next_active_slot(self, slot: int) -> int:
@@ -184,7 +192,9 @@ class _Profiling(BasePolicy):
         # slots where exploiting begins and this period's probe slots
         if self.current_phase == 1:
             return self.profile.next_unvisited(slot)
-        return _first_at_or_after(self._active_slots, slot, self.n_slots)
+        active = self._active_slots
+        i = bisect_left(active, slot)
+        return active[i] if i < len(active) else self.n_slots
 
     def _plan_profile(self, slot: int, stored: float):
         fund = not self.profile.visited[slot] and stored >= self.full_floor
@@ -248,10 +258,6 @@ class SmartOnPolicy(_Profiling):
     # -- helpers -----------------------------------------------------------
 
     @property
-    def current_phase(self) -> int:  # engine records this per slot
-        return self.ctx.phase
-
-    @property
     def profile(self) -> SlotProfile:
         return self.ctx.profile
 
@@ -267,6 +273,7 @@ class SmartOnPolicy(_Profiling):
 
     def _refresh_peaks(self) -> None:
         self._peak_starts = {p.start_slot: p for p in self.ctx.known_peaks}
+        self._probe_candidates = None
         self._refresh_active_slots()
 
     # -- engine hooks ------------------------------------------------------
@@ -283,6 +290,7 @@ class SmartOnPolicy(_Profiling):
 
     def _transition(self, observation) -> None:
         phase_transition(self.ctx, observation)
+        self.current_phase = self.ctx.phase
         # phase 3 plans greedily on tables it never updates: an episode is a
         # pure function of peak, entry energy and inflow for the whole stay
         self.episode_memo = (self.episode_memo or {}) if self.ctx.phase == 3 else None
@@ -463,11 +471,6 @@ class CtidProPolicy(_Profiling):
         super().__init__(cfg, n_slots, seed)
         self.profile = SlotProfile(n_slots)
         self.known_slots: set[int] = set()
-        self.profiling = True
-
-    @property
-    def current_phase(self) -> int:
-        return 1 if self.profiling else 3
 
     def _exploit_starts(self):
         return self.known_slots
@@ -476,21 +479,22 @@ class CtidProPolicy(_Profiling):
         self._draw_probes()
 
     def plan_slot(self, slot: int, stored: float):
-        if self.profiling:
+        if self.current_phase == 1:
             return self._plan_profile(slot, stored)
         if slot in self.known_slots:
             return BURST
         return self._plan_probe(slot, stored)
 
     def on_slot_end(self, slot: int, awake: int, catches: int, stored: float) -> None:
-        if self.profiling:
+        if self.current_phase == 1:
             self._profile_slot_end(slot, catches, stored)
         else:
             self._probe_slot_end(slot, catches)
 
     def _exploit(self, peaks: tuple[LearnedPeak, ...], stored: float) -> None:
         self.known_slots = {s for p in peaks for s in range(p.start_slot, p.end_slot)}
-        self.profiling = False
+        self.current_phase = 3
+        self._probe_candidates = None
         self._refresh_active_slots()
 
     def on_period_end(self, period: int) -> None:
@@ -498,4 +502,4 @@ class CtidProPolicy(_Profiling):
 
     def _reprofile(self) -> None:
         self.profile = SlotProfile(self.n_slots)
-        self.profiling = True
+        self.current_phase = 1

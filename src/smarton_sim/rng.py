@@ -73,14 +73,17 @@ class Stream:
             z = z ^ (z >> np.uint64(31))
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
+    # the two cursor draws restate `at` so that each costs one call below it
     def next_double(self) -> float:
-        u = self.at(self.cursor)
-        self.cursor += 1
-        return u
+        i = self.cursor
+        self.cursor = i + 1
+        return (mix64(self.key + (i + 1) * GOLDEN_GAMMA) >> 11) * 2.0**-53
 
     def next_below(self, n: int) -> int:
         """Integer in [0, n) from the next double."""
-        return int(self.next_double() * n)
+        i = self.cursor
+        self.cursor = i + 1
+        return int((mix64(self.key + (i + 1) * GOLDEN_GAMMA) >> 11) * 2.0**-53 * n)
 
     def choice(self, seq):
         return seq[self.next_below(len(seq))]

@@ -37,7 +37,7 @@ from smarton_sim.engine import (
     _idle_run,
 )
 from smarton_sim.events import build_pattern
-from smarton_sim.learner import LearnerConfig
+from smarton_sim.learner import LearnerConfig, wake_offsets
 from smarton_sim.policies import (
     BasePolicy, CtidConfig, CtidPolicy, GtPolicy, SmartOnPolicy,
 )
@@ -308,6 +308,41 @@ class TestRunPeriod:
         config = base_config(policy=policy, charging_ratio=1.0, source_level=1.5,
                              initial_stored=120.0, n_periods=6)
         assert_kernel_matches_oracle(config)
+
+    @pytest.mark.parametrize("record", [False, True], ids=["summary", "per-tick"])
+    @pytest.mark.parametrize("frequency, level", [(0.2, 2.7), (0.5, 5.4)])
+    def test_short_gaps_that_clamp_inside_the_slot_match_the_oracle(
+        self, frequency, level, record
+    ):
+        # a 0.2 Hz probe slot or a 0.5 Hz action entered a few ticks' inflow
+        # below capacity: the gaps between wake-ups refill the store, first
+        # below capacity, then to a clamp on a tick inside the gap, not on
+        # its first one
+        plan = wake_offsets(frequency, 30)
+
+        class Planner(BasePolicy):
+            def plan_slot(self, slot, stored):
+                return plan if slot % 4 == 0 else ()
+
+        source = HarvestSource.constant(level)  # 0.3 or 0.6 per tick at ratio 9
+        events = bytes(t % 7 == 0 for t in range(1200))
+        stores = [AbstractStore(120, 9, stored=120 - 3.5 * level / 9) for _ in range(2)]
+        mid_gap_clamps = 0
+        for p in range(3):
+            args = (events, p, 1200, 30, frozenset(), None, record)
+            got = run_period(Planner(), stores[0], source, *args)
+            want = per_tick_oracle.run_period(Planner(), stores[1], source, *args)
+            assert_same_log(got, want)
+            if record:
+                stored, awake = want.ticks["stored"], want.ticks["awake"]
+                # a gap's first tick is a wake-up's: count clamps on later ones
+                mid_gap_clamps += sum(
+                    stored[t] == 120.0 and stored[t - 1] < 120.0 and not awake[t]
+                    and (t // 30) % 4 == 0
+                    for t in range(1, 1200)
+                )
+        assert stores[0] == stores[1]
+        assert mid_gap_clamps > 0 or not record
 
     @pytest.mark.parametrize("record", [False, True], ids=["summary", "per-tick"])
     @pytest.mark.parametrize("source", [

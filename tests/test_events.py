@@ -1,4 +1,4 @@
-"""Event patterns and traces: shapes, sampling, determinism, RLE round-trip."""
+"""Event patterns and traces: shapes, sampling, determinism."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,6 @@ from smarton_sim.events import (
     InvalidSpec,
     PeakSpec,
     build_pattern,
-    event_at,
-    export_rle,
-    import_rle,
     morph_pattern,
     sample_trace,
     shift_pattern,
@@ -115,23 +112,6 @@ class TestSampleTrace:
         assert 20 < h_counts.mean() < 28
 
 
-class TestEventAt:
-    def test_lookup_and_bounds(self):
-        pattern = build_pattern([("type1", 10)])
-        trace = sample_trace(pattern, seed=0, n_periods=1)
-        assert event_at(trace, 0) == bool(trace.occurrences[0])
-        with pytest.raises(IndexError):
-            event_at(trace, 1200)
-        with pytest.raises(IndexError):
-            event_at(trace, -1)
-
-    def test_replay_is_pure(self):
-        pattern = build_pattern([("type1", 10)])
-        trace = sample_trace(pattern, seed=0, n_periods=1)
-        t = 330
-        assert event_at(trace, t) == event_at(trace, t)
-
-
 def _profile_counts(trace, n_slots=40, slot_len=30):
     """Perfect profiling: per-slot event counts of the first period."""
     return trace.occurrences[: n_slots * slot_len].reshape(n_slots, slot_len).sum(axis=1)
@@ -182,31 +162,6 @@ class TestShiftMorph:
         pattern = build_pattern([("type1", 10)])
         with pytest.raises(InvalidSpec):
             morph_pattern(pattern, 3, "type2")
-
-
-class TestRleRoundTrip:
-    def test_round_trip(self, tmp_path):
-        pattern = build_pattern([("type1", 10)])
-        trace = sample_trace(pattern, seed=13, n_periods=3)
-        path = tmp_path / "trace.rle"
-        export_rle(trace, path)
-        back = import_rle(path)
-        assert np.array_equal(back.occurrences, trace.occurrences)
-        assert back.period_ticks == trace.period_ticks
-        assert back.seed == trace.seed
-
-    def test_all_zero_trace(self, tmp_path):
-        trace = EventTrace(
-            occurrences=np.zeros(100, dtype=np.uint8),
-            seed=0,
-            pattern_id="x",
-            period_ticks=100,
-        )
-        path = tmp_path / "zero.rle"
-        export_rle(trace, path)
-        back = import_rle(path)
-        assert back.occurrences.sum() == 0
-        assert len(back.occurrences) == 100
 
 
 @given(

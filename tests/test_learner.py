@@ -251,25 +251,34 @@ def random_table(seed, k, t, n, bound, grid):
     return table
 
 
+@st.composite
+def frequencies_and_slot(draw):
+    """A frequency set and a slot length in 1..600 ticks in which its lowest
+    nonzero frequency, and so every other, wakes at least once; longer when
+    that frequency needs it."""
+    freqs = draw(frequency_sets)
+    shortest = max(1, math.ceil(0.5 / freqs[1]))
+    while round(freqs[1] * shortest) == 0:
+        shortest += 1
+    return freqs, draw(st.integers(min_value=shortest, max_value=max(shortest, 600)))
+
+
 class TestReferenceEquivalence:
     """The prefix lookup and the scalar Q reads against the plain versions."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        freqs=frequency_sets,
+        freqs_and_slot=frequencies_and_slot(),
         as_tuple=st.booleans(),
-        duration=st.integers(min_value=1, max_value=600),
         pick=st.integers(min_value=0, max_value=6),
         delta=st.sampled_from((0.0, -1e-9, 1e-9, -2e-9, 2e-9, 0.5, -0.5)),
     )
-    def test_affordable_actions_is_the_filtered_list(self, freqs, as_tuple, duration,
+    def test_affordable_actions_is_the_filtered_list(self, freqs_and_slot, as_tuple,
                                                      pick, delta):
-        try:
-            costs = [schedule_cost(f, duration) for f in freqs]
-            cfg = LearnerConfig(frequencies=tuple(freqs) if as_tuple else freqs,
-                                state_duration=duration)
-        except ValueError:  # a frequency too high for the slot, or too low to wake in it
-            return
+        freqs, duration = freqs_and_slot
+        costs = [schedule_cost(f, duration) for f in freqs]
+        cfg = LearnerConfig(frequencies=tuple(freqs) if as_tuple else freqs,
+                            state_duration=duration)
         for stored in (costs[pick % len(costs)] + delta, max(costs) + 1.0, 0.0):
             got = affordable_actions(cfg, stored)
             assert got == tuple(affordable_reference(cfg, stored))
@@ -439,18 +448,18 @@ class TestPartitionConverged:
 
 class TestProbePlan:
     def test_zero_budget(self):
-        assert probe_plan(40, set(range(10, 13)), 0, Stream(0, "probe")) == set()
+        assert probe_plan(tuple(range(10)), 0, Stream(0, "probe")) == set()
 
     def test_everything_in_peaks(self):
-        assert probe_plan(3, {0, 1, 2}, 2, Stream(0, "probe")) == set()
+        assert probe_plan((), 2, Stream(0, "probe")) == set()
 
     def test_reproducible_choice_outside_peaks(self):
-        peaks = set(range(10, 13))
-        a = probe_plan(40, peaks, 2, Stream(21, "probe"))
-        b = probe_plan(40, peaks, 2, Stream(21, "probe"))
+        candidates = tuple(s for s in range(40) if s not in range(10, 13))
+        a = probe_plan(candidates, 2, Stream(21, "probe"))
+        b = probe_plan(candidates, 2, Stream(21, "probe"))
         assert a == b
         assert len(a) == 2
-        assert not (a & peaks)
+        assert a <= set(candidates)
 
 
 class TestPhaseTransitions:
@@ -568,38 +577,3 @@ class TestPartitionIsolation:
             if table.touched[row].any()
         }
         assert touched_rows <= oracle
-
-
-class TestQTableSerialization:
-    def test_round_trip(self, tmp_path):
-        from smarton_sim.learner import load_qtable, save_qtable
-
-        cfg = LearnerConfig()
-        table = QTable("LHL", 4, 3, 4)
-        rng = Stream(3, "explore")
-        for _ in range(60):
-            q_update(
-                table, rng.next_below(12), rng.next_below(4),
-                (rng.next_double() - 0.5) * 200, rng.next_below(12), cfg,
-            )
-        path = tmp_path / "table.qt"
-        save_qtable(table, path, cfg)
-        loaded, params = load_qtable(path)
-        assert loaded.shape == "LHL"
-        assert (loaded.k, loaded.t, loaded.n) == (4, 3, 4)
-        assert params == {"alpha": 0.7, "gamma": 0.618}
-        # six-decimal round trip
-        assert np.allclose(loaded.values, table.values, atol=5e-7)
-
-    def test_golden_format(self, tmp_path):
-        from smarton_sim.learner import save_qtable
-
-        cfg = LearnerConfig()
-        table = QTable("HH", 2, 2, 4)
-        table.values[0, 1] = 12.6
-        path = tmp_path / "golden.qt"
-        save_qtable(table, path, cfg)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "shape=HH k=2 t=2 n=4 alpha=0.700000 gamma=0.618000"
-        assert lines[1] == "1 1 0.000000 12.600000 0.000000 0.000000"
-        assert len(lines) == 1 + 4

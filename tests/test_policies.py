@@ -19,6 +19,8 @@ from smarton_sim.engine import (
 from smarton_sim.events import build_pattern, sample_trace
 from smarton_sim.learner import LearnedPeak, LearnerConfig, wake_offsets
 from smarton_sim.policies import CtidConfig, CtidPolicy, CtidProPolicy, GtPolicy, SmartOnPolicy
+from smarton_sim.rng import Stream
+from smarton_sim.scenario import PRESETS, expand_sweep
 
 import per_tick_oracle
 
@@ -125,7 +127,7 @@ class TestCtidPro:
     def _exploit_policy(self, known):
         cfg = LearnerConfig()
         policy = CtidProPolicy(cfg, 40, seed=0)
-        policy.profiling = False
+        policy.current_phase = 3
         policy.known_slots = set(known)
         policy.cfg = cfg
         return policy
@@ -226,7 +228,7 @@ class TestLookAhead:
 
     def test_exploiting_ctidpro_looks_ahead_to_known_and_probe_slots(self):
         policy = CtidProPolicy(LearnerConfig(probe_budget=0), 40, seed=0)
-        policy.profiling = False
+        policy.current_phase = 3
         policy.known_slots = {10, 11, 12}
         policy.on_period_start(0)
         assert [policy.next_active_slot(s) for s in (0, 10, 11, 12, 13)] == [10, 10, 11, 12, 40]
@@ -236,6 +238,56 @@ class TestLookAhead:
         policy.profile.record_slot(0, 0)
         policy.profile.record_slot(2, 0)
         assert [policy.next_active_slot(s) for s in range(4)] == [1, 1, 3, 3]
+
+
+def _preset_run(name, **sweep):
+    scenario = PRESETS[name]()
+    for axis, value in sweep.items():
+        scenario = scenario.with_value("sweep", axis, value)
+    return expand_sweep(scenario)[0][1]
+
+
+class TestProbeDraws:
+    """Each period's probe slots, drawn from a candidate tuple the policy
+    keeps between changes of its known slots, equal a fresh draw from the
+    slots outside the known ones, and the phase attribute follows the phase
+    context."""
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(_preset_run("fig-perf", seeds="0", event_type="type1", entry_level="1",
+                                 policy="smarton"), id="fig-perf-smarton"),
+        pytest.param(_preset_run("fig-perf", seeds="0", event_type="type3", entry_level="4",
+                                 policy="ctidpro"), id="fig-perf-ctidpro"),
+        pytest.param(_preset_run("adaptation", seeds="0"), id="adaptation"),
+        pytest.param(_preset_run("adaptation", seeds="0", policy="ctidpro"),
+                     id="adaptation-ctidpro"),
+    ])
+    def test_probe_sets_equal_a_fresh_draw_in_every_period(self, config, monkeypatch):
+        reference = Stream(config.seed, "probe")
+        inner = engine.run_period
+        probing = []
+
+        def run_period(policy, *args):
+            known = set(policy.known_slots)
+            phase = policy.current_phase
+            log = inner(policy, *args)
+            want = set()
+            if phase == 3:
+                candidates = [s for s in range(policy.n_slots) if s not in known]
+                want = set(reference.sample_without_replacement(candidates, 2))
+                probing.append(log.period)
+            assert policy._probe_slots == want, f"period {log.period}"
+            if isinstance(policy, SmartOnPolicy):
+                assert policy.current_phase == policy.ctx.phase, f"period {log.period}"
+            return log
+
+        monkeypatch.setattr(engine, "run_period", run_period)
+        result = run_experiment(config)
+        assert config.learner.probe_budget == 2
+        assert len(probing) > 60
+        timeline = result.phase_timeline
+        if config.schedule:  # the adaptation run re-profiles after probing
+            assert 1 in timeline[timeline.index(3):]
 
 
 class TestSharedProfiling:

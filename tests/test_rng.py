@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from smarton_sim.rng import GOLDEN_GAMMA, Stream, fnv1a64, mix64
@@ -30,6 +32,26 @@ def test_sequential_matches_counter():
     s = Stream(3, "probe")
     seq = [s.next_double() for _ in range(50)]
     assert seq == [s.at(i) for i in range(50)]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    name=st.text(max_size=8),
+    start=st.integers(min_value=0, max_value=2**62),
+    n=st.integers(min_value=1, max_value=2**53),
+    kinds=st.lists(st.booleans(), min_size=1, max_size=12),
+)
+def test_cursor_draws_equal_counter_lookups(seed, name, start, n, kinds):
+    # each cursor draw is the counter lookup at the cursor, and moves it by one
+    s = Stream(seed, name)
+    s.cursor = start
+    for i, below in enumerate(kinds, start):
+        if below:
+            assert s.next_below(n) == int(s.at(i) * n)
+        else:
+            assert s.next_double() == s.at(i)
+        assert s.cursor == i + 1
 
 
 def test_batch_matches_scalar():
