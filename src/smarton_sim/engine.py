@@ -52,7 +52,6 @@ from .learner import LearnerConfig
 from .policies import (
     BURST,
     BasePolicy,
-    _first_at_or_after,
     CtidConfig,
     CtidPolicy,
     CtidProPolicy,
@@ -177,13 +176,8 @@ class SimConfig:
                 continue
             if not 1 <= level <= k:
                 raise ValueError(f"entry_level {level} outside 1..{k}")
-            # forcing sets the store at each peak start: a learner slot boundary
-            for t in sorted(peak_start_ticks(pattern)):
-                if self.policy in FORCED_POLICIES and t % slot_len:
-                    raise ValueError(
-                        f"entry_level forcing needs peak starts on learner slots; "
-                        f"tick {t} is not a multiple of state_duration {slot_len}"
-                    )
+            if self.policy in FORCED_POLICIES:
+                peak_start_slots(pattern, slot_len)  # refuses a peak inside a slot
 
     def segments(self) -> list[tuple[int, EventPattern, int | None]]:
         """(first period, pattern, forced entry level) of the base and of each
@@ -316,10 +310,18 @@ def entry_level_energy(level: int, capacity: float, k_levels: int) -> float:
     return (level - 0.5) * capacity / k_levels
 
 
-def peak_start_ticks(pattern: EventPattern) -> frozenset[int]:
-    """Ticks within the period at which the pattern's peaks begin: where entry
-    forcing sets the store."""
-    return frozenset(p.start_slot * pattern.state_duration for p in pattern.peaks)
+def peak_start_slots(pattern: EventPattern, slot_len: int) -> tuple[int, ...]:
+    """The sorted learner slots (of `slot_len` ticks) at whose starts the
+    pattern's peaks begin: where entry forcing sets the store.  A peak that
+    starts inside a learner slot is refused."""
+    ticks = sorted({p.start_slot * pattern.state_duration for p in pattern.peaks})
+    for t in ticks:
+        if t % slot_len:
+            raise ValueError(
+                f"entry_level forcing needs peak starts on learner slots; "
+                f"tick {t} is not a multiple of state_duration {slot_len}"
+            )
+    return tuple(t // slot_len for t in ticks)
 
 
 def run_period(
@@ -330,14 +332,16 @@ def run_period(
     period_index: int,
     period_ticks: int,
     slot_len: int,
-    entry_ticks: frozenset,
+    entry_slots: tuple[int, ...],
     entry_value: float | None,
     record_ticks: bool,
 ) -> PeriodLog:
     """Simulate one period; `events` is the period's per-tick 0/1 sequence
     (`bytes` from a sampled trace, or a list).  The policy hooks get the
     stored energy as a number; `store` is read at the start and written at
-    the end.
+    the end.  Entry forcing sets the store to `entry_value` at the start of
+    each of the sorted learner slots `entry_slots` (`peak_start_slots`)
+    once the policy is past phase 1; `entry_value=None` forces nothing.
 
     The kernel advances from one decision to the next instead of stepping
     every tick: entry forcing, the slots a policy can act in, wake-ups, CTID
@@ -363,13 +367,14 @@ def run_period(
     Burst slots and CTID discharge phases are dark: they harvest nothing.
     The period's harvest total is the in-order sum of the other ticks'
     inflows; under one constant inflow it is read from a cached table by
-    their count.  Entry-forcing slots are cached per (entry ticks, slot
-    length).
+    their count.  Each stop bisects `entry_slots` once, and that index serves
+    the look-ahead, the forcing test and the replay guard below.
 
     Under one constant inflow, while the policy keeps an `episode_memo`, an
-    episode that `episode_at` names, with no forcing inside, is replayed by
-    (peak, stored energy, inflow), or run and stored unless a harvest clamped
-    at `cap` (waste is an in-order float sum that a replay cannot redo).
+    episode that `episode_at` names, with no forcing inside the episode (no
+    entry slot after its first and before its end), is replayed by (peak,
+    stored energy, inflow), or run and stored unless a harvest clamped at
+    `cap` (waste is an in-order float sum that a replay cannot redo).
     Recording takes this same path and lists its decisions for `_tick_arrays`.
     """
     phase_start = policy.current_phase
@@ -414,16 +419,17 @@ def run_period(
         n_slots = period_ticks // slot_len
         # entry forcing rewrites the store at a slot start: a stop for the
         # look-ahead whether or not the policy acts there
-        entry_slots = _entry_slots(entry_ticks, slot_len) if entry_value is not None else ()
+        n_entries = len(entry_slots) if entry_value is not None else 0
         # the wake tick list, the end of an episode being memoized, its cap flag
         woken, episode_end, full = wakes, None, False
-        slot = 0
+        slot = i = 0  # i: the first entry slot at or after `slot`
         while slot < n_slots:
-            # bank the slots before the next one that can act in one idle run
+            # bank the slots before the next one that can act in one idle run;
+            # none of them is an entry slot, so `i` holds for `nxt` too
             nxt = policy.next_active_slot(slot)
-            if entry_slots:
+            if n_entries:
                 i = bisect_left(entry_slots, slot)
-                if i < len(entry_slots) and entry_slots[i] < nxt:
+                if i < n_entries and entry_slots[i] < nxt:
                     nxt = entry_slots[i]
             if nxt > slot:
                 if uniform:
@@ -436,23 +442,21 @@ def run_period(
                 if slot == n_slots:
                     break
             base = slot * slot_len
-            if (
-                entry_value is not None
-                and base in entry_ticks
-                and policy.current_phase >= 2
-            ):
-                forced = min(entry_value, cap)
-                forced_delta += forced - s
-                s = forced
-                forced_at.append(base)
+            if i < n_entries and entry_slots[i] == slot:
+                i += 1
+                if policy.current_phase >= 2:
+                    forced = min(entry_value, cap)
+                    forced_delta += forced - s
+                    s = forced
+                    forced_at.append(base)
 
             if (uniform and episode_end is None and (memo := policy.episode_memo) is not None
                     and (peak := policy.episode_at(slot, s))):
                 end = slot + peak.n_steps
-                # no forcing inside; a trace source may be constant at another
-                # inflow in another period.  s is never -0.0 (0.0's key): forcing
+                # no forcing inside the episode; a trace source may be constant at
+                # another inflow in another period.  s is never -0.0 (0.0's key): forcing
                 # sets s > 0, draws leave s - 1.0 (s >= 1) or 0.0, inflows are >= 0
-                if end <= n_slots and _first_at_or_after(entry_slots, slot + 1, end) == end:
+                if end <= n_slots and (i == n_entries or entry_slots[i] >= end):
                     key = (peak, s, inc)
                     hit = memo.get(key)
                     if hit is not None:
@@ -799,12 +803,6 @@ def _inflow_runs(inflows: list) -> list:
 
 
 @lru_cache(maxsize=16)
-def _entry_slots(entry_ticks: frozenset, slot_len: int) -> tuple[int, ...]:
-    """The sorted slots whose starts are in `entry_ticks`."""
-    return tuple(sorted(t // slot_len for t in entry_ticks))
-
-
-@lru_cache(maxsize=16)
 def _harvest_sums(inc: float, period_ticks: int) -> tuple[float, ...]:
     """Entry k is the k-fold sequential sum 0.0 + inc + ... + inc: a period's
     harvest total after k ticks that banked `inc`."""
@@ -919,9 +917,11 @@ def _parse_stop_rule(rule: str | None) -> tuple[float, int]:
 
 
 def _segment_periods(config: SimConfig, policy: BasePolicy):
-    """(period, source, events, entry ticks, entry value) for each period of
-    the run.  Each non-empty segment's world is built once, at its start,
-    where the learning policy's entry-level hint is set too."""
+    """(period, source, events, entry slots, entry value) for each period of
+    the run, the entry slots being the learner slots where the segment's
+    peaks start (`peak_start_slots`), or none without forcing.  Each
+    non-empty segment's world is built once, at its start, where the
+    learning policy's entry-level hint is set too."""
     segments = config.segments()
     ends = [min(start, config.n_periods) for start, _, _ in segments[1:]] + [config.n_periods]
     for (start, pattern, level), end in zip(segments, ends):
@@ -935,14 +935,14 @@ def _segment_periods(config: SimConfig, policy: BasePolicy):
         if isinstance(policy, SmartOnPolicy):
             policy.entry_level_hint = level
         if level is not None and config.policy in FORCED_POLICIES:
-            entry_ticks = peak_start_ticks(pattern)
+            entry_slots = peak_start_slots(pattern, config.learner.state_duration)
             entry_value = entry_level_energy(level, config.capacity, config.learner.k_levels)
         else:
-            entry_ticks, entry_value = frozenset(), None
+            entry_slots, entry_value = (), None
         for p in range(start, end):
             offset = (p - start) * pattern.period_ticks
             events = trace.occurrences[offset : offset + pattern.period_ticks].tobytes()
-            yield p, source, events, entry_ticks, entry_value
+            yield p, source, events, entry_slots, entry_value
 
 
 def run_experiment(config: SimConfig) -> ExperimentResult:
@@ -971,9 +971,9 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
     streak = 0
     periods: list[PeriodLog] = []
     per_tick = config.record_level == "per-tick"
-    for p, source, events, entry_ticks, entry_value in _segment_periods(config, policy):
+    for p, source, events, entry_slots, entry_value in _segment_periods(config, policy):
         periods.append(run_period(policy, store, source, events, p, config.pattern.period_ticks,
-                                  config.learner.state_duration, entry_ticks, entry_value, per_tick))
+                                  config.learner.state_duration, entry_slots, entry_value, per_tick))
         streak = streak + 1 if policy.current_phase >= stop_phase else 0
         if streak >= stop_periods:
             break
@@ -1038,9 +1038,10 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
     """Force entry levels in the given order, each until its partition
     converges, and report global episode indices of the first and last
     convergence (the partitioned vs monolithic exploitation gates).  The
-    order must hold distinct levels in 1..k_levels, at least one; any other
-    order is refused before a period runs.  The config's `n_periods` and
-    schedule play no part."""
+    order must hold distinct levels in 1..k_levels, at least one, and the
+    pattern one peak that starts on a learner slot, where forcing sets the
+    store; anything else is refused before a period runs.  The config's
+    `n_periods` and schedule play no part."""
     order = [int(x) for x in order]
     k = config.learner.k_levels
     if not order or len(set(order)) != len(order) or not all(1 <= x <= k for x in order):
@@ -1056,7 +1057,7 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
     period_ticks = pattern.period_ticks
 
     events = sample_trace(pattern, config.seed, 1, repeat_first_period=True).occurrences.tobytes()
-    entry_ticks = peak_start_ticks(pattern)
+    entry_slots = peak_start_slots(pattern, slot_len)
     if len(pattern.peaks) != 1:
         raise ValueError("partition studies use single-peak patterns")
     shape_expected = None
@@ -1070,7 +1071,7 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
         entry_value = entry_level_energy(level, store.capacity, k)
         run_period(
             policy, store, source, events, p, period_ticks, slot_len,
-            entry_ticks, entry_value, False,
+            entry_slots, entry_value, False,
         )
         if policy.ctx.phase < 2:
             continue

@@ -67,14 +67,6 @@ class EventPattern:
     def n_slots(self) -> int:
         return self.period_ticks // self.state_duration
 
-    def probability_at(self, tick_in_period: int) -> float:
-        slot = tick_in_period // self.state_duration
-        for peak in self.peaks:
-            if peak.start_slot <= slot < peak.end_slot:
-                cls = peak.steps[slot - peak.start_slot]
-                return self.p_high if cls == "H" else self.p_low
-        return self.background_rate
-
     def slot_probabilities(self) -> np.ndarray:
         """Per-slot event probability, one entry per slot."""
         probs = np.full(self.n_slots, self.background_rate)

@@ -221,10 +221,8 @@ def find_peaks(counts, cfg: LearnerConfig) -> list[tuple[int, str]]:
         elif not inside and start is not None:
             for chunk in range(start, i, cap):
                 end = min(chunk + cap, i)
-                try:
-                    peaks.append((chunk, classify_shape(arr[chunk:end], cfg)))
-                except EmptyPeak:
-                    pass
+                # a chunk of a run of positive counts: never an EmptyPeak
+                peaks.append((chunk, classify_shape(arr[chunk:end], cfg)))
             start = None
     return peaks
 

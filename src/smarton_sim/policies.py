@@ -107,12 +107,6 @@ class BasePolicy:
         pass
 
 
-def _first_at_or_after(slots: tuple, slot: int, default: int) -> int:
-    """The first of the sorted `slots` at or after `slot`, else `default`."""
-    i = bisect_left(slots, slot)
-    return slots[i] if i < len(slots) else default
-
-
 class GtPolicy(BasePolicy):
     """Ground-truth oracle: awake everywhere, catches everything."""
 

@@ -68,7 +68,7 @@ def ctid_warm_up(policy, store, source, ticks):
 
 
 def run_period(policy, store, source, events, period_index, period_ticks, slot_len,
-               entry_ticks, entry_value, record_ticks):
+               entry_slots, entry_value, record_ticks):
     phase_start = policy.current_phase
     stored_start = store.stored
     waste_before = store.wasted_saturation
@@ -81,7 +81,7 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
 
     for slot in range(period_ticks // slot_len):
         base = slot * slot_len
-        if entry_value is not None and base in entry_ticks and policy.current_phase >= 2:
+        if entry_value is not None and slot in entry_slots and policy.current_phase >= 2:
             before = store.stored
             store.stored = min(entry_value, store.capacity)
             forced_delta += store.stored - before

@@ -482,6 +482,28 @@ class TestSteadyStateReplay:
         assert kernel.phase_timeline.count(3) > 50
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    @pytest.mark.parametrize("peaks, peak_max_duration", [
+        # the later peak's entry slot 25 lies after every episode of the
+        # peak at slot 10, not inside one
+        pytest.param([("type1", 10), ("type3", 25)], 120, id="apart"),
+        # learned peaks of at most 3 slots: the episode from slot 10 ends at
+        # the entry slot 13
+        pytest.param([("type1", 10), ("type3", 13)], 90, id="back-to-back"),
+    ])
+    def test_an_entry_slot_after_an_episode_does_not_block_its_memo(
+            self, peaks, peak_max_duration, record_level):
+        config = base_config(
+            pattern=build_pattern(peaks, peak_max_duration=peak_max_duration),
+            n_periods=150, seed=0, record_level=record_level,
+            learner=dc_replace(self.QUICK, peak_max_duration=peak_max_duration),
+        )
+        kernel = run_experiment(config)
+        # both peaks' episodes are memoised
+        starts = {slot for _, slot in peaks}
+        assert {peak.start_slot for peak, _, _ in kernel.policy.episode_memo} == starts
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
     def test_periods_at_different_constant_inflows_match_oracle(self, tmp_path):
         # a trace source that is constant within each period, at a level that
         # alternates between periods: an episode must not replay across them
@@ -1009,6 +1031,18 @@ class TestPartitionStudy:
         monkeypatch.setattr(engine, "run_period", no_period)
         with pytest.raises(ValueError, match=r"distinct levels in 1\.\.4"):
             run_partition_study(base_config(entry_level=None), order)
+
+    def test_a_peak_inside_a_learner_slot_is_refused_before_any_period(self, monkeypatch):
+        # forcing sets the store at the peak's start, tick 330: inside the
+        # 60-tick learner slot 5
+        def no_period(*args):
+            raise AssertionError("a period ran")
+
+        monkeypatch.setattr(engine, "run_period", no_period)
+        config = base_config(pattern=build_pattern([("type1", 11)]), entry_level=None,
+                             learner=LearnerConfig(state_duration=60))
+        with pytest.raises(ValueError, match="tick 330 is not a multiple"):
+            run_partition_study(config, [1])
 
     def test_entry_forcing_value(self):
         assert entry_level_energy(4, 120.0, 4) == pytest.approx(105.0)

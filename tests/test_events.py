@@ -55,10 +55,9 @@ class TestBuildPattern:
 
     def test_probability_schedule(self):
         pattern = build_pattern([("type1", 10)], p_high=0.8, p_low=0.2)
-        assert pattern.probability_at(10 * 30) == 0.2
-        assert pattern.probability_at(11 * 30) == 0.8
-        assert pattern.probability_at(12 * 30 + 29) == 0.2
-        assert pattern.probability_at(0) == 0.0
+        probs = pattern.slot_probabilities()
+        for tick, p in [(10 * 30, 0.2), (11 * 30, 0.8), (12 * 30 + 29, 0.2), (0, 0.0)]:
+            assert probs[tick // pattern.state_duration] == p
 
 
 class TestSampleTrace:

@@ -25,12 +25,12 @@ from smarton_sim.scenario import PRESETS, expand_sweep
 import per_tick_oracle
 
 
-def run_one_period(policy, store, events, entry_ticks=frozenset(), entry_value=None,
+def run_one_period(policy, store, events, entry_slots=(), entry_value=None,
                    record=True, period=0):
     src = HarvestSource.constant(1.0)
     return run_period(
         policy, store, src, events, period, len(events), 30,
-        entry_ticks, entry_value, record,
+        entry_slots, entry_value, record,
     )
 
 
@@ -138,7 +138,7 @@ class TestCtidPro:
         store = AbstractStore(capacity=200, charging_ratio=9)
         log = run_one_period(
             policy, store, [0] * 1200,
-            entry_ticks=frozenset({300}), entry_value=45.0,
+            entry_slots=(10,), entry_value=45.0,
         )
         awake = set(np.flatnonzero(log.ticks["awake"]).tolist())
         assert set(range(300, 345)) <= awake
