@@ -72,8 +72,8 @@ FORCED_POLICIES = ("smarton", "ctidpro")
 # periods of 1,200 ticks and warms up in well under a second.
 MAX_JITTER_CYCLE = 10_000_000
 
-# Shorter harvest runs add in a plain Python loop; longer ones are summed in
-# closed form, or by `np.add.accumulate` when recording per tick.
+# Shorter harvest runs add in a plain Python loop, longer ones in closed form;
+# a per-tick replay accumulates windows of at least this many ticks.
 ACCUMULATE_MIN = 64
 
 
@@ -828,11 +828,16 @@ def _lit_total(inflows: list, dark: list) -> float:
 def _tick_arrays(policy, events, slot_len, slot_info, wakes, wake_runs, dark,
                  forced_at, entry_value, inflows, inc, cap, s, end):
     """The per-tick arrays of one recorded period, rebuilt from the kernel's
-    decisions.  `stored` replays from `s` per tick: forcing, draw, then the
-    harvest clamped at `cap` (0.0 on a dark tick).  A run of `ACCUMULATE_MIN`
-    or more ticks that neither force nor draw is one `np.add.accumulate` up
-    to its first clamp, and `cap` after it.  Raises RuntimeError unless the
-    replay ends at the kernel's `end`."""
+    decisions.  `stored` replays from `s` the per-tick rule: forcing, the draw,
+    then the harvest clamped at `cap`.  Each tick's draw, -1.0 or -0.0, and its
+    harvest interleave into one step array; `s + -1.0` is `s - 1.0` and
+    `s + -0.0` is `s`, so one sequential `np.add.accumulate` replays a window
+    up to its first tick that clamps or draws from below one wake cost, which
+    takes the rule.  A window reaches where the top inflow could first clamp,
+    and at least `span` ticks, which doubles while windows come back clean;
+    within two ticks' inflow of `cap`, a tick without a draw takes the rule.
+    A full store stays full up to the first draw whose tick ends below `cap`.
+    Raises RuntimeError unless the replay ends at the kernel's `end`."""
     period_ticks = len(events)
     n_slots = period_ticks // slot_len
     awake = np.zeros(period_ticks, dtype=bool)
@@ -843,33 +848,48 @@ def _tick_arrays(policy, events, slot_len, slot_info, wakes, wake_runs, dark,
     for a, b in dark:
         harvested[a:b] = 0.0
     draws = awake if policy.draws_energy else np.zeros(period_ticks, dtype=bool)
-    acts = draws.copy()
-    acts[forced_at] = True
-    ends = np.append(np.flatnonzero(acts), period_ticks)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    runs = ends - starts >= ACCUMULATE_MIN
-    stops = sorted({*zip(starts[runs].tolist(), ends[runs].tolist()),
-                    *zip(forced_at, forced_at), (period_ticks, period_ticks)})
-    stored = np.empty(period_ticks)
-    t = 0
-    for a, b in stops:
-        out = []
-        for h, d in zip(harvested[t:a].tolist(), draws[t:a].tolist()):
-            if d:
+    drawn = draws * WAKE_COST
+    # path[2t]: the store after tick t's draw, path[2t + 1] after its harvest
+    steps = np.empty(2 * period_ticks)
+    np.negative(drawn, out=steps[::2])
+    steps[1::2] = harvested
+    path = np.empty_like(steps)
+    rate = inc if inflows is None else float(harvested.max())
+    top = cap - WAKE_COST if cap >= WAKE_COST else 0.0  # a draw from a full store
+    t, span, leave = 0, ACCUMULATE_MIN, None
+    for b in (*forced_at, period_ticks):
+        while t < b:
+            if s == cap:
+                if leave is None:  # cap - top is exact: below cap iff top + h < cap
+                    leave = draws & (top + harvested < cap)
+                x = t + int(leave[t:b].argmax())
+                x = x if leave[x] else b
+                path[2 * t + 1 : 2 * x : 2] = cap
+                t = x
+                if t == b:
+                    break
+            elif draws[t] or 2.0 * rate <= cap - s:
+                w = min(b, t + max(span, int(min((cap - s) / rate, b)) if rate else b))
+                steps[2 * t] += s
+                window = np.add.accumulate(steps[2 * t : 2 * w], out=path[2 * t : 2 * w])
+                pre = window[::2]
+                bad = harvested[t:w] > cap - pre
+                if pre.min() < 0.0:
+                    bad |= pre < 0.0
+                i = int(bad.argmax())
+                if not bad[i]:
+                    t, s, span = w, float(window[-1]), 2 * span
+                    continue
+                t, s, span = t + i, float(window[2 * i - 1]) if i else s, ACCUMULATE_MIN
+            # tick t by the per-tick rule
+            if draws[t]:
                 s = s - WAKE_COST if s >= WAKE_COST else 0.0
+            h = float(harvested[t])
             s = cap if h > cap - s else s + h
-            out.append(s)
-        stored[t:a] = out
-        if a in forced_at:
+            path[2 * t + 1] = s
+            t += 1
+        if b < period_ticks:
             s = min(entry_value, cap)
-        elif a < b:
-            pre = np.add.accumulate(np.concatenate(((s,), harvested[a:b])))
-            clamps = np.flatnonzero(harvested[a:b] > cap - pre[:-1])
-            i = clamps[0] if len(clamps) else b - a
-            stored[a : a + i] = pre[1 : i + 1]
-            stored[a + i : b] = cap
-            s = float(stored[b - 1])
-        t = b
     if s != end:
         raise RuntimeError(f"per-tick replay ends at {s!r}, the kernel at {end!r}")
     # GT and CTID keep one phase and step all period
@@ -877,12 +897,12 @@ def _tick_arrays(policy, events, slot_len, slot_info, wakes, wake_runs, dark,
     return {
         "awake": awake,
         "event": np.frombuffer(bytes(events), np.uint8).astype(bool),
-        "drawn": draws * WAKE_COST,
+        "drawn": drawn,
         "harvested": harvested,
-        "stored": stored,
-        "phase": np.repeat(np.array(phase, dtype=np.int8), slot_len),
-        "slot": np.repeat(np.arange(n_slots, dtype=np.int16), slot_len),
-        "step": np.repeat(np.array(step, dtype=np.int8), slot_len),
+        "stored": path[1::2].copy(),
+        "phase": np.array(phase, dtype=np.int8).repeat(slot_len),
+        "slot": np.arange(n_slots, dtype=np.int16).repeat(slot_len),
+        "step": np.array(step, dtype=np.int8).repeat(slot_len),
     }
 
 

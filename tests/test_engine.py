@@ -80,11 +80,14 @@ def assert_same_log(got, want):
         assert got.ticks is None
         return
     assert got.ticks.keys() == want.ticks.keys()
-    for name, array in want.ticks.items():
-        assert got.ticks[name].dtype == array.dtype, name
-        assert got.ticks[name].tobytes() == array.tobytes(), (
-            f"period {want.period} {name}"
-        )
+    assert_same_arrays(got.ticks, want.ticks, f"period {want.period} ")
+
+
+def assert_same_arrays(got, want, where=""):
+    """Each array of `want` in `got` with its dtype and bytes."""
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype, f"{where}{name}"
+        assert got[name].tobytes() == array.tobytes(), f"{where}{name}"
 
 
 def assert_kernel_matches_oracle(config):
@@ -301,12 +304,17 @@ class TestRunPeriod:
         )
         assert_kernel_matches_oracle(config)
 
-    @pytest.mark.parametrize("policy", ["smarton", "ctidpro"])
-    def test_kernel_matches_oracle_when_one_tick_gaps_saturate(self, policy):
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("ratio, level", [(1.0, 1.5), (8.5, 20.0)])
+    def test_kernel_matches_oracle_when_one_tick_gaps_saturate(
+        self, ratio, level, policy, record_level
+    ):
         # an inflow above one wake cost refills a full store between two
-        # wake-ups one tick apart, and the tick in between clamps
-        config = base_config(policy=policy, charging_ratio=1.0, source_level=1.5,
-                             initial_stored=120.0, n_periods=6)
+        # wake-ups one tick apart, and the tick in between clamps; a
+        # per-tick replay stays at capacity until a dark draw
+        config = base_config(policy=policy, charging_ratio=ratio, source_level=level,
+                             initial_stored=120.0, n_periods=6, record_level=record_level)
         assert_kernel_matches_oracle(config)
 
     @pytest.mark.parametrize("record", [False, True], ids=["summary", "per-tick"])
@@ -794,6 +802,134 @@ class TestDraws:
     def test_draws_above_exact_integers_step_wake_by_wake(self):
         s = 2.0**53 + 2.0
         assert _draws(s, -1.0, 5) == draws_per_wake(s, -1.0, 5)
+
+
+def stored_per_tick(draws, harvested, forced_at, entry_value, cap, s):
+    """The rule the per-tick replay reproduces: forcing, the draw, then the
+    harvest clamped at `cap`, one tick at a time."""
+    stored = []
+    for t, (d, h) in enumerate(zip(draws, harvested)):
+        if t in forced_at:
+            s = min(entry_value, cap)
+        if d:
+            s = s - 1.0 if s >= 1.0 else 0.0
+        s = cap if h > cap - s else s + h
+        stored.append(s)
+    return stored
+
+
+def replay_period(cap, s, inflows, draw_ticks=(), dark=(), forced_at=(), entry_value=None,
+                  slot_len=10, draws_energy=True, wake_runs=(), end=None):
+    """`engine._tick_arrays` on one period, and the per-tick arrays a plain
+    loop gives.  `inflows` is one inflow per tick, or (inc, ticks) for a
+    uniform inflow."""
+    if isinstance(inflows, tuple):
+        inc, ticks = inflows
+        inflows = None
+    else:
+        inc, ticks = inflows[0], len(inflows)
+    awake = [False] * ticks
+    for t in (*draw_ticks, *(t for r in wake_runs for t in r)):
+        awake[t] = True
+    lit = [inc] * ticks if inflows is None else list(inflows)
+    for a, b in dark:
+        lit[a:b] = [0.0] * (b - a)
+    draws = awake if draws_energy else [False] * ticks
+    stored = stored_per_tick(draws, lit, set(forced_at), entry_value, cap, s)
+    want = {
+        "awake": np.array(awake, dtype=bool),
+        "drawn": np.array([1.0 if d else 0.0 for d in draws]),
+        "harvested": np.array(lit),
+        "stored": np.array(stored),
+    }
+    policy = BasePolicy()
+    policy.draws_energy = draws_energy
+    got = engine._tick_arrays(
+        policy, bytes(ticks), slot_len, [], list(draw_ticks), list(wake_runs), list(dark),
+        list(forced_at), entry_value, inflows, inc, cap, s,
+        stored[-1] if end is None else end)
+    return got, want
+
+
+# inflows up to three wake costs a tick, the presets' among them
+INFLOWS = st.one_of(
+    st.sampled_from([0.0, 1 / 8.5, 0.5, 1.0, 9 / 8.5, 20 / 8.5, 3.0]),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+BELOW_ONE = st.floats(min_value=1.0 - DRAW_SLACK, max_value=1.0, exclude_max=True)
+
+
+@st.composite
+def replay_cases(draw):
+    slot_len = draw(st.integers(min_value=1, max_value=30))
+    ticks = slot_len * draw(st.integers(min_value=1, max_value=400 // slot_len))
+    tick = st.integers(min_value=0, max_value=ticks - 1)
+    span = st.integers(min_value=1, max_value=90)
+    # wake runs at 1, 0.5 and 0.2 Hz, as bursts, discharges and planned slots
+    wake_runs = [range(a, min(a + n * k, ticks), k) for a, n, k in draw(
+        st.lists(st.tuples(tick, span, st.sampled_from([1, 2, 5])), max_size=5))]
+    dark = sorted({(a, min(a + n, ticks)) for a, n in draw(st.lists(st.tuples(tick, span),
+                                                                      max_size=4))})
+    if draw(st.booleans()):
+        inflows = (draw(INFLOWS), ticks)
+    else:  # runs of equal inflow, zeros among them
+        runs = draw(st.lists(st.tuples(st.one_of(st.just(0.0), INFLOWS), span), min_size=1))
+        inflows = [inc for inc, n in runs for _ in range(n)] * ticks
+        inflows = inflows[:ticks]
+    cap = draw(st.one_of(st.sampled_from([120.0, 35.0, 2.0, 1.5, 1.0]),
+                         st.floats(min_value=0.5, max_value=150.0)))
+    s = draw(st.one_of(st.just(cap), st.floats(min_value=0.0, max_value=1.0).map(
+        lambda f: f * cap), BELOW_ONE.map(lambda v: min(v, cap))))
+    return dict(
+        cap=cap, s=s, inflows=inflows, dark=dark, wake_runs=wake_runs, slot_len=slot_len,
+        draw_ticks=sorted(set(draw(st.lists(tick, max_size=30)))),
+        forced_at=sorted(set(draw(st.lists(tick, max_size=3)))),
+        entry_value=draw(st.one_of(st.just(cap), BELOW_ONE,
+                                   st.floats(min_value=0.0, max_value=2.0 * cap))),
+        draws_energy=draw(st.sampled_from([True, True, True, False])),
+    )
+
+
+class TestTickReplay:
+    """The per-tick `stored` replay (`engine._tick_arrays`) against a plain
+    per-tick loop: every array's dtype and bytes."""
+
+    @given(case=replay_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_replay_matches_the_per_tick_loop(self, case):
+        assert_same_arrays(*replay_period(**case))
+
+    @pytest.mark.parametrize("entry", [None, 15.0, 1.0 - DRAW_SLACK / 2])
+    def test_draws_from_below_one_wake_cost_empty_the_store(self, entry):
+        # dark for 20 ticks, one wake-up a tick from just under 5: the fifth
+        # draw is from just under one wake cost, inside a window, and empties
+        # the store; a forced tick that also draws does the same at tick 60
+        s = 5.0 - DRAW_SLACK / 2
+        forced = () if entry is None else (60,)
+        got, want = replay_period(120.0, s, (0.3, 300), draw_ticks=(*range(5), *forced),
+                           dark=((0, 20),), forced_at=forced, entry_value=entry)
+        assert_same_arrays(got, want)
+        assert want["stored"][4] == 0.0 and want["stored"][3] > 0.0
+        if entry is not None:
+            assert want["stored"][60] == max(0.0, entry - 1.0) + 0.3
+
+    @pytest.mark.parametrize("inc", [0.6, 1.0, 9 / 8.5, 2.5])
+    def test_a_draw_right_after_a_clamp(self, inc):
+        cap, s = 120.0, 100.0 + 1 / 3
+        u = next(t for t, v in enumerate(stored_per_tick([False] * 300, [inc] * 300, (),
+                                                          None, cap, s)) if v == cap)
+        # draws on the tick after the first clamp and at 0.5 Hz from there
+        got, want = replay_period(cap, s, (inc, 300), draw_ticks=range(u + 1, 300, 2))
+        assert_same_arrays(got, want)
+        assert want["stored"][u] == cap and want["stored"][u - 1] < cap
+
+    def test_an_end_one_ulp_off_raises(self):
+        args = (120.0, 60.0, (1 / 8.5, 300))
+        kwargs = dict(draw_ticks=range(0, 300, 3), forced_at=(150,), entry_value=30.0)
+        end = replay_period(*args, **kwargs)[1]["stored"][-1]
+        for off in (math.inf, -math.inf):
+            with pytest.raises(RuntimeError, match="per-tick replay ends at"):
+                replay_period(*args, **kwargs, end=math.nextafter(end, off))
 
 
 class TestMetrics:
