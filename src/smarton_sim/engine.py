@@ -19,9 +19,10 @@ wake loop.  Events arrive as a 0/1 byte string per period.  Per-tick
 recording takes the same path and replays the kernel's decisions into
 per-tick arrays (`_tick_arrays`), so it cannot change a number.
 
-Within a run, a phase-3 episode of the learning policy (`episode_memo`) and
-a CTID charge phase are computed once per start and then replayed, with
-catches counted from each period's events, at either record level.
+Within a run, a phase-3 episode of the learning policy (`episode_memo`), a
+CTID charge phase and a whole CTID period are computed once per start and
+then replayed, with catches counted from each period's events, at either
+record level.
 
 A pattern-change schedule (shift, morph or replace) splits a run into
 segments (`SimConfig.segments`), each with its own source, entry forcing and
@@ -365,17 +366,24 @@ def run_period(
     them are closed form (`_draws`).
 
     Burst slots and CTID discharge phases are dark: they harvest nothing.
-    The period's harvest total is the in-order sum of the other ticks'
-    inflows; under one constant inflow it is read from a cached table by
-    their count.  Each stop bisects `entry_slots` once, and that index serves
-    the look-ahead, the forcing test and the replay guard below.
+    So a `BURST` drains the run of known slots it starts, up to the next
+    entry slot, as one draw run with one call of each hook.  The period's
+    harvest total is the in-order sum of the other ticks' inflows; under one
+    constant inflow it is read from a cached table by their count.  Each
+    stop bisects `entry_slots` once, and that index serves the look-ahead,
+    the forcing test, the burst run's end and the replay guard below.
+    Profiling (phase 1, which never forces) plans nothing from below
+    `full_floor`: under one inflow that cannot clamp below it, the slots up
+    to the first start at the floor are banked in one `_add_below` sum.
 
     Under one constant inflow, while the policy keeps an `episode_memo`, an
     episode that `episode_at` names, with no forcing inside the episode (no
     entry slot after its first and before its end), is replayed by (peak,
     stored energy, inflow), or run and stored unless a harvest clamped at
-    `cap` (waste is an in-order float sum that a replay cannot redo).
-    Recording takes this same path and lists its decisions for `_tick_arrays`.
+    `cap` (waste is an in-order float sum that a replay cannot redo).  A
+    CTID period is replayed by its start state, kept only when one inflow
+    cannot clamp below `e_on`, so that it wastes nothing.  Recording takes
+    these same paths and lists its decisions for `_tick_arrays`.
     """
     phase_start = policy.current_phase
     stored_start = store.stored
@@ -413,8 +421,19 @@ def run_period(
         catches_total = event_ticks
         wake_runs.append(range(period_ticks))
     elif isinstance(policy, CtidPolicy):
-        s, waste, awake_total, catches_total, dark, wake_runs = _ctid_run(
-            policy, s, waste, cap, runs, 0, period_ticks, events)
+        key = (s, inc, policy.discharging, policy.discharge_start)
+        # a period that cannot clamp below e_on wastes nothing
+        keep = uniform and not inc > cap - (policy.cfg.e_on - DRAW_SLACK)
+        hit = policy.period_memo.get(key) if keep else None
+        if hit is None:
+            s, waste, awake_total, catches_total, dark, wake_runs = _ctid_run(
+                policy, s, waste, cap, runs, 0, period_ticks, events)
+            if keep:
+                policy.period_memo[key] = (s, policy.discharging, policy.discharge_start,
+                                           awake_total, tuple(dark), tuple(wake_runs))
+        else:
+            s, policy.discharging, policy.discharge_start, awake_total, dark, wake_runs = hit
+            catches_total = sum(events[r.start : r.stop : r.step].count(1) for r in wake_runs)
     else:
         n_slots = period_ticks // slot_len
         # entry forcing rewrites the store at a slot start: a stop for the
@@ -449,6 +468,16 @@ def run_period(
                     forced_delta += forced - s
                     s = forced
                     forced_at.append(base)
+            if uniform and policy.current_phase == 1:
+                floor = policy.full_floor  # bank the slots up to a start at the floor
+                if s < floor and not inc > cap - floor:
+                    s, k = _add_below(s, inc, floor, period_ticks - base)
+                    nxt = min(slot - (-k // slot_len), n_slots)
+                    s, waste = _idle_run(s, waste, inc, cap, (nxt - slot) * slot_len - k)
+                    if record_ticks:
+                        slot_info.extend(repeat((1, 0), nxt - slot))
+                    slot = nxt
+                    continue
 
             if (uniform and episode_end is None and (memo := policy.episode_memo) is not None
                     and (peak := policy.episode_at(slot, s))):
@@ -477,11 +506,20 @@ def run_period(
             slot_awake = 0
             slot_catches = 0
             if plan == BURST:
-                # drain while a wake-up can be funded; nothing is harvested
-                slot_awake, s = _draws(s, -1.0, slot_len)
+                # drain while a wake-up can be funded; nothing is harvested, and
+                # no hook acts inside the known run, as probes skip known slots
+                known = policy.known_slots
+                stop = entry_slots[i] if i < n_entries else n_slots
+                run_end = slot + 1
+                while run_end < stop and run_end in known:
+                    run_end += 1
+                slot_awake, s = _draws(s, -1.0, (run_end - slot) * slot_len)
                 slot_catches = events[base : base + slot_awake].count(1)
                 wake_runs.append(range(base, base + slot_awake))
-                dark.append((base, base + slot_len))
+                dark.append((base, run_end * slot_len))
+                if record_ticks:
+                    slot_info.extend(repeat(slot_info[-1], run_end - slot - 1))
+                slot = run_end - 1
             else:
                 # each wake-up is followed by harvest-only ticks up to the
                 # next one or the slot end
@@ -576,7 +614,8 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs, t: i
     ends before it reaches `e_on`, by its start and the span's length.  A
     discharge phase's wake-ups in the span are one draw run (`_draws`) with a
     strided catch count.  Returns (s, waste, awake, catches, dark spans, wake
-    ranges); the mode stays on the policy.
+    ranges); the mode stays on the policy, and its cadence moves into the
+    frame of the ticks after `end`, reduced modulo `wake_interval`.
     """
     e_on = policy.cfg.e_on - DRAW_SLACK
     e_off = policy.cfg.e_off + DRAW_SLACK
@@ -632,7 +671,7 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs, t: i
     if discharging:
         dark.append((dark_from, end))
     policy.discharging = discharging
-    policy.discharge_start = start
+    policy.discharge_start = (start - end) % interval
     return s, waste, awake, catches, dark, wakes
 
 
@@ -901,8 +940,8 @@ def _tick_arrays(policy, events, slot_len, slot_info, wakes, wake_runs, dark,
         "harvested": harvested,
         "stored": path[1::2].copy(),
         "phase": np.array(phase, dtype=np.int8).repeat(slot_len),
-        "slot": np.arange(n_slots, dtype=np.int16).repeat(slot_len),
-        "step": np.array(step, dtype=np.int8).repeat(slot_len),
+        "slot": np.arange(n_slots, dtype=np.int32).repeat(slot_len),
+        "step": np.array(step, dtype=np.int32).repeat(slot_len),
     }
 
 

@@ -1,16 +1,18 @@
 """Wake-up policies: GT and CTID baselines, CTIDpro, and the learning policy.
 
 The learning policy and CTIDpro are slot-planned: at each slot boundary they
-return a tuple of wake offsets within the slot, or the ``BURST`` marker for a
-greedy drain-until-empty slot (CTID-style discharge, harvest paused for the
-whole slot).  They also look ahead (`next_active_slot`): the slots before the
-next one that can act -- an unvisited profile slot, a learned peak, a probe
-slot -- plan nothing, so the kernel banks them as one idle run without
-calling the hooks.  Both profile and probe through one base class,
-`_Profiling`, and a profile with no peaks leaves them exploiting nothing
-and probing.  GT and CTID plan nothing: the engine's kernel runs them in
-closed form and as a charge/discharge advance whose mode flips fall on any
-tick, and this module only holds their configuration and carried state.
+return a tuple of wake offsets within the slot, or the ``BURST`` marker for
+CTIDpro's greedy drain-until-empty (harvest paused), which spans the run of
+`known_slots` it starts, up to the next entry slot.  They also look ahead
+(`next_active_slot`): the slots before the next one that can act -- an
+unvisited profile slot, a learned peak, a probe slot -- plan nothing, so the
+kernel banks them as one idle run without calling the hooks, as it does a
+profile slot whose start holds less than `full_floor`.  Both profile and
+probe through one base class, `_Profiling`, and a profile with no peaks
+leaves them exploiting nothing and probing.  GT and CTID plan nothing: the
+engine's kernel runs them in closed form and as a charge/discharge advance
+whose mode flips fall on any tick, and this module only holds their
+configuration and carried state.
 
 GT is an oracle: it is awake at every tick and draws no energy, but its
 efficiency metric still prices every awake tick at one wake cost.
@@ -125,11 +127,16 @@ class CtidPolicy(BasePolicy):
     def __init__(self, cfg: CtidConfig):
         self.cfg = cfg
         self.discharging = False
+        # wake-ups fall on ticks t with (t - discharge_start) % wake_interval
+        # == 0, t counted from the running period's start
         self.discharge_start = 0
         self.wake_interval = cfg.wake_interval
         # (s, inc, e_on) -> (s, ticks) reaching e_on; (s, inc, e_on, span) ->
         # (s, span) for a charge the span's end cuts
         self.charge_memo: dict = {}
+        # (s, inc, discharging, discharge_start) at a period start -> the same
+        # at its end but inc, awake ticks, dark spans, wake ranges
+        self.period_memo: dict = {}
 
 
 class _Profiling(BasePolicy):

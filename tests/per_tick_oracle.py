@@ -65,6 +65,7 @@ def ctid_warm_up(policy, store, source, ticks):
             draw(store)
         if harvest_ok:
             harvest_tick(store, source, 0)
+    policy.discharge_start %= policy.wake_interval  # the cadence, as the kernel keeps it
 
 
 def run_period(policy, store, source, events, period_index, period_ticks, slot_len,
@@ -120,12 +121,14 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
         awake_total += slot_awake
         catches_total += slot_catches
         policy.on_slot_end(slot, slot_awake, slot_catches, store.stored)
+    if ctid:  # the cadence goes on in the next period's frame
+        policy.discharge_start = (policy.discharge_start - period_ticks) % policy.wake_interval
     policy.on_period_end(period_index)
 
     ticks = None
     if record_ticks:
         columns = zip(*rows)
-        dtypes = (bool, np.float64, np.float64, np.float64, np.int8, np.int16, np.int8)
+        dtypes = (bool, np.float64, np.float64, np.float64, np.int8, np.int32, np.int32)
         names = ("awake", "drawn", "harvested", "stored", "phase", "slot", "step")
         ticks = {name: np.array(col, dtype=dt)
                  for name, col, dt in zip(names, columns, dtypes)}

@@ -39,10 +39,10 @@ from smarton_sim.engine import (
 from smarton_sim.events import build_pattern
 from smarton_sim.learner import LearnerConfig, wake_offsets
 from smarton_sim.policies import (
-    BasePolicy, CtidConfig, CtidPolicy, GtPolicy, SmartOnPolicy,
+    BasePolicy, CtidConfig, CtidPolicy, CtidProPolicy, GtPolicy, SmartOnPolicy,
 )
 from smarton_sim.rng import Stream
-from smarton_sim.scenario import PRESETS, expand_sweep
+from smarton_sim.scenario import PRESETS, build_sim_config, expand_sweep, parse_config
 
 import per_tick_oracle
 
@@ -245,7 +245,8 @@ class TestRunPeriod:
         fill=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
         e_on=st.floats(min_value=2.0, max_value=200.0),
         e_off_share=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.99)),
-        frequency=st.sampled_from((0.2, 0.25, 0.5, 1.0)),
+        # 1/7: a wake interval that does not divide the period
+        frequency=st.sampled_from((0.2, 0.25, 0.5, 1.0, 1 / 7)),
         probe_budget=st.sampled_from((0, 2, 5)),
         entry=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
         gated=st.booleans(),
@@ -303,6 +304,27 @@ class TestRunPeriod:
             for a, b in zip(oracle.periods, oracle.periods[1:])
         )
         assert_kernel_matches_oracle(config)
+
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    def test_ctid_discharge_cadence_holds_across_period_ends(self, record_level):
+        # a 7-tick wake interval does not divide the 1,200-tick period, and a
+        # discharge from e_on = 100 lasts about 700 ticks
+        config = base_config(
+            policy="ctid", ctid=CtidConfig(e_on=100.0, discharge_frequency=1 / 7),
+            entry_level=None, n_periods=30, record_level="per-tick",
+        )
+        periods = run_experiment(config).periods
+        awake = np.concatenate([log.ticks["awake"] for log in periods])
+        dark = np.concatenate([log.ticks["harvested"] == 0.0 for log in periods])
+        # each discharge phase is a maximal dark run under the lit source,
+        # from its flip to its last wake-up
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], dark.view(np.int8), [0]))))
+        crossings = 0
+        for a, b in zip(edges[::2], edges[1::2]):
+            assert np.array_equal(np.flatnonzero(awake[a:b]), np.arange(0, b - a, 7)), a
+            crossings += a // 1200 != (b - 1) // 1200
+        assert crossings > 5
+        assert_kernel_matches_oracle(dc_replace(config, record_level=record_level))
 
     @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
     @pytest.mark.parametrize("policy", POLICIES)
@@ -391,6 +413,32 @@ class TestRunPeriod:
             assert log.ticks is not None
             assert len(log.ticks["awake"]) == 1200
             assert len(log.ticks["stored"]) == 1200
+
+    def test_episode_steps_past_127_are_recorded(self, tmp_path):
+        # 1-tick learner slots in a 240-tick peak: episodes of 240 steps
+        path = tmp_path / "scenario.ini"
+        path.write_text(
+            "[run]\nrecord_level = per-tick\nn_periods = 60\nrepeat_events = true\n"
+            "entry_level = 4\n[pattern]\nstate_duration = 60\npeak_max_duration = 240\n"
+            "p_high = 1.0\np_low = 0.99\npeaks = type4@2\n"
+            "[learner]\nstate_duration = 1\nfrequencies = 0,1\n",
+            encoding="utf-8",
+        )
+        config = build_sim_config(parse_config(path))
+        kernel = run_experiment(config)
+        assert max(int(log.ticks["step"].max()) for log in kernel.periods) > 127
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    def test_a_period_of_more_than_32767_slots_is_recorded(self):
+        config = base_config(
+            pattern=build_pattern([("type1", 10)], period_ticks=40_000, state_duration=40),
+            learner=LearnerConfig(state_duration=1, frequencies=(0.0, 1.0)),
+            record_level="per-tick", n_periods=2,
+        )
+        kernel = run_experiment(config)
+        slots = kernel.periods[0].ticks["slot"]
+        assert slots[-1] == 39_999 and (np.diff(slots) >= 0).all()
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
 
 def phase3_plans(monkeypatch):
@@ -570,6 +618,37 @@ class TestSteadyStateReplay:
         assert all(len(key) == 4 and charge[0] == key[0] for key, charge in memo.items())
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    @pytest.mark.parametrize("e_on, replays", [
+        # the 285-tick cycle realigns with the period after 19 periods
+        pytest.param(30.0, True, id="e_on-30"),
+        # one inflow of 1/8.5 can clamp a store at e_on: nothing is kept
+        pytest.param(119.95, False, id="e_on-near-cap"),
+    ])
+    def test_ctid_periods_replay_from_their_start_state(
+            self, e_on, replays, record_level, monkeypatch):
+        computed = []
+
+        def counting_ctid_run(*args):
+            computed.append(args[1])
+            return ctid_run(*args)
+
+        ctid_run = engine._ctid_run
+        monkeypatch.setattr(engine, "_ctid_run", counting_ctid_run)
+        config = base_config(policy="ctid", ctid=CtidConfig(e_on=e_on), charging_ratio=8.5,
+                             entry_level=None, repeat_first_period=False,
+                             record_level=record_level)
+        kernel = run_experiment(config)
+        memo = kernel.policy.period_memo
+        if replays:
+            assert memo and len(computed) == len(memo) < 25
+            # catches are counted from each period's fresh events
+            assert len({log.catches for log in kernel.periods[25:]}) > 5
+        else:
+            assert not memo and len(computed) == config.n_periods
+        monkeypatch.undo()
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_fig_perf_summary_equals_per_tick_over_150_periods(self, policy):
         scenario = PRESETS["fig-perf"]()
@@ -583,6 +662,93 @@ class TestSteadyStateReplay:
             for log in per_tick.periods:
                 log.ticks = None
             assert_same_run(summary, per_tick)
+
+
+def plan_calls(monkeypatch, cls):
+    """Patch `cls.plan_slot` so that the (slot, stored, phase) of every call
+    is appended to the returned list."""
+    calls = []
+    plan = cls.plan_slot
+
+    def counting_plan(self, slot, stored):
+        calls.append((slot, stored, self.current_phase))
+        return plan(self, slot, stored)
+
+    monkeypatch.setattr(cls, "plan_slot", counting_plan)
+    return calls
+
+
+class TestSkippedStops:
+    """Profile slots the store cannot fund are banked without a stop, and a
+    CTIDpro burst drains a whole known run at once; every number must still
+    match the per-tick oracle."""
+
+    FLOOR = 30.0 - DRAW_SLACK  # the top frequency's 30 wake-ups in a 30-tick slot
+
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    @pytest.mark.parametrize("capacity, planned_below", [
+        pytest.param(120.0, False, id="cap-120"),
+        # an inflow of 1/9 clamps a store 0.05 above the floor: every slot stops
+        pytest.param(30.05, True, id="cap-just-above-floor"),
+    ])
+    def test_profile_slots_below_the_floor(self, capacity, planned_below, record_level,
+                                           monkeypatch):
+        config = base_config(capacity=capacity, entry_level=None, n_periods=6,
+                             record_level=record_level)
+        calls = plan_calls(monkeypatch, SmartOnPolicy)
+        kernel = run_experiment(config)
+        assert kernel.phase_timeline == [1] * 6
+        below = sum(stored < self.FLOOR for _, stored, _ in calls)
+        assert below > 100 if planned_below else below == 0
+        monkeypatch.undo()
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    @pytest.mark.parametrize("policy", ["smarton", "ctidpro"])
+    def test_a_profile_that_ends_mid_period(self, policy, record_level):
+        config = base_config(policy=policy, capacity=40.0, charging_ratio=5.0, n_periods=14,
+                             record_level=record_level)
+        oracle = per_tick_oracle.run_experiment(dc_replace(config, record_level="per-tick"))
+        # one period profiles slots from below the floor, ends the profile at
+        # a slot inside it, and then starts slots below the floor in phase 2 or 3
+        switched = []
+        for log in oracle.periods:
+            phase = log.ticks["phase"][::30]
+            start = np.concatenate(([log.stored_start], log.ticks["stored"][29:-1:30]))
+            below = start < self.FLOOR
+            if phase[0] == 1 and phase[-1] != 1:
+                switched.append(((phase == 1) & below).any() and ((phase != 1) & below).any())
+        assert switched == [True]
+        assert_kernel_matches_oracle(config)
+
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    @pytest.mark.parametrize("peaks, runs", [
+        # entry level 4 forces 105 wake costs: a drain through three 30-tick slots
+        pytest.param([("type1", 10)], [(10, 13)], id="drain-outlasts-a-slot"),
+        # the second peak's entry slot 13 lies inside the known run 10..15
+        pytest.param([("type1", 10), ("type1", 13)], [(10, 13), (13, 16)],
+                     id="entry-slot-inside-the-run"),
+    ])
+    def test_a_known_run_drains_as_one_burst(self, peaks, runs, record_level, monkeypatch):
+        config = base_config(policy="ctidpro", pattern=build_pattern(peaks), n_periods=80,
+                             record_level=record_level)
+        calls = plan_calls(monkeypatch, CtidProPolicy)
+        kernel = run_experiment(config)
+        known = kernel.policy.known_slots
+        assert known == {s for a, b in runs for s in range(a, b)}
+        # one plan per run; a probe slot is never known
+        assert {slot for slot, _, phase in calls if phase == 3 and slot in known} == {
+            a for a, _ in runs}
+        monkeypatch.undo()
+        oracle = per_tick_oracle.run_experiment(dc_replace(config, record_level="per-tick"))
+        phase3 = [log for log in oracle.periods if log.phase_start == 3]
+        assert len(phase3) > 50
+        for log in phase3:
+            for a, b in runs:
+                awake = log.ticks["awake"][a * 30 : b * 30]
+                # entry energy 105 funds every tick of a 90-tick run
+                assert awake.all()
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
 
 def add_below_loop(x, inc, level, limit):
