@@ -81,6 +81,7 @@ class BasePolicy:
     current_phase = 0  # 0 = not a phased policy
     current_step = 0
     episode_memo = None  # a dict while `episode_at` names episodes to replay
+    tick_memo = None  # a dict of recorded per-tick arrays where no slot is planned
 
     def on_period_start(self, period: int) -> None:
         pass
@@ -115,6 +116,9 @@ class GtPolicy(BasePolicy):
     name = "gt"
     draws_energy = False
 
+    def __init__(self):
+        self.tick_memo: dict = {}
+
 
 class CtidPolicy(BasePolicy):
     """Charge to e_on, then discharge at the configured frequency until the
@@ -137,6 +141,7 @@ class CtidPolicy(BasePolicy):
         # (s, inc, discharging, discharge_start) at a period start -> the same
         # at its end but inc, awake ticks, dark spans, wake ranges
         self.period_memo: dict = {}
+        self.tick_memo: dict = {}
 
 
 class _Profiling(BasePolicy):

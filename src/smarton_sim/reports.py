@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .engine import convergence_stats, run_experiment, run_partition_study
+from .engine import _fill, convergence_stats, run_experiment, run_partition_study
 from .rng import Stream
 from .scenario import RunKey, Scenario, expand_sweep
 
@@ -103,7 +103,11 @@ def run_sweep(scenario: Scenario, jobs: int = 1) -> list[RunRecord]:
     When state_duration is swept, each run's scenario label carries a
     `/d<duration>` suffix so that metrics.csv rows (whose schema has no
     duration column) stay distinguishable.
+
+    The kernel's idle-run sums are cached for one sweep (`engine._fill`),
+    cleared here before any worker forks: each sweep pays its own misses.
     """
+    _fill.cache_clear()
     multi_duration = len(scenario.axis("state_duration")) > 1
     study = scenario.study is not None
     runs = []

@@ -628,13 +628,19 @@ class TestSteadyStateReplay:
     def test_ctid_periods_replay_from_their_start_state(
             self, e_on, replays, record_level, monkeypatch):
         computed = []
+        built = []
 
         def counting_ctid_run(*args):
             computed.append(args[1])
             return ctid_run(*args)
 
-        ctid_run = engine._ctid_run
+        def counting_tick_arrays(*args):
+            built.append(args[-2])
+            return tick_arrays(*args)
+
+        ctid_run, tick_arrays = engine._ctid_run, engine._tick_arrays
         monkeypatch.setattr(engine, "_ctid_run", counting_ctid_run)
+        monkeypatch.setattr(engine, "_tick_arrays", counting_tick_arrays)
         config = base_config(policy="ctid", ctid=CtidConfig(e_on=e_on), charging_ratio=8.5,
                              entry_level=None, repeat_first_period=False,
                              record_level=record_level)
@@ -646,8 +652,50 @@ class TestSteadyStateReplay:
             assert len({log.catches for log in kernel.periods[25:]}) > 5
         else:
             assert not memo and len(computed) == config.n_periods
+        if record_level == "per-tick":
+            # the per-tick arrays are built once per decision record, also
+            # where the period itself is recomputed
+            records = {(log.stored_start, log.ticks["awake"].tobytes(),
+                        log.ticks["harvested"].tobytes()) for log in kernel.periods}
+            assert len(built) == len(records) == len(kernel.policy.tick_memo) < 25
         monkeypatch.undo()
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    @pytest.mark.parametrize("policy", ["gt", "ctid"])
+    def test_replayed_per_tick_periods_own_their_arrays(self, policy):
+        config = base_config(policy=policy, charging_ratio=8.5, entry_level=None,
+                             repeat_first_period=False, n_periods=40, record_level="per-tick")
+        kernel = run_experiment(config)
+        memo = kernel.policy.tick_memo
+        assert len(memo) < 25
+
+        def snapshot(arrays):
+            return {name: (a.dtype, a.tobytes()) for name, a in arrays.items()}
+
+        logs = [snapshot(log.ticks) for log in kernel.periods]
+        kept = [snapshot(arrays) for arrays, _ in memo.values()]
+        # a period whose arrays the memo copied, and a replay of it
+        first = kernel.periods[1].ticks["stored"]
+        replayed = [p for p, log in enumerate(kernel.periods) if p > 1 and np.array_equal(
+            log.ticks["stored"], first)]
+        assert replayed
+        for p in (1, replayed[-1]):
+            for a in kernel.periods[p].ticks.values():
+                a[...] = ~a if a.dtype == bool else a + 1
+        for p, log in enumerate(kernel.periods):
+            if p not in (1, replayed[-1]):
+                assert snapshot(log.ticks) == logs[p], f"period {p}"
+        assert [snapshot(arrays) for arrays, _ in memo.values()] == kept
+
+    def test_a_replayed_period_keeps_the_end_check(self):
+        policy, store = GtPolicy(), AbstractStore(120.0, 9.0)
+        args = (HarvestSource.constant(1.0), bytes(1200), 0, 1200, 30, (), None, True)
+        run_period(policy, store, *args)
+        (key, (arrays, end)), = policy.tick_memo.items()
+        policy.tick_memo[key] = (arrays, end - 1.0)
+        store.stored = 0.0
+        with pytest.raises(RuntimeError, match="per-tick replay ends at"):
+            run_period(policy, store, *args)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_fig_perf_summary_equals_per_tick_over_150_periods(self, policy):
@@ -772,6 +820,24 @@ def idle_run_per_tick(s, waste, inc, cap, n):
     return s, waste
 
 
+# the arguments `_add_below` sums over: starts across binades, inflows with
+# ties, subnormal and stalled steps, and levels that stop the sum or never do
+ADD_BELOW_ARGS = dict(
+    x=st.one_of(
+        st.floats(min_value=0.0, max_value=1e3),
+        st.floats(min_value=0.0, max_value=1e300),
+        st.integers(min_value=1, max_value=2**53).map(lambda i: math.ldexp(i, -30)),
+    ),
+    inc=st.one_of(
+        st.sampled_from((0.0, 5e-324, 1e-300, 1 / 3, 1 / 8.5, 0.375, 1.5)),
+        st.floats(min_value=0.0, max_value=10.0),
+        st.integers(min_value=1, max_value=2**20).map(lambda i: math.ldexp(i, -40)),
+    ),
+    level=st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=1e4)),
+    limit=st.integers(min_value=0, max_value=5000),
+)
+
+
 class TestIdleRuns:
     @given(
         cap=st.floats(min_value=1.0, max_value=500.0),
@@ -834,25 +900,31 @@ class TestIdleRuns:
             for n in (1, ACCUMULATE_MIN):
                 assert _idle_run(s, 2.5, inc, cap, n) == idle_run_per_tick(s, 2.5, inc, cap, n)
 
-    @given(
-        x=st.one_of(
-            st.floats(min_value=0.0, max_value=1e3),
-            st.floats(min_value=0.0, max_value=1e300),
-            st.integers(min_value=1, max_value=2**53).map(lambda i: math.ldexp(i, -30)),
-        ),
-        inc=st.one_of(
-            st.sampled_from((0.0, 5e-324, 1e-300, 1 / 3, 1 / 8.5, 0.375, 1.5)),
-            st.floats(min_value=0.0, max_value=10.0),
-            st.integers(min_value=1, max_value=2**20).map(lambda i: math.ldexp(i, -40)),
-        ),
-        level=st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=1e4)),
-        limit=st.integers(min_value=0, max_value=5000),
-    )
+    @given(**ADD_BELOW_ARGS)
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_add_below_matches_the_loop(self, x, inc, level, limit):
         got = _add_below(x, inc, level, limit)
         assert tuple(map(_bits, got)) == tuple(map(_bits, add_below_loop(x, inc, level, limit)))
         assert type(got[0]) is float
+
+    @given(calls=st.lists(st.tuples(*ADD_BELOW_ARGS.values()), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_the_sweep_cache_returns_the_sums_bit_for_bit(self, calls):
+        engine._fill.cache_clear()
+        for x, inc, level, limit in calls:
+            # a miss, then a hit, from the start, from 0.0 and one ulp either side
+            starts = (x, 0.0, math.nextafter(x, math.inf), max(0.0, math.nextafter(x, -math.inf)))
+            for s in starts * 2:
+                got = engine._fill(s, inc, level, limit)
+                want = _add_below(s, inc, level, limit)
+                assert tuple(map(_bits, got)) == tuple(map(_bits, want))
+        assert engine._fill.cache_info().hits >= 4 * len(calls)
+
+    def test_the_sweep_cache_keeps_int_and_float_starts_apart(self):
+        # a sum that adds nothing returns its start: an int stays an int
+        engine._fill.cache_clear()
+        assert type(engine._fill(120.0, 0.5, 100.0, 5)[0]) is float
+        assert type(engine._fill(120, 0.5, 100.0, 5)[0]) is int
 
     @pytest.mark.parametrize("x, inc, level, limit", [
         # inc / ulp is a half-integer: every addition is a round-half-even tie
@@ -1200,6 +1272,15 @@ class TestExperiment:
         # the base peak starts at tick 300, a multiple of the 60 s learner slot
         with pytest.raises(ValueError, match=match):
             base_config(learner=LearnerConfig(state_duration=60), schedule=(change,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["capacity", "charging_ratio", "source_level", "initial_stored"])
+    def test_non_finite_numbers_are_rejected_when_the_config_is_built(self, name, value):
+        # nan fails every range check's comparison: a nan source level ran
+        # dark, and a nan initial store was ignored
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            base_config(**{name: value})
 
     def test_a_pattern_with_another_state_duration_is_a_valid_change(self):
         wide = build_pattern([("type1", 5)], state_duration=60, peak_max_duration=180)

@@ -2,9 +2,11 @@
 
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from smarton_sim import engine, reports
 from smarton_sim.reports import (
     CONVERGENCE_HEADER,
     METRICS_HEADER,
@@ -15,7 +17,7 @@ from smarton_sim.reports import (
     emit_plot_data,
     run_sweep,
 )
-from smarton_sim.scenario import default_scenario
+from smarton_sim.scenario import PRESETS, default_scenario
 
 
 def small_sweep():
@@ -92,6 +94,45 @@ class TestDeterminism:
             a = (a_dir / name).read_bytes()
             b = (b_dir / name).read_bytes()
             assert a == b, f"{name} differs between identical sweeps"
+
+
+    @staticmethod
+    def fig_perf_subset(seeds="0"):
+        s = PRESETS["fig-perf"]()
+        for axis, value in (("seeds", seeds), ("event_type", "type1,type3"),
+                            ("entry_level", "1,4")):
+            s = s.with_value("sweep", axis, value)
+        return s
+
+    @pytest.mark.parametrize("cleared", [True, False], ids=["cold", "warm"])
+    def test_a_preset_sweep_is_byte_identical_from_a_cold_or_warm_cache(
+            self, tmp_path, monkeypatch, cleared):
+        scenario = self.fig_perf_subset()
+        measure_from = scenario.values[("run", "measure_from")]
+        emit_csv(run_sweep(scenario), tmp_path / "a", measure_from=measure_from)
+        first = engine._fill.cache_info()
+        if not cleared:
+            # the second sweep starts from every sum the first one made
+            monkeypatch.setattr(reports, "_fill", SimpleNamespace(cache_clear=lambda: None))
+        emit_csv(run_sweep(scenario), tmp_path / "b", measure_from=measure_from)
+        second = engine._fill.cache_info()
+        assert first.hits > 0
+        if cleared:
+            assert second == first
+        else:  # every call of the second sweep hits
+            assert second.misses == first.misses
+            assert second.hits == 2 * first.hits + first.misses
+        for name in ("metrics.csv", "convergence.csv", "timeline.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_the_sweep_cache_does_not_grow_across_sweeps(self):
+        # another sweep in between leaves nothing behind for the third
+        infos = []
+        for seeds in ("0", "1", "0"):
+            run_sweep(self.fig_perf_subset(seeds))
+            infos.append(engine._fill.cache_info())
+        assert infos[0].currsize > 0 and infos[1] != infos[0]
+        assert infos[2] == infos[0]
 
 
 class TestPlotData:
