@@ -113,6 +113,14 @@ def read_trace_file(path) -> tuple[float, ...]:
     return tuple(values)
 
 
+def require_finite(config, *names: str) -> None:
+    """Refuse a nan or infinite field of `config` by its name: nan would pass
+    every range check by failing its comparison."""
+    for name in names:
+        if not math.isfinite(getattr(config, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(config, name)}")
+
+
 @dataclass
 class AbstractStore:
     """Stored energy in wake-up units on [0, capacity]."""

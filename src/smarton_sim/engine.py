@@ -19,12 +19,11 @@ wake loop.  Events arrive as a 0/1 byte string per period.  Per-tick
 recording takes the same path and replays the kernel's decisions into
 per-tick arrays (`_tick_arrays`), so it cannot change a number.
 
-Within a run, a phase-3 episode of the learning policy (`episode_memo`), a
-CTID charge phase and a whole CTID period are computed once per start and
-then replayed, with catches counted from each period's events, at either
-record level; a recorded GT or CTID period builds its per-tick arrays once
-per decision record (`tick_memo`).  Within a sweep, each distinct idle-run
-fill is summed once (`_fill`).
+Within a run, a phase-3 episode of the learning policy is replayed by its
+start (`episode_memo`).  Within a sweep, what follows from the config and a
+start state alone is computed once (`SWEEP_CACHES`): sums of one inflow
+(`_fill`), CTID periods (`_ctid_period`) and the per-tick arrays of recorded
+GT and CTID periods (`_steady_arrays`).
 
 A pattern-change schedule (shift, morph or replace) splits a run into
 segments (`SimConfig.segments`), each with its own source, entry forcing and
@@ -38,12 +37,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from math import frexp, inf, isfinite, ldexp, nextafter
+from math import frexp, inf, ldexp, nextafter
 from operator import itemgetter
 
 import numpy as np
 
-from .energy import WAKE_COST, DRAW_SLACK, AbstractStore, HarvestSource, read_trace_file
+from .energy import (
+    WAKE_COST, DRAW_SLACK, AbstractStore, HarvestSource, read_trace_file, require_finite,
+)
 from .events import (
     EventPattern,
     morph_pattern,
@@ -138,10 +139,7 @@ class SimConfig:
         # measure_from beyond n_periods is allowed: it measures nothing
         if self.measure_from < 0:
             raise ValueError(f"measure_from must be nonnegative, got {self.measure_from}")
-        # nan passes every range check below by failing its comparison
-        for name in ("capacity", "charging_ratio", "source_level", "initial_stored"):
-            if not isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        require_finite(self, "capacity", "charging_ratio", "source_level", "initial_stored")
         if self.capacity <= 0:
             raise ValueError(f"capacity must be positive, got {self.capacity}")
         if self.charging_ratio <= 0:
@@ -376,7 +374,7 @@ def run_period(
     So a `BURST` drains the run of known slots it starts, up to the next
     entry slot, as one draw run with one call of each hook.  The period's
     harvest total is the in-order sum of the other ticks' inflows; under one
-    constant inflow it is read from a cached table by their count.  Each
+    constant inflow it is one `_fill` sum from 0.0 of their count.  Each
     stop bisects `entry_slots` once, and that index serves the look-ahead,
     the forcing test, the burst run's end and the replay guard below.
     Profiling (phase 1, which never forces) plans nothing from below
@@ -388,12 +386,11 @@ def run_period(
     entry slot after its first and before its end), is replayed by (peak,
     stored energy, inflow), or run and stored unless a harvest clamped at
     `cap` (waste is an in-order float sum that a replay cannot redo).  A
-    CTID period is replayed by its start state, kept only when one inflow
-    cannot clamp below `e_on`, so that it wastes nothing.  Recording takes
-    these same paths and lists its decisions for `_tick_arrays`; a GT or CTID
-    period under one constant inflow reuses the arrays of an earlier period
-    with its decisions and start (`tick_memo`), as copies with its own
-    `event`, once the kernel's end matches.
+    CTID period that one inflow cannot clamp below `e_on` wastes nothing and
+    comes from the sweep cache `_ctid_period`.  Recording takes these same
+    paths and lists its decisions for `_tick_arrays`; a GT or CTID period
+    under one constant inflow copies its arrays from `_steady_arrays` and
+    sets its own `event`.
     """
     phase_start = policy.current_phase
     stored_start = store.stored
@@ -431,19 +428,16 @@ def run_period(
         catches_total = event_ticks
         wake_runs.append(range(period_ticks))
     elif isinstance(policy, CtidPolicy):
-        key = (s, inc, policy.discharging, policy.discharge_start)
+        cfg, mode = policy.cfg, (policy.discharging, policy.discharge_start)
         # a period that cannot clamp below e_on wastes nothing
-        keep = uniform and not inc > cap - (policy.cfg.e_on - DRAW_SLACK)
-        hit = policy.period_memo.get(key) if keep else None
-        if hit is None:
-            s, waste, awake_total, catches_total, dark, wake_runs = _ctid_run(
-                policy, s, waste, cap, runs, 0, period_ticks, events)
-            if keep:
-                policy.period_memo[key] = (s, policy.discharging, policy.discharge_start,
-                                           awake_total, tuple(dark), tuple(wake_runs))
+        if uniform and not inc > cap - (cfg.e_on - DRAW_SLACK):
+            s, *mode, dark, wake_runs = _ctid_period(s, inc, cap, cfg, *mode, period_ticks)
         else:
-            s, policy.discharging, policy.discharge_start, awake_total, dark, wake_runs = hit
-            catches_total = sum(events[r.start : r.stop : r.step].count(1) for r in wake_runs)
+            s, waste, *mode, dark, wake_runs = _ctid_run(s, waste, cap, runs, 0, period_ticks,
+                                                         cfg, *mode)
+        policy.discharging, policy.discharge_start = mode
+        awake_total = sum(map(len, wake_runs))
+        catches_total = sum(events[r.start : r.stop : r.step].count(1) for r in wake_runs)
     else:
         n_slots = period_ticks // slot_len
         # entry forcing rewrites the store at a slot start: a stop for the
@@ -586,27 +580,19 @@ def run_period(
 
     if uniform:
         lit = period_ticks - sum(b - a for a, b in dark) if dark else period_ticks
-        harvested = _harvest_sums(inc, period_ticks)[lit]
+        harvested = _fill(0.0, inc, inf, lit)[0]
     else:
         harvested = _lit_total(inflows, dark)
     ticks = None
     if record_ticks:
-        # GT and CTID keep one phase and step and are never forced
-        memo = policy.tick_memo if inflows is None else None
-        key = (stored_start, inc, cap, period_ticks, slot_len, tuple(wake_runs), tuple(dark))
-        hit = memo.get(key) if memo is not None else None
-        if hit is None:
-            ticks = _tick_arrays(policy, events, slot_len, slot_info, wakes, wake_runs, dark,
-                                 forced_at, entry_value, inflows, inc, cap, stored_start, s)
-            if memo is not None:
-                memo[key] = ({name: a.copy() for name, a in ticks.items()}, s)
+        if inflows is None and isinstance(policy, (GtPolicy, CtidPolicy)):
+            arrays = _steady_arrays(type(policy), stored_start, inc, cap, period_ticks, slot_len,
+                                    tuple(wake_runs), tuple(dark), s)
+            ticks = {name: a.copy() for name, a in arrays.items()}  # every log owns its arrays
         else:
-            arrays, end = hit
-            if end != s:
-                raise RuntimeError(f"per-tick replay ends at {end!r}, the kernel at {s!r}")
-            # every log owns its arrays, and `event` is this period's
-            ticks = {name: a.copy() for name, a in arrays.items()}
-            ticks["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
+            ticks = _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, dark,
+                                 forced_at, entry_value, inflows, inc, cap, stored_start, s)
+        ticks["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
 
     return PeriodLog(
         period=period_index,
@@ -627,32 +613,30 @@ def run_period(
     )
 
 
-def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs, t: int, end: int,
-              events=b""):
-    """CTID over ticks t..end-1 of the inflow `runs`: charge until the store
-    holds `e_on`, then discharge -- harvest nothing and wake every
+def _ctid_run(s: float, waste: float, cap: float, runs, t: int, end: int, cfg: CtidConfig,
+              discharging: bool, start: int):
+    """CTID over ticks t..end-1 of the inflow `runs`, from the mode
+    (`discharging`, `start`) that `CtidPolicy` carries: charge until the
+    store holds `e_on`, then discharge -- harvest nothing and wake every
     `wake_interval` ticks from the flip -- until it falls to `e_off` or
     cannot fund a wake-up.  Since `e_on` is at least one wake cost, every
     discharge wake-up is funded.  Under one inflow that cannot saturate the
-    store below `e_on`, a charge phase is one sum in closed form
-    (`_add_below`), kept in `charge_memo` by its start, or, when the span
-    ends before it reaches `e_on`, by its start and the span's length.  A
-    discharge phase's wake-ups in the span are one draw run (`_draws`) with a
-    strided catch count.  Returns (s, waste, awake, catches, dark spans, wake
-    ranges); the mode stays on the policy, and its cadence moves into the
-    frame of the ticks after `end`, reduced modulo `wake_interval`.
+    store below `e_on`, a charge phase is one sum in closed form, cached for
+    the sweep (`_fill`) by its start, or by its start and the span left when
+    the span's end cuts it.  A discharge phase's wake-ups in the span are one
+    draw run (`_draws`).  Returns (s, waste, discharging, start, dark spans,
+    wake ranges): the caller counts awake ticks and catches from the ranges
+    and keeps the mode, whose cadence moves into the frame of the ticks
+    after `end`, reduced modulo `wake_interval`.
     """
-    e_on = policy.cfg.e_on - DRAW_SLACK
-    e_off = policy.cfg.e_off + DRAW_SLACK
+    e_on = cfg.e_on - DRAW_SLACK
+    e_off = cfg.e_off + DRAW_SLACK
     draw_floor = WAKE_COST - DRAW_SLACK
-    interval = policy.wake_interval
-    discharging = policy.discharging
-    start = policy.discharge_start
+    interval = cfg.wake_interval
     inc = runs[0][2]
     # below e_on the store cannot saturate, so a charge phase is bare
     # additions up to the tick whose pre-tick check sees e_on
     jump = len(runs) == 1 and not inc > cap - e_on
-    awake = catches = 0
     dark = []
     wakes = []
     dark_from = t
@@ -666,16 +650,10 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs, t: i
                 discharging = True
                 start = dark_from = t
             elif jump:
-                key = (s, inc, e_on)
-                charge = policy.charge_memo.get(key)
-                if charge is None or charge[1] > end - t:
-                    # a charge cut by the span's end is kept under its span
-                    cut = key + (end - t,)
-                    charge = policy.charge_memo.get(cut)
-                    if charge is None:
-                        charge = _add_below(s, inc, e_on, end - t)
-                        policy.charge_memo[key if charge[0] >= e_on else cut] = charge
-                s, n = charge
+                s_on, n = _fill(s, inc, e_on, inf)
+                if n > end - t:  # the span's end cuts the charge
+                    s_on, n = _fill(s, inc, e_on, end - t)
+                s = s_on
                 t += n
                 continue
             else:
@@ -691,14 +669,22 @@ def _ctid_run(policy: CtidPolicy, s: float, waste: float, cap: float, runs, t: i
             k, s = _draws(s, e_off, (end - 1 - t) // interval)
             stop = t + (k + 1) * interval
             wakes.append(range(t, stop, interval))
-            awake += k + 1
-            catches += events[t:stop:interval].count(1)
             t = stop - interval + 1 if s <= e_off or s < draw_floor else end
     if discharging:
         dark.append((dark_from, end))
-    policy.discharging = discharging
-    policy.discharge_start = (start - end) % interval
-    return s, waste, awake, catches, dark, wakes
+    return s, waste, discharging, (start - end) % interval, dark, wakes
+
+
+# The fig-perf preset's 24,000 CTID periods hold 152 distinct ones.
+@lru_cache(maxsize=1024, typed=True)
+def _ctid_period(s: float, inc: float, cap: float, cfg: CtidConfig, discharging: bool,
+                 start: int, period_ticks: int):
+    """`_ctid_run` over one period of inflow `inc` that cannot clamp the
+    store below `e_on`, so it wastes nothing: (s, discharging, start, dark
+    spans, wake ranges), as tuples."""
+    s, _, discharging, start, dark, wakes = _ctid_run(
+        s, 0.0, cap, [(0, period_ticks, inc)], 0, period_ticks, cfg, discharging, start)
+    return s, discharging, start, tuple(dark), tuple(wakes)
 
 
 def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSource,
@@ -707,8 +693,9 @@ def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSourc
     tick-0 inflow, with no events.  The ticks are -ticks..-1, so wake
     intervals stay aligned to tick 0."""
     runs = [(-ticks, 0, source(0) * WAKE_COST / store.charging_ratio)]
-    store.stored, store.wasted_saturation, *_ = _ctid_run(
-        policy, store.stored, store.wasted_saturation, store.capacity, runs, -ticks, 0)
+    store.stored, store.wasted_saturation, policy.discharging, policy.discharge_start, *_ = (
+        _ctid_run(store.stored, store.wasted_saturation, store.capacity, runs, -ticks, 0,
+                  policy.cfg, policy.discharging, policy.discharge_start))
 
 
 def _idle_run(s: float, waste: float, inc: float, cap: float, n: int):
@@ -821,13 +808,9 @@ def _add_below(x: float, inc: float, level: float, limit: int):
     return x, k
 
 
-# The idle-run fills and phase-1 floor banks of a sweep's runs repeat the same
-# (start, inflow, level, limit) across runs, so they are summed once per sweep:
-# `reports.run_sweep` clears this cache at its start.  A hit is the tuple the
-# miss computed, as `_add_below` is pure; typed=True keeps an int start apart
-# from a float one, and a start is never -0.0, whose key is 0.0's: forcing
-# sets s > 0, draws leave s - 1.0 (s >= 1) or 0.0, and inflows are >= 0.
-# 8,192 sums, about 3 MB, hold the 5,744 distinct ones of the fig-perf preset.
+# Idle-run fills, phase-1 floor banks, CTID charges and harvest totals repeat
+# across a sweep's runs: the fig-perf preset needs 6,041 of the 8,192 sums,
+# about 3 MB.
 _fill = lru_cache(maxsize=8192, typed=True)(_add_below)
 
 
@@ -886,18 +869,6 @@ def _inflow_runs(inflows: list) -> list:
     return runs
 
 
-@lru_cache(maxsize=16)
-def _harvest_sums(inc: float, period_ticks: int) -> tuple[float, ...]:
-    """Entry k is the k-fold sequential sum 0.0 + inc + ... + inc: a period's
-    harvest total after k ticks that banked `inc`."""
-    sums = [0.0]
-    total = 0.0
-    for _ in range(period_ticks):
-        total += inc
-        sums.append(total)
-    return tuple(sums)
-
-
 def _lit_total(inflows: list, dark: list) -> float:
     """In-order sum of the inflows outside the sorted dark spans."""
     total = 0.0
@@ -909,10 +880,10 @@ def _lit_total(inflows: list, dark: list) -> float:
     return total
 
 
-def _tick_arrays(policy, events, slot_len, slot_info, wakes, wake_runs, dark,
+def _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, dark,
                  forced_at, entry_value, inflows, inc, cap, s, end):
-    """The per-tick arrays of one recorded period, rebuilt from the kernel's
-    decisions.  `stored` replays from `s` the per-tick rule: forcing, the draw,
+    """The per-tick arrays of one recorded period but `event`, rebuilt from
+    the kernel's decisions.  `stored` replays from `s` the per-tick rule: forcing, the draw,
     then the harvest clamped at `cap`.  Each tick's draw, -1.0 or -0.0, and its
     harvest interleave into one step array; `s + -1.0` is `s - 1.0` and
     `s + -0.0` is `s`, so one sequential `np.add.accumulate` replays a window
@@ -922,7 +893,6 @@ def _tick_arrays(policy, events, slot_len, slot_info, wakes, wake_runs, dark,
     within two ticks' inflow of `cap`, a tick without a draw takes the rule.
     A full store stays full up to the first draw whose tick ends below `cap`.
     Raises RuntimeError unless the replay ends at the kernel's `end`."""
-    period_ticks = len(events)
     n_slots = period_ticks // slot_len
     awake = np.zeros(period_ticks, dtype=bool)
     awake[np.fromiter(wakes, np.intp)] = True
@@ -980,7 +950,6 @@ def _tick_arrays(policy, events, slot_len, slot_info, wakes, wake_runs, dark,
     phase, step = zip(*(slot_info or [(policy.current_phase, policy.current_step)] * n_slots))
     return {
         "awake": awake,
-        "event": np.frombuffer(bytes(events), np.uint8).astype(bool),
         "drawn": drawn,
         "harvested": harvested,
         "stored": path[1::2].copy(),
@@ -988,6 +957,28 @@ def _tick_arrays(policy, events, slot_len, slot_info, wakes, wake_runs, dark,
         "slot": np.arange(n_slots, dtype=np.int32).repeat(slot_len),
         "step": np.array(step, dtype=np.int32).repeat(slot_len),
     }
+
+
+# An entry of 1,200 ticks takes about 42 KB: the fig-perf preset recorded per
+# tick needs 154 of the 256 entries, about 6.5 MB.
+@lru_cache(maxsize=256, typed=True)
+def _steady_arrays(cls, s: float, inc: float, cap: float, period_ticks: int, slot_len: int,
+                   wake_runs: tuple, dark: tuple, end: float):
+    """`_tick_arrays` of a period at the constant inflow `inc` of policy
+    class `cls`, GT or CTID: these plan no slot, keep one phase and step and
+    are never forced.  Keyed by the kernel's `end`, which the replay checks
+    when it builds an entry."""
+    return _tick_arrays(cls, period_ticks, slot_len, [], [], wake_runs, dark, [], None, None,
+                        inc, cap, s, end)
+
+
+# The kernel's reuse across a sweep's runs, each a pure function of the config
+# and a start state: `reports.run_sweep` clears them all at its start.  A hit
+# is what the miss computed; typed=True keeps an int start apart from a float
+# one, and a stored energy or inflow is never -0.0, whose key is 0.0's: forcing
+# sets s > 0, draws leave s - 1.0 (s >= 1) or 0.0, and a source returns 0.0
+# for anything but a positive value.
+SWEEP_CACHES = (_fill, _ctid_period, _steady_arrays)
 
 
 def apply_change(pattern: EventPattern, change: PatternChange) -> EventPattern:

@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .energy import WAKE_COST
+from .energy import WAKE_COST, DRAW_SLACK, require_finite
 
 DEFAULT_FREQUENCIES = (0.0, 0.2, 0.5, 1.0)
 
@@ -65,6 +65,8 @@ class LearnerConfig:
     peak_max_duration: int = 120
 
     def __post_init__(self):
+        require_finite(self, "reward_catch", "reward_miss", "convergence_epsilon",
+                       "profile_tol_abs", "profile_tol_rel", "shape_theta")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0 <= self.gamma < 1:
@@ -74,6 +76,8 @@ class LearnerConfig:
         if self.state_duration <= 0:
             raise ValueError(f"state_duration must be positive, got {self.state_duration}")
         freqs = tuple(self.frequencies)
+        if not all(map(math.isfinite, freqs)):
+            raise ValueError(f"frequencies must be finite, got {freqs}")
         if list(freqs) != sorted(freqs) or len(set(freqs)) != len(freqs):
             raise ValueError(f"frequencies must be strictly increasing, got {freqs}")
         if freqs[0] != 0.0:
@@ -314,7 +318,7 @@ def affordable_actions(cfg: LearnerConfig, stored: float) -> tuple[int, ...]:
     schedule's cost never falls as the frequency rises, so these are the
     first actions up to the last cost within `stored`: a shared tuple."""
     costs, prefixes = _action_costs(tuple(cfg.frequencies), cfg.state_duration)
-    return prefixes[bisect_right(costs, stored + 1e-9)]
+    return prefixes[bisect_right(costs, stored + DRAW_SLACK)]
 
 
 def choose_action(table: QTable, state: int, phase: int, affordable, stream) -> int:

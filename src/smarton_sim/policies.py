@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .energy import WAKE_COST, DRAW_SLACK, quantize
+from .energy import WAKE_COST, DRAW_SLACK, quantize, require_finite
 from .learner import (
     LearnedPeak,
     LearnerConfig,
@@ -48,15 +48,17 @@ from .rng import Stream
 BURST = "burst"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CtidConfig:
-    """Charge-then-immediately-discharge thresholds, in wake-cost units."""
+    """Charge-then-immediately-discharge thresholds, in wake-cost units.
+    Frozen, so that the kernel's sweep cache of CTID periods keys by it."""
 
     e_on: float = 30.0
     e_off: float = 0.0
     discharge_frequency: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "e_on", "e_off", "discharge_frequency")
         if not self.e_off < self.e_on:
             raise ValueError(f"need e_off < e_on, got {self.e_off} >= {self.e_on}")
         if self.e_on < WAKE_COST:
@@ -81,7 +83,6 @@ class BasePolicy:
     current_phase = 0  # 0 = not a phased policy
     current_step = 0
     episode_memo = None  # a dict while `episode_at` names episodes to replay
-    tick_memo = None  # a dict of recorded per-tick arrays where no slot is planned
 
     def on_period_start(self, period: int) -> None:
         pass
@@ -116,9 +117,6 @@ class GtPolicy(BasePolicy):
     name = "gt"
     draws_energy = False
 
-    def __init__(self):
-        self.tick_memo: dict = {}
-
 
 class CtidPolicy(BasePolicy):
     """Charge to e_on, then discharge at the configured frequency until the
@@ -135,13 +133,6 @@ class CtidPolicy(BasePolicy):
         # == 0, t counted from the running period's start
         self.discharge_start = 0
         self.wake_interval = cfg.wake_interval
-        # (s, inc, e_on) -> (s, ticks) reaching e_on; (s, inc, e_on, span) ->
-        # (s, span) for a charge the span's end cuts
-        self.charge_memo: dict = {}
-        # (s, inc, discharging, discharge_start) at a period start -> the same
-        # at its end but inc, awake ticks, dark spans, wake ranges
-        self.period_memo: dict = {}
-        self.tick_memo: dict = {}
 
 
 class _Profiling(BasePolicy):

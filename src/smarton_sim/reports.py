@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .engine import _fill, convergence_stats, run_experiment, run_partition_study
+from .engine import SWEEP_CACHES, convergence_stats, run_experiment, run_partition_study
 from .rng import Stream
 from .scenario import RunKey, Scenario, expand_sweep
 
@@ -104,10 +104,12 @@ def run_sweep(scenario: Scenario, jobs: int = 1) -> list[RunRecord]:
     `/d<duration>` suffix so that metrics.csv rows (whose schema has no
     duration column) stay distinguishable.
 
-    The kernel's idle-run sums are cached for one sweep (`engine._fill`),
-    cleared here before any worker forks: each sweep pays its own misses.
+    The kernel's reuse across runs is cached for one sweep
+    (`engine.SWEEP_CACHES`), cleared here before any worker forks: each
+    sweep pays its own misses.
     """
-    _fill.cache_clear()
+    for cache in SWEEP_CACHES:
+        cache.cache_clear()
     multi_duration = len(scenario.axis("state_duration")) > 1
     study = scenario.study is not None
     runs = []

@@ -7,10 +7,11 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace as dc_replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smarton_sim import energy, engine
@@ -33,7 +34,6 @@ from smarton_sim.engine import (
     _add_below,
     _ctid_warm_up,
     _draws,
-    _harvest_sums,
     _idle_run,
 )
 from smarton_sim.events import build_pattern
@@ -463,9 +463,51 @@ def phase3_plans(monkeypatch):
     return planned
 
 
+def clear_sweep_caches():
+    for cache in engine.SWEEP_CACHES:
+        cache.cache_clear()
+
+
+def charge_calls(monkeypatch, e_on):
+    """Patch `engine._fill` so that the arguments and result of every CTID
+    charge to `e_on` it sums are appended to the returned list."""
+    calls = []
+    fill = engine._fill
+
+    def counting_fill(*args):
+        got = fill(*args)
+        if args[2] == e_on - DRAW_SLACK:
+            calls.append((args, got))
+        return got
+
+    monkeypatch.setattr(engine, "_fill", counting_fill)
+    return calls
+
+
+def count_ctid_runs(monkeypatch):
+    """Patch `engine._ctid_run` and `engine._tick_arrays` so that the start
+    of every CTID span computed and the end of every array set built are
+    appended to the two returned lists."""
+    computed, built = [], []
+    ctid_run, tick_arrays = engine._ctid_run, engine._tick_arrays
+
+    def counting_ctid_run(*args):
+        computed.append(args[0])
+        return ctid_run(*args)
+
+    def counting_tick_arrays(*args):
+        built.append(args[-1])
+        return tick_arrays(*args)
+
+    monkeypatch.setattr(engine, "_ctid_run", counting_ctid_run)
+    monkeypatch.setattr(engine, "_tick_arrays", counting_tick_arrays)
+    return computed, built
+
+
 class TestSteadyStateReplay:
-    """Phase-3 episodes and CTID charge phases are replayed from a memo within
-    a run; every number must still match the per-tick oracle."""
+    """Phase-3 episodes are replayed from a memo within a run, and CTID
+    charges, CTID periods and GT/CTID per-tick arrays from the sweep caches;
+    every number must still match the per-tick oracle."""
 
     # loose enough that phase 3 starts by period ~60 on fresh events
     QUICK = LearnerConfig(convergence_epsilon=100.0)
@@ -572,7 +614,7 @@ class TestSteadyStateReplay:
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
     @pytest.mark.parametrize("frequency", [0.5, 1.0])
-    def test_ctid_charge_phases_cut_by_the_period_end_match_oracle(self, frequency):
+    def test_ctid_charge_phases_cut_by_the_period_end_match_oracle(self, frequency, monkeypatch):
         # a 900-tick charge to e_on = 100 crosses most period ends
         config = base_config(
             policy="ctid", ctid=CtidConfig(e_on=100.0, discharge_frequency=frequency),
@@ -583,39 +625,49 @@ class TestSteadyStateReplay:
             a.ticks["harvested"][-1] > 0.0 and b.ticks["harvested"][0] > 0.0
             for a, b in zip(oracle.periods, oracle.periods[1:])
         ) > 10
+        clear_sweep_caches()
+        charges = charge_calls(monkeypatch, 100.0)
         kernel = run_experiment(config)
-        assert kernel.policy.charge_memo
+        # a charge the span's end cuts is summed up to that end
+        assert any(limit < math.inf for (*_, limit), _ in charges)
+        monkeypatch.undo()
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
     @pytest.mark.parametrize("e_on", [30.0, 60.0])
     def test_ctid_charges_are_each_computed_once(self, e_on, monkeypatch):
         # at e_on = 30 the 300-tick cycle divides the period, so after the
         # jittered start every period end cuts a charge from empty at the
-        # same tick: the cut charge comes from the memo after the first time
+        # same tick: the cut charge comes from the sweep cache after the first time
         sums = []
 
         def counting_add_below(*args):
             sums.append(args)
             return _add_below(*args)
 
-        monkeypatch.setattr(engine, "_add_below", counting_add_below)
+        clear_sweep_caches()
+        monkeypatch.setattr(engine, "_fill", lru_cache(typed=True)(counting_add_below))
         config = base_config(policy="ctid", ctid=CtidConfig(e_on=e_on), entry_level=None,
                              n_periods=40, ctid_phase_jitter=True)
         kernel = run_experiment(config)
-        memo = kernel.policy.charge_memo
-        assert any(len(key) == 4 for key in memo)  # a charge cut by a span's end
-        assert len(sums) == len(memo)
+        charges = [args for args in sums if args[2] == e_on - DRAW_SLACK]
+        assert any(limit < math.inf for *_, limit in charges)  # a charge cut by a span's end
+        assert engine._fill.cache_info().hits > 0
+        assert len(sums) == len(set(sums))
         monkeypatch.undo()
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
-    def test_ctid_without_inflow_terminates_and_matches_oracle(self):
+    def test_ctid_without_inflow_terminates_and_matches_oracle(self, monkeypatch):
         config = base_config(policy="ctid", source_level=0.0, initial_stored=50.0,
                              entry_level=None, n_periods=20)
+        clear_sweep_caches()
+        charges = charge_calls(monkeypatch, 30.0)
         with time_limit(1.0, "CTID without inflow"):
             kernel = run_experiment(config)
-        # no charge reaches e_on; the stalled ones are kept as cut by the period end
-        memo = kernel.policy.charge_memo
-        assert all(len(key) == 4 and charge[0] == key[0] for key, charge in memo.items())
+        # no charge reaches e_on: each stalls at its start, with no limit and
+        # then cut by the period end
+        assert {limit < math.inf for (*_, limit), _ in charges} == {False, True}
+        assert all(got == (args[0], args[3]) for args, got in charges)
+        monkeypatch.undo()
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
     @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
@@ -627,54 +679,84 @@ class TestSteadyStateReplay:
     ])
     def test_ctid_periods_replay_from_their_start_state(
             self, e_on, replays, record_level, monkeypatch):
-        computed = []
-        built = []
-
-        def counting_ctid_run(*args):
-            computed.append(args[1])
-            return ctid_run(*args)
-
-        def counting_tick_arrays(*args):
-            built.append(args[-2])
-            return tick_arrays(*args)
-
-        ctid_run, tick_arrays = engine._ctid_run, engine._tick_arrays
-        monkeypatch.setattr(engine, "_ctid_run", counting_ctid_run)
-        monkeypatch.setattr(engine, "_tick_arrays", counting_tick_arrays)
+        computed, built = count_ctid_runs(monkeypatch)
         config = base_config(policy="ctid", ctid=CtidConfig(e_on=e_on), charging_ratio=8.5,
                              entry_level=None, repeat_first_period=False,
                              record_level=record_level)
+        clear_sweep_caches()
         kernel = run_experiment(config)
-        memo = kernel.policy.period_memo
+        info = engine._ctid_period.cache_info()
         if replays:
-            assert memo and len(computed) == len(memo) < 25
+            assert info.currsize and len(computed) == info.misses == info.currsize < 25
             # catches are counted from each period's fresh events
             assert len({log.catches for log in kernel.periods[25:]}) > 5
         else:
-            assert not memo and len(computed) == config.n_periods
+            assert not info.currsize and len(computed) == config.n_periods
         if record_level == "per-tick":
             # the per-tick arrays are built once per decision record, also
             # where the period itself is recomputed
             records = {(log.stored_start, log.ticks["awake"].tobytes(),
                         log.ticks["harvested"].tobytes()) for log in kernel.periods}
-            assert len(built) == len(records) == len(kernel.policy.tick_memo) < 25
+            assert len(built) == len(records) == engine._steady_arrays.cache_info().currsize < 25
         monkeypatch.undo()
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    def test_a_ctid_period_is_reused_by_another_run(self, record_level, monkeypatch):
+        # CTID ignores events and entry levels: a run of another event type
+        # and entry level passes through the same start states
+        computed, built = count_ctid_runs(monkeypatch)
+        first = base_config(policy="ctid", charging_ratio=8.5, entry_level=1,
+                            repeat_first_period=False, n_periods=40, record_level=record_level)
+        second = dc_replace(first, pattern=build_pattern([("type3", 10)]), entry_level=4)
+        clear_sweep_caches()
+        runs = [run_experiment(first)]
+        counts = (len(computed), len(built))
+        hits = engine._ctid_period.cache_info().hits
+        runs.append(run_experiment(second))
+        assert counts[0] and (len(computed), len(built)) == counts
+        assert engine._ctid_period.cache_info().hits == hits + second.n_periods
+        assert [log.catches for log in runs[0].periods] != [log.catches for log in runs[1].periods]
+        monkeypatch.undo()
+        for config, kernel in zip((first, second), runs):
+            assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    def test_the_period_caches_keep_int_and_float_starts_apart(self):
+        clear_sweep_caches()
+        args = (1 / 9, 120.0, CtidConfig(), False, 0, 1200)
+        periods = [engine._ctid_period(s, *args) for s in (5, 5.0)]
+        assert engine._ctid_period.cache_info().currsize == 2
+        assert periods[0] == periods[1]
+        end = run_period(GtPolicy(), AbstractStore(120.0, 9.0), HarvestSource.constant(1.0),
+                         bytes(1200), 0, 1200, 30, (), None, False).stored_end
+        key = (1 / 9, 120.0, 1200, 30, (range(1200),), (), end)
+        arrays = [engine._steady_arrays(GtPolicy, s, *key) for s in (0, 0.0)]
+        assert engine._steady_arrays.cache_info().currsize == 2
+        assert_same_arrays(*arrays)
+
     @pytest.mark.parametrize("policy", ["gt", "ctid"])
-    def test_replayed_per_tick_periods_own_their_arrays(self, policy):
+    def test_replayed_per_tick_periods_own_their_arrays(self, policy, monkeypatch):
         config = base_config(policy=policy, charging_ratio=8.5, entry_level=None,
                              repeat_first_period=False, n_periods=40, record_level="per-tick")
+        cached = {}  # the cache's own arrays, by identity
+        steady_arrays = engine._steady_arrays
+
+        def keeping_steady_arrays(*args):
+            arrays = steady_arrays(*args)
+            cached[id(arrays)] = arrays
+            return arrays
+
+        monkeypatch.setattr(engine, "_steady_arrays", keeping_steady_arrays)
+        clear_sweep_caches()
         kernel = run_experiment(config)
-        memo = kernel.policy.tick_memo
-        assert len(memo) < 25
+        assert len(cached) == steady_arrays.cache_info().currsize < 25
 
         def snapshot(arrays):
             return {name: (a.dtype, a.tobytes()) for name, a in arrays.items()}
 
         logs = [snapshot(log.ticks) for log in kernel.periods]
-        kept = [snapshot(arrays) for arrays, _ in memo.values()]
-        # a period whose arrays the memo copied, and a replay of it
+        kept = [snapshot(arrays) for arrays in cached.values()]
+        # a period whose arrays the cache built, and a replay of it
         first = kernel.periods[1].ticks["stored"]
         replayed = [p for p, log in enumerate(kernel.periods) if p > 1 and np.array_equal(
             log.ticks["stored"], first)]
@@ -685,17 +767,23 @@ class TestSteadyStateReplay:
         for p, log in enumerate(kernel.periods):
             if p not in (1, replayed[-1]):
                 assert snapshot(log.ticks) == logs[p], f"period {p}"
-        assert [snapshot(arrays) for arrays, _ in memo.values()] == kept
+        assert [snapshot(arrays) for arrays in cached.values()] == kept
 
     def test_a_replayed_period_keeps_the_end_check(self):
-        policy, store = GtPolicy(), AbstractStore(120.0, 9.0)
+        clear_sweep_caches()
         args = (HarvestSource.constant(1.0), bytes(1200), 0, 1200, 30, (), None, True)
-        run_period(policy, store, *args)
-        (key, (arrays, end)), = policy.tick_memo.items()
-        policy.tick_memo[key] = (arrays, end - 1.0)
-        store.stored = 0.0
+        log, again = (run_period(GtPolicy(), AbstractStore(120.0, 9.0), *args) for _ in "ab")
+        assert_same_log(again, log)
+        info = engine._steady_arrays.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # the entry is keyed by the kernel's end: the same end is a hit, and
+        # another is a miss whose rebuilt arrays fail the replay's end check
+        key = (GtPolicy, 0.0, 1 / 9, 120.0, 1200, 30, (range(1200),), ())
+        engine._steady_arrays(*key, log.stored_end)
         with pytest.raises(RuntimeError, match="per-tick replay ends at"):
-            run_period(policy, store, *args)
+            engine._steady_arrays(*key, log.stored_end - 1.0)
+        info = engine._steady_arrays.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 1)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_fig_perf_summary_equals_per_tick_over_150_periods(self, policy):
@@ -908,6 +996,8 @@ class TestIdleRuns:
         assert type(got[0]) is float
 
     @given(calls=st.lists(st.tuples(*ADD_BELOW_ARGS.values()), min_size=1, max_size=4))
+    # a period's harvest total after each count of lit ticks
+    @example(calls=[(0.0, 1 / 8.5, math.inf, k) for k in range(1201)])
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_the_sweep_cache_returns_the_sums_bit_for_bit(self, calls):
         engine._fill.cache_clear()
@@ -918,6 +1008,8 @@ class TestIdleRuns:
                 got = engine._fill(s, inc, level, limit)
                 want = _add_below(s, inc, level, limit)
                 assert tuple(map(_bits, got)) == tuple(map(_bits, want))
+            got = engine._fill(x, inc, level, limit)
+            assert tuple(map(_bits, got)) == tuple(map(_bits, add_below_loop(x, inc, level, limit)))
         assert engine._fill.cache_info().hits >= 4 * len(calls)
 
     def test_the_sweep_cache_keeps_int_and_float_starts_apart(self):
@@ -994,14 +1086,6 @@ class TestIdleRuns:
         assert total == 1.0
         assert np.add.accumulate(values)[-1] == total
         assert np.sum(values) != total
-
-    def test_harvest_sums_are_sequential(self):
-        inc = 1.0 / 8.5
-        sums = _harvest_sums(inc, 1200)
-        total = 0.0
-        for k in range(1201):
-            assert sums[k] == total
-            total += inc
 
 
 def draws_per_wake(s, lo, limit):
@@ -1083,7 +1167,7 @@ def replay_period(cap, s, inflows, draw_ticks=(), dark=(), forced_at=(), entry_v
     policy = BasePolicy()
     policy.draws_energy = draws_energy
     got = engine._tick_arrays(
-        policy, bytes(ticks), slot_len, [], list(draw_ticks), list(wake_runs), list(dark),
+        policy, ticks, slot_len, [], list(draw_ticks), list(wake_runs), list(dark),
         list(forced_at), entry_value, inflows, inc, cap, s,
         stored[-1] if end is None else end)
     return got, want

@@ -65,6 +65,11 @@ class TestWakeOffsets:
         with pytest.raises(ValueError, match="1 Hz"):
             LearnerConfig(frequencies=(0.0, 0.5, 1.5))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequencies_rejected(self, value):
+        with pytest.raises(ValueError, match="frequencies must be finite"):
+            LearnerConfig(frequencies=(0.0, value))
+
     def test_other_durations(self):
         assert len(wake_offsets(0.2, 20)) == 4
         assert len(wake_offsets(0.5, 60)) == 30
@@ -93,6 +98,16 @@ class TestQUpdate:
     def test_alpha_zero_rejected_by_config(self):
         with pytest.raises(ValueError):
             LearnerConfig(alpha=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "reward_catch", "reward_miss", "convergence_epsilon", "profile_tol_abs",
+        "profile_tol_rel", "shape_theta",
+    ])
+    def test_non_finite_numbers_rejected_by_config(self, name, value):
+        # these fields have no range check for nan to fail
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LearnerConfig(**{name: value})
 
     def test_alpha_identity_limit(self):
         # the update with alpha -> 0 leaves the table unchanged; alpha is

@@ -1,6 +1,8 @@
 """Policy behaviors: GT oracle, CTID cycle timing, CTIDpro greedy bursts,
 trace obliviousness, and the catch-dominance argument."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,13 @@ class TestCtid:
         # the discharge could not fund its first wake-up and would stall
         with pytest.raises(ValueError, match="wake cost"):
             CtidConfig(e_on=e_on)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["e_on", "e_off", "discharge_frequency"])
+    def test_non_finite_numbers_are_rejected(self, name, value):
+        # e_on = inf passed every check, and the cycle never discharged
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CtidConfig(**{name: value})
 
     def test_e_on_of_one_wake_keeps_cycling(self):
         policy = CtidPolicy(CtidConfig(e_on=WAKE_COST))
