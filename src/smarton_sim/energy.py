@@ -1,9 +1,12 @@
 """Energy storage and harvesting models.
 
-* :class:`AbstractStore` -- stored energy in wake-up units; one wake-up costs
-  ``WAKE_COST`` and a charging ratio ``r`` means r ticks of harvesting fund
-  one wake-up.  Every simulation runs on this store; the engine's kernel
-  steps its energy, and the store carries it between periods.
+* :class:`AbstractStore` -- stored energy as an integer count of quanta: one
+  wake-up costs ``wake`` quanta and a charging ratio ``r`` means r ticks of
+  harvesting fund one wake-up.  Every simulation runs on this store; the
+  engine's kernel steps its energy, and the store carries it between
+  periods.  The quantum is derived per run (``SimConfig.quantum``) so that
+  every energy of the run is a whole number of quanta: the ledger balances
+  with ``==`` and no decision depends on a rounding.
 * :class:`CapacitorArray` -- a physical array with shared voltage, on-the-fly
   activation in ascending capacitance order, a charging-efficiency curve
   eta(V) = 1 - V / (2 * v_max), and its own per-tick harvest and draw.  A
@@ -11,7 +14,9 @@
   while one wake-up costs 1.0 and a profiling slot needs 30, so no policy
   ever woke on it in a simulation.
 
-Saturated inflow is never an error: it is discarded and counted in
+A real number enters a run as the shortest decimal that prints it
+(`exact`), so INI text, library floats and trace lines agree.  Saturated
+inflow is never an error: it is discarded and counted in
 ``wasted_saturation``.
 """
 
@@ -19,12 +24,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
+from functools import lru_cache
+from numbers import Integral
 
 WAKE_COST = 1.0
 
-# Slack for float comparisons when repeated per-tick additions must fund an
-# exact integer number of wake-ups.
+# Slack for the capacitor array's float comparisons: its voltages round.
 DRAW_SLACK = 1e-9
+
+# The diurnal source rounds each value to this many decimal digits below the
+# leading digit of its peak, so its values lie on a grid of one millionth of
+# the peak, or finer, whatever libm's sin rounds.
+DIURNAL_DIGITS = 6
 
 
 class InsufficientEnergy(Exception):
@@ -36,35 +49,43 @@ class NoInactiveCapacitor(Exception):
 
 
 class HarvestSource:
-    """Nonnegative power profile over ticks.
+    """Nonnegative power profile over ticks, held exactly: the value at a
+    tick is `count(tick)` whole steps of the Fraction `step`, so one tick's
+    inflow is that count times the quanta of one step (`AbstractStore.inflow`).
 
     ``kind`` is one of ``constant``, ``constant-gated``, ``diurnal-ramp`` or
     ``trace-file``.
     """
 
-    def __init__(self, profile, kind: str):
-        self._profile = profile
+    def __init__(self, count, step: Fraction, kind: str):
+        self.count = count
+        self.step = step
         self.kind = kind
 
     def __call__(self, tick: int) -> float:
-        value = self._profile(tick)
-        return value if value > 0.0 else 0.0
+        """The value at `tick`, as the nearest float."""
+        return float(self.count(tick) * self.step)
 
     @classmethod
     def constant(cls, level: float = 1.0) -> "HarvestSource":
         if level < 0:
             raise ValueError(f"source level must be nonnegative, got {level}")
-        return cls(lambda t: level, "constant")
+        return cls(lambda t: 1, exact(level), "constant")
 
     @classmethod
     def diurnal(cls, peak: float = 1.0, day_ticks: int = 86400) -> "HarvestSource":
-        """Half-sine ramp over the first half of each day, dark otherwise."""
+        """Half-sine ramp over the first half of each day, dark otherwise,
+        in steps of 10**-`diurnal_digits(peak)`."""
+        if peak < 0:
+            raise ValueError(f"source level must be nonnegative, got {peak}")
+        digits = diurnal_digits(peak)
+        scale = 10.0**digits
 
-        def profile(t: int) -> float:
+        def count(t: int) -> int:
             phase = (t % day_ticks) / day_ticks
-            return peak * math.sin(2.0 * math.pi * phase) if phase < 0.5 else 0.0
+            return round(peak * math.sin(2.0 * math.pi * phase) * scale) if phase < 0.5 else 0
 
-        return cls(profile, "diurnal-ramp")
+        return cls(count, Fraction(10) ** -digits, "diurnal-ramp")
 
     @classmethod
     def constant_gated(cls, level: float, gaps, period_ticks: int) -> "HarvestSource":
@@ -75,19 +96,25 @@ class HarvestSource:
             raise ValueError(f"source level must be nonnegative, got {level}")
         spans = tuple((int(a), int(b)) for a, b in gaps)
 
-        def profile(t: int) -> float:
+        def count(t: int) -> int:
             local = t % period_ticks
             for a, b in spans:
                 if a <= local < b:
-                    return 0.0
-            return level
+                    return 0
+            return 1
 
-        return cls(profile, "constant-gated")
+        return cls(count, exact(level), "constant-gated")
 
     @classmethod
     def trace(cls, values: tuple[float, ...]) -> "HarvestSource":
-        """The `read_trace_file` values, repeated cyclically."""
-        return cls(lambda t: values[t % len(values)], "trace-file")
+        """The `read_trace_file` values, repeated cyclically, in steps of the
+        largest value of which each is a whole multiple."""
+        exacts = {v: exact(v) for v in set(values)}
+        den = math.lcm(*(x.denominator for x in exacts.values()))
+        step = Fraction(math.gcd(*(x.numerator * (den // x.denominator)
+                                   for x in exacts.values())), den) or Fraction(1)
+        counts = tuple(int(exacts[v] / step) for v in values)
+        return cls(lambda t: counts[t % len(counts)], step, "trace-file")
 
 
 def read_trace_file(path) -> tuple[float, ...]:
@@ -113,6 +140,39 @@ def read_trace_file(path) -> tuple[float, ...]:
     return tuple(values)
 
 
+def diurnal_digits(peak: float) -> int:
+    """Decimal places of the diurnal source's values: `DIURNAL_DIGITS` below
+    the leading digit of `peak`.  A value then has at most seven significant
+    digits, so its nearest float prints as that decimal exactly."""
+    return DIURNAL_DIGITS - Decimal(repr(float(peak))).adjusted()
+
+
+def exact(x) -> Fraction:
+    """The real a number stands for: an int or Fraction as it is, a float as
+    the shortest decimal that prints it, so that 0.1 is 1/10 whether it was
+    read from INI text or a trace line or computed in Python."""
+    return Fraction(x) if isinstance(x, (int, Fraction)) else Fraction(repr(float(x)))
+
+
+def quantum(*values) -> int:
+    """The least positive integer D with every `exact(value) * D` integral."""
+    return math.lcm(*(exact(v).denominator for v in values))
+
+
+def quanta(x, scale) -> int:
+    """`exact(x) * scale` as an int; a value that is not a whole number of
+    quanta is refused, as the run's quantum was derived to make it one."""
+    q = exact(x) * scale
+    if q.denominator != 1:
+        raise ValueError(f"{x} is not a whole number of quanta at scale {scale}")
+    return q.numerator
+
+
+@lru_cache(maxsize=256)
+def _inflow(numerator: int, denominator: int, wake: int, ratio: float) -> int:
+    return quanta(Fraction(numerator, denominator), Fraction(wake) / exact(ratio))
+
+
 def require_finite(config, *names: str) -> None:
     """Refuse a nan or infinite field of `config` by its name: nan would pass
     every range check by failing its comparison."""
@@ -121,14 +181,26 @@ def require_finite(config, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {getattr(config, name)}")
 
 
+def require_integer(config, *names: str) -> None:
+    """Refuse a field of `config` that is not an integer, by its name: a
+    count of 2.5 periods, a nan window or an infinite slot length."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class AbstractStore:
-    """Stored energy in wake-up units on [0, capacity]."""
+    """Stored energy on [0, capacity], both in quanta; one wake-up costs
+    `wake` quanta, and a source value x adds x * wake / charging_ratio
+    quanta in one tick (`inflow`, per step of the source)."""
 
-    capacity: float
+    capacity: int
     charging_ratio: float
-    stored: float = 0.0
-    wasted_saturation: float = field(default=0.0, repr=False)
+    wake: int = 1
+    stored: int = 0
+    wasted_saturation: int = field(default=0, repr=False)
 
     def __post_init__(self):
         if self.capacity <= 0:
@@ -137,6 +209,10 @@ class AbstractStore:
             raise ValueError(f"charging ratio must be positive, got {self.charging_ratio}")
         if not 0 <= self.stored <= self.capacity:
             raise ValueError(f"stored {self.stored} outside [0, {self.capacity}]")
+
+    def inflow(self, step: Fraction) -> int:
+        """The quanta one tick harvests per `step` of source value."""
+        return _inflow(step.numerator, step.denominator, self.wake, self.charging_ratio)
 
 
 class CapacitorArray:
@@ -227,12 +303,12 @@ class CapacitorArray:
         self.voltage = math.sqrt(2.0 * energy / c) if c > 0 else 0.0
 
 
-def quantize(stored: float, capacity: float, k: int) -> int:
-    """Equal-width energy level in 1..k; an empty store is level 1."""
+def quantize(stored: int, capacity: int, k: int) -> int:
+    """Equal-width energy level in 1..k of `stored` quanta, the ceiling of
+    k * stored / capacity; an empty store is level 1."""
     if k < 2:
         raise ValueError(f"need at least 2 levels, got {k}")
-    level = math.ceil(k * stored / capacity)
-    return min(max(level, 1), k)
+    return min(max(-(-k * stored // capacity), 1), k)
 
 
 # Capacitor presets by name.  v_max/v_activate defaults (3.3 V / 2.8 V) are

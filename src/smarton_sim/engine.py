@@ -7,23 +7,22 @@ wake-up that cannot be funded is skipped, never partial), then harvesting --
 so a decision sees the energy banked up to the end of the previous tick.
 Periods repeat until the period cap or a stop rule.
 
-One event-driven kernel (`run_period`) implements these semantics for every
+Energy is exact: every energy of a run is an integer count of one quantum,
+`SimConfig.quantum` of them to a wake cost, so the ledger balances with
+`==` and each step of the kernel is one integer expression.  One
+event-driven kernel (`run_period`) implements these semantics for every
 policy and harvest source.  It jumps from one decision to the next -- slots
 the policy's look-ahead names as able to act, wake-ups, CTID mode flips --
-and covers the harvest-only ticks between them with the float results of
-stepping every tick through the store, summed one binade at a time: inside
-[b, 2b) every float shares one grid, so repeated additions of one inflow
-step by one exact constant (`_add_below`); a gap of fewer than
-`ACCUMULATE_MIN` ticks between wake-ups adds tick by tick, inline in the
-wake loop.  Events arrive as a 0/1 byte string per period.  Per-tick
-recording takes the same path and replays the kernel's decisions into
-per-tick arrays (`_tick_arrays`), so it cannot change a number.
+and covers the harvest-only ticks between them in closed form (`_idle`).
+Events arrive as a 0/1 byte string per period.  Per-tick recording takes the
+same path and replays the kernel's decisions into per-tick arrays
+(`_tick_arrays`), so it cannot change a number.
 
 Within a run, a phase-3 episode of the learning policy is replayed by its
 start (`episode_memo`).  Within a sweep, what follows from the config and a
-start state alone is computed once (`SWEEP_CACHES`): sums of one inflow
-(`_fill`), CTID periods (`_ctid_period`) and the per-tick arrays of recorded
-GT and CTID periods (`_steady_arrays`).
+start state alone is computed once (`SWEEP_CACHES`): CTID periods
+(`_ctid_period`) and the per-tick arrays of recorded GT and CTID periods
+(`_steady_arrays`).
 
 A pattern-change schedule (shift, morph or replace) splits a run into
 segments (`SimConfig.segments`), each with its own source, entry forcing and
@@ -35,15 +34,18 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import repeat
-from math import frexp, inf, ldexp, nextafter
+from math import inf
+from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
 
 from .energy import (
-    WAKE_COST, DRAW_SLACK, AbstractStore, HarvestSource, read_trace_file, require_finite,
+    WAKE_COST, AbstractStore, HarvestSource, exact, quanta, quantum,
+    read_trace_file, require_finite, require_integer,
 )
 from .events import (
     EventPattern,
@@ -75,10 +77,6 @@ FORCED_POLICIES = ("smarton", "ctidpro")
 # cycle without bound (e_on * r / level ticks).  10 M ticks is over 8,000
 # periods of 1,200 ticks and warms up in well under a second.
 MAX_JITTER_CYCLE = 10_000_000
-
-# Shorter harvest runs add in a plain Python loop, longer ones in closed form;
-# a per-tick replay accumulates windows of at least this many ticks.
-ACCUMULATE_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -134,6 +132,7 @@ class SimConfig:
             if not self.source_path:
                 raise ValueError("a trace source needs a path: trace:<path>")
             self.source_trace = read_trace_file(self.source_path)
+        require_integer(self, "n_periods", "seed", "measure_from")
         if self.n_periods < 0:
             raise ValueError(f"n_periods must be nonnegative, got {self.n_periods}")
         # measure_from beyond n_periods is allowed: it measures nothing
@@ -179,8 +178,9 @@ class SimConfig:
                 )
             if level is None:
                 continue
-            if not 1 <= level <= k:
-                raise ValueError(f"entry_level {level} outside 1..{k}")
+            # a fractional level would force a store between the quanta
+            if isinstance(level, bool) or not isinstance(level, Integral) or not 1 <= level <= k:
+                raise ValueError(f"entry_level {level!r} is not an integer in 1..{k}")
             if self.policy in FORCED_POLICIES:
                 peak_start_slots(pattern, slot_len)  # refuses a peak inside a slot
 
@@ -197,6 +197,17 @@ class SimConfig:
             out.append((change.period, pattern, level))
         return out
 
+    @cached_property
+    def quantum(self) -> int:
+        """D, the quanta of one wake cost: the least integer that makes the
+        capacity, the CTID thresholds, the initial store, the midpoint of
+        every entry level (`entry_level_energy`) and each inflow
+        `level / charging_ratio` whole: one step of the source's values
+        (`HarvestSource.step`) over the ratio."""
+        return quantum(1, self.capacity, self.ctid.e_on, self.ctid.e_off, self.initial_stored,
+                       exact(self.capacity) / (2 * self.learner.k_levels),
+                       make_source(self, self.pattern).step / exact(self.charging_ratio))
+
     @property
     def ctid_cycle_ticks(self) -> float:
         """Unrounded ticks of one CTID charge/discharge cycle from empty at
@@ -209,6 +220,9 @@ class SimConfig:
 
 @dataclass
 class PeriodLog:
+    """One period's counts, and its energies in wake costs: each the
+    correctly rounded quotient of the kernel's quanta by the quantum."""
+
     period: int
     phase_start: int
     awake_ticks: int
@@ -279,7 +293,10 @@ class ExperimentResult:
 
 
 def make_store(config: SimConfig) -> AbstractStore:
-    return AbstractStore(capacity=config.capacity, charging_ratio=config.charging_ratio)
+    """An empty store in the config's quanta."""
+    d = config.quantum
+    return AbstractStore(capacity=quanta(config.capacity, d),
+                         charging_ratio=config.charging_ratio, wake=d)
 
 
 def make_source(config: SimConfig, pattern: EventPattern) -> HarvestSource:
@@ -301,18 +318,19 @@ def make_source(config: SimConfig, pattern: EventPattern) -> HarvestSource:
 
 def make_policy(config: SimConfig) -> BasePolicy:
     n_slots = config.pattern.period_ticks // config.learner.state_duration
+    d = config.quantum
     if config.policy == "gt":
         return GtPolicy()
     if config.policy == "ctid":
-        return CtidPolicy(config.ctid)
+        return CtidPolicy(config.ctid, d)
     if config.policy == "ctidpro":
-        return CtidProPolicy(config.learner, n_slots, config.seed)
-    return SmartOnPolicy(config.learner, n_slots, config.seed, config.capacity)
+        return CtidProPolicy(config.learner, n_slots, config.seed, d)
+    return SmartOnPolicy(config.learner, n_slots, config.seed, quanta(config.capacity, d), d)
 
 
-def entry_level_energy(level: int, capacity: float, k_levels: int) -> float:
-    """Midpoint energy of a quantized level."""
-    return (level - 0.5) * capacity / k_levels
+def entry_level_energy(level: int, capacity: int, k_levels: int) -> int:
+    """Midpoint energy of a quantized level, in the quanta of `capacity`."""
+    return quanta(Fraction(2 * level - 1, 2 * k_levels), capacity)
 
 
 def peak_start_slots(pattern: EventPattern, slot_len: int) -> tuple[int, ...]:
@@ -338,79 +356,65 @@ def run_period(
     period_ticks: int,
     slot_len: int,
     entry_slots: tuple[int, ...],
-    entry_value: float | None,
+    entry_value: int | None,
     record_ticks: bool,
 ) -> PeriodLog:
     """Simulate one period; `events` is the period's per-tick 0/1 sequence
-    (`bytes` from a sampled trace, or a list).  The policy hooks get the
-    stored energy as a number; `store` is read at the start and written at
-    the end.  Entry forcing sets the store to `entry_value` at the start of
-    each of the sorted learner slots `entry_slots` (`peak_start_slots`)
-    once the policy is past phase 1; `entry_value=None` forces nothing.
+    (`bytes` from a sampled trace, or a list).  Energy is an integer count
+    of the store's quanta: the policy hooks get the stored quanta, and
+    `store` is read at the start and written at the end.  Entry forcing sets
+    the store to `entry_value` quanta at the start of each of the sorted
+    learner slots `entry_slots` (`peak_start_slots`) once the policy is past
+    phase 1; `entry_value=None` forces nothing.
 
     The kernel advances from one decision to the next instead of stepping
     every tick: entry forcing, the slots a policy can act in, wake-ups, CTID
     mode flips.  A slot-planned policy names the next slot whose hooks can
     act (`next_active_slot`); the slots before it plan nothing and are
     banked as one idle run without calling the policy.  Between decisions
-    the store only harvests, and an idle run of `n` ticks at one inflow is
-    `n` additions of `inc` -- the very float operations of a per-tick loop
-    in the same order, because every later decision reads the stored
-    energy; long runs and runs that clamp are summed one binade at a time
-    (see `_idle_run`), and each distinct fill once per sweep (`_fill`).
-    Saturation is monotone in the stored energy, so one check of the run's
-    last pre-tick value shows whether any tick clamped.
-    Under one inflow a gap between wake-ups shorter than `ACCUMULATE_MIN`
-    takes `_idle_run`'s short path inline, its additions and that check,
-    and calls `_idle_run` only when the check clamps.  A varying source is
-    split into runs of equal inflow.  GT is closed form (awake every tick,
-    catches every event), CTID charge phases jump to the tick that first
-    sees `e_on` when the store cannot saturate below it, and CTID discharge
-    phases and burst slots are draw runs: one wake cost per wake-up leaves
-    `s - j` after `j` of them exactly, so their count and the store after
-    them are closed form (`_draws`).
+    the store only harvests, and `n` ticks at an inflow of `q` quanta leave
+    `min(s + n * q, cap)` and waste the rest (`_idle`): the per-tick clamp
+    is monotone, so it clamps at most once.  A varying source is split into
+    runs of equal inflow.  A wake-up is funded when the store holds one wake
+    cost; a run of them is one floor division.  GT is closed form (awake
+    every tick, catches every event); CTID charge phases are one ceiling
+    division to the tick that first sees `e_on`, and its discharge phases
+    draw runs (`_ctid_run`).
 
     Burst slots and CTID discharge phases are dark: they harvest nothing.
     So a `BURST` drains the run of known slots it starts, up to the next
     entry slot, as one draw run with one call of each hook.  The period's
-    harvest total is the in-order sum of the other ticks' inflows; under one
-    constant inflow it is one `_fill` sum from 0.0 of their count.  Each
-    stop bisects `entry_slots` once, and that index serves the look-ahead,
-    the forcing test, the burst run's end and the replay guard below.
-    Profiling (phase 1, which never forces) plans nothing from below
-    `full_floor`: under one inflow that cannot clamp below it, the slots up
-    to the first start at the floor are banked in one `_add_below` sum.
+    harvest total is the inflow of the other ticks.  Each stop bisects
+    `entry_slots` once, and that index serves the look-ahead, the forcing
+    test, the burst run's end and the replay guard below.  Profiling (phase
+    1, which never forces) plans nothing from below `full_floor`: under one
+    inflow the slots up to the first start at the floor are banked at once.
 
     Under one constant inflow, while the policy keeps an `episode_memo`, an
     episode that `episode_at` names, with no forcing inside the episode (no
     entry slot after its first and before its end), is replayed by (peak,
-    stored energy, inflow), or run and stored unless a harvest clamped at
-    `cap` (waste is an in-order float sum that a replay cannot redo).  A
-    CTID period that one inflow cannot clamp below `e_on` wastes nothing and
-    comes from the sweep cache `_ctid_period`.  Recording takes these same
-    paths and lists its decisions for `_tick_arrays`; a GT or CTID period
-    under one constant inflow copies its arrays from `_steady_arrays` and
-    sets its own `event`.
+    stored energy, inflow), or run and stored with its waste.  Every CTID
+    period under one inflow comes from the sweep cache `_ctid_period`.
+    Recording takes these same paths and lists its decisions for
+    `_tick_arrays`; a GT or CTID period under one constant inflow copies its
+    arrays from `_steady_arrays` and sets its own `event`.
     """
     phase_start = policy.current_phase
-    stored_start = store.stored
+    s = stored_start = store.stored
     policy.on_period_start(period_index)
 
-    cap = store.capacity
-    ratio = store.charging_ratio
+    cap, wake = store.capacity, store.wake
+    unit = store.inflow(source.step)
     if source.kind == "constant":
         inflows = None
-        runs = [(0, period_ticks, source(0) * WAKE_COST / ratio)]
+        runs = [(0, period_ticks, source.count(0) * unit)]
     else:
         base_tick = period_index * period_ticks
-        inflows = [source(base_tick + t) * WAKE_COST / ratio for t in range(period_ticks)]
+        inflows = [source.count(base_tick + t) * unit for t in range(period_ticks)]
         runs = _inflow_runs(inflows)
     uniform = len(runs) == 1
     inc = runs[0][2]
-    draw_floor = WAKE_COST - DRAW_SLACK
-    s = store.stored
-    waste = store.wasted_saturation
-    waste_before = waste
+    waste = 0
     event_ticks = events.count(1)
 
     wakes = [] if record_ticks else None  # funded wake ticks of planned slots
@@ -418,8 +422,7 @@ def run_period(
     forced_at = []  # ticks where entry forcing set the store
     slot_info = []  # (phase, step) per slot, when recording
     dark = []  # (start, end) tick spans that harvested nothing
-    awake_total = catches_total = skipped = 0
-    forced_delta = 0.0
+    awake_total = catches_total = skipped = forced_delta = 0
 
     if isinstance(policy, GtPolicy):
         # awake at every tick, draws nothing, harvests throughout
@@ -428,13 +431,13 @@ def run_period(
         catches_total = event_ticks
         wake_runs.append(range(period_ticks))
     elif isinstance(policy, CtidPolicy):
-        cfg, mode = policy.cfg, (policy.discharging, policy.discharge_start)
-        # a period that cannot clamp below e_on wastes nothing
-        if uniform and not inc > cap - (cfg.e_on - DRAW_SLACK):
-            s, *mode, dark, wake_runs = _ctid_period(s, inc, cap, cfg, *mode, period_ticks)
+        ctid = (wake, policy.e_on, policy.e_off, policy.cfg.wake_interval,
+                policy.discharging, policy.discharge_start)
+        if uniform:
+            s, waste, *mode, dark, wake_runs = _ctid_period(s, inc, cap, *ctid, period_ticks)
         else:
-            s, waste, *mode, dark, wake_runs = _ctid_run(s, waste, cap, runs, 0, period_ticks,
-                                                         cfg, *mode)
+            s, waste, *mode, dark, wake_runs = _ctid_run(s, waste, cap, *ctid, runs, 0,
+                                                         period_ticks)
         policy.discharging, policy.discharge_start = mode
         awake_total = sum(map(len, wake_runs))
         catches_total = sum(events[r.start : r.stop : r.step].count(1) for r in wake_runs)
@@ -443,8 +446,7 @@ def run_period(
         # entry forcing rewrites the store at a slot start: a stop for the
         # look-ahead whether or not the policy acts there
         n_entries = len(entry_slots) if entry_value is not None else 0
-        # the wake tick list, the end of an episode being memoized, its cap flag
-        woken, episode_end, full = wakes, None, False
+        woken, episode_end = wakes, None  # the wake tick list, the end of a memoized episode
         slot = i = 0  # i: the first entry slot at or after `slot`
         while slot < n_slots:
             # bank the slots before the next one that can act in one idle run;
@@ -455,10 +457,7 @@ def run_period(
                 if i < n_entries and entry_slots[i] < nxt:
                     nxt = entry_slots[i]
             if nxt > slot:
-                if uniform:
-                    s, waste = _idle_run(s, waste, inc, cap, (nxt - slot) * slot_len)
-                else:
-                    s, waste = _bank(s, waste, cap, runs, slot * slot_len, nxt * slot_len)
+                s, waste = _bank(s, waste, cap, runs, slot * slot_len, nxt * slot_len)
                 if record_ticks:
                     slot_info.extend(repeat((policy.current_phase, 0), nxt - slot))
                 slot = nxt
@@ -468,32 +467,30 @@ def run_period(
             if i < n_entries and entry_slots[i] == slot:
                 i += 1
                 if policy.current_phase >= 2:
-                    forced = min(entry_value, cap)
-                    forced_delta += forced - s
-                    s = forced
+                    forced_delta += entry_value - s
+                    s = entry_value
                     forced_at.append(base)
-            if uniform and policy.current_phase == 1:
-                floor = policy.full_floor  # bank the slots up to a start at the floor
-                if s < floor and not inc > cap - floor:
-                    s, k = _fill(s, inc, floor, period_ticks - base)
-                    nxt = min(slot - (-k // slot_len), n_slots)
-                    s, waste = _idle_run(s, waste, inc, cap, (nxt - slot) * slot_len - k)
-                    if record_ticks:
-                        slot_info.extend(repeat((1, 0), nxt - slot))
-                    slot = nxt
-                    continue
+            if uniform and policy.current_phase == 1 and s < policy.full_floor:
+                # bank the slots up to the first start at the floor, `k` ticks on
+                k = -((s - policy.full_floor) // inc) if inc else period_ticks
+                nxt = min(slot - (-k // slot_len), n_slots)
+                s, waste = _idle(s, waste, inc, cap, (nxt - slot) * slot_len)
+                if record_ticks:
+                    slot_info.extend(repeat((1, 0), nxt - slot))
+                slot = nxt
+                continue
 
             if (uniform and episode_end is None and (memo := policy.episode_memo) is not None
                     and (peak := policy.episode_at(slot, s))):
                 end = slot + peak.n_steps
                 # no forcing inside the episode; a trace source may be constant at
-                # another inflow in another period.  s is never -0.0 (0.0's key): forcing
-                # sets s > 0, draws leave s - 1.0 (s >= 1) or 0.0, inflows are >= 0
+                # another inflow in another period
                 if end <= n_slots and (i == n_entries or entry_slots[i] >= end):
                     key = (peak, s, inc)
                     hit = memo.get(key)
                     if hit is not None:
-                        ticks, n_skipped, s = hit
+                        ticks, n_skipped, s, episode_waste = hit
+                        waste += episode_waste
                         awake_total += len(ticks)
                         catches_total += sum(map(events.__getitem__, ticks))
                         skipped += n_skipped
@@ -502,7 +499,7 @@ def run_period(
                             slot_info.extend(zip(repeat(3), range(1, peak.n_steps + 1)))
                         slot = end
                         continue
-                    episode_end, skipped_before, woken, full = end, skipped, [], False
+                    episode_end, skipped_before, waste_before, woken = end, skipped, waste, []
 
             plan = policy.plan_slot(slot, s)
             if record_ticks:
@@ -517,7 +514,8 @@ def run_period(
                 run_end = slot + 1
                 while run_end < stop and run_end in known:
                     run_end += 1
-                slot_awake, s = _draws(s, -1.0, (run_end - slot) * slot_len)
+                slot_awake = min((run_end - slot) * slot_len, s // wake)
+                s -= slot_awake * wake
                 slot_catches = events[base : base + slot_awake].count(1)
                 wake_runs.append(range(base, base + slot_awake))
                 dark.append((base, run_end * slot_len))
@@ -530,31 +528,19 @@ def run_period(
                 done = base  # first tick not yet banked
                 for offset in (*plan, slot_len):
                     t = base + offset
-                    n = t - done
-                    if 0 < n < ACCUMULATE_MIN and uniform:
-                        # `_idle_run`'s short path: n - 1 additions, then the
-                        # clamp check of the last pre-tick value
-                        e = s
-                        if n > 1:
-                            for _ in repeat(None, n - 1):
-                                e += inc
-                        if inc > cap - e:
-                            s, waste = _idle_run(s, waste, inc, cap, n)
-                            full = True
-                        else:
-                            s = e + inc
-                        done = t
-                    elif n > 0:
-                        if uniform:
-                            s, waste = _idle_run(s, waste, inc, cap, n)
-                            full |= s == cap
+                    if t > done:
+                        if uniform:  # `_idle`, inline
+                            s += (t - done) * inc
+                            if s > cap:
+                                waste += s - cap
+                                s = cap
                         else:
                             s, waste = _bank(s, waste, cap, runs, done, t)
                         done = t
                     if offset == slot_len:
                         break
-                    if s >= draw_floor:
-                        s = s - WAKE_COST if s >= WAKE_COST else 0.0
+                    if s >= wake:
+                        s -= wake
                         slot_awake += 1
                         slot_catches += events[t]
                         if woken is not None:
@@ -568,80 +554,69 @@ def run_period(
             slot += 1
             if slot == episode_end:
                 ticks = tuple(woken)
-                if not full:
-                    memo[key] = (ticks, skipped - skipped_before, s)
+                memo[key] = (ticks, skipped - skipped_before, s, waste - waste_before)
                 if record_ticks:
                     wakes.extend(ticks)
                 episode_end, woken = None, wakes
 
     store.stored = s
-    store.wasted_saturation = waste
+    store.wasted_saturation += waste
     policy.on_period_end(period_index)
 
     if uniform:
-        lit = period_ticks - sum(b - a for a, b in dark) if dark else period_ticks
-        harvested = _fill(0.0, inc, inf, lit)[0]
+        harvested = (period_ticks - sum(b - a for a, b in dark)) * inc
     else:
-        harvested = _lit_total(inflows, dark)
+        harvested = sum(inflows) - sum(sum(inflows[a:b]) for a, b in dark)
     ticks = None
     if record_ticks:
         if inflows is None and isinstance(policy, (GtPolicy, CtidPolicy)):
-            arrays = _steady_arrays(type(policy), stored_start, inc, cap, period_ticks, slot_len,
-                                    tuple(wake_runs), tuple(dark), s)
+            arrays = _steady_arrays(type(policy), stored_start, inc, cap, wake, period_ticks,
+                                    slot_len, tuple(wake_runs), tuple(dark), s)
             ticks = {name: a.copy() for name, a in arrays.items()}  # every log owns its arrays
         else:
-            ticks = _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, dark,
-                                 forced_at, entry_value, inflows, inc, cap, stored_start, s)
+            ticks = _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs,
+                                 dark, forced_at, entry_value, inflows, inc, cap, wake,
+                                 stored_start, s)
         ticks["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
 
+    # the log's reals are in wake costs, each the correctly rounded quotient
     return PeriodLog(
         period=period_index,
         phase_start=phase_start,
         awake_ticks=awake_total,
         event_ticks=event_ticks,
         catches=catches_total,
-        # every awake tick of a drawing policy drew one WAKE_COST (1.0), so
-        # the per-draw float sum is this integer exactly
-        drawn=awake_total * WAKE_COST if policy.draws_energy else 0.0,
-        harvested=harvested,
-        wasted_saturation=waste - waste_before,
+        # every awake tick of a drawing policy drew one wake cost
+        drawn=float(awake_total) if policy.draws_energy else 0.0,
+        harvested=harvested / wake,
+        wasted_saturation=waste / wake,
         skipped_wakeups=skipped,
-        stored_start=stored_start,
-        stored_end=s,
-        forced_delta=forced_delta,
+        stored_start=stored_start / wake,
+        stored_end=s / wake,
+        forced_delta=forced_delta / wake,
         ticks=ticks,
     )
 
 
-def _ctid_run(s: float, waste: float, cap: float, runs, t: int, end: int, cfg: CtidConfig,
-              discharging: bool, start: int):
-    """CTID over ticks t..end-1 of the inflow `runs`, from the mode
-    (`discharging`, `start`) that `CtidPolicy` carries: charge until the
+def _ctid_run(s: int, waste: int, cap: int, wake: int, e_on: int, e_off: int, interval: int,
+              discharging: bool, start: int, runs, t: int, end: int):
+    """CTID over ticks t..end-1 of the inflow `runs`, in quanta, from the
+    mode (`discharging`, `start`) that `CtidPolicy` carries: charge until the
     store holds `e_on`, then discharge -- harvest nothing and wake every
-    `wake_interval` ticks from the flip -- until it falls to `e_off` or
-    cannot fund a wake-up.  Since `e_on` is at least one wake cost, every
-    discharge wake-up is funded.  Under one inflow that cannot saturate the
-    store below `e_on`, a charge phase is one sum in closed form, cached for
-    the sweep (`_fill`) by its start, or by its start and the span left when
-    the span's end cuts it.  A discharge phase's wake-ups in the span are one
-    draw run (`_draws`).  Returns (s, waste, discharging, start, dark spans,
-    wake ranges): the caller counts awake ticks and catches from the ranges
-    and keeps the mode, whose cadence moves into the frame of the ticks
-    after `end`, reduced modulo `wake_interval`.
+    `interval` ticks from the flip -- until it falls to `e_off` or cannot
+    fund a wake-up.  Since `e_on` is at least one wake cost, every discharge
+    wake-up is funded.  A charge phase within one run of equal inflow is one
+    ceiling division, and a discharge phase's wake-ups in the span one draw
+    run.  Returns (s, waste, discharging, start, dark spans, wake ranges):
+    the caller counts awake ticks and catches from the ranges and keeps the
+    mode, whose cadence moves into the frame of the ticks after `end`,
+    reduced modulo `interval`.
     """
-    e_on = cfg.e_on - DRAW_SLACK
-    e_off = cfg.e_off + DRAW_SLACK
-    draw_floor = WAKE_COST - DRAW_SLACK
-    interval = cfg.wake_interval
-    inc = runs[0][2]
-    # below e_on the store cannot saturate, so a charge phase is bare
-    # additions up to the tick whose pre-tick check sees e_on
-    jump = len(runs) == 1 and not inc > cap - e_on
     dark = []
     wakes = []
     dark_from = t
     while t < end:
-        if discharging and (s <= e_off or s < draw_floor):
+        if discharging and (s <= e_off or s < wake):
             discharging = False
             if t > dark_from:  # a phase the last span ended can flip at its first tick
                 dark.append((dark_from, t))
@@ -649,42 +624,41 @@ def _ctid_run(s: float, waste: float, cap: float, runs, t: int, end: int, cfg: C
             if s >= e_on:
                 discharging = True
                 start = dark_from = t
-            elif jump:
-                s_on, n = _fill(s, inc, e_on, inf)
-                if n > end - t:  # the span's end cuts the charge
-                    s_on, n = _fill(s, inc, e_on, end - t)
-                s = s_on
+            else:
+                # harvest up to the tick whose pre-tick check sees e_on, or
+                # to the end of the run of equal inflow
+                _, b, q = runs[bisect_right(runs, t, key=itemgetter(0)) - 1]
+                n = min(b, end) - t
+                if q and e_on <= cap:
+                    n = min(n, -((s - e_on) // q))
+                s, waste = _idle(s, waste, q, cap, n)
                 t += n
                 continue
-            else:
-                s, waste = _bank(s, waste, cap, runs, t, t + 1)
-                t += 1
-                continue
         # the store, and so the stop rule, only changes at a wake-up: the
-        # phase's wake-ups in this span are one closed-form draw run, and it
-        # goes on at the tick after the wake-up that meets the rule
+        # phase's wake-ups in this span are one draw run, and it goes on at
+        # the tick after the wake-up that meets the rule
         t += (start - t) % interval
         if t < end:
-            s = s - WAKE_COST if s >= WAKE_COST else 0.0
-            k, s = _draws(s, e_off, (end - 1 - t) // interval)
-            stop = t + (k + 1) * interval
+            k = min((end - 1 - t) // interval + 1, s // wake, -((e_off - s) // wake))
+            s -= k * wake
+            stop = t + k * interval
             wakes.append(range(t, stop, interval))
-            t = stop - interval + 1 if s <= e_off or s < draw_floor else end
+            t = stop - interval + 1 if s <= e_off or s < wake else end
     if discharging:
         dark.append((dark_from, end))
     return s, waste, discharging, (start - end) % interval, dark, wakes
 
 
 # The fig-perf preset's 24,000 CTID periods hold 152 distinct ones.
-@lru_cache(maxsize=1024, typed=True)
-def _ctid_period(s: float, inc: float, cap: float, cfg: CtidConfig, discharging: bool,
-                 start: int, period_ticks: int):
-    """`_ctid_run` over one period of inflow `inc` that cannot clamp the
-    store below `e_on`, so it wastes nothing: (s, discharging, start, dark
-    spans, wake ranges), as tuples."""
-    s, _, discharging, start, dark, wakes = _ctid_run(
-        s, 0.0, cap, [(0, period_ticks, inc)], 0, period_ticks, cfg, discharging, start)
-    return s, discharging, start, tuple(dark), tuple(wakes)
+@lru_cache(maxsize=1024)
+def _ctid_period(s: int, inc: int, cap: int, wake: int, e_on: int, e_off: int, interval: int,
+                 discharging: bool, start: int, period_ticks: int):
+    """`_ctid_run` over one period at the constant inflow `inc`: (s, waste,
+    discharging, start, dark spans, wake ranges), as tuples."""
+    s, waste, discharging, start, dark, wakes = _ctid_run(
+        s, 0, cap, wake, e_on, e_off, interval, discharging, start,
+        [(0, period_ticks, inc)], 0, period_ticks)
+    return s, waste, discharging, start, tuple(dark), tuple(wakes)
 
 
 def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSource,
@@ -692,169 +666,31 @@ def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSourc
     """Run CTID's cycle for `ticks` ticks before period 0 at the source's
     tick-0 inflow, with no events.  The ticks are -ticks..-1, so wake
     intervals stay aligned to tick 0."""
-    runs = [(-ticks, 0, source(0) * WAKE_COST / store.charging_ratio)]
-    store.stored, store.wasted_saturation, policy.discharging, policy.discharge_start, *_ = (
-        _ctid_run(store.stored, store.wasted_saturation, store.capacity, runs, -ticks, 0,
-                  policy.cfg, policy.discharging, policy.discharge_start))
+    runs = [(-ticks, 0, source.count(0) * store.inflow(source.step))]
+    store.stored, waste, policy.discharging, policy.discharge_start, *_ = _ctid_run(
+        store.stored, 0, store.capacity, store.wake, policy.e_on, policy.e_off,
+        policy.cfg.wake_interval, policy.discharging, policy.discharge_start, runs, -ticks, 0)
+    store.wasted_saturation += waste
 
 
-def _idle_run(s: float, waste: float, inc: float, cap: float, n: int):
-    """`n` harvest-only ticks at a constant inflow `inc`: the same result, bit
-    for bit, as `n` rounds of the per-tick harvest clamp
-
-        room = cap - s
-        if inc > room: waste += inc - room; s = cap
-        else: s += inc
-
-    The clamp is monotone in `s`.  So the run adds while `s` stays below
-    `level`, the least float that clamps, then clamps once, after which `s`
-    sits at `cap`, every room is 0.0 and every tick wastes exactly `inc`.
-    `level` lies where the exact `cap - s` passes the midpoint between `inc`
-    and the float below it; rounded, it is settled by the clamp's own
-    comparison on its float neighbours.  A run shorter than `ACCUMULATE_MIN`
-    whose last pre-tick value does not clamp adds in a plain loop; the rest
-    sum both stretches with `_add_below`, one binade at a time.  `s + n * inc`
-    or a pairwise sum rounds differently.  The fill repeats across a sweep's
-    runs (`_fill`); the waste sum starts from the run's running total.
-    Returns (s, waste).
-    """
-    if n <= 0:
-        return s, waste
-    if n < ACCUMULATE_MIN and not inc > cap - s:
-        e = s
-        for _ in repeat(None, n - 1):
-            e += inc
-        if not inc > cap - e:
-            return e + inc, waste
-    s, k = _fill(s, inc, _clamp_level(inc, cap), n)
-    if k == n:
-        return s, waste
-    return cap, _add_below(waste + (inc - (cap - s)), inc, inf, n - k - 1)[0]
+def _idle(s: int, waste: int, inc: int, cap: int, n: int):
+    """`n` harvest-only ticks at `inc` quanta a tick from `s`: (s, waste)
+    after them.  The per-tick clamp `min(s + inc, cap)` is monotone, so the
+    store clamps at most once and then stays full."""
+    s += n * inc
+    if s > cap:
+        return cap, waste + s - cap
+    return s, waste
 
 
-@lru_cache(maxsize=256)
-def _clamp_level(inc: float, cap: float) -> float:
-    """The least float `s` whose harvest of `inc` clamps (`inc > cap - s`),
-    or inf when none does; see `_idle_run`."""
-    level = (cap - inc) + (inc - nextafter(inc, -inf)) / 2
-    while inc > cap - level:
-        level = nextafter(level, -inf)
-    while level < inf and not inc > cap - level:
-        level = nextafter(level, inf)
-    return level
-
-
-def _add_below(x: float, inc: float, level: float, limit: int):
-    """Add `inc` to `x` while the sum is below `level`, at most `limit` times,
-    for x, inc >= 0.  Returns (x, additions): bit for bit the result of
-
-        k = 0
-        while k < limit and x < level: x += inc; k += 1
-
-    in O(binades) instead of O(additions).  Inside one binade [b, 2b) every
-    float is a multiple of one ulp `u`, so from a sum `x` in it an addition
-    rounds `x + inc` to `x` plus a multiple of `u` (Sterbenz; Goldberg
-    1991), the same multiple each time -- unless `inc / u` is a half-integer:
-    then every sum is a tie, round-half-even picks the even neighbour, and
-    the step depends on the parity of `x`.  One addition from a pre-value in
-    the binade leaves `x` even, and constant steps keep it even.  So once a
-    sum and its pre-value share a binade, each next addition adds
-    `d = (x + inc) - x`, exact by Sterbenz as x <= x + inc <= 2x, and `m` of
-    them, with every pre-value below `level` and every sum below `2b`, are
-    the exact float `x + m * d`.  The sum adds one `inc` at a time until it
-    reaches `16 * inc`, so that each later binade holds at least eight
-    additions, and after each jump for the one or two additions that enter
-    the next binade.  `d == 0.0` means `inc` is at most half an ulp of `x`:
-    no addition changes the sum again.  The room to `2b` is `b - (x - b)`,
-    exact in the binade and finite in the top one, where `2b` overflows.
-    """
-    k = 0
-    floor = 16.0 * inc
-    while k < limit and x < level and not x >= floor:
-        x += inc
-        k += 1
-    if not (k < limit and x < level):
-        return x, k
-    b = ldexp(0.5, frexp(x)[1])  # the next pre-value is in [b, 2b)
-    x += inc
-    k += 1
-    while k < limit and x < level:
-        # x is a sum whose pre-value was in [b, 2b); it jumps if x is too
-        d = (x + inc) - x
-        if d == 0.0:
-            return x, limit
-        room = b - (x - b)  # 2b - x, exact while x < 2b
-        # the most additions with m * d < room and pre-values below level
-        m = min(int(room / d), limit - k)
-        q = (level - x) / d
-        if q < m:
-            m = int(q) + 1
-        while m > 0 and not (m * d < room and x + (m - 1) * d < level):
-            m -= 1
-        if m > 0:
-            x += m * d
-            k += m
-            if not (k < limit and x < level):
-                break
-        # one addition, and one more from the next binade if it left this one
-        x += inc
-        k += 1
-        if not x - b < b:
-            b += b
-            if not (k < limit and x < level):
-                break
-            x += inc
-            k += 1
-    return x, k
-
-
-# Idle-run fills, phase-1 floor banks, CTID charges and harvest totals repeat
-# across a sweep's runs: the fig-perf preset needs 6,041 of the 8,192 sums,
-# about 3 MB.
-_fill = lru_cache(maxsize=8192, typed=True)(_add_below)
-
-
-def _draws(s: float, lo: float, limit: int):
-    """Chained wake-ups from a store holding `s`, at most `limit` of them,
-    each one while the store holds more than `lo` and can fund it.  Returns
-    (wake-ups, s after): the result of the per-wake loop
-
-        while k < limit and s > lo and s >= WAKE_COST - DRAW_SLACK:
-            s = max(0.0, s - WAKE_COST); k += 1
-
-    With WAKE_COST = 1.0 and 1 <= s < 2**53, `s - 1.0` is exact, so the
-    loop visits s, s - 1, ..., s - m (m = int(s)), and a draw from s - m < 1
-    empties the store.  Both stop conditions are monotone in `s`, so the
-    count is the first j whose s - j fails them: estimated from `s - lo`,
-    then settled by the loop's own comparisons.  A larger `s` steps wake by
-    wake, since `s - 1.0` may round.
-    """
-    draw_floor = WAKE_COST - DRAW_SLACK
-    if not s < 2.0**53:
-        k = 0
-        while k < limit and s > lo and s >= draw_floor:
-            s = s - WAKE_COST if s >= WAKE_COST else 0.0
-            k += 1
-        return k, s
-    m = int(s)
-    top = min(limit, m + 1)
-    k = max(0, min(top, int(s - lo) + 1))
-    while k > 0 and not (s - (k - 1) > lo and s - (k - 1) >= draw_floor):
-        k -= 1
-    while k < top and s - k > lo and s - k >= draw_floor:
-        k += 1
-    return k, (s - k if k <= m else 0.0)
-
-
-def _bank(s: float, waste: float, cap: float, runs, a: int, b: int):
+def _bank(s: int, waste: int, cap: int, runs, a: int, b: int):
     """Harvest-only ticks a..b-1 over sorted, contiguous constant-inflow runs
     [(start, end, inc)].  Returns (s, waste)."""
     for i in range(bisect_right(runs, a, key=itemgetter(0)) - 1, len(runs)):
         start, end, inc = runs[i]
         if start >= b:
             break
-        n = (b if b < end else end) - (a if a > start else start)
-        s, waste = _idle_run(s, waste, inc, cap, n)
+        s, waste = _idle(s, waste, inc, cap, (b if b < end else end) - (a if a > start else start))
     return s, waste
 
 
@@ -869,90 +705,50 @@ def _inflow_runs(inflows: list) -> list:
     return runs
 
 
-def _lit_total(inflows: list, dark: list) -> float:
-    """In-order sum of the inflows outside the sorted dark spans."""
-    total = 0.0
-    t = 0
-    for a, b in (*dark, (len(inflows), len(inflows))):
-        for inc in inflows[t:a]:
-            total += inc
-        t = b
-    return total
-
-
 def _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, dark,
-                 forced_at, entry_value, inflows, inc, cap, s, end):
+                 forced_at, entry_value, inflows, inc, cap, wake, s, end):
     """The per-tick arrays of one recorded period but `event`, rebuilt from
-    the kernel's decisions.  `stored` replays from `s` the per-tick rule: forcing, the draw,
-    then the harvest clamped at `cap`.  Each tick's draw, -1.0 or -0.0, and its
-    harvest interleave into one step array; `s + -1.0` is `s - 1.0` and
-    `s + -0.0` is `s`, so one sequential `np.add.accumulate` replays a window
-    up to its first tick that clamps or draws from below one wake cost, which
-    takes the rule.  A window reaches where the top inflow could first clamp,
-    and at least `span` ticks, which doubles while windows come back clean;
-    within two ticks' inflow of `cap`, a tick without a draw takes the rule.
-    A full store stays full up to the first draw whose tick ends below `cap`.
-    Raises RuntimeError unless the replay ends at the kernel's `end`."""
+    the kernel's decisions, with energies in wake costs.  `stored` replays
+    from `s` quanta the per-tick rule: forcing, the draw, then the harvest
+    clamped at `cap`.  A draw never meets the clamp, so a tick's draw and
+    harvest are one step, and between forced ticks the store is the prefix
+    sum `P` of the steps less the running maximum of `P - cap`, floored at
+    0: a one-sided reflection at `cap`, whose increments are the waste.  The
+    sums are int64 while they stay below 2**53, where a float holds them
+    too, and Python ints beyond.  Raises RuntimeError unless the replay ends
+    at the kernel's `end`."""
     n_slots = period_ticks // slot_len
     awake = np.zeros(period_ticks, dtype=bool)
     awake[np.fromiter(wakes, np.intp)] = True
     for r in wake_runs:
         awake[r.start : r.stop : r.step] = True
-    harvested = np.full(period_ticks, inc) if inflows is None else np.array(inflows)
-    for a, b in dark:
-        harvested[a:b] = 0.0
     draws = awake if policy.draws_energy else np.zeros(period_ticks, dtype=bool)
-    drawn = draws * WAKE_COST
-    # path[2t]: the store after tick t's draw, path[2t + 1] after its harvest
-    steps = np.empty(2 * period_ticks)
-    np.negative(drawn, out=steps[::2])
-    steps[1::2] = harvested
-    path = np.empty_like(steps)
-    rate = inc if inflows is None else float(harvested.max())
-    top = cap - WAKE_COST if cap >= WAKE_COST else 0.0  # a draw from a full store
-    t, span, leave = 0, ACCUMULATE_MIN, None
+    top = inc if inflows is None else max(inflows)
+    dtype = np.int64 if max(cap + period_ticks * top, wake) < 2**53 else object
+    harvested = np.full(period_ticks, inc, dtype) if inflows is None else np.array(inflows, dtype)
+    for a, b in dark:
+        harvested[a:b] = 0
+    steps = harvested.copy()
+    steps[draws] -= wake
+    stored = np.empty_like(steps)
+    t = 0
     for b in (*forced_at, period_ticks):
-        while t < b:
-            if s == cap:
-                if leave is None:  # cap - top is exact: below cap iff top + h < cap
-                    leave = draws & (top + harvested < cap)
-                x = t + int(leave[t:b].argmax())
-                x = x if leave[x] else b
-                path[2 * t + 1 : 2 * x : 2] = cap
-                t = x
-                if t == b:
-                    break
-            elif draws[t] or 2.0 * rate <= cap - s:
-                w = min(b, t + max(span, int(min((cap - s) / rate, b)) if rate else b))
-                steps[2 * t] += s
-                window = np.add.accumulate(steps[2 * t : 2 * w], out=path[2 * t : 2 * w])
-                pre = window[::2]
-                bad = harvested[t:w] > cap - pre
-                if pre.min() < 0.0:
-                    bad |= pre < 0.0
-                i = int(bad.argmax())
-                if not bad[i]:
-                    t, s, span = w, float(window[-1]), 2 * span
-                    continue
-                t, s, span = t + i, float(window[2 * i - 1]) if i else s, ACCUMULATE_MIN
-            # tick t by the per-tick rule
-            if draws[t]:
-                s = s - WAKE_COST if s >= WAKE_COST else 0.0
-            h = float(harvested[t])
-            s = cap if h > cap - s else s + h
-            path[2 * t + 1] = s
-            t += 1
-        if b < period_ticks:
-            s = min(entry_value, cap)
-    if s != end:
-        raise RuntimeError(f"per-tick replay ends at {s!r}, the kernel at {end!r}")
+        if t < b:
+            path = np.cumsum(steps[t:b], out=stored[t:b])
+            path += s
+            over = path - cap
+            if over.max() > 0:
+                path -= np.maximum.accumulate(np.maximum(over, 0, out=over), out=over)
+        t, s = b, entry_value
+    if stored[-1] != end:
+        raise RuntimeError(f"per-tick replay ends at {stored[-1]!r}, the kernel at {end!r}")
     # GT and CTID keep one phase and step all period
     phase, step = zip(*(slot_info or [(policy.current_phase, policy.current_step)] * n_slots))
     return {
         "awake": awake,
-        "drawn": drawn,
-        "harvested": harvested,
-        "stored": path[1::2].copy(),
+        "drawn": draws * WAKE_COST,
+        "harvested": (harvested / wake).astype(np.float64, copy=False),
+        "stored": (stored / wake).astype(np.float64, copy=False),
         "phase": np.array(phase, dtype=np.int8).repeat(slot_len),
         "slot": np.arange(n_slots, dtype=np.int32).repeat(slot_len),
         "step": np.array(step, dtype=np.int32).repeat(slot_len),
@@ -961,24 +757,20 @@ def _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, da
 
 # An entry of 1,200 ticks takes about 42 KB: the fig-perf preset recorded per
 # tick needs 154 of the 256 entries, about 6.5 MB.
-@lru_cache(maxsize=256, typed=True)
-def _steady_arrays(cls, s: float, inc: float, cap: float, period_ticks: int, slot_len: int,
-                   wake_runs: tuple, dark: tuple, end: float):
+@lru_cache(maxsize=256)
+def _steady_arrays(cls, s: int, inc: int, cap: int, wake: int, period_ticks: int,
+                   slot_len: int, wake_runs: tuple, dark: tuple, end: int):
     """`_tick_arrays` of a period at the constant inflow `inc` of policy
     class `cls`, GT or CTID: these plan no slot, keep one phase and step and
     are never forced.  Keyed by the kernel's `end`, which the replay checks
     when it builds an entry."""
     return _tick_arrays(cls, period_ticks, slot_len, [], [], wake_runs, dark, [], None, None,
-                        inc, cap, s, end)
+                        inc, cap, wake, s, end)
 
 
 # The kernel's reuse across a sweep's runs, each a pure function of the config
-# and a start state: `reports.run_sweep` clears them all at its start.  A hit
-# is what the miss computed; typed=True keeps an int start apart from a float
-# one, and a stored energy or inflow is never -0.0, whose key is 0.0's: forcing
-# sets s > 0, draws leave s - 1.0 (s >= 1) or 0.0, and a source returns 0.0
-# for anything but a positive value.
-SWEEP_CACHES = (_fill, _ctid_period, _steady_arrays)
+# and a start state: `reports.run_sweep` clears them all at its start.
+SWEEP_CACHES = (_ctid_period, _steady_arrays)
 
 
 def apply_change(pattern: EventPattern, change: PatternChange) -> EventPattern:
@@ -1031,7 +823,8 @@ def _segment_periods(config: SimConfig, policy: BasePolicy):
             policy.entry_level_hint = level
         if level is not None and config.policy in FORCED_POLICIES:
             entry_slots = peak_start_slots(pattern, config.learner.state_duration)
-            entry_value = entry_level_energy(level, config.capacity, config.learner.k_levels)
+            entry_value = entry_level_energy(level, quanta(config.capacity, config.quantum),
+                                             config.learner.k_levels)
         else:
             entry_slots, entry_value = (), None
         for p in range(start, end):
@@ -1050,7 +843,7 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
                                 policy=policy)
 
     if config.initial_stored > 0.0:
-        store.stored = min(config.initial_stored, store.capacity)
+        store.stored = min(quanta(config.initial_stored, store.wake), store.capacity)
     elif config.policy == "ctid" and config.ctid_phase_jitter:
         # start at a seeded point of the CTID charge/discharge cycle: warm the
         # real dynamics up for a fraction of one cycle so any phase --

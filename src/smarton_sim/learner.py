@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .energy import WAKE_COST, DRAW_SLACK, require_finite
+from .energy import require_finite, require_integer
 
 DEFAULT_FREQUENCIES = (0.0, 0.2, 0.5, 1.0)
 
@@ -67,6 +67,8 @@ class LearnerConfig:
     def __post_init__(self):
         require_finite(self, "reward_catch", "reward_miss", "convergence_epsilon",
                        "profile_tol_abs", "profile_tol_rel", "shape_theta")
+        require_integer(self, "k_levels", "state_duration", "convergence_window",
+                        "profile_window", "probe_budget", "probe_trigger", "peak_max_duration")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0 <= self.gamma < 1:
@@ -133,8 +135,9 @@ def wake_offsets(freq: float, duration: int) -> tuple[int, ...]:
 
 
 @cache
-def schedule_cost(freq: float, duration: int) -> float:
-    return len(wake_offsets(freq, duration)) * WAKE_COST
+def schedule_cost(freq: float, duration: int) -> int:
+    """The wake-ups of one full step at `freq`."""
+    return len(wake_offsets(freq, duration))
 
 
 class SlotProfile:
@@ -313,12 +316,13 @@ def _action_costs(frequencies: tuple[float, ...], duration: int):
     return costs, tuple(tuple(range(n)) for n in range(len(costs) + 1))
 
 
-def affordable_actions(cfg: LearnerConfig, stored: float) -> tuple[int, ...]:
-    """Actions whose full-step schedule the store can fund right now.  A
-    schedule's cost never falls as the frequency rises, so these are the
-    first actions up to the last cost within `stored`: a shared tuple."""
+def affordable_actions(cfg: LearnerConfig, wakeups: int) -> tuple[int, ...]:
+    """Actions whose full-step schedule a store that funds `wakeups` whole
+    wake-ups can fund right now.  A schedule's cost never falls as the
+    frequency rises, so these are the first actions up to the last cost
+    within `wakeups`: a shared tuple."""
     costs, prefixes = _action_costs(tuple(cfg.frequencies), cfg.state_duration)
-    return prefixes[bisect_right(costs, stored + DRAW_SLACK)]
+    return prefixes[bisect_right(costs, wakeups)]
 
 
 def choose_action(table: QTable, state: int, phase: int, affordable, stream) -> int:

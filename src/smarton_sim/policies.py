@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .energy import WAKE_COST, DRAW_SLACK, quantize, require_finite
+from .energy import WAKE_COST, quanta, quantize, require_finite
 from .learner import (
     LearnedPeak,
     LearnerConfig,
@@ -93,18 +93,18 @@ class BasePolicy:
         The kernel banks the slots before it without calling either hook."""
         return slot
 
-    def episode_at(self, slot: int, stored: float):
+    def episode_at(self, slot: int, stored: int):
         """The peak whose episode starts at `slot`, or None; asked while
         `episode_memo` is set, when episodes are pure functions of their start."""
         return None
 
-    def plan_slot(self, slot: int, stored: float):
-        """Wake offsets within the slot, or BURST, given the energy `stored`
+    def plan_slot(self, slot: int, stored: int):
+        """Wake offsets within the slot, or BURST, given the quanta `stored`
         at the slot start."""
         return ()
 
-    def on_slot_end(self, slot: int, awake: int, catches: int, stored: float) -> None:
-        """The slot's awake ticks and catches, and the energy `stored` at its
+    def on_slot_end(self, slot: int, awake: int, catches: int, stored: int) -> None:
+        """The slot's awake ticks and catches, and the quanta `stored` at its
         end."""
 
     def on_period_end(self, period: int) -> None:
@@ -122,17 +122,19 @@ class CtidPolicy(BasePolicy):
     """Charge to e_on, then discharge at the configured frequency until the
     store cannot fund another wake-up (or falls to e_off).  Oblivious to
     events; harvesting is suspended while discharging.  The engine kernel
-    runs the cycle and keeps its mode here between periods."""
+    runs the cycle and keeps its mode here between periods, and its
+    thresholds in quanta, `wake` of them to a wake-up."""
 
     name = "ctid"
 
-    def __init__(self, cfg: CtidConfig):
+    def __init__(self, cfg: CtidConfig, wake: int = 1):
         self.cfg = cfg
+        self.e_on = quanta(cfg.e_on, wake)
+        self.e_off = quanta(cfg.e_off, wake)
         self.discharging = False
         # wake-ups fall on ticks t with (t - discharge_start) % wake_interval
         # == 0, t counted from the running period's start
         self.discharge_start = 0
-        self.wake_interval = cfg.wake_interval
 
 
 class _Profiling(BasePolicy):
@@ -147,10 +149,12 @@ class _Profiling(BasePolicy):
     a tuple of those slots built once per change of `known_slots`; and
     `probe_trigger` or more catches there call `_reprofile` at its end.
     Subclasses provide `profile`, `known_slots`, `_exploit_starts`,
-    `_exploit` and `_reprofile`, and define the engine hooks themselves."""
+    `_exploit` and `_reprofile`, and define the engine hooks themselves.
+    Stored energy is in quanta, `wake` of them to a wake-up."""
 
-    def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int):
+    def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int, wake: int = 1):
         self.cfg = cfg
+        self.wake = wake
         self.n_slots = n_slots
         self.current_phase = 1
         self.probe_stream = Stream(seed, "probe")
@@ -159,8 +163,8 @@ class _Profiling(BasePolicy):
         self._plans = tuple(wake_offsets(f, cfg.state_duration) for f in cfg.frequencies)
         self.full_offsets, self.probe_offsets = self._plans[-1], self._plans[1]
         # the least stored energy that funds a whole profiling or probe slot
-        self.full_floor = len(self.full_offsets) * WAKE_COST - DRAW_SLACK
-        self.probe_floor = len(self.probe_offsets) * WAKE_COST - DRAW_SLACK
+        self.full_floor = len(self.full_offsets) * wake
+        self.probe_floor = len(self.probe_offsets) * wake
         self._profiling_slot: int | None = None
         self._probe_slots: set[int] = set()
         self._probe_catches = 0
@@ -193,25 +197,25 @@ class _Profiling(BasePolicy):
         i = bisect_left(active, slot)
         return active[i] if i < len(active) else self.n_slots
 
-    def _plan_profile(self, slot: int, stored: float):
+    def _plan_profile(self, slot: int, stored: int):
         fund = not self.profile.visited[slot] and stored >= self.full_floor
         plan = self.full_offsets if fund else ()
         self._profiling_slot = slot if plan else None
         return plan
 
-    def _plan_probe(self, slot: int, stored: float):
+    def _plan_probe(self, slot: int, stored: int):
         if slot in self._probe_slots and stored >= self.probe_floor:
             return self.probe_offsets
         return ()
 
-    def _profile_slot_end(self, slot: int, catches: int, stored: float) -> None:
+    def _profile_slot_end(self, slot: int, catches: int, stored: int) -> None:
         if self._profiling_slot == slot:
             self.profile.record_slot(slot, catches)
             self._profiling_slot = None
             if self.profile.run_complete():
                 self._finish_profile_run(stored)
 
-    def _finish_profile_run(self, stored: float) -> None:
+    def _finish_profile_run(self, stored: int) -> None:
         profile = self.profile
         if profile_converged(profile, self.cfg):
             peaks = find_peaks(profile.counts, self.cfg)
@@ -234,9 +238,10 @@ class SmartOnPolicy(_Profiling):
 
     name = "smarton"
 
-    def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int, capacity: float):
-        super().__init__(cfg, n_slots, seed)
-        self.capacity = capacity
+    def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int, capacity: int,
+                 wake: int = 1):
+        super().__init__(cfg, n_slots, seed, wake)
+        self.capacity = capacity  # in quanta
         self.ctx = PhaseContext(cfg, n_slots)
         self.explore = Stream(seed, "explore")
         # the forced entry level of the running segment, if any
@@ -265,8 +270,11 @@ class SmartOnPolicy(_Profiling):
     def _exploit_starts(self):
         return self._peak_starts.keys()
 
-    def _quantize(self, stored: float) -> int:
+    def _quantize(self, stored: int) -> int:
         return quantize(stored, self.capacity, self.cfg.k_levels)
+
+    def _affordable(self, stored: int) -> tuple[int, ...]:
+        return affordable_actions(self.cfg, stored // self.wake)
 
     def _refresh_peaks(self) -> None:
         self._peak_starts = {p.start_slot: p for p in self.ctx.known_peaks}
@@ -292,7 +300,7 @@ class SmartOnPolicy(_Profiling):
         # pure function of peak, entry energy and inflow for the whole stay
         self.episode_memo = (self.episode_memo or {}) if self.ctx.phase == 3 else None
 
-    def episode_at(self, slot: int, stored: float):
+    def episode_at(self, slot: int, stored: int):
         peak = self._peak_starts.get(slot)
         if self._episode is not None or peak is None:
             return None
@@ -300,7 +308,7 @@ class SmartOnPolicy(_Profiling):
         self._last_entry_level[peak.shape] = self._quantize(stored)
         return peak
 
-    def plan_slot(self, slot: int, stored: float):
+    def plan_slot(self, slot: int, stored: int):
         self.current_step = 0
         if self.ctx.phase == 1:
             return self._plan_profile(slot, stored)
@@ -311,10 +319,10 @@ class SmartOnPolicy(_Profiling):
             return self._begin_episode(peak, stored)
         return self._plan_probe(slot, stored)
 
-    def _begin_episode(self, peak: LearnedPeak, stored: float):
+    def _begin_episode(self, peak: LearnedPeak, stored: int):
         table = self.ctx.table_for(peak.shape)
         entry_level = self._quantize(stored)
-        affordable = affordable_actions(self.cfg, stored)
+        affordable = self._affordable(stored)
         self._last_entry_level[peak.shape] = entry_level
         self._episode = {
             "peak": peak,
@@ -332,26 +340,26 @@ class SmartOnPolicy(_Profiling):
         }
         return self._plan_episode_action(stored)
 
-    def _plan_episode_action(self, stored: float):
+    def _plan_episode_action(self, stored: int):
         ep = self._episode
         at, state, affordable = ep["next"]
         if stored != at:  # entry forcing moved the store since the last step ended
             state = ep["table"].get_state(self._quantize(stored), ep["step"])
-            affordable = affordable_actions(self.cfg, stored)
+            affordable = self._affordable(stored)
         action = choose_action(ep["table"], state, self.ctx.phase, affordable, self.explore)
         ep["pending"] = (state, action)
         ep["actions"].append(action)
         self.current_step = ep["step"]
         return self._plans[action]
 
-    def _episode_step_plan(self, slot: int, stored: float):
+    def _episode_step_plan(self, slot: int, stored: int):
         ep = self._episode
         expected = ep["peak"].start_slot + ep["step"] - 1
         if slot != expected:
             raise RuntimeError(f"episode cursor lost: slot {slot}, expected {expected}")
         return self._plan_episode_action(stored)
 
-    def on_slot_end(self, slot: int, awake: int, catches: int, stored: float) -> None:
+    def on_slot_end(self, slot: int, awake: int, catches: int, stored: int) -> None:
         if self.ctx.phase == 1:
             self._profile_slot_end(slot, catches, stored)
         elif self._episode is not None:
@@ -359,17 +367,17 @@ class SmartOnPolicy(_Profiling):
         else:
             self._probe_slot_end(slot, catches)
 
-    def _finish_profile_run(self, stored: float) -> None:
+    def _finish_profile_run(self, stored: int) -> None:
         self.phase1_stays[-1]["profiles"] += 1
         self.ctx.profiles_completed += 1
         super()._finish_profile_run(stored)
 
-    def _exploit(self, peaks: tuple[LearnedPeak, ...], stored: float) -> None:
+    def _exploit(self, peaks: tuple[LearnedPeak, ...], stored: int) -> None:
         hint = self.entry_level_hint
         self._transition(ProfileConverged(peaks, self._quantize(stored) if hint is None else hint))
         self._refresh_peaks()
 
-    def _finish_episode_step(self, catches: int, awake: int, stored: float) -> None:
+    def _finish_episode_step(self, catches: int, awake: int, stored: int) -> None:
         ep = self._episode
         state, action = ep["pending"]
         reward = reward_from_counts(catches, awake, self.cfg)
@@ -377,7 +385,7 @@ class SmartOnPolicy(_Profiling):
         if ep["step"] < ep["peak"].n_steps:
             ep["step"] += 1
             next_state = ep["table"].get_state(self._quantize(stored), ep["step"])
-            next_affordable = affordable_actions(self.cfg, stored)
+            next_affordable = self._affordable(stored)
             # the next step plans from these unless entry forcing moves the store
             ep["next"] = (stored, next_state, next_affordable)
         else:
@@ -464,8 +472,8 @@ class CtidProPolicy(_Profiling):
 
     name = "ctidpro"
 
-    def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int):
-        super().__init__(cfg, n_slots, seed)
+    def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int, wake: int = 1):
+        super().__init__(cfg, n_slots, seed, wake)
         self.profile = SlotProfile(n_slots)
         self.known_slots: set[int] = set()
 
@@ -475,20 +483,20 @@ class CtidProPolicy(_Profiling):
     def on_period_start(self, period: int) -> None:
         self._draw_probes()
 
-    def plan_slot(self, slot: int, stored: float):
+    def plan_slot(self, slot: int, stored: int):
         if self.current_phase == 1:
             return self._plan_profile(slot, stored)
         if slot in self.known_slots:
             return BURST
         return self._plan_probe(slot, stored)
 
-    def on_slot_end(self, slot: int, awake: int, catches: int, stored: float) -> None:
+    def on_slot_end(self, slot: int, awake: int, catches: int, stored: int) -> None:
         if self.current_phase == 1:
             self._profile_slot_end(slot, catches, stored)
         else:
             self._probe_slot_end(slot, catches)
 
-    def _exploit(self, peaks: tuple[LearnedPeak, ...], stored: float) -> None:
+    def _exploit(self, peaks: tuple[LearnedPeak, ...], stored: int) -> None:
         self.known_slots = {s for p in peaks for s in range(p.start_slot, p.end_slot)}
         self.current_phase = 3
         self._probe_candidates = None

@@ -1,13 +1,13 @@
 """Per-tick reference interpreter for the engine's period kernel.
 
 It steps every tick through the per-tick store operations defined here
-(`harvest_tick`, `can_draw`, `draw` on an `AbstractStore`) and the policy
-hooks in the documented order -- slot bookkeeping, wake decision, draw (an
-unfundable wake-up is skipped), then harvest -- with CTID's
-charge/discharge rule written out per tick and GT awake at every tick.
-Tests run whole experiments through it by patching it over the kernel and
-the CTID warm-up, then compare every log field and per-tick array with the
-kernel's.
+(`harvest_tick`, `can_draw`, `draw` on an `AbstractStore`, in integer
+quanta) and the policy hooks in the documented order -- slot bookkeeping,
+wake decision, draw (an unfundable wake-up is skipped), then harvest --
+with CTID's charge/discharge rule written out per tick and GT awake at
+every tick.  Tests run whole experiments through it by patching it over the
+kernel and the CTID warm-up, then compare every log field and per-tick array
+with the kernel's.
 """
 
 from unittest import mock
@@ -15,16 +15,23 @@ from unittest import mock
 import numpy as np
 
 from smarton_sim import engine
-from smarton_sim.energy import DRAW_SLACK, WAKE_COST
+from smarton_sim.energy import AbstractStore, exact, quanta, quantum
 from smarton_sim.policies import BURST, CtidPolicy, GtPolicy
 
 
+def store_for(capacity, ratio, stored=0.0, levels=(1.0,)):
+    """An `AbstractStore` whose quantum makes the capacity, the stored
+    energy and an inflow at each source value of `levels` whole."""
+    wake = quantum(capacity, stored, *(exact(v) / exact(ratio) for v in levels))
+    return AbstractStore(quanta(capacity, wake), ratio, wake, quanta(stored, wake))
+
+
 def harvest_tick(store, source, tick):
-    """Add source(tick) / charging_ratio wake costs, clamped at capacity.
+    """Add source(tick) * wake / charging_ratio quanta, clamped at capacity.
 
     Returns the gross inflow (clamped surplus is counted in
     ``wasted_saturation``, not silently dropped)."""
-    inflow = source(tick) * WAKE_COST / store.charging_ratio
+    inflow = source.count(tick) * store.inflow(source.step)
     room = store.capacity - store.stored
     if inflow > room:
         store.wasted_saturation += inflow - room
@@ -34,38 +41,35 @@ def harvest_tick(store, source, tick):
     return inflow
 
 
-def can_draw(store, amount=WAKE_COST):
-    return store.stored >= amount - DRAW_SLACK
+def can_draw(store, wakeups=1):
+    return store.stored >= wakeups * store.wake
 
 
-def draw(store, amount=WAKE_COST):
-    """Draw `amount`, which `can_draw` has allowed."""
-    store.stored = max(0.0, store.stored - amount)
+def draw(store, wakeups=1):
+    """Draw `wakeups` wake costs, which `can_draw` has allowed."""
+    store.stored -= wakeups * store.wake
 
 
-def ctid_tick(policy, t, stored):
-    """CTID's (awake, harvest allowed) at tick t, given the stored energy."""
-    cfg = policy.cfg
-    if policy.discharging and (
-        stored <= cfg.e_off + DRAW_SLACK or stored < WAKE_COST - DRAW_SLACK
-    ):
+def ctid_tick(policy, t, stored, wake):
+    """CTID's (awake, harvest allowed) at tick t, given the stored quanta."""
+    if policy.discharging and (stored <= policy.e_off or stored < wake):
         policy.discharging = False
-    if not policy.discharging and stored >= cfg.e_on - DRAW_SLACK:
+    if not policy.discharging and stored >= policy.e_on:
         policy.discharging = True
         policy.discharge_start = t
     if policy.discharging:
-        return (t - policy.discharge_start) % policy.wake_interval == 0, False
+        return (t - policy.discharge_start) % policy.cfg.wake_interval == 0, False
     return False, True
 
 
 def ctid_warm_up(policy, store, source, ticks):
     for t in range(-ticks, 0):
-        awake, harvest_ok = ctid_tick(policy, t, store.stored)
+        awake, harvest_ok = ctid_tick(policy, t, store.stored, store.wake)
         if awake and can_draw(store):
             draw(store)
         if harvest_ok:
             harvest_tick(store, source, 0)
-    policy.discharge_start %= policy.wake_interval  # the cadence, as the kernel keeps it
+    policy.discharge_start %= policy.cfg.wake_interval  # the cadence, as the kernel keeps it
 
 
 def run_period(policy, store, source, events, period_index, period_ticks, slot_len,
@@ -75,7 +79,8 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
     waste_before = store.wasted_saturation
     policy.on_period_start(period_index)
     awake_total = catches_total = skipped = 0
-    drawn_total = harvested_total = forced_delta = 0.0
+    drawn_total = harvested_total = forced_delta = 0
+    wake = store.wake
     rows = []
     ctid = isinstance(policy, CtidPolicy)
     gt = isinstance(policy, GtPolicy)
@@ -84,7 +89,7 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
         base = slot * slot_len
         if entry_value is not None and slot in entry_slots and policy.current_phase >= 2:
             before = store.stored
-            store.stored = min(entry_value, store.capacity)
+            store.stored = entry_value
             forced_delta += store.stored - before
         plan = () if ctid or gt else policy.plan_slot(slot, store.stored)
         step = policy.current_step
@@ -93,19 +98,19 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
             t = base + i
             harvest_ok = True
             if ctid:
-                awake, harvest_ok = ctid_tick(policy, t, store.stored)
+                awake, harvest_ok = ctid_tick(policy, t, store.stored, wake)
             elif gt:
                 awake = True
             elif plan == BURST:
-                awake = store.stored >= WAKE_COST - DRAW_SLACK
+                awake = can_draw(store)
                 harvest_ok = False
             else:
                 awake = i in plan
-            drawn = 0.0
+            drawn = 0
             if awake and policy.draws_energy:
                 if can_draw(store):
                     draw(store)
-                    drawn = WAKE_COST
+                    drawn = wake
                 else:
                     skipped += 1
                     awake = False
@@ -113,16 +118,16 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
                 slot_awake += 1
                 slot_catches += events[t]
             harvested = harvest_tick(store, source, period_index * period_ticks + t) \
-                if harvest_ok else 0.0
+                if harvest_ok else 0
             harvested_total += harvested
             drawn_total += drawn
-            rows.append((awake, drawn, harvested, store.stored, policy.current_phase,
-                         slot, step))
+            rows.append((awake, drawn / wake, harvested / wake, store.stored / wake,
+                         policy.current_phase, slot, step))
         awake_total += slot_awake
         catches_total += slot_catches
         policy.on_slot_end(slot, slot_awake, slot_catches, store.stored)
     if ctid:  # the cadence goes on in the next period's frame
-        policy.discharge_start = (policy.discharge_start - period_ticks) % policy.wake_interval
+        policy.discharge_start = (policy.discharge_start - period_ticks) % policy.cfg.wake_interval
     policy.on_period_end(period_index)
 
     ticks = None
@@ -135,11 +140,11 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
         ticks["event"] = np.fromiter(events, bool, len(events))
     return engine.PeriodLog(
         period=period_index, phase_start=phase_start, awake_ticks=awake_total,
-        event_ticks=int(sum(events)), catches=catches_total, drawn=drawn_total,
-        harvested=harvested_total,
-        wasted_saturation=store.wasted_saturation - waste_before,
-        skipped_wakeups=skipped, stored_start=stored_start,
-        stored_end=store.stored, forced_delta=forced_delta, ticks=ticks,
+        event_ticks=int(sum(events)), catches=catches_total, drawn=drawn_total / wake,
+        harvested=harvested_total / wake,
+        wasted_saturation=(store.wasted_saturation - waste_before) / wake,
+        skipped_wakeups=skipped, stored_start=stored_start / wake,
+        stored_end=store.stored / wake, forced_delta=forced_delta / wake, ticks=ticks,
     )
 
 

@@ -1,96 +1,153 @@
 """Energy stores: harvesting semantics, draws, activation, quantization."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smarton_sim.energy import (
-    AbstractStore,
     CapacitorArray,
     HarvestSource,
     InsufficientEnergy,
     NoInactiveCapacitor,
     capacitor_preset,
+    exact,
+    quanta,
     quantize,
+    quantum,
 )
 
-from per_tick_oracle import can_draw, draw, harvest_tick
+from per_tick_oracle import can_draw, draw, harvest_tick, store_for
 
 
 def constant(level=1.0):
     return HarvestSource.constant(level)
 
 
+def decimals(low, high, places):
+    return st.decimals(min_value=Decimal(str(low)), max_value=Decimal(str(high)),
+                       places=places, allow_nan=False, allow_infinity=False)
+
+
+class TestExactNumbers:
+    def test_a_float_is_the_decimal_that_prints_it(self):
+        assert exact(0.1) == Fraction(1, 10)
+        assert exact(0.1 + 0.2) == Fraction("0.30000000000000004")
+        assert exact(8.5) == Fraction(17, 2) and exact(3) == 3
+        assert exact(Fraction(1, 3)) == Fraction(1, 3)
+
+    def test_the_quantum_makes_every_value_whole(self):
+        assert quantum(1, 120.0, exact(1.0) / exact(8.5)) == 17
+        assert quantum(1, 30.05, 0.25) == 20
+        assert quanta(0.25, 20) == 5
+        with pytest.raises(ValueError, match="not a whole number of quanta"):
+            quanta(0.25, 2)
+
+    def test_diurnal_values_lie_on_a_grid_of_a_millionth_of_the_peak(self):
+        for peak, step in ((1.0, Fraction(1, 10**6)), (2.5, Fraction(1, 10**6)),
+                           (0.03, Fraction(1, 10**8)), (400.0, Fraction(1, 10**4))):
+            source = HarvestSource.diurnal(peak, day_ticks=997)
+            assert source.step == step
+            values = [source(t) for t in range(997)]
+            assert max(values) > 0.99 * peak
+            assert all(exact(v) == source.count(t) * step for t, v in enumerate(values))
+
+    def test_a_trace_steps_by_the_largest_common_step(self):
+        source = HarvestSource.trace((0.25, 1.5, 0.0, 2.25))
+        assert source.step == Fraction(1, 4)
+        assert [source.count(t) for t in range(5)] == [1, 6, 0, 9, 1]
+        assert [source(t) for t in range(4)] == [0.25, 1.5, 0.0, 2.25]
+        assert HarvestSource.trace((0.0,)).count(0) == 0
+
+
 class TestAbstractStore:
     def test_charging_ratio_funds_one_wake_after_r_ticks(self):
         # r ticks of harvesting fund exactly one wake-up
-        store = AbstractStore(capacity=120, charging_ratio=9)
+        store = store_for(120, 9)
         src = constant(1.0)
         for t in range(9):
+            assert not can_draw(store)
             harvest_tick(store, src, t)
-        assert store.stored == pytest.approx(1.0)
-        assert can_draw(store, 1.0)
+        assert store.stored == store.wake
+        assert can_draw(store)
 
     def test_zero_source_is_identity(self):
-        store = AbstractStore(capacity=120, charging_ratio=9, stored=5.0)
+        store = store_for(120, 9, stored=5.0)
         src = constant(0.0)
         for t in range(100):
             harvest_tick(store, src, t)
-        assert store.stored == 5.0
-        assert store.wasted_saturation == 0.0
+        assert store.stored == 5 * store.wake
+        assert store.wasted_saturation == 0
 
     def test_saturation_is_logged_not_lost_silently(self):
-        store = AbstractStore(capacity=2.0, charging_ratio=1)
+        store = store_for(2.0, 1)
         src = constant(1.0)
         for t in range(5):
             harvest_tick(store, src, t)
-        assert store.stored == 2.0
-        assert store.wasted_saturation == pytest.approx(3.0)
+        assert store.stored == store.capacity == 2 * store.wake
+        assert store.wasted_saturation == 3 * store.wake
 
     def test_draw_arithmetic(self):
-        store = AbstractStore(capacity=120, charging_ratio=9, stored=10.0)
-        draw(store, 3.0)
-        assert store.stored == pytest.approx(7.0)
+        store = store_for(120, 9, stored=10.0)
+        draw(store, 3)
+        assert store.stored == 7 * store.wake
 
-    @given(r=st.floats(min_value=1.1, max_value=40.0))
+    def test_an_inflow_off_the_quantum_is_refused(self):
+        store = store_for(120, 9)
+        assert store.inflow(Fraction(1)) == 1
+        with pytest.raises(ValueError, match="not a whole number of quanta"):
+            store.inflow(Fraction(1, 2))
+
+    @given(r=decimals(1.1, 40, 2))
     @settings(max_examples=200)
     def test_funding_identity_ceil_r_ticks(self, r):
         # starting empty, exactly ceil(r) harvest ticks fund one wake cost
-        store = AbstractStore(capacity=1e9, charging_ratio=r)
+        store = store_for(1e9, float(r))
         src = constant(1.0)
         need = math.ceil(r)
         for t in range(need - 1):
             harvest_tick(store, src, t)
-        assert not can_draw(store, 1.0)
+        assert not can_draw(store)
         harvest_tick(store, src, need - 1)
-        assert can_draw(store, 1.0)
+        assert can_draw(store)
 
 
 class TestQuantize:
     def test_empty_store_is_level_one(self):
-        assert quantize(0.0, 120.0, 4) == 1
+        assert quantize(0, 120, 4) == 1
 
     def test_full_store_is_level_k(self):
-        assert quantize(120.0, 120.0, 4) == 4
+        assert quantize(120, 120, 4) == 4
 
     def test_mid_bin_example(self):
         # K=4, capacity 120, stored 50 sits in bin (30, 60]
-        assert quantize(50.0, 120.0, 4) == 2
+        assert quantize(50, 120, 4) == 2
+
+    @given(capacity=st.integers(min_value=1, max_value=10**6), k=st.integers(2, 12),
+           level=st.integers(1, 12), scale=st.sampled_from([1, 17, 2**70]))
+    def test_a_level_holds_its_top_and_not_the_quantum_above(self, capacity, k, level, scale):
+        level = min(level, k)
+        capacity *= k * scale
+        top = level * capacity // k
+        assert quantize(top, capacity, k) == level
+        if level < k:
+            assert quantize(top + 1, capacity, k) == level + 1
 
     @given(
-        stored=st.floats(min_value=0.0, max_value=120.0),
+        stored=st.integers(min_value=0, max_value=1200),
         k=st.integers(min_value=2, max_value=12),
     )
     @settings(max_examples=300)
     def test_levels_in_range(self, stored, k):
-        level = quantize(stored, 120.0, k)
+        level = quantize(stored, 1200, k)
         assert 1 <= level <= k
 
     @given(k=st.integers(min_value=2, max_value=12))
     def test_monotone_and_surjective(self, k):
-        levels = [quantize(x * 0.05, 120.0, k) for x in range(0, 2401)]
+        levels = [quantize(x, 2400, k) for x in range(0, 2401)]
         assert levels == sorted(levels)
         assert set(levels) == set(range(1, k + 1))
 
@@ -204,7 +261,7 @@ class TestCapacitorArray:
         values = trace * reps
         array = capacitor_preset("image")
         single = CapacitorArray([0.110], v_max=3.3, v_activate=3.3)
-        src_arr = HarvestSource(lambda t: values[t % len(values)], "trace-file")
+        src_arr = HarvestSource.trace(tuple(values))
         for t in range(len(values)):
             array.harvest_tick(src_arr, t)
             single.harvest_tick(src_arr, t)
@@ -230,17 +287,18 @@ class TestEnergyMonotonicity:
             assert array.stored < before
 
     @given(
-        stored=st.floats(min_value=0.0, max_value=100.0),
-        inflow=st.floats(min_value=0.0, max_value=10.0),
+        stored=decimals(0, 100, 3),
+        inflow=decimals(0, 10, 3),
     )
     @settings(max_examples=200)
     def test_harvest_never_decreases_draw_never_increases(self, stored, inflow):
-        store = AbstractStore(capacity=120.0, charging_ratio=1.0, stored=stored)
-        harvest_tick(store, constant(inflow), 0)
-        assert store.stored >= stored
-        if can_draw(store, 1.0):
+        store = store_for(120.0, 1.0, float(stored), levels=(float(inflow),))
+        before = store.stored
+        harvest_tick(store, constant(float(inflow)), 0)
+        assert store.stored >= before
+        if can_draw(store):
             s = store.stored
-            draw(store, 1.0)
+            draw(store)
             assert store.stored <= s
 
 
@@ -257,3 +315,5 @@ def test_source_kinds():
     assert all(diurnal(t) >= 0 for t in range(100))
     with pytest.raises(ValueError):
         HarvestSource.constant(-1.0)
+    with pytest.raises(ValueError):
+        HarvestSource.diurnal(-1.0)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from smarton_sim import engine
 from smarton_sim.cli import main
 from smarton_sim.reports import emit_csv, run_sweep
 from smarton_sim.scenario import PRESETS, load_scenario, write_config
@@ -126,3 +127,34 @@ def test_cli_sweep_with_two_jobs_reproduces_serial_digests(tmp_path, monkeypatch
     argv = ["sweep", "--scenario", str(config), "--out", str(out), "--jobs", "2"]
     assert main(argv) == 0
     assert digests(out) == DIGESTS["state-duration"]
+
+
+def quanta_of(x: float, d: int) -> int:
+    """The quanta, `d` to a wake cost, of which the log value `x` is the
+    correctly rounded quotient."""
+    n = round(x * d)
+    assert n / d == x, (x, d)
+    return n
+
+
+@pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_period_of_every_case_balances_exactly(case, record_level, monkeypatch):
+    # stored_end = stored_start + harvested + forced - drawn - wasted, to
+    # the quantum, in every period a sweep runs, partition studies included
+    logs = []
+    run_period = engine.run_period
+
+    def logging_run_period(policy, store, *args):
+        log = run_period(policy, store, *args)
+        logs.append((log, store.wake))
+        return log
+
+    monkeypatch.setattr(engine, "run_period", logging_run_period)
+    run_sweep(scenario_for(case).with_value("run", "record_level", record_level))
+    assert logs
+    for log, d in logs:
+        start, end, harvested, forced, drawn, wasted = (quanta_of(x, d) for x in (
+            log.stored_start, log.stored_end, log.harvested, log.forced_delta, log.drawn,
+            log.wasted_saturation))
+        assert end - (start + harvested + forced - drawn - wasted) == 0, log.period

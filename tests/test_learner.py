@@ -1,6 +1,7 @@
 """Learner primitives: indexing, rewards, updates, convergence, phases."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ class TestQUpdate:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             LearnerConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, 4.0])
+    @pytest.mark.parametrize("name", [
+        "k_levels", "state_duration", "convergence_window", "profile_window",
+        "probe_budget", "probe_trigger", "peak_max_duration",
+    ])
+    def test_integer_fields_refuse_other_numbers(self, name, value):
+        # nan passed every range check and an infinite slot overflowed
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            LearnerConfig(**{name: value})
+
     def test_alpha_identity_limit(self):
         # the update with alpha -> 0 leaves the table unchanged; alpha is
         # constrained positive, so exercise the formula directly at 1e-12
@@ -210,17 +221,19 @@ class TestChooseAction:
 
     def test_affordable_actions_filter(self):
         cfg = LearnerConfig()
-        assert affordable_actions(cfg, 0.0) == (0,)
-        assert affordable_actions(cfg, 6.0) == (0, 1)
-        assert affordable_actions(cfg, 15.0) == (0, 1, 2)
-        assert affordable_actions(cfg, 30.0) == (0, 1, 2, 3)
+        assert affordable_actions(cfg, 0) == (0,)
+        assert affordable_actions(cfg, 5) == (0,)
+        assert affordable_actions(cfg, 6) == (0, 1)
+        assert affordable_actions(cfg, 15) == (0, 1, 2)
+        assert affordable_actions(cfg, 29) == (0, 1, 2)
+        assert affordable_actions(cfg, 30) == (0, 1, 2, 3)
 
 
-def affordable_reference(cfg, stored):
-    """Every action whose schedule cost is within `stored`, one by one."""
+def affordable_reference(cfg, wakeups):
+    """Every action whose schedule cost is within `wakeups`, one by one."""
     return [
         i for i, f in enumerate(cfg.frequencies)
-        if schedule_cost(f, cfg.state_duration) <= stored + 1e-9
+        if schedule_cost(f, cfg.state_duration) <= wakeups
     ]
 
 
@@ -286,7 +299,7 @@ class TestReferenceEquivalence:
         freqs_and_slot=frequencies_and_slot(),
         as_tuple=st.booleans(),
         pick=st.integers(min_value=0, max_value=6),
-        delta=st.sampled_from((0.0, -1e-9, 1e-9, -2e-9, 2e-9, 0.5, -0.5)),
+        delta=st.sampled_from((0, -1, 1, -2, 2)),
     )
     def test_affordable_actions_is_the_filtered_list(self, freqs_and_slot, as_tuple,
                                                      pick, delta):
@@ -294,10 +307,10 @@ class TestReferenceEquivalence:
         costs = [schedule_cost(f, duration) for f in freqs]
         cfg = LearnerConfig(frequencies=tuple(freqs) if as_tuple else freqs,
                             state_duration=duration)
-        for stored in (costs[pick % len(costs)] + delta, max(costs) + 1.0, 0.0):
-            got = affordable_actions(cfg, stored)
-            assert got == tuple(affordable_reference(cfg, stored))
-            assert got is affordable_actions(cfg, stored)
+        for wakeups in (max(0, costs[pick % len(costs)] + delta), max(costs) + 1, 0):
+            got = affordable_actions(cfg, wakeups)
+            assert got == tuple(affordable_reference(cfg, wakeups))
+            assert got is affordable_actions(cfg, wakeups)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -554,7 +567,7 @@ class TestPartitionIsolation:
                 return
             for action, freq in enumerate(cfg.frequencies):
                 cost = len(wake_offsets(freq, duration))
-                if cost > stored + 1e-9:
+                if cost > stored:
                     continue
                 nxt = stored - cost + duration * inflow_per_tick
                 nxt = min(nxt, capacity)
@@ -583,8 +596,7 @@ class TestPartitionIsolation:
         result = run_experiment(sim)
         table = result.tables.get("LHL") or next(iter(result.tables.values()))
         oracle = self._reachable(
-            cfg, table.shape, entry_value=(3 - 0.5) * 120 / 3,
-            capacity=120.0, inflow_per_tick=1.0 / 9.0,
+            cfg, table.shape, entry_value=100, capacity=120, inflow_per_tick=Fraction(1, 9),
         )
         touched_rows = {
             (row // table.t + 1, row % table.t + 1)

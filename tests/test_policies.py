@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from smarton_sim import engine
-from smarton_sim.energy import WAKE_COST, AbstractStore, HarvestSource
+from smarton_sim.energy import WAKE_COST, HarvestSource
 from smarton_sim.engine import (
     PatternChange,
     SimConfig,
@@ -25,6 +25,7 @@ from smarton_sim.rng import Stream
 from smarton_sim.scenario import PRESETS, expand_sweep
 
 import per_tick_oracle
+from per_tick_oracle import store_for
 
 
 def run_one_period(policy, store, events, entry_slots=(), entry_value=None,
@@ -38,14 +39,14 @@ def run_one_period(policy, store, events, entry_slots=(), entry_value=None,
 
 class TestGt:
     def test_awake_every_tick(self):
-        log = run_one_period(GtPolicy(), AbstractStore(120, 9), [0] * 1200)
+        log = run_one_period(GtPolicy(), store_for(120, 9), [0] * 1200)
         assert log.awake_ticks == 1200
 
     def test_catches_all_events(self):
         pattern = build_pattern([("type1", 10)])
         trace = sample_trace(pattern, seed=0, n_periods=1)
         events = trace.occurrences.tolist()
-        log = run_one_period(GtPolicy(), AbstractStore(120, 9), events)
+        log = run_one_period(GtPolicy(), store_for(120, 9), events)
         assert log.catches == int(trace.occurrences.sum())
         assert log.drawn == 0.0  # oracle never debits the store
 
@@ -54,29 +55,34 @@ class TestGt:
         events = [0] * 1200
         for t in range(0, 1200, 20):
             events[t] = 1
-        log = run_one_period(GtPolicy(), AbstractStore(120, 9), events)
+        log = run_one_period(GtPolicy(), store_for(120, 9), events)
         m = compute_metrics([log])
         assert m.energy_efficiency == pytest.approx(0.05)
+
+
+def ctid_policy(store, **cfg):
+    """A CTID policy in the quanta of `store`."""
+    return CtidPolicy(CtidConfig(**cfg), store.wake)
 
 
 class TestCtid:
     def test_first_wake_at_tick_90(self):
         # e_on=10, r=9, cold start: stored reaches 10 after 90 harvests
-        policy = CtidPolicy(CtidConfig(e_on=10.0, e_off=0.0))
-        log = run_one_period(policy, AbstractStore(120, 9), [0] * 1200)
+        store = store_for(120, 9)
+        log = run_one_period(ctid_policy(store, e_on=10.0, e_off=0.0), store, [0] * 1200)
         awake = np.flatnonzero(log.ticks["awake"])
         assert awake[0] == 90
 
     def test_ten_consecutive_discharge_ticks(self):
-        policy = CtidPolicy(CtidConfig(e_on=10.0, e_off=0.0))
-        log = run_one_period(policy, AbstractStore(120, 9), [0] * 1200)
+        store = store_for(120, 9)
+        log = run_one_period(ctid_policy(store, e_on=10.0, e_off=0.0), store, [0] * 1200)
         awake = np.flatnonzero(log.ticks["awake"])
         assert list(awake[:10]) == list(range(90, 100))
         assert awake[10] >= 190  # next burst only after recharging
 
     def test_long_run_duty_cycle_is_one_over_one_plus_r(self):
-        policy = CtidPolicy(CtidConfig(e_on=10.0, e_off=0.0))
-        store = AbstractStore(120, 9)
+        store = store_for(120, 9)
+        policy = ctid_policy(store, e_on=10.0, e_off=0.0)
         total_awake = 0
         for p in range(50):
             log = run_one_period(policy, store, [0] * 1200, record=False, period=p)
@@ -84,8 +90,8 @@ class TestCtid:
         assert total_awake / (50 * 1200) == pytest.approx(1 / (1 + 9), rel=0.01)
 
     def test_no_source_never_wakes(self):
-        policy = CtidPolicy(CtidConfig(e_on=10.0, e_off=0.0))
-        store = AbstractStore(120, 9)
+        store = store_for(120, 9)
+        policy = ctid_policy(store, e_on=10.0, e_off=0.0)
         src = HarvestSource.constant(0.0)
         log = run_period(policy, store, src, [0] * 1200, 0, 1200, 30,
                          frozenset(), None, False)
@@ -96,16 +102,17 @@ class TestCtid:
         pattern = build_pattern([("type2", 10)])
         schedules = []
         for seed in (1, 2):
-            policy = CtidPolicy(CtidConfig(e_on=10.0, e_off=0.0))
-            store = AbstractStore(120, 9)
+            store = store_for(120, 9)
+            policy = ctid_policy(store, e_on=10.0, e_off=0.0)
             trace = sample_trace(pattern, seed=seed, n_periods=1)
             log = run_one_period(policy, store, trace.occurrences.tolist())
             schedules.append(log.ticks["awake"].tolist())
         assert schedules[0] == schedules[1]
 
     def test_slower_discharge_frequency(self):
-        policy = CtidPolicy(CtidConfig(e_on=10.0, e_off=0.0, discharge_frequency=0.5))
-        log = run_one_period(policy, AbstractStore(120, 9), [0] * 1200)
+        store = store_for(120, 9)
+        policy = ctid_policy(store, e_on=10.0, e_off=0.0, discharge_frequency=0.5)
+        log = run_one_period(policy, store, [0] * 1200)
         awake = np.flatnonzero(log.ticks["awake"])
         assert list(awake[:3]) == [90, 92, 94]
 
@@ -123,8 +130,8 @@ class TestCtid:
             CtidConfig(**{name: value})
 
     def test_e_on_of_one_wake_keeps_cycling(self):
-        policy = CtidPolicy(CtidConfig(e_on=WAKE_COST))
-        store = AbstractStore(120, 9)
+        store = store_for(120, 9)
+        policy = ctid_policy(store, e_on=WAKE_COST)
         for p in range(3):
             log = run_one_period(policy, store, [0] * 1200, record=False, period=p)
             # one wake-up per nine harvested ticks, none skipped
@@ -133,9 +140,9 @@ class TestCtid:
 
 
 class TestCtidPro:
-    def _exploit_policy(self, known):
+    def _exploit_policy(self, known, store):
         cfg = LearnerConfig()
-        policy = CtidProPolicy(cfg, 40, seed=0)
+        policy = CtidProPolicy(cfg, 40, seed=0, wake=store.wake)
         policy.current_phase = 3
         policy.known_slots = set(known)
         policy.cfg = cfg
@@ -143,48 +150,48 @@ class TestCtidPro:
 
     def test_greedy_burst_until_exhaustion(self):
         # 45 wake-ups of entry energy cover 300..344; 345..359 stays asleep
-        policy = self._exploit_policy({10, 11, 12})
-        store = AbstractStore(capacity=200, charging_ratio=9)
+        store = store_for(200, 9)
+        policy = self._exploit_policy({10, 11, 12}, store)
         log = run_one_period(
             policy, store, [0] * 1200,
-            entry_slots=(10,), entry_value=45.0,
+            entry_slots=(10,), entry_value=45 * store.wake,
         )
         awake = set(np.flatnonzero(log.ticks["awake"]).tolist())
         assert set(range(300, 345)) <= awake
         assert not awake & set(range(345, 390))
 
     def test_no_profile_never_awake(self):
-        policy = self._exploit_policy(set())
+        store = store_for(120, 9)
+        policy = self._exploit_policy(set(), store)
         policy._probe_slots = set()
-        store = AbstractStore(capacity=120, charging_ratio=9)
         cfg_probe_off = LearnerConfig(probe_budget=0)
         policy.cfg = cfg_probe_off
         log = run_one_period(policy, store, [0] * 1200)
         assert log.awake_ticks == 0
 
     def test_banks_outside_profiled_slots(self):
-        policy = self._exploit_policy({10, 11, 12})
+        store = store_for(400, 9)
+        policy = self._exploit_policy({10, 11, 12}, store)
         policy.cfg = LearnerConfig(probe_budget=0)
-        store = AbstractStore(capacity=400, charging_ratio=9)
         log = run_one_period(policy, store, [0] * 1200, record=False)
         # all harvest outside the 3 burst slots banks up
         assert log.harvested == pytest.approx((1200 - 90) / 9)
 
 
 class TestEpisodeSteps:
-    @pytest.mark.parametrize("stored, level, action", [(100.0, 4, 3), (5.0, 1, 0)])
+    @pytest.mark.parametrize("stored, level, action", [(100, 4, 3), (5, 1, 0)])
     def test_step_plans_from_the_store_at_its_start(self, stored, level, action):
         # the step ends with 100 stored; entry forcing may then set 5, which
         # is level 1 and affords only the never-awake action
-        policy = SmartOnPolicy(LearnerConfig(), n_slots=40, seed=0, capacity=120.0)
+        policy = SmartOnPolicy(LearnerConfig(), n_slots=40, seed=0, capacity=120)
         policy.ctx.phase = 3
         policy.ctx.known_peaks = (LearnedPeak(10, "HHH"),)
         policy._refresh_peaks()
         table = policy.ctx.table_for("HHH")
         table.values[table.get_state(4, 2)] = [0.0, 1.0, 2.0, 9.0]
         table.values[table.get_state(1, 2)] = [0.0, 5.0, 5.0, 5.0]
-        policy.plan_slot(10, 120.0)
-        policy.on_slot_end(10, 0, 0, 100.0)
+        policy.plan_slot(10, 120)
+        policy.on_slot_end(10, 0, 0, 100)
         plan = policy.plan_slot(11, stored)
         assert policy._episode["pending"] == (table.get_state(level, 2), action)
         assert plan == wake_offsets((0.0, 0.2, 0.5, 1.0)[action], 30)
@@ -375,13 +382,13 @@ class TestDominanceAtEqualAwakeTime:
             trace = sample_trace(pattern, seed, 100, repeat_first_period=True)
             start = tail[0].period * 1200
             bits = trace.occurrences[start : start + len(tail) * 1200]
-            ctid_policy = CtidPolicy(CtidConfig(e_on=30.0, e_off=0.0))
-            store = AbstractStore(120, 9)
+            store = store_for(120, 9)
+            ctid = ctid_policy(store, e_on=30.0, e_off=0.0)
             src = HarvestSource.constant(1.0)
             awake_flags = []
             for p in range(len(tail)):
                 log = run_period(
-                    ctid_policy, store, src,
+                    ctid, store, src,
                     bits[p * 1200 : (p + 1) * 1200].tolist(),
                     p, 1200, 30, frozenset(), None, True,
                 )
