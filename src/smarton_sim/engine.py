@@ -13,7 +13,8 @@ Energy is exact: every energy of a run is an integer count of one quantum,
 event-driven kernel (`run_period`) implements these semantics for every
 policy and harvest source.  It jumps from one decision to the next -- slots
 the policy's look-ahead names as able to act, wake-ups, CTID mode flips --
-and covers the harvest-only ticks between them in closed form (`_idle`).
+and covers the harvest-only ticks between them in closed form (`_idle`); a
+planned slot that the store funds at its start is one closed form too.
 Events arrive as a 0/1 byte string per period.  Per-tick recording takes the
 same path and replays the kernel's decisions into per-tick arrays
 (`_tick_arrays`), so it cannot change a number.
@@ -376,10 +377,16 @@ def run_period(
     `min(s + n * q, cap)` and waste the rest (`_idle`): the per-tick clamp
     is monotone, so it clamps at most once.  A varying source is split into
     runs of equal inflow.  A wake-up is funded when the store holds one wake
-    cost; a run of them is one floor division.  GT is closed form (awake
-    every tick, catches every event); CTID charge phases are one ceiling
-    division to the tick that first sees `e_on`, and its discharge phases
-    draw runs (`_ctid_run`).
+    cost; a run of them is one floor division.  Under one inflow `q`, a
+    planned slot of `L` ticks whose start holds all `m` of its wake-ups
+    (`s >= m * wake`) is closed form: no draw can fail, as a clamp only
+    lowers the store to `cap >= s`, so it ends at `s + L * q - m * wake`
+    less the overflow of the store's highest point, which comes just before
+    a wake-up or at the slot end.  Other planned slots are walked wake-up by
+    wake-up, skipping a wake-up the store cannot fund.  GT is closed form
+    (awake every tick, catches every event); CTID charge phases are one
+    ceiling division to the tick that first sees `e_on`, and its discharge
+    phases draw runs (`_ctid_run`).
 
     Burst slots and CTID discharge phases are dark: they harvest nothing.
     So a `BURST` drains the run of known slots it starts, up to the next
@@ -522,6 +529,22 @@ def run_period(
                 if record_ticks:
                     slot_info.extend(repeat(slot_info[-1], run_end - slot - 1))
                 slot = run_end - 1
+            elif uniform and s >= len(plan) * wake:
+                # funded at its start, so no wake-up fails: the store is the
+                # harvest-less-draw path reflected at `cap`, which rises
+                # between wake-ups and peaks just before one or at the end
+                slot_awake = len(plan)
+                slot_catches = sum(map(events[base : base + slot_len].__getitem__, plan))
+                top = s + slot_len * inc
+                end = top - slot_awake * wake
+                if top > cap:
+                    peak = max([end] + [s + o * inc - j * wake for j, o in enumerate(plan)])
+                    if peak > cap:
+                        waste += peak - cap
+                        end -= peak - cap
+                s = end
+                if woken is not None:
+                    woken.extend([base + o for o in plan])
             else:
                 # each wake-up is followed by harvest-only ticks up to the
                 # next one or the slot end
@@ -529,13 +552,7 @@ def run_period(
                 for offset in (*plan, slot_len):
                     t = base + offset
                     if t > done:
-                        if uniform:  # `_idle`, inline
-                            s += (t - done) * inc
-                            if s > cap:
-                                waste += s - cap
-                                s = cap
-                        else:
-                            s, waste = _bank(s, waste, cap, runs, done, t)
+                        s, waste = _bank(s, waste, cap, runs, done, t)
                         done = t
                     if offset == slot_len:
                         break
@@ -952,14 +969,14 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
 
     target_idx = 0
     first_at = None
+    entry_values = {level: entry_level_energy(level, store.capacity, k) for level in order}
 
     for p in range(PARTITION_MAX_PERIODS):
         level = order[target_idx]
         policy.entry_level_hint = level
-        entry_value = entry_level_energy(level, store.capacity, k)
         run_period(
             policy, store, source, events, p, period_ticks, slot_len,
-            entry_slots, entry_value, False,
+            entry_slots, entry_values[level], False,
         )
         if policy.ctx.phase < 2:
             continue

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smarton_sim import energy, engine
-from smarton_sim.energy import HarvestSource
+from smarton_sim.energy import AbstractStore, HarvestSource
 from smarton_sim.engine import (
     MAX_JITTER_CYCLE,
     Metrics,
@@ -90,6 +90,32 @@ def assert_same_arrays(got, want, where=""):
 
 def assert_kernel_matches_oracle(config):
     assert_same_run(run_experiment(config), per_tick_oracle.run_experiment(config))
+
+
+class FixedPlanner(BasePolicy):
+    """Plans `plans[slot]`, cut to the wake-ups that the store funds at the
+    slot start."""
+
+    def __init__(self, plans, wake):
+        self.plans, self.wake = plans, wake
+
+    def plan_slot(self, slot, stored):
+        return self.plans[slot][: stored // self.wake]
+
+
+def run_fixed_plans(plans, slot_len, wake, inc, cap, stored, events, record):
+    """One period of `FixedPlanner` slots at `inc` quanta a tick, a wake-up
+    costing `wake` quanta, through the kernel and the per-tick oracle: every
+    log field must agree and no wake-up is skipped.  Returns the oracle's log."""
+    source = HarvestSource.constant(inc)  # `inc` quanta a tick at ratio `wake`
+    stores = [AbstractStore(cap, float(wake), wake, stored) for _ in range(2)]
+    args = (events, 0, len(plans) * slot_len, slot_len, (), None, record)
+    got = run_period(FixedPlanner(plans, wake), stores[0], source, *args)
+    want = per_tick_oracle.run_period(FixedPlanner(plans, wake), stores[1], source, *args)
+    assert_same_log(got, want)
+    assert stores[0] == stores[1]
+    assert got.skipped_wakeups == 0
+    return want
 
 
 @contextmanager
@@ -413,10 +439,67 @@ class TestRunPeriod:
         assert stores[0] == stores[1]
         assert skipped > 0 and awake > 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), wake=st.integers(1, 5), inc=st.integers(0, 12),
+           slot_len=st.integers(1, 40), n_slots=st.integers(1, 4),
+           as_list=st.booleans(), record=st.booleans())
+    def test_funded_slots_match_the_oracle(self, data, wake, inc, slot_len, n_slots, as_list,
+                                           record):
+        # every slot is funded at its start, so the kernel takes its closed
+        # form; stores near a small capacity clamp inside the slots
+        cap = data.draw(st.integers(wake, 12 * wake), label="cap")
+        stored = data.draw(st.integers(0, cap), label="stored")
+        offsets = st.sets(st.integers(0, slot_len - 1)).map(sorted).map(tuple)
+        plans = data.draw(st.lists(offsets, min_size=n_slots, max_size=n_slots), label="plans")
+        events = data.draw(st.binary(min_size=n_slots * slot_len, max_size=n_slots * slot_len)
+                           .map(lambda b: bytes(x & 1 for x in b)), label="events")
+        run_fixed_plans(plans, slot_len, wake, inc, cap, stored,
+                        list(events) if as_list else events, record)
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["bytes", "list"])
+    @pytest.mark.parametrize("record", [False, True], ids=["summary", "per-tick"])
+    @pytest.mark.parametrize("plans, cap, stored, clamps", [
+        # a wake-up at 0 and at L - 1: from 5 quanta the store fills at tick
+        # 6 and clamps from tick 7 to the last wake-up
+        pytest.param([(0, 29)], 10, 5, [1], id="clamps-once"),
+        # from full, each wake-up takes 2 quanta back, which 2 ticks refill
+        pytest.param([(0, 10, 20)], 10, 10, [3], id="clamps-three-times"),
+        pytest.param([(), (0, 1, 2, 3)], 10, 0, [1, 1], id="empty-plan"),
+        pytest.param([()], 40, 11, [1], id="clamps-on-the-last-tick"),
+    ])
+    def test_funded_slots_that_clamp_match_the_oracle(self, plans, cap, stored, clamps, record,
+                                                      as_list):
+        # a wake-up costs 2 quanta and a tick harvests 1
+        events = bytes(t % 3 == 0 for t in range(30 * len(plans)))
+        events = list(events) if as_list else events
+        run_fixed_plans(plans, 30, 2, 1, cap, stored, events, record)
+        # the oracle's clamps per slot: the runs of ticks whose draw and
+        # harvest overflow the capacity
+        ticks = run_fixed_plans(plans, 30, 2, 1, cap, stored, events, True).ticks
+        s, over = stored, []
+        for d, h in zip(ticks["drawn"], ticks["harvested"]):
+            s += 2 * (h - d)
+            over.append(s > cap)
+            s = min(s, cap)
+        starts = [t for t in range(len(over)) if over[t] and (t % 30 == 0 or not over[t - 1])]
+        assert [sum(t // 30 == i for t in starts) for i in range(len(plans))] == clamps
+
     def test_partition_study_matches_per_tick_oracle(self):
         config = base_config(learner=LearnerConfig(k_levels=4), entry_level=None, seed=5)
         kernel = run_partition_study(config, [3, 1])
         assert kernel == per_tick_oracle.run_partition_study(config, [3, 1])
+
+    def test_a_partition_study_prices_each_entry_level_once(self, monkeypatch):
+        config = base_config(learner=LearnerConfig(k_levels=4), entry_level=None, seed=5)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return entry_level_energy(*args)
+
+        monkeypatch.setattr(engine, "entry_level_energy", spy)
+        run_partition_study(config, [3, 1])  # 100 periods
+        assert [level for level, *_ in calls] == [3, 1]
 
     def test_per_tick_records_have_period_shape(self):
         config = base_config(record_level="per-tick", n_periods=2)

@@ -158,3 +158,24 @@ def test_every_period_of_every_case_balances_exactly(case, record_level, monkeyp
             log.stored_start, log.stored_end, log.harvested, log.forced_delta, log.drawn,
             log.wasted_saturation))
         assert end - (start + harvested + forced - drawn - wasted) == 0, log.period
+
+
+@pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_learning_policies_plan_only_funded_wake_ups(case, record_level, monkeypatch):
+    # profiling plans from `full_floor`, probes from `probe_floor` and
+    # episodes from `affordable_actions`: every slot is funded at its start,
+    # which is what lets the kernel take each planned slot in closed form
+    logs = []
+    run_period = engine.run_period
+
+    def logging_run_period(policy, *args):
+        log = run_period(policy, *args)
+        if policy.name in ("smarton", "ctidpro"):
+            logs.append(log)
+        return log
+
+    monkeypatch.setattr(engine, "run_period", logging_run_period)
+    run_sweep(scenario_for(case).with_value("run", "record_level", record_level))
+    assert logs
+    assert [log.period for log in logs if log.skipped_wakeups] == []
