@@ -7,6 +7,10 @@ here even when every run-vs-run replay test stays green.  Two variants pin
 the contracts that outputs depend on neither ``record_level`` nor ``--jobs``:
 they must reproduce the digests of their summary-mode, serial twins.
 
+The CSVs show the learner only through its convergence latches, so a second
+digest per case pins the learner's own state: every learning run's Q-values,
+episode log and phase-1 stays, reals by `float.hex`.
+
 A change that is meant to alter simulated numbers re-pins these digests and
 explains every changed cell.
 """
@@ -80,6 +84,16 @@ DIGESTS = {
     ),
 }
 
+LEARNER_DIGESTS = {
+    "adaptation": "39524b8045ec7b2dcb7eb57781838d5b4a5e7df991b1dba48e01de7d36364a01",
+    "conv-per-entry": "847b854261359e6b1a9614791652dabce0c48660ba55bdac3e962e22cca02fa8",
+    "conv-vs-ratio": "bf5312e195ec16cac82d21a9158dcfdade6d86e56ea689b008d6fe325707bc91",
+    "fig-perf": "54d8d72bb60a98ed4e69ae38b4e3309109d82407a45656052c19f148e23aede3",
+    "fig-perf-subset": "16af942d8a388ee1f88ba14a036be4bade80829e33eddbe08bbb59c93f407ba2",
+    "learning-order": "a5720d3ddc5823092fd623950b9fb473676c63d16a23458bd31846b89018f0b1",
+    "state-duration": "02cd3b158baa74a7363fe24d0c746def97f2dda94ac3e0382f62905e77c720ab",
+}
+
 
 def scenario_for(case: str):
     preset, overrides = CASES[case]
@@ -102,14 +116,47 @@ def sweep_digests(scenario, out_dir) -> tuple[str, ...]:
     return digests(out_dir)
 
 
+def learner_state_digest(scenario, monkeypatch) -> str:
+    """SHA-256 over the learning runs of a sweep, partition studies
+    included, in run order: each Q-table's values, the episode log and the
+    phase-1 stays."""
+    policies = []
+    make_policy = engine.make_policy
+
+    def capturing_make_policy(config):
+        policies.append(make_policy(config))
+        return policies[-1]
+
+    monkeypatch.setattr(engine, "make_policy", capturing_make_policy)
+    run_sweep(scenario)
+    learners = [policy for policy in policies if policy.name == "smarton"]
+    assert learners
+    digest = hashlib.sha256()
+    for policy in learners:
+        for shape, table in policy.ctx.tables.items():
+            cells = [float(v).hex() for row in table.values for v in row]
+            digest.update(repr((shape, cells)).encode())
+        for ep in policy.episodes:
+            digest.update(repr((ep["shape"], ep["entry_level"], ep["actions"],
+                                float(ep["reward"]).hex(),
+                                float(ep["max_change"]).hex())).encode())
+        digest.update(repr(policy.phase1_stays).encode())
+    return digest.hexdigest()
+
+
 def test_every_preset_is_pinned():
     assert {preset for preset, _ in CASES.values()} == set(PRESETS)
-    assert set(DIGESTS) == set(CASES)
+    assert set(DIGESTS) == set(CASES) == set(LEARNER_DIGESTS)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_preset_digests(case, tmp_path):
     assert sweep_digests(scenario_for(case), tmp_path) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_learner_state_digests(case, monkeypatch):
+    assert learner_state_digest(scenario_for(case), monkeypatch) == LEARNER_DIGESTS[case]
 
 
 def test_per_tick_recording_reproduces_summary_digests(tmp_path):

@@ -242,6 +242,52 @@ class TestLookAhead:
         assert 1 in result.phase_timeline[70:] and result.phase_timeline[-1] == 3
         assert seen["skipped"] > seen["slots"] / 2
 
+    @pytest.mark.parametrize("policy_name", ["smarton", "ctidpro"])
+    def test_a_phase3_period_keeps_its_active_slots(self, policy_name, monkeypatch):
+        # what lets a kernel walk a phase-3 period's active slots itself: the
+        # tuple `on_period_start` leaves holds at every later stop of the
+        # period, which the per-tick oracle makes at every slot
+        seen = {"periods": 0, "probing": 0, "stops": 0}
+        make_policy_ = engine.make_policy
+
+        def checked_policy(config):
+            policy = make_policy_(config)
+            period_start, plan_slot, on_slot_end = (
+                policy.on_period_start, policy.plan_slot, policy.on_slot_end)
+            fixed = [None]  # the period's active slots, in a phase-3 period
+
+            def start(period):
+                period_start(period)
+                fixed[0] = policy._active_slots if policy.current_phase == 3 else None
+                if fixed[0] is not None:
+                    seen["periods"] += 1
+                    seen["probing"] += bool(policy._probe_slots)
+
+            def checked(hook):
+                def stop(*args):
+                    result = hook(*args)
+                    if fixed[0] is not None:
+                        seen["stops"] += 1
+                        assert policy._active_slots == fixed[0], args
+                    return result
+                return stop
+
+            policy.on_period_start = start
+            policy.plan_slot, policy.on_slot_end = checked(plan_slot), checked(on_slot_end)
+            return policy
+
+        monkeypatch.setattr(engine, "make_policy", checked_policy)
+        config = SimConfig(
+            pattern=build_pattern([("type1", 10)]), policy=policy_name, entry_level=4,
+            repeat_first_period=True, n_periods=140, seed=1, charging_ratio=8.5,
+            learner=LearnerConfig(probe_budget=5),
+            schedule=(PatternChange(70, "replace", build_pattern([("type3", 25)]),
+                                    entry_level=3),),
+        )
+        per_tick_oracle.run_experiment(config)
+        assert seen["probing"] == seen["periods"] > 20
+        assert seen["stops"] == 2 * 40 * seen["periods"]
+
     def test_exploiting_ctidpro_looks_ahead_to_known_and_probe_slots(self):
         policy = CtidProPolicy(LearnerConfig(probe_budget=0), 40, seed=0)
         policy.current_phase = 3
