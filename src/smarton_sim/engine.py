@@ -529,15 +529,17 @@ def run_period(
                 if record_ticks:
                     slot_info.extend(repeat(slot_info[-1], run_end - slot - 1))
                 slot = run_end - 1
+            elif uniform and not plan:
+                s, waste = _idle(s, waste, inc, cap, slot_len)
             elif uniform and s >= len(plan) * wake:
                 # funded at its start, so no wake-up fails: the store is the
                 # harvest-less-draw path reflected at `cap`, which rises
-                # between wake-ups and peaks just before one or at the end
+                # between wake-ups and peaks just before one or at the end;
+                # before a wake-up it is at most `s + plan[-1] * inc`
                 slot_awake = len(plan)
                 slot_catches = sum(map(events[base : base + slot_len].__getitem__, plan))
-                top = s + slot_len * inc
-                end = top - slot_awake * wake
-                if top > cap:
+                end = s + slot_len * inc - slot_awake * wake
+                if end > cap or s + plan[-1] * inc > cap:
                     peak = max([end] + [s + o * inc - j * wake for j, o in enumerate(plan)])
                     if peak > cap:
                         waste += peak - cap

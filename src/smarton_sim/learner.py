@@ -236,15 +236,15 @@ def find_peaks(counts, cfg: LearnerConfig) -> list[tuple[int, str]]:
 
 class QTable:
     """State-action values for one peak shape, with per-entry-level
-    convergence bookkeeping."""
+    convergence bookkeeping.  `values[state][action]` is a Python float, one
+    list per (energy level, step) row: an update touches one cell."""
 
     def __init__(self, shape: str, k_levels: int, t_steps: int, n_actions: int):
         self.shape = shape
         self.k = k_levels
         self.t = t_steps
         self.n = n_actions
-        self.values = np.zeros((k_levels * t_steps, n_actions))
-        self.touched = np.zeros((k_levels * t_steps, n_actions), dtype=bool)
+        self.values = [[0.0] * n_actions for _ in range(k_levels * t_steps)]
         # per entry level, in first-entry order: max |dQ| of each completed
         # episode entered there
         self.episode_changes: dict[int, list[float]] = {}
@@ -291,21 +291,22 @@ def q_update(
     could actually fund at the next step.  An energy level spans a range of
     stored energy, so without the mask the max borrows value from actions
     the just-executed path can no longer afford, and low-entry policies
-    degenerate into spend-first behavior.  Cells are read as Python floats:
-    the IEEE double arithmetic is the same as on NumPy scalars."""
+    degenerate into spend-first behavior.  The cells are Python floats, and
+    the update is the IEEE double arithmetic NumPy scalars would do."""
     values = table.values
     if next_state is None:
         bootstrap = 0.0
     elif next_affordable is None:
-        bootstrap = float(values[next_state].max())
+        bootstrap = max(values[next_state])
     else:
-        bootstrap = max(map(values[next_state].tolist().__getitem__, next_affordable))
-    old = values.item(state, action)
+        bootstrap = max(map(values[next_state].__getitem__, next_affordable))
+    row = values[state]
+    old = row[action]
     new = (1.0 - cfg.alpha) * old + cfg.alpha * (reward + cfg.gamma * bootstrap)
-    values[state, action] = new
-    table.touched[state, action] = True
-    if not abs(new) <= cfg.q_bound + 1e-9:
-        raise RuntimeError(f"Q value {new} escaped bound {cfg.q_bound}")
+    row[action] = new
+    bound = cfg.state_duration * cfg.reward_catch / (1.0 - cfg.gamma)  # `cfg.q_bound`
+    if not abs(new) <= bound + 1e-9:
+        raise RuntimeError(f"Q value {new} escaped bound {bound}")
     return abs(new - old)
 
 
@@ -329,10 +330,10 @@ def choose_action(table: QTable, state: int, phase: int, affordable, stream) -> 
     """Phase-2: uniform over affordable actions.  Phase-3: affordable argmax,
     ties broken toward the lower frequency."""
     if phase == 2:
-        return stream.choice(affordable)
+        return affordable[stream.next_below(len(affordable))]
     if phase == 3:
         # max keeps the first of equal values: the lowest such action
-        return max(affordable, key=table.values[state].tolist().__getitem__)
+        return max(affordable, key=table.values[state].__getitem__)
     raise ValueError(f"no action policy for phase {phase}")
 
 

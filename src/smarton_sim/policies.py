@@ -20,8 +20,8 @@ efficiency metric still prices every awake tick at one wake cost.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 
 from .energy import WAKE_COST, quanta, quantize, require_finite
 from .learner import (
@@ -31,6 +31,7 @@ from .learner import (
     PhaseContext,
     ProbeCaught,
     ProfileConverged,
+    QTable,
     SlotProfile,
     affordable_actions,
     choose_action,
@@ -152,6 +153,8 @@ class _Profiling(BasePolicy):
     `_exploit` and `_reprofile`, and define the engine hooks themselves.
     Stored energy is in quanta, `wake` of them to a wake-up."""
 
+    _episode: _Episode | None = None  # the learning policy's open episode
+
     def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int, wake: int = 1):
         self.cfg = cfg
         self.wake = wake
@@ -176,21 +179,27 @@ class _Profiling(BasePolicy):
         self._active_slots = tuple(sorted(self._exploit_starts() | self._probe_slots))
 
     def _draw_probes(self) -> None:
-        """This period's probe slots, at its start: drawn in phase 3 only."""
+        """This period's probe slots, at its start: drawn in phase 3 only.
+        `_active_slots` is rebuilt in phase 3 and where the probes leave it."""
         self._probe_catches = 0
-        self._probe_slots = set()
-        if self.current_phase == 3 and self.cfg.probe_budget > 0:
-            candidates = self._probe_candidates
-            if candidates is None:
+        if self.current_phase == 3:
+            if self._probe_candidates is None:
                 known = self.known_slots
-                candidates = tuple(s for s in range(self.n_slots) if s not in known)
-                self._probe_candidates = candidates
-            self._probe_slots = probe_plan(candidates, self.cfg.probe_budget, self.probe_stream)
+                self._probe_candidates = tuple(s for s in range(self.n_slots) if s not in known)
+            self._probe_slots = probe_plan(self._probe_candidates, self.cfg.probe_budget,
+                                           self.probe_stream)
+        elif self._probe_slots:
+            self._probe_slots = set()
+        else:
+            return
         self._refresh_active_slots()
 
     def next_active_slot(self, slot: int) -> int:
-        # while profiling only unvisited slots plan anything; otherwise the
-        # slots where exploiting begins and this period's probe slots
+        # every slot of an episode plans; while profiling only unvisited
+        # slots plan anything; otherwise the slots where exploiting begins
+        # and this period's probe slots
+        if self._episode is not None:
+            return slot
         if self.current_phase == 1:
             return self.profile.next_unvisited(slot)
         active = self._active_slots
@@ -233,8 +242,34 @@ class _Profiling(BasePolicy):
             self._reprofile()
 
 
+@dataclass(slots=True)
+class _Episode:
+    """One Q-learning episode over a learned peak.  `state` and `affordable`
+    belong to the step at `slot`: found when the step before it ended, or at
+    entry, for the store `at`, and found again when the store differs as the
+    step is planned."""
+
+    table: QTable
+    entry_level: int
+    entry_affordable: tuple[int, ...]
+    slot: int
+    n_steps: int
+    at: int
+    state: int
+    affordable: tuple[int, ...]
+    step: int = 1
+    action: int = 0  # the action planned for the running step
+    reward: float = 0.0
+    actions: list[int] = field(default_factory=list)
+    # (state, action, reward, next state, next affordable) of each phase-2 step
+    transitions: list[tuple] = field(default_factory=list)
+
+
 class SmartOnPolicy(_Profiling):
-    """The three-phase learner bound to one run."""
+    """The three-phase learner bound to one run.  Its open episode is one
+    `_Episode`, whose steps `_plan_episode_action` plans and
+    `_finish_episode_step` finishes; the actions a store can fund are one
+    bisect of the funding floors fixed at construction."""
 
     name = "smarton"
 
@@ -242,6 +277,10 @@ class SmartOnPolicy(_Profiling):
                  wake: int = 1):
         super().__init__(cfg, n_slots, seed, wake)
         self.capacity = capacity  # in quanta
+        # the least stored energy that funds each action's schedule, and the
+        # actions a store at each of these floors can fund
+        self._floors = tuple(len(plan) * wake for plan in self._plans)
+        self._affordable_at = tuple(affordable_actions(cfg, len(plan)) for plan in self._plans)
         self.ctx = PhaseContext(cfg, n_slots)
         self.explore = Stream(seed, "explore")
         # the forced entry level of the running segment, if any
@@ -250,7 +289,6 @@ class SmartOnPolicy(_Profiling):
         # exploitation gate is then read off the latch bookkeeping instead
         self.explore_forever = False
         # episode state
-        self._episode = None
         self._phase_at_period_start = 1
         self._last_entry_level: dict[str, int] = {}
         self.episodes: list[dict] = []
@@ -274,7 +312,7 @@ class SmartOnPolicy(_Profiling):
         return quantize(stored, self.capacity, self.cfg.k_levels)
 
     def _affordable(self, stored: int) -> tuple[int, ...]:
-        return affordable_actions(self.cfg, stored // self.wake)
+        return self._affordable_at[bisect_right(self._floors, stored) - 1]
 
     def _refresh_peaks(self) -> None:
         self._peak_starts = {p.start_slot: p for p in self.ctx.known_peaks}
@@ -286,12 +324,6 @@ class SmartOnPolicy(_Profiling):
     def on_period_start(self, period: int) -> None:
         self._phase_at_period_start = self.ctx.phase
         self._draw_probes()
-
-    def next_active_slot(self, slot: int) -> int:
-        # every slot of an episode plans
-        if self._episode is not None:
-            return slot
-        return _Profiling.next_active_slot(self, slot)
 
     def _transition(self, observation) -> None:
         phase_transition(self.ctx, observation)
@@ -312,52 +344,37 @@ class SmartOnPolicy(_Profiling):
         self.current_step = 0
         if self.ctx.phase == 1:
             return self._plan_profile(slot, stored)
-        if self._episode is not None:
-            return self._episode_step_plan(slot, stored)
-        peak = self._peak_starts.get(slot)
-        if peak is not None:
-            return self._begin_episode(peak, stored)
-        return self._plan_probe(slot, stored)
+        ep = self._episode
+        if ep is None:
+            peak = self._peak_starts.get(slot)
+            if peak is None:
+                return self._plan_probe(slot, stored)
+            self._begin_episode(peak, stored)
+        elif slot != ep.slot:
+            raise RuntimeError(f"episode cursor lost: slot {slot}, expected {ep.slot}")
+        return self._plan_episode_action(stored)
 
-    def _begin_episode(self, peak: LearnedPeak, stored: int):
+    def _begin_episode(self, peak: LearnedPeak, stored: int) -> None:
         table = self.ctx.table_for(peak.shape)
         entry_level = self._quantize(stored)
         affordable = self._affordable(stored)
         self._last_entry_level[peak.shape] = entry_level
-        self._episode = {
-            "peak": peak,
-            "table": table,
-            "entry_level": entry_level,
-            "entry_affordable": affordable,
-            "step": 1,
-            # (stored, state, affordable) of the step about to be planned
-            "next": (stored, table.get_state(entry_level, 1), affordable),
-            "pending": None,  # (state, action) awaiting reward
-            "transitions": [],
-            "max_change": 0.0,
-            "actions": [],
-            "reward": 0.0,
-        }
-        return self._plan_episode_action(stored)
+        self._episode = _Episode(table, entry_level, affordable, slot=peak.start_slot,
+                                 n_steps=peak.n_steps, at=stored,
+                                 state=table.get_state(entry_level, 1), affordable=affordable)
 
     def _plan_episode_action(self, stored: int):
+        """The running step's schedule, the one planner of episode steps."""
         ep = self._episode
-        at, state, affordable = ep["next"]
-        if stored != at:  # entry forcing moved the store since the last step ended
-            state = ep["table"].get_state(self._quantize(stored), ep["step"])
-            affordable = self._affordable(stored)
-        action = choose_action(ep["table"], state, self.ctx.phase, affordable, self.explore)
-        ep["pending"] = (state, action)
-        ep["actions"].append(action)
-        self.current_step = ep["step"]
+        if stored != ep.at:  # entry forcing moved the store since the last step ended
+            ep.at = stored
+            ep.state = ep.table.get_state(self._quantize(stored), ep.step)
+            ep.affordable = self._affordable(stored)
+        action = ep.action = choose_action(ep.table, ep.state, self.ctx.phase, ep.affordable,
+                                           self.explore)
+        ep.actions.append(action)
+        self.current_step = ep.step
         return self._plans[action]
-
-    def _episode_step_plan(self, slot: int, stored: int):
-        ep = self._episode
-        expected = ep["peak"].start_slot + ep["step"] - 1
-        if slot != expected:
-            raise RuntimeError(f"episode cursor lost: slot {slot}, expected {expected}")
-        return self._plan_episode_action(stored)
 
     def on_slot_end(self, slot: int, awake: int, catches: int, stored: int) -> None:
         if self.ctx.phase == 1:
@@ -379,55 +396,57 @@ class SmartOnPolicy(_Profiling):
 
     def _finish_episode_step(self, catches: int, awake: int, stored: int) -> None:
         ep = self._episode
-        state, action = ep["pending"]
+        state = ep.state
         reward = reward_from_counts(catches, awake, self.cfg)
-        ep["reward"] += reward
-        if ep["step"] < ep["peak"].n_steps:
-            ep["step"] += 1
-            next_state = ep["table"].get_state(self._quantize(stored), ep["step"])
-            next_affordable = self._affordable(stored)
+        ep.reward += reward
+        if ep.step < ep.n_steps:
             # the next step plans from these unless entry forcing moves the store
-            ep["next"] = (stored, next_state, next_affordable)
+            ep.slot += 1
+            ep.step += 1
+            ep.at = stored
+            next_state = ep.state = ep.table.get_state(self._quantize(stored), ep.step)
+            next_affordable = ep.affordable = self._affordable(stored)
         else:
             next_state = next_affordable = None
         if self.ctx.phase == 2:
-            ep["transitions"].append((state, action, reward, next_state, next_affordable))
+            ep.transitions.append((state, ep.action, reward, next_state, next_affordable))
         if next_state is None:
             self._complete_episode()
 
-    def _apply_episode_updates(self, ep) -> None:
+    def _apply_episode_updates(self, ep: _Episode) -> float:
         """Run the episode's Bellman updates in reverse step order so a value
         discovered at a late step reaches the entry row within the same
         episode; forward order would need one episode per propagation hop,
-        which starves rarely explored low-energy paths."""
+        which starves rarely explored low-energy paths.  Returns the largest
+        tracked |dQ|."""
         cfg = self.cfg
-        scope_row = ep["table"].get_state(ep["entry_level"], 1)
-        for state, action, reward, next_state, next_affordable in reversed(
-            ep["transitions"]
-        ):
-            dq = q_update(
-                ep["table"], state, action, reward, next_state, cfg,
-                next_affordable=next_affordable,
-            )
-            if cfg.convergence_scope == "touched" or state == scope_row:
-                ep["max_change"] = max(ep["max_change"], dq)
+        table = ep.table
+        touched = cfg.convergence_scope == "touched"
+        scope_row = table.get_state(ep.entry_level, 1)
+        max_change = 0.0
+        for state, action, reward, next_state, next_affordable in reversed(ep.transitions):
+            dq = q_update(table, state, action, reward, next_state, cfg,
+                          next_affordable=next_affordable)
+            if dq > max_change and (touched or state == scope_row):
+                max_change = dq
+        return max_change
 
     def _complete_episode(self) -> None:
         ep = self._episode
         self._episode = None
         if self.ctx.phase != 2:
             return
-        self._apply_episode_updates(ep)
-        table = ep["table"]
-        level = ep["entry_level"]
-        table.record_episode(level, ep["max_change"], ep["entry_affordable"])
+        max_change = self._apply_episode_updates(ep)
+        table = ep.table
+        level = ep.entry_level
+        table.record_episode(level, max_change, ep.entry_affordable)
         self.episodes.append(
             {
                 "shape": table.shape,
                 "entry_level": level,
-                "actions": tuple(ep["actions"]),
-                "reward": ep["reward"],
-                "max_change": ep["max_change"],
+                "actions": tuple(ep.actions),
+                "reward": ep.reward,
+                "max_change": max_change,
             }
         )
         newly = (

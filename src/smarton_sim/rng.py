@@ -85,9 +85,6 @@ class Stream:
         self.cursor = i + 1
         return int((mix64(self.key + (i + 1) * GOLDEN_GAMMA) >> 11) * 2.0**-53 * n)
 
-    def choice(self, seq):
-        return seq[self.next_below(len(seq))]
-
     def sample_without_replacement(self, items: list, k: int) -> list:
         """First k elements of a Fisher-Yates shuffle driven by this stream."""
         pool = list(items)

@@ -65,11 +65,11 @@ def test_criterion_1_q_update_matches_brute_force():
         nxt = [(rng.next_double() - 0.5) * 600 for _ in range(4)]
         cfg = LearnerConfig(alpha=alpha, gamma=gamma)
         table = QTable("X", 2, 2, 4)
-        table.values[0, 0] = q
-        table.values[1, :] = nxt
+        table.values[0][0] = q
+        table.values[1] = nxt
         q_update(table, 0, 0, reward, 1, cfg)
         reference = q + alpha * (reward + gamma * max(nxt) - q)
-        assert table.values[0, 0] == pytest.approx(reference, rel=1e-12)
+        assert table.values[0][0] == pytest.approx(reference, rel=1e-12)
     elapsed = time.time() - t0
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 1: PASS - 1000 tuples at 1e-12 rel in {elapsed:.2f}s")
@@ -359,7 +359,7 @@ def test_criterion_10_property_suites():
         reward = (2 * rng.next_double() - 1) * cfg.max_step_reward
         nxt = rng.next_below(12) if rng.next_double() < 0.8 else None
         q_update(table, state, action, reward, nxt, cfg)
-        assert abs(table.values[state, action]) <= bound
+        assert abs(table.values[state][action]) <= bound
         cases += 1
 
     # per-period energy ledger, 1e-9 relative

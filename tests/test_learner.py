@@ -93,8 +93,7 @@ class TestQUpdate:
         cfg = LearnerConfig(alpha=0.7)
         table = QTable("LHL", 4, 3, 4)
         q_update(table, 0, 1, 18.0, None, cfg)
-        assert table.values[0, 1] == pytest.approx(12.6)
-        assert table.touched[0, 1]
+        assert table.values[0][1] == pytest.approx(12.6)
 
     def test_alpha_zero_rejected_by_config(self):
         with pytest.raises(ValueError):
@@ -125,25 +124,25 @@ class TestQUpdate:
         # constrained positive, so exercise the formula directly at 1e-12
         cfg = LearnerConfig(alpha=1e-12)
         table = QTable("LHL", 4, 3, 4)
-        table.values[0, 1] = 5.0
+        table.values[0][1] = 5.0
         q_update(table, 0, 1, 100.0, None, cfg)
-        assert table.values[0, 1] == pytest.approx(5.0, abs=1e-9)
+        assert table.values[0][1] == pytest.approx(5.0, abs=1e-9)
 
     def test_hand_value_with_bootstrap(self):
         # 0.3*5 + 0.7*(10 + 0.618*5) = 10.663
         cfg = LearnerConfig(alpha=0.7, gamma=0.618)
         table = QTable("LHL", 4, 3, 4)
-        table.values[0, 0] = 5.0
-        table.values[1, :] = 5.0
+        table.values[0][0] = 5.0
+        table.values[1] = [5.0] * 4
         q_update(table, 0, 0, 10.0, 1, cfg)
-        assert table.values[0, 0] == pytest.approx(10.663)
+        assert table.values[0][0] == pytest.approx(10.663)
 
     def test_terminal_step_has_zero_bootstrap(self):
         cfg = LearnerConfig(alpha=1.0)
         table = QTable("LHL", 4, 3, 4)
-        table.values[1, :] = 999.0
+        table.values[1] = [999.0] * 4
         q_update(table, 0, 0, 7.0, None, cfg)
-        assert table.values[0, 0] == 7.0
+        assert table.values[0][0] == 7.0
 
     def test_brute_force_reference_on_random_tuples(self):
         # reference: Q + alpha * (R + gamma * max(next) - Q)
@@ -156,11 +155,11 @@ class TestQUpdate:
             nxt = [(rng.next_double() - 0.5) * 600 for _ in range(4)]
             cfg = LearnerConfig(alpha=alpha, gamma=gamma)
             table = QTable("LHL", 2, 2, 4)
-            table.values[0, 0] = q
-            table.values[1, :] = nxt
+            table.values[0][0] = q
+            table.values[1] = nxt
             q_update(table, 0, 0, r, 1, cfg)
             reference = q + alpha * (r + gamma * max(nxt) - q)
-            assert table.values[0, 0] == pytest.approx(reference, rel=1e-12)
+            assert table.values[0][0] == pytest.approx(reference, rel=1e-12)
 
     def test_fixed_point_contraction(self):
         # constant reward, frozen policy: per-update change shrinks by (1-alpha)
@@ -172,7 +171,7 @@ class TestQUpdate:
         for previous, current in zip(changes, changes[1:]):
             if previous > 1e-12:
                 assert current <= previous * (1 - cfg.alpha) + 1e-12
-        assert table.values[0, 0] == pytest.approx(50.0)
+        assert table.values[0][0] == pytest.approx(50.0)
 
     def test_q_bound_asserted(self):
         cfg = LearnerConfig()
@@ -195,6 +194,15 @@ class TestQUpdate:
         table = QTable("LHL", 4, 3, 4)
         with pytest.raises(RuntimeError, match="escaped bound"):
             q_update(table, 0, 0, 10 * cfg.q_bound, None, cfg)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.618, 0.9])
+    def test_the_checked_bound_is_q_bound(self, gamma):
+        # with alpha 1 and no bootstrap the new value is the reward itself
+        cfg = LearnerConfig(alpha=1.0, gamma=gamma, state_duration=20, reward_catch=7.0)
+        table = QTable("LHL", 4, 3, 4)
+        q_update(table, 0, 0, -cfg.q_bound, None, cfg)
+        with pytest.raises(RuntimeError, match="escaped bound"):
+            q_update(table, 0, 0, cfg.q_bound + 1e-6, None, cfg)
 
 
 class TestChooseAction:
@@ -237,30 +245,30 @@ def affordable_reference(cfg, wakeups):
     ]
 
 
-def q_update_reference(table, state, action, reward, next_state, cfg, next_affordable=None):
-    """The Bellman update on NumPy scalars, cell by cell."""
+def q_update_reference(values, state, action, reward, next_state, cfg, next_affordable=None):
+    """The Bellman update on a NumPy array of the values, cell by cell."""
     if next_state is None:
         bootstrap = 0.0
     elif next_affordable is None:
-        bootstrap = float(table.values[next_state].max())
+        bootstrap = float(values[next_state].max())
     else:
-        bootstrap = max(float(table.values[next_state, a]) for a in next_affordable)
-    old = table.values[state, action]
+        bootstrap = max(float(values[next_state, a]) for a in next_affordable)
+    old = values[state, action]
     new = (1.0 - cfg.alpha) * old + cfg.alpha * (reward + cfg.gamma * bootstrap)
-    table.values[state, action] = new
-    table.touched[state, action] = True
+    values[state, action] = new
     if not abs(new) <= cfg.q_bound + 1e-9:
         raise RuntimeError(f"Q value {new} escaped bound {cfg.q_bound}")
     return abs(new - old)
 
 
 def choose_action_reference(table, state, phase, affordable, stream):
-    """Phase-2 draw from a list copy; phase-3 argmax by a loop over cells."""
+    """Phase-2 draw by scaling the next double; phase-3 argmax by a loop
+    over cells."""
     if phase == 2:
-        return stream.choice(list(affordable))
+        return affordable[int(stream.next_double() * len(affordable))]
     best = affordable[0]
     for a in affordable[1:]:
-        if table.values[state, a] > table.values[state, best]:
+        if table.values[state][a] > table.values[state][best]:
             best = a
     return best
 
@@ -274,8 +282,8 @@ def random_table(seed, k, t, n, bound, grid):
     """A table of values within +-bound; on a coarse grid, ties are common."""
     rng = np.random.default_rng(seed)
     table = QTable("H" * t, k, t, n)
-    values = rng.uniform(-bound, bound, size=table.values.shape)
-    table.values[:] = np.round(values / grid) * grid if grid else values
+    values = rng.uniform(-bound, bound, size=(k * t, n))
+    table.values = (np.round(values / grid) * grid if grid else values).tolist()
     return table
 
 
@@ -313,6 +321,22 @@ class TestReferenceEquivalence:
             assert got is affordable_actions(cfg, wakeups)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(freqs_and_slot=frequencies_and_slot(), wake=st.integers(min_value=1, max_value=20))
+    def test_the_learning_policy_affords_the_filtered_list(self, freqs_and_slot, wake):
+        # a store of `stored` quanta funds `stored // wake` wake-ups; the
+        # policy bisects the floors of its schedules instead
+        from smarton_sim.policies import SmartOnPolicy
+
+        freqs, duration = freqs_and_slot
+        cfg = LearnerConfig(frequencies=tuple(freqs), state_duration=duration)
+        policy = SmartOnPolicy(cfg, n_slots=1, seed=0, capacity=10**6, wake=wake)
+        costs = [schedule_cost(f, duration) for f in freqs]
+        for stored in {c * wake + d for c in costs + [costs[-1] + 1] for d in (-1, 0, 1, wake)}:
+            if stored >= 0:
+                assert policy._affordable(stored) == \
+                    tuple(affordable_reference(cfg, stored // wake))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         k=st.integers(min_value=2, max_value=5),
@@ -335,7 +359,7 @@ class TestReferenceEquivalence:
                                                    updates):
         cfg = LearnerConfig(alpha=alpha, gamma=gamma, k_levels=k)
         got = random_table(seed, k, t, n, cfg.q_bound, grid)
-        want = random_table(seed, k, t, n, cfg.q_bound, grid)
+        want = np.array(got.values)
         rows = k * t
         for state, action, reward, next_state, prefix in updates:
             state, action = state % rows, action % n
@@ -347,8 +371,7 @@ class TestReferenceEquivalence:
             ref = q_update_reference(want, state, action, reward, next_state, cfg,
                                      next_affordable=mask)
             assert float(dq).hex() == float(ref).hex()
-            assert got.values.tobytes() == want.values.tobytes()
-            assert got.touched.tobytes() == want.touched.tobytes()
+            assert np.array(got.values).tobytes() == want.tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -542,10 +565,10 @@ class TestPhaseTransitions:
     def test_tables_persist_across_reprofiling(self):
         ctx = self._ctx()
         table = ctx.table_for("LHL")
-        table.values[0, 0] = 42.0
+        table.values[0][0] = 42.0
         ctx.phase = 3
         phase_transition(ctx, ProbeCaught(2))
-        assert ctx.tables["LHL"].values[0, 0] == 42.0
+        assert ctx.tables["LHL"].values[0][0] == 42.0
 
 
 class TestPartitionIsolation:
@@ -577,8 +600,17 @@ class TestPartitionIsolation:
         walk(1, entry_value)
         return {(lvl, stp) for lvl, stp in reachable if stp <= t_steps}
 
-    def test_touched_rows_subset_of_reachable(self):
+    def test_touched_rows_subset_of_reachable(self, monkeypatch):
+        from smarton_sim import policies
         from smarton_sim.engine import SimConfig, run_experiment
+
+        updated = set()  # every (table, row) an update touched
+
+        def recording_q_update(table, state, *args, **kwargs):
+            updated.add((table, state))
+            return q_update(table, state, *args, **kwargs)
+
+        monkeypatch.setattr(policies, "q_update", recording_q_update)
 
         cfg = LearnerConfig(k_levels=3, convergence_epsilon=1e9)
         pattern = build_pattern([("type1", 10)])
@@ -599,8 +631,6 @@ class TestPartitionIsolation:
             cfg, table.shape, entry_value=100, capacity=120, inflow_per_tick=Fraction(1, 9),
         )
         touched_rows = {
-            (row // table.t + 1, row % table.t + 1)
-            for row in range(table.values.shape[0])
-            if table.touched[row].any()
+            (row // table.t + 1, row % table.t + 1) for touched, row in updated if touched is table
         }
-        assert touched_rows <= oracle
+        assert touched_rows and touched_rows <= oracle

@@ -193,8 +193,19 @@ class TestEpisodeSteps:
         policy.plan_slot(10, 120)
         policy.on_slot_end(10, 0, 0, 100)
         plan = policy.plan_slot(11, stored)
-        assert policy._episode["pending"] == (table.get_state(level, 2), action)
+        assert (policy._episode.state, policy._episode.action) == (table.get_state(level, 2),
+                                                                   action)
         assert plan == wake_offsets((0.0, 0.2, 0.5, 1.0)[action], 30)
+
+    def test_a_step_planned_off_the_episode_cursor_is_refused(self):
+        policy = SmartOnPolicy(LearnerConfig(), n_slots=40, seed=0, capacity=120)
+        policy.ctx.phase = 3
+        policy.ctx.known_peaks = (LearnedPeak(10, "HHH"),)
+        policy._refresh_peaks()
+        policy.plan_slot(10, 120)
+        policy.on_slot_end(10, 0, 0, 100)
+        with pytest.raises(RuntimeError, match="episode cursor lost: slot 12, expected 11"):
+            policy.plan_slot(12, 100)
 
 
 class TestLookAhead:
