@@ -308,7 +308,8 @@ def quantize(stored: int, capacity: int, k: int) -> int:
     k * stored / capacity; an empty store is level 1."""
     if k < 2:
         raise ValueError(f"need at least 2 levels, got {k}")
-    return min(max(-(-k * stored // capacity), 1), k)
+    level = -(-k * stored // capacity)  # clipped without builtin calls: asked at every step
+    return 1 if level < 1 else k if level > k else level
 
 
 # Capacitor presets by name.  v_max/v_activate defaults (3.3 V / 2.8 V) are

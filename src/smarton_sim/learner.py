@@ -288,7 +288,8 @@ def q_update(
     (zero bootstrap).  Returns |dQ|.
 
     `next_affordable` restricts the bootstrap max to the actions the store
-    could actually fund at the next step.  An energy level spans a range of
+    could actually fund at the next step: the first actions, as
+    `affordable_actions` gives them.  An energy level spans a range of
     stored energy, so without the mask the max borrows value from actions
     the just-executed path can no longer afford, and low-entry policies
     degenerate into spend-first behavior.  The cells are Python floats, and
@@ -299,7 +300,7 @@ def q_update(
     elif next_affordable is None:
         bootstrap = max(values[next_state])
     else:
-        bootstrap = max(map(values[next_state].__getitem__, next_affordable))
+        bootstrap = max(values[next_state][: len(next_affordable)])
     row = values[state]
     old = row[action]
     new = (1.0 - cfg.alpha) * old + cfg.alpha * (reward + cfg.gamma * bootstrap)

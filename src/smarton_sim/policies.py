@@ -359,9 +359,8 @@ class SmartOnPolicy(_Profiling):
         entry_level = self._quantize(stored)
         affordable = self._affordable(stored)
         self._last_entry_level[peak.shape] = entry_level
-        self._episode = _Episode(table, entry_level, affordable, slot=peak.start_slot,
-                                 n_steps=peak.n_steps, at=stored,
-                                 state=table.get_state(entry_level, 1), affordable=affordable)
+        self._episode = _Episode(table, entry_level, affordable, peak.start_slot, peak.n_steps,
+                                 stored, table.get_state(entry_level, 1), affordable)
 
     def _plan_episode_action(self, stored: int):
         """The running step's schedule, the one planner of episode steps."""

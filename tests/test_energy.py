@@ -126,6 +126,10 @@ class TestQuantize:
         # K=4, capacity 120, stored 50 sits in bin (30, 60]
         assert quantize(50, 120, 4) == 2
 
+    @pytest.mark.parametrize("stored, level", [(-200, 1), (-1, 1), (121, 4), (10**9, 4)])
+    def test_stores_outside_the_capacity_clip_to_the_end_levels(self, stored, level):
+        assert quantize(stored, 120, 4) == level
+
     @given(capacity=st.integers(min_value=1, max_value=10**6), k=st.integers(2, 12),
            level=st.integers(1, 12), scale=st.sampled_from([1, 17, 2**70]))
     def test_a_level_holds_its_top_and_not_the_quantum_above(self, capacity, k, level, scale):
