@@ -35,6 +35,16 @@ FIG_PERF_SUBSET = (
     ("run", "n_periods", 40),
 )
 
+# a source trace of 331 ticks, so no period starts at the same offset for
+# many periods: long runs of one inflow, a dark stretch, a stretch that varies
+# tick by tick, and a lit first tick, so that CTID's phase-jitter warm-up runs
+TRACE_VALUES = (
+    [0.8] * 120 + [0.0] * 60 + [2.35] * 41 + [0.15, 0.6, 1.95, 0.0, 3.1] * 14 + [0.45] * 40
+)
+# stands for `source = trace:<path>` of a file holding TRACE_VALUES, which
+# `scenario_for` writes: no digest depends on the file's path
+TRACE_SOURCE = object()
+
 # case -> (preset, overrides)
 CASES = {
     "fig-perf": ("fig-perf", (("sweep", "seeds", "0"),)),
@@ -44,6 +54,15 @@ CASES = {
     "state-duration": ("state-duration", (("sweep", "seeds", "0"),)),
     "adaptation": ("adaptation", ()),
     "fig-perf-subset": ("fig-perf", (("sweep", "seeds", "0"),) + FIG_PERF_SUBSET),
+    # the varying sources, with CTID's phase jitter on: two diurnal days'
+    # periods (the first dusk falls in period 36, the next dawn in period 72),
+    # a source cut inside the peaks and a cyclic trace file
+    "fig-perf-diurnal": ("fig-perf", (("sweep", "seeds", "0"),) + FIG_PERF_SUBSET
+                         + (("energy", "source", "diurnal"), ("run", "n_periods", 80))),
+    "fig-perf-gated": ("fig-perf", (("sweep", "seeds", "0"),) + FIG_PERF_SUBSET
+                       + (("energy", "gate_in_peaks", True),)),
+    "fig-perf-trace": ("fig-perf", (("sweep", "seeds", "0"),) + FIG_PERF_SUBSET
+                       + (("energy", "source", TRACE_SOURCE),)),
 }
 
 DIGESTS = {
@@ -67,6 +86,21 @@ DIGESTS = {
         "b763737cc2a2c9621b92d7c22bdf4b94c1cc31a0bc20c0c7c120c1bbafe601fb",
         "fda73f467a02e10fdc6c7dfce21240ef2458d21dbdfc58c65906b5a3a60f108c",
     ),
+    "fig-perf-diurnal": (
+        "1760e21b066e8116354c57eef9722a0e44e153dd709b04051908a4277628acce",
+        "f3deaaeff9813ef55fe53e5c6e84f03b6e8cb6d8302e5c8fb1ea3798ef415a59",
+        "b865299aa8c18d944311c4fec010cf7d94798edc5f2e7a8916e16d845d76a882",
+    ),
+    "fig-perf-gated": (
+        "8a20ecd878edc5c0ec595d39da52d6bc7587da24a32b17dfcc17da54086e232c",
+        "ad9113c02641db91fc44cf146fedf07b94e660c3ab0bc02a5988cb64ef57d6c2",
+        "3129ea220a157b496179d095c5240e5b07909429ce4d0dc633b02c07494efb47",
+    ),
+    "fig-perf-trace": (
+        "892f7c81b906cfcb084454ef3c849bed88eea9254f08a5afc31ed51184d9972d",
+        "ad9113c02641db91fc44cf146fedf07b94e660c3ab0bc02a5988cb64ef57d6c2",
+        "8a97a3e86dedee33cbe2eb89e4685b67e2554ca1717fdff12a458bab39f55ff8",
+    ),
     "fig-perf-subset": (
         "e7bb2dd1c2cbf71eaf7a9870966fe03a38a763a6d8354f4badedc534abd62dad",
         "a3ec42a7a124d2622fd304282061740f597acb921d50b66f169d51660d5e2b84",
@@ -89,16 +123,24 @@ LEARNER_DIGESTS = {
     "conv-per-entry": "847b854261359e6b1a9614791652dabce0c48660ba55bdac3e962e22cca02fa8",
     "conv-vs-ratio": "bf5312e195ec16cac82d21a9158dcfdade6d86e56ea689b008d6fe325707bc91",
     "fig-perf": "54d8d72bb60a98ed4e69ae38b4e3309109d82407a45656052c19f148e23aede3",
+    "fig-perf-diurnal": "f8e985491565e0f8f4e4ae7c9603e92bc9d4286f8cea9fbf80af88c198c2cc0e",
+    "fig-perf-gated": "3cea1aea59bf951d0c02b87574e2db833a195e6d505493ec9b3a72608b1af2b1",
+    "fig-perf-trace": "c26fc2e4b28587bd6cf7ff487dd3fada7d36788ab112fd35c9d86a8044bc4c5b",
     "fig-perf-subset": "16af942d8a388ee1f88ba14a036be4bade80829e33eddbe08bbb59c93f407ba2",
     "learning-order": "a5720d3ddc5823092fd623950b9fb473676c63d16a23458bd31846b89018f0b1",
     "state-duration": "02cd3b158baa74a7363fe24d0c746def97f2dda94ac3e0382f62905e77c720ab",
 }
 
 
-def scenario_for(case: str):
+def scenario_for(case: str, tmp_path):
+    """The case's scenario; a trace source's file is written to `tmp_path`."""
     preset, overrides = CASES[case]
     scenario = load_scenario(preset)
     for section, key, value in overrides:
+        if value is TRACE_SOURCE:
+            path = Path(tmp_path) / "source.txt"
+            path.write_text("\n".join(map(str, TRACE_VALUES)) + "\n", encoding="utf-8")
+            value = f"trace:{path}"
         scenario = scenario.with_value(section, key, value)
     return scenario
 
@@ -151,25 +193,26 @@ def test_every_preset_is_pinned():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_preset_digests(case, tmp_path):
-    assert sweep_digests(scenario_for(case), tmp_path) == DIGESTS[case]
+    assert sweep_digests(scenario_for(case, tmp_path), tmp_path) == DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_learner_state_digests(case, monkeypatch):
-    assert learner_state_digest(scenario_for(case), monkeypatch) == LEARNER_DIGESTS[case]
+def test_learner_state_digests(case, monkeypatch, tmp_path):
+    scenario = scenario_for(case, tmp_path)
+    assert learner_state_digest(scenario, monkeypatch) == LEARNER_DIGESTS[case]
 
 
-def test_per_tick_recording_reproduces_summary_digests(tmp_path):
-    scenario = scenario_for("fig-perf-subset").with_value(
-        "run", "record_level", "per-tick"
-    )
-    assert sweep_digests(scenario, tmp_path) == DIGESTS["fig-perf-subset"]
+@pytest.mark.parametrize("case", ["fig-perf-subset", "fig-perf-diurnal", "fig-perf-gated",
+                                  "fig-perf-trace"])
+def test_per_tick_recording_reproduces_summary_digests(case, tmp_path):
+    scenario = scenario_for(case, tmp_path).with_value("run", "record_level", "per-tick")
+    assert sweep_digests(scenario, tmp_path) == DIGESTS[case]
 
 
 def test_cli_sweep_with_two_jobs_reproduces_serial_digests(tmp_path, monkeypatch):
     monkeypatch.delenv("SMARTON_SIM_SEED", raising=False)
     config = tmp_path / "state-duration.ini"
-    config.write_text(write_config(scenario_for("state-duration")), encoding="utf-8")
+    config.write_text(write_config(scenario_for("state-duration", tmp_path)), encoding="utf-8")
     out = tmp_path / "out"
     argv = ["sweep", "--scenario", str(config), "--out", str(out), "--jobs", "2"]
     assert main(argv) == 0
@@ -186,7 +229,8 @@ def quanta_of(x: float, d: int) -> int:
 
 @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_every_period_of_every_case_balances_exactly(case, record_level, monkeypatch):
+def test_every_period_of_every_case_balances_exactly(case, record_level, monkeypatch,
+                                                     tmp_path):
     # stored_end = stored_start + harvested + forced - drawn - wasted, to
     # the quantum, in every period a sweep runs, partition studies included
     logs = []
@@ -198,7 +242,7 @@ def test_every_period_of_every_case_balances_exactly(case, record_level, monkeyp
         return log
 
     monkeypatch.setattr(engine, "run_period", logging_run_period)
-    run_sweep(scenario_for(case).with_value("run", "record_level", record_level))
+    run_sweep(scenario_for(case, tmp_path).with_value("run", "record_level", record_level))
     assert logs
     for log, d in logs:
         start, end, harvested, forced, drawn, wasted = (quanta_of(x, d) for x in (
@@ -209,7 +253,8 @@ def test_every_period_of_every_case_balances_exactly(case, record_level, monkeyp
 
 @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_the_learning_policies_plan_only_funded_wake_ups(case, record_level, monkeypatch):
+def test_the_learning_policies_plan_only_funded_wake_ups(case, record_level, monkeypatch,
+                                                         tmp_path):
     # profiling plans from `full_floor`, probes from `probe_floor` and
     # episodes from `affordable_actions`: every slot is funded at its start,
     # which is what lets the kernel take each planned slot in closed form
@@ -223,6 +268,6 @@ def test_the_learning_policies_plan_only_funded_wake_ups(case, record_level, mon
         return log
 
     monkeypatch.setattr(engine, "run_period", logging_run_period)
-    run_sweep(scenario_for(case).with_value("run", "record_level", record_level))
+    run_sweep(scenario_for(case, tmp_path).with_value("run", "record_level", record_level))
     assert logs
     assert [log.period for log in logs if log.skipped_wakeups] == []
