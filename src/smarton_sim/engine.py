@@ -11,11 +11,14 @@ Energy is exact: every energy of a run is an integer count of one quantum,
 `SimConfig.quantum` of them to a wake cost, so the ledger balances with
 `==` and each step of the kernel is one integer expression.  One
 event-driven kernel (`run_period`) implements these semantics for every
-policy and harvest source.  It jumps from one decision to the next -- slots
-the policy's look-ahead names as able to act, wake-ups, CTID mode flips --
-and covers the harvest-only ticks between them in closed form (`_idle`); a
-planned slot that the store funds at its start is one closed form too.
-Events arrive as a 0/1 byte string per period.  Per-tick recording takes the
+policy and harvest source, with one harvest form: a period's cumulative
+inflow `P`, the quanta that its ticks 0..t-1 harvest at `P[t]`
+(`Segment.harvest`).  It jumps from one decision to the next -- slots the
+policy's look-ahead names as able to act, wake-ups, CTID mode flips -- and
+the harvest-only ticks a..b-1 between them leave `min(s + P[b] - P[a],
+cap)` (`_idle`), since the per-tick clamp is monotone for any nonnegative
+inflow; a planned slot that the store funds at its start is one closed form
+too.  Events arrive as a 0/1 byte string per period.  Per-tick recording takes the
 same path and replays the kernel's decisions into per-tick arrays
 (`_tick_arrays`), so it cannot change a number.
 
@@ -26,21 +29,21 @@ start state alone is computed once (`SWEEP_CACHES`): CTID periods
 (`_steady_arrays`).
 
 A pattern-change schedule (shift, morph or replace) splits a run into
-segments (`SimConfig.segments`), each with its own source, entry forcing and
-trace, from a substream keyed by the pattern so a returning pattern replays
-its realization; the adaptation experiments use it to force re-profiling.
+segments (`SimConfig.segments`), each with its own source and entry forcing
+(a `Segment`) and trace, from a substream keyed by the pattern so a
+returning pattern replays its realization; the adaptation experiments use it
+to force re-profiling.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import inf
 from numbers import Integral
-from operator import itemgetter
 
 import numpy as np
 
@@ -348,79 +351,100 @@ def peak_start_slots(pattern: EventPattern, slot_len: int) -> tuple[int, ...]:
     return tuple(t // slot_len for t in ticks)
 
 
-def run_period(
-    policy: BasePolicy,
-    store: AbstractStore,
-    source: HarvestSource,
-    events: bytes | list,
-    period_index: int,
-    period_ticks: int,
-    slot_len: int,
-    entry_slots: tuple[int, ...],
-    entry_value: int | None,
-    record_ticks: bool,
-) -> PeriodLog:
-    """Simulate one period; `events` is the period's per-tick 0/1 sequence
-    (`bytes` from a sampled trace, or a list).  Energy is an integer count
-    of the store's quanta: the policy hooks get the stored quanta, and
-    `store` is read at the start and written at the end.  Entry forcing sets
-    the store to `entry_value` quanta at the start of each of the sorted
-    learner slots `entry_slots` (`peak_start_slots`) once the policy is past
-    phase 1; `entry_value=None` forces nothing.
+@dataclass(frozen=True)
+class Segment:
+    """What the periods of a stretch of a run share: the source, and the
+    quanta a tick harvests per step of its value (`unit`); the entry slots
+    and the quanta forcing sets there (`entry_value`, None to force
+    nothing); and `inc`, a constant source's quanta per tick, or None."""
+
+    source: HarvestSource
+    unit: int
+    period_ticks: int
+    slot_len: int
+    entry_slots: tuple[int, ...] = ()
+    entry_value: int | None = None
+    record: bool = False
+    inc: int | None = None
+
+    @classmethod
+    def of(cls, source: HarvestSource, store: AbstractStore, period_ticks: int, slot_len: int,
+           entry_slots=(), entry_value: int | None = None, record: bool = False) -> "Segment":
+        """`source`'s segment in the quanta of `store`."""
+        unit = store.inflow(source.step)
+        inc = source.count(0) * unit if source.kind == "constant" else None
+        return cls(source, unit, period_ticks, slot_len, tuple(entry_slots), entry_value,
+                   record, inc)
+
+    def harvest(self, period: int):
+        """`P` of period `period`: `P[t]` is the quanta that its ticks
+        0..t-1 harvest, for t in 0..period_ticks."""
+        if self.inc is not None:
+            return _steady(self.inc, self.period_ticks)
+        base = period * self.period_ticks
+        counts = map(self.source.count, range(base, base + self.period_ticks))
+        return list(accumulate(map(self.unit.__mul__, counts), initial=0))
+
+
+def _steady(inc: int, ticks: int):
+    """`P` of `ticks` ticks at `inc` quanta each."""
+    return range(0, (ticks + 1) * inc, inc) if inc else [0] * (ticks + 1)
+
+
+def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
+               events: bytes | list, period_index: int) -> PeriodLog:
+    """Simulate period `period_index` of `segment`; `events` is the period's
+    per-tick 0/1 sequence (`bytes` from a sampled trace, or a list).  Energy
+    is an integer count of the store's quanta: the policy hooks get the
+    stored quanta, and `store` is read at the start and written at the end.
+    Entry forcing sets the store to `entry_value` quanta at the start of
+    each of the sorted learner slots `entry_slots` (`peak_start_slots`) once
+    the policy is past phase 1.
 
     The kernel advances from one decision to the next instead of stepping
     every tick: entry forcing, the slots a policy can act in, wake-ups, CTID
     mode flips.  A slot-planned policy names the next slot whose hooks can
-    act (`next_active_slot`); the slots before it plan nothing and are
-    banked as one idle run without calling the policy.  Between decisions
-    the store only harvests, and `n` ticks at an inflow of `q` quanta leave
-    `min(s + n * q, cap)` and waste the rest (`_idle`): the per-tick clamp
-    is monotone, so it clamps at most once.  A varying source is split into
-    runs of equal inflow.  A wake-up is funded when the store holds one wake
-    cost; a run of them is one floor division.  Under one inflow `q`, a
-    planned slot of `L` ticks whose start holds all `m` of its wake-ups
-    (`s >= m * wake`) is closed form: no draw can fail, as a clamp only
-    lowers the store to `cap >= s`, so it ends at `s + L * q - m * wake`
-    less the overflow of the store's highest point, which comes just before
-    a wake-up or at the slot end.  Other planned slots are walked wake-up by
-    wake-up, skipping a wake-up the store cannot fund.  GT is closed form
-    (awake every tick, catches every event); CTID charge phases are one
-    ceiling division to the tick that first sees `e_on`, and its discharge
-    phases draw runs (`_ctid_run`).
+    act (`next_active_slot`); the slots before it are banked without calling
+    the policy.  Every source takes one form, the cumulative inflow `P`:
+    from `s`, harvest-only ticks `a..b-1` leave `min(s + P[b] - P[a], cap)`
+    and waste the rest (`_idle`), as the per-tick clamp is monotone for any
+    nonnegative inflow.  A wake-up is funded when the store holds one wake
+    cost; a run of them is one floor division.  A planned slot of `L` ticks
+    from `base` whose start holds all `m` of its wake-ups (`s >= m * wake`)
+    is closed form: no draw can fail, as a clamp only lowers the store to
+    `cap >= s`, so it ends at `s + P[base + L] - P[base] - m * wake` less
+    the overflow of the store's highest point, just before a wake-up or at
+    the slot end.  Other planned slots are walked wake-up by wake-up,
+    skipping a wake-up the store cannot fund.  GT is closed form (awake
+    every tick, catches every event); a CTID charge ends at one bisection of
+    `P`, and its discharge phases draw runs (`_ctid_run`).
 
     Burst slots and CTID discharge phases are dark: they harvest nothing.
     So a `BURST` drains the run of known slots it starts, up to the next
-    entry slot, as one draw run with one call of each hook.  The period's
-    harvest total is the inflow of the other ticks.  Each stop bisects
-    `entry_slots` once, and that index serves the look-ahead, the forcing
-    test, the burst run's end and the replay guard below.  Profiling (phase
-    1, which never forces) plans nothing from below `full_floor`: under one
-    inflow the slots up to the first start at the floor are banked at once.
+    entry slot, as one draw run with one call of each hook.  Each stop
+    bisects `entry_slots` once, and that index serves the look-ahead, the
+    forcing test, the burst run's end and the replay guard below.
+    Profiling (phase 1, which never forces) plans nothing from below
+    `full_floor`: the slots up to the first start at the floor, one
+    bisection of `P`, are banked at once.
 
-    Under one constant inflow, while the policy keeps an `episode_memo`, an
-    episode that `episode_at` names, with no forcing inside the episode (no
-    entry slot after its first and before its end), is replayed by (peak,
-    stored energy, inflow), or run and stored with its waste.  Every CTID
-    period under one inflow comes from the sweep cache `_ctid_period`.
-    Recording takes these same paths and lists its decisions for
-    `_tick_arrays`; a GT or CTID period under one constant inflow copies its
-    arrays from `_steady_arrays` and sets its own `event`.
+    Under a constant source (`segment.inc`), while the policy keeps an
+    `episode_memo`, an episode that `episode_at` names, with no entry slot
+    after its first and before its end, is replayed by (peak, stored energy,
+    inflow), or run and stored with its waste; CTID periods come from the
+    sweep cache `_ctid_period`, and recorded GT and CTID periods copy their
+    arrays from `_steady_arrays`.  Recording takes these same paths and
+    lists its decisions for `_tick_arrays`.
     """
     phase_start = policy.current_phase
     s = stored_start = store.stored
     policy.on_period_start(period_index)
 
     cap, wake = store.capacity, store.wake
-    unit = store.inflow(source.step)
-    if source.kind == "constant":
-        inflows = None
-        runs = [(0, period_ticks, source.count(0) * unit)]
-    else:
-        base_tick = period_index * period_ticks
-        inflows = [source.count(base_tick + t) * unit for t in range(period_ticks)]
-        runs = _inflow_runs(inflows)
-    uniform = len(runs) == 1
-    inc = runs[0][2]
+    period_ticks, slot_len, inc = segment.period_ticks, segment.slot_len, segment.inc
+    entry_slots, entry_value, record_ticks = (segment.entry_slots, segment.entry_value,
+                                              segment.record)
+    P = segment.harvest(period_index)
     waste = 0
     event_ticks = events.count(1)
 
@@ -433,18 +457,16 @@ def run_period(
 
     if isinstance(policy, GtPolicy):
         # awake at every tick, draws nothing, harvests throughout
-        s, waste = _bank(s, waste, cap, runs, 0, period_ticks)
+        s, waste = _idle(s, waste, P[period_ticks], cap)
         awake_total = period_ticks
         catches_total = event_ticks
         wake_runs.append(range(period_ticks))
     elif isinstance(policy, CtidPolicy):
         ctid = (wake, policy.e_on, policy.e_off, policy.cfg.wake_interval,
                 policy.discharging, policy.discharge_start)
-        if uniform:
-            s, waste, *mode, dark, wake_runs = _ctid_period(s, inc, cap, *ctid, period_ticks)
-        else:
-            s, waste, *mode, dark, wake_runs = _ctid_run(s, waste, cap, *ctid, runs, 0,
-                                                         period_ticks)
+        s, waste, *mode, dark, wake_runs = (
+            _ctid_period(s, inc, cap, *ctid, period_ticks) if inc is not None
+            else _ctid_run(s, waste, cap, *ctid, P, 0, period_ticks))
         policy.discharging, policy.discharge_start = mode
         awake_total = sum(map(len, wake_runs))
         catches_total = sum(events[r.start : r.stop : r.step].count(1) for r in wake_runs)
@@ -464,7 +486,7 @@ def run_period(
                 if i < n_entries and entry_slots[i] < nxt:
                     nxt = entry_slots[i]
             if nxt > slot:
-                s, waste = _bank(s, waste, cap, runs, slot * slot_len, nxt * slot_len)
+                s, waste = _idle(s, waste, P[nxt * slot_len] - P[slot * slot_len], cap)
                 if record_ticks:
                     slot_info.extend(repeat((policy.current_phase, 0), nxt - slot))
                 slot = nxt
@@ -477,21 +499,21 @@ def run_period(
                     forced_delta += entry_value - s
                     s = entry_value
                     forced_at.append(base)
-            if uniform and policy.current_phase == 1 and s < policy.full_floor:
-                # bank the slots up to the first start at the floor, `k` ticks on
-                k = -((s - policy.full_floor) // inc) if inc else period_ticks
-                nxt = min(slot - (-k // slot_len), n_slots)
-                s, waste = _idle(s, waste, inc, cap, (nxt - slot) * slot_len)
+            if policy.current_phase == 1 and s < policy.full_floor:
+                # bank the slots up to the first start at the floor
+                t = bisect_left(P, P[base] + policy.full_floor - s, base)
+                nxt = min(-(-t // slot_len), n_slots)
+                s, waste = _idle(s, waste, P[nxt * slot_len] - P[base], cap)
                 if record_ticks:
                     slot_info.extend(repeat((1, 0), nxt - slot))
                 slot = nxt
                 continue
 
-            if (uniform and episode_end is None and (memo := policy.episode_memo) is not None
+            if (inc is not None and episode_end is None
+                    and (memo := policy.episode_memo) is not None
                     and (peak := policy.episode_at(slot, s))):
                 end = slot + peak.n_steps
-                # no forcing inside the episode; a trace source may be constant at
-                # another inflow in another period
+                # no forcing inside the episode
                 if end <= n_slots and (i == n_entries or entry_slots[i] >= end):
                     key = (peak, s, inc)
                     hit = memo.get(key)
@@ -529,18 +551,19 @@ def run_period(
                 if record_ticks:
                     slot_info.extend(repeat(slot_info[-1], run_end - slot - 1))
                 slot = run_end - 1
-            elif uniform and not plan:
-                s, waste = _idle(s, waste, inc, cap, slot_len)
-            elif uniform and s >= len(plan) * wake:
+            elif not plan:
+                s, waste = _idle(s, waste, P[base + slot_len] - P[base], cap)
+            elif s >= len(plan) * wake:
                 # funded at its start, so no wake-up fails: the store is the
                 # harvest-less-draw path reflected at `cap`, which rises
                 # between wake-ups and peaks just before one or at the end;
-                # before a wake-up it is at most `s + plan[-1] * inc`
+                # before a wake-up it is at most `s + P[base + plan[-1]] - P[base]`
+                top = s - P[base]
                 slot_awake = len(plan)
                 slot_catches = sum(map(events[base : base + slot_len].__getitem__, plan))
-                end = s + slot_len * inc - slot_awake * wake
-                if end > cap or s + plan[-1] * inc > cap:
-                    peak = max([end] + [s + o * inc - j * wake for j, o in enumerate(plan)])
+                end = top + P[base + slot_len] - slot_awake * wake
+                if end > cap or top + P[base + plan[-1]] > cap:
+                    peak = max([end] + [top + P[base + o] - j * wake for j, o in enumerate(plan)])
                     if peak > cap:
                         waste += peak - cap
                         end -= peak - cap
@@ -554,7 +577,7 @@ def run_period(
                 for offset in (*plan, slot_len):
                     t = base + offset
                     if t > done:
-                        s, waste = _bank(s, waste, cap, runs, done, t)
+                        s, waste = _idle(s, waste, P[t] - P[done], cap)
                         done = t
                     if offset == slot_len:
                         break
@@ -582,19 +605,16 @@ def run_period(
     store.wasted_saturation += waste
     policy.on_period_end(period_index)
 
-    if uniform:
-        harvested = (period_ticks - sum(b - a for a, b in dark)) * inc
-    else:
-        harvested = sum(inflows) - sum(sum(inflows[a:b]) for a, b in dark)
+    harvested = P[period_ticks] - sum(P[b] - P[a] for a, b in dark)
     ticks = None
     if record_ticks:
-        if inflows is None and isinstance(policy, (GtPolicy, CtidPolicy)):
+        if inc is not None and isinstance(policy, (GtPolicy, CtidPolicy)):
             arrays = _steady_arrays(type(policy), stored_start, inc, cap, wake, period_ticks,
                                     slot_len, tuple(wake_runs), tuple(dark), s)
             ticks = {name: a.copy() for name, a in arrays.items()}  # every log owns its arrays
         else:
             ticks = _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs,
-                                 dark, forced_at, entry_value, inflows, inc, cap, wake,
+                                 dark, forced_at, entry_value, P, inc, cap, wake,
                                  stored_start, s)
         ticks["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
 
@@ -618,18 +638,18 @@ def run_period(
 
 
 def _ctid_run(s: int, waste: int, cap: int, wake: int, e_on: int, e_off: int, interval: int,
-              discharging: bool, start: int, runs, t: int, end: int):
-    """CTID over ticks t..end-1 of the inflow `runs`, in quanta, from the
-    mode (`discharging`, `start`) that `CtidPolicy` carries: charge until the
-    store holds `e_on`, then discharge -- harvest nothing and wake every
+              discharging: bool, start: int, P, t: int, end: int):
+    """CTID over ticks t..end-1 of the cumulative inflow `P`, in quanta, from
+    the mode (`discharging`, `start`) that `CtidPolicy` carries: charge until
+    the store holds `e_on`, then discharge -- harvest nothing and wake every
     `interval` ticks from the flip -- until it falls to `e_off` or cannot
     fund a wake-up.  Since `e_on` is at least one wake cost, every discharge
-    wake-up is funded.  A charge phase within one run of equal inflow is one
-    ceiling division, and a discharge phase's wake-ups in the span one draw
-    run.  Returns (s, waste, discharging, start, dark spans, wake ranges):
-    the caller counts awake ticks and catches from the ranges and keeps the
-    mode, whose cadence moves into the frame of the ticks after `end`,
-    reduced modulo `interval`.
+    wake-up is funded.  A charge phase ends at one bisection of `P`, and a
+    discharge phase's wake-ups in the span are one draw run.  Returns (s,
+    waste, discharging, start, dark spans, wake ranges): the caller counts
+    awake ticks and catches from the ranges and keeps the mode, whose
+    cadence moves into the frame of the ticks after `end`, reduced modulo
+    `interval`.
     """
     dark = []
     wakes = []
@@ -644,14 +664,11 @@ def _ctid_run(s: int, waste: int, cap: int, wake: int, e_on: int, e_off: int, in
                 discharging = True
                 start = dark_from = t
             else:
-                # harvest up to the tick whose pre-tick check sees e_on, or
-                # to the end of the run of equal inflow
-                _, b, q = runs[bisect_right(runs, t, key=itemgetter(0)) - 1]
-                n = min(b, end) - t
-                if q and e_on <= cap:
-                    n = min(n, -((s - e_on) // q))
-                s, waste = _idle(s, waste, q, cap, n)
-                t += n
+                # harvest up to the tick whose pre-tick check sees e_on, which
+                # a store clamped below it never does, or to the span's end
+                b = bisect_left(P, P[t] + e_on - s, t, end) if e_on <= cap else end
+                s, waste = _idle(s, waste, P[b] - P[t], cap)
+                t = b
                 continue
         # the store, and so the stop rule, only changes at a wake-up: the
         # phase's wake-ups in this span are one draw run, and it goes on at
@@ -676,62 +693,42 @@ def _ctid_period(s: int, inc: int, cap: int, wake: int, e_on: int, e_off: int, i
     discharging, start, dark spans, wake ranges), as tuples."""
     s, waste, discharging, start, dark, wakes = _ctid_run(
         s, 0, cap, wake, e_on, e_off, interval, discharging, start,
-        [(0, period_ticks, inc)], 0, period_ticks)
+        _steady(inc, period_ticks), 0, period_ticks)
     return s, waste, discharging, start, tuple(dark), tuple(wakes)
 
 
 def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSource,
                   ticks: int) -> None:
     """Run CTID's cycle for `ticks` ticks before period 0 at the source's
-    tick-0 inflow, with no events.  The ticks are -ticks..-1, so wake
-    intervals stay aligned to tick 0."""
-    runs = [(-ticks, 0, source.count(0) * store.inflow(source.step))]
+    tick-0 inflow, with no events: ticks 0..ticks-1 of a frame `ticks` ahead
+    of period 0's, so wake intervals stay aligned to its tick 0."""
+    inc = source.count(0) * store.inflow(source.step)
     store.stored, waste, policy.discharging, policy.discharge_start, *_ = _ctid_run(
         store.stored, 0, store.capacity, store.wake, policy.e_on, policy.e_off,
-        policy.cfg.wake_interval, policy.discharging, policy.discharge_start, runs, -ticks, 0)
+        policy.cfg.wake_interval, policy.discharging, policy.discharge_start + ticks,
+        _steady(inc, ticks), 0, ticks)
     store.wasted_saturation += waste
 
 
-def _idle(s: int, waste: int, inc: int, cap: int, n: int):
-    """`n` harvest-only ticks at `inc` quanta a tick from `s`: (s, waste)
-    after them.  The per-tick clamp `min(s + inc, cap)` is monotone, so the
-    store clamps at most once and then stays full."""
-    s += n * inc
+def _idle(s: int, waste: int, harvest: int, cap: int):
+    """(s, waste) after harvest-only ticks that harvest `harvest` quanta in
+    all.  The per-tick clamp `min(s + q, cap)` is monotone for any inflow
+    `q >= 0`, so the store clamps at most once and then stays full."""
+    s += harvest
     if s > cap:
         return cap, waste + s - cap
     return s, waste
 
 
-def _bank(s: int, waste: int, cap: int, runs, a: int, b: int):
-    """Harvest-only ticks a..b-1 over sorted, contiguous constant-inflow runs
-    [(start, end, inc)].  Returns (s, waste)."""
-    for i in range(bisect_right(runs, a, key=itemgetter(0)) - 1, len(runs)):
-        start, end, inc = runs[i]
-        if start >= b:
-            break
-        s, waste = _idle(s, waste, inc, cap, (b if b < end else end) - (a if a > start else start))
-    return s, waste
-
-
-def _inflow_runs(inflows: list) -> list:
-    """Maximal runs of equal per-tick inflow as (start, end, inc)."""
-    runs = []
-    start = 0
-    for t in range(1, len(inflows) + 1):
-        if t == len(inflows) or inflows[t] != inflows[start]:
-            runs.append((start, t, inflows[start]))
-            start = t
-    return runs
-
-
 def _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, dark,
-                 forced_at, entry_value, inflows, inc, cap, wake, s, end):
+                 forced_at, entry_value, P, inc, cap, wake, s, end):
     """The per-tick arrays of one recorded period but `event`, rebuilt from
-    the kernel's decisions, with energies in wake costs.  `stored` replays
-    from `s` quanta the per-tick rule: forcing, the draw, then the harvest
+    the kernel's decisions and the cumulative inflow `P` (`inc` a tick under
+    a constant source), with energies in wake costs.  `stored` replays from
+    `s` quanta the per-tick rule: forcing, the draw, then the harvest
     clamped at `cap`.  A draw never meets the clamp, so a tick's draw and
     harvest are one step, and between forced ticks the store is the prefix
-    sum `P` of the steps less the running maximum of `P - cap`, floored at
+    sum `S` of the steps less the running maximum of `S - cap`, floored at
     0: a one-sided reflection at `cap`, whose increments are the waste.  The
     sums are int64 while they stay below 2**53, where a float holds them
     too, and Python ints beyond.  Raises RuntimeError unless the replay ends
@@ -742,9 +739,9 @@ def _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, da
     for r in wake_runs:
         awake[r.start : r.stop : r.step] = True
     draws = awake if policy.draws_energy else np.zeros(period_ticks, dtype=bool)
-    top = inc if inflows is None else max(inflows)
-    dtype = np.int64 if max(cap + period_ticks * top, wake) < 2**53 else object
-    harvested = np.full(period_ticks, inc, dtype) if inflows is None else np.array(inflows, dtype)
+    dtype = np.int64 if max(cap + P[-1], wake) < 2**53 else object
+    harvested = (np.full(period_ticks, inc, dtype) if inc is not None
+                 else np.diff(np.array(P, dtype)))
     for a, b in dark:
         harvested[a:b] = 0
     steps = harvested.copy()
@@ -783,8 +780,8 @@ def _steady_arrays(cls, s: int, inc: int, cap: int, wake: int, period_ticks: int
     class `cls`, GT or CTID: these plan no slot, keep one phase and step and
     are never forced.  Keyed by the kernel's `end`, which the replay checks
     when it builds an entry."""
-    return _tick_arrays(cls, period_ticks, slot_len, [], [], wake_runs, dark, [], None, None,
-                        inc, cap, wake, s, end)
+    return _tick_arrays(cls, period_ticks, slot_len, [], [], wake_runs, dark, [], None,
+                        _steady(inc, period_ticks), inc, cap, wake, s, end)
 
 
 # The kernel's reuse across a sweep's runs, each a pure function of the config
@@ -822,12 +819,12 @@ def _parse_stop_rule(rule: str | None) -> tuple[float, int]:
     return 3, periods
 
 
-def _segment_periods(config: SimConfig, policy: BasePolicy):
-    """(period, source, events, entry slots, entry value) for each period of
-    the run, the entry slots being the learner slots where the segment's
-    peaks start (`peak_start_slots`), or none without forcing.  Each
-    non-empty segment's world is built once, at its start, where the
-    learning policy's entry-level hint is set too."""
+def _segment_periods(config: SimConfig, policy: BasePolicy, store: AbstractStore):
+    """(period, segment, events) for each period of the run, the segment's
+    entry slots being the learner slots where its peaks start
+    (`peak_start_slots`), or none without forcing.  Each non-empty
+    segment's world is built once, at its start, where the learning
+    policy's entry-level hint is set too."""
     segments = config.segments()
     ends = [min(start, config.n_periods) for start, _, _ in segments[1:]] + [config.n_periods]
     for (start, pattern, level), end in zip(segments, ends):
@@ -840,16 +837,18 @@ def _segment_periods(config: SimConfig, policy: BasePolicy):
                              repeat_first_period=config.repeat_first_period)
         if isinstance(policy, SmartOnPolicy):
             policy.entry_level_hint = level
+        entry_slots, entry_value = (), None
         if level is not None and config.policy in FORCED_POLICIES:
             entry_slots = peak_start_slots(pattern, config.learner.state_duration)
             entry_value = entry_level_energy(level, quanta(config.capacity, config.quantum),
                                              config.learner.k_levels)
-        else:
-            entry_slots, entry_value = (), None
+        segment = Segment.of(source, store, config.pattern.period_ticks,
+                             config.learner.state_duration, entry_slots, entry_value,
+                             config.record_level == "per-tick")
         for p in range(start, end):
             offset = (p - start) * pattern.period_ticks
             events = trace.occurrences[offset : offset + pattern.period_ticks].tobytes()
-            yield p, source, events, entry_slots, entry_value
+            yield p, segment, events
 
 
 def run_experiment(config: SimConfig) -> ExperimentResult:
@@ -877,10 +876,8 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
     stop_phase, stop_periods = _parse_stop_rule(config.stop_rule)
     streak = 0
     periods: list[PeriodLog] = []
-    per_tick = config.record_level == "per-tick"
-    for p, source, events, entry_slots, entry_value in _segment_periods(config, policy):
-        periods.append(run_period(policy, store, source, events, p, config.pattern.period_ticks,
-                                  config.learner.state_duration, entry_slots, entry_value, per_tick))
+    for p, segment, events in _segment_periods(config, policy, store):
+        periods.append(run_period(policy, store, segment, events, p))
         streak = streak + 1 if policy.current_phase >= stop_phase else 0
         if streak >= stop_periods:
             break
@@ -961,7 +958,6 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
         raise ValueError("partition studies need the learning policy")
     policy.explore_forever = True
     slot_len = config.learner.state_duration
-    period_ticks = pattern.period_ticks
 
     events = sample_trace(pattern, config.seed, 1, repeat_first_period=True).occurrences.tobytes()
     entry_slots = peak_start_slots(pattern, slot_len)
@@ -971,15 +967,14 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
 
     target_idx = 0
     first_at = None
-    entry_values = {level: entry_level_energy(level, store.capacity, k) for level in order}
+    segment = Segment.of(source, store, pattern.period_ticks, slot_len, entry_slots)
+    segments = {level: replace(segment, entry_value=entry_level_energy(level, store.capacity, k))
+                for level in order}
 
     for p in range(PARTITION_MAX_PERIODS):
         level = order[target_idx]
         policy.entry_level_hint = level
-        run_period(
-            policy, store, source, events, p, period_ticks, slot_len,
-            entry_slots, entry_values[level], False,
-        )
+        run_period(policy, store, segments[level], events, p)
         if policy.ctx.phase < 2:
             continue
         if shape_expected is None and policy.ctx.known_peaks:

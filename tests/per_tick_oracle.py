@@ -72,8 +72,11 @@ def ctid_warm_up(policy, store, source, ticks):
     policy.discharge_start %= policy.cfg.wake_interval  # the cadence, as the kernel keeps it
 
 
-def run_period(policy, store, source, events, period_index, period_ticks, slot_len,
-               entry_slots, entry_value, record_ticks):
+def run_period(policy, store, segment, events, period_index):
+    """`engine.run_period`, one tick at a time: each tick harvests
+    `source.count(tick)` steps of the segment's source, priced by the store."""
+    source, period_ticks, slot_len = segment.source, segment.period_ticks, segment.slot_len
+    entry_slots, entry_value = segment.entry_slots, segment.entry_value
     phase_start = policy.current_phase
     stored_start = store.stored
     waste_before = store.wasted_saturation
@@ -131,7 +134,7 @@ def run_period(policy, store, source, events, period_index, period_ticks, slot_l
     policy.on_period_end(period_index)
 
     ticks = None
-    if record_ticks:
+    if segment.record:
         columns = zip(*rows)
         dtypes = (bool, np.float64, np.float64, np.float64, np.int8, np.int32, np.int32)
         names = ("awake", "drawn", "harvested", "stored", "phase", "slot", "step")

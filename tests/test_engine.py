@@ -6,6 +6,7 @@ import signal
 from contextlib import contextmanager
 from dataclasses import fields, replace as dc_replace
 from decimal import Decimal
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from smarton_sim.engine import (
     MAX_JITTER_CYCLE,
     Metrics,
     PatternChange,
+    Segment,
     SimConfig,
     compute_metrics,
     convergence_stats,
@@ -109,9 +111,9 @@ def run_fixed_plans(plans, slot_len, wake, inc, cap, stored, events, record):
     log field must agree and no wake-up is skipped.  Returns the oracle's log."""
     source = HarvestSource.constant(inc)  # `inc` quanta a tick at ratio `wake`
     stores = [AbstractStore(cap, float(wake), wake, stored) for _ in range(2)]
-    args = (events, 0, len(plans) * slot_len, slot_len, (), None, record)
-    got = run_period(FixedPlanner(plans, wake), stores[0], source, *args)
-    want = per_tick_oracle.run_period(FixedPlanner(plans, wake), stores[1], source, *args)
+    segment = Segment.of(source, stores[0], len(plans) * slot_len, slot_len, record=record)
+    got = run_period(FixedPlanner(plans, wake), stores[0], segment, events, 0)
+    want = per_tick_oracle.run_period(FixedPlanner(plans, wake), stores[1], segment, events, 0)
     assert_same_log(got, want)
     assert stores[0] == stores[1]
     assert got.skipped_wakeups == 0
@@ -166,10 +168,9 @@ def base_config(**kw):
 
 class TestRunPeriod:
     def test_gt_full_period_awake(self):
-        log = run_period(
-            GtPolicy(), store_for(120, 9), HarvestSource.constant(1.0),
-            [0] * 1200, 0, 1200, 30, frozenset(), None, False,
-        )
+        store = store_for(120, 9)
+        segment = Segment.of(HarvestSource.constant(1.0), store, 1200, 30)
+        log = run_period(GtPolicy(), store, segment, [0] * 1200, 0)
         assert log.awake_ticks == 1200
 
     def test_zero_source_smarton_stays_asleep(self):
@@ -396,10 +397,10 @@ class TestRunPeriod:
         # 3.5 ticks' inflow below capacity
         stores = [store_for(120, 9, stored, levels=(level,)) for _ in range(2)]
         mid_gap_clamps = 0
+        segment = Segment.of(source, stores[0], 1200, 30, record=record)
         for p in range(3):
-            args = (events, p, 1200, 30, frozenset(), None, record)
-            got = run_period(Planner(), stores[0], source, *args)
-            want = per_tick_oracle.run_period(Planner(), stores[1], source, *args)
+            got = run_period(Planner(), stores[0], segment, events, p)
+            want = per_tick_oracle.run_period(Planner(), stores[1], segment, events, p)
             assert_same_log(got, want)
             if record:
                 stored, awake = want.ticks["stored"], want.ticks["awake"]
@@ -429,10 +430,10 @@ class TestRunPeriod:
         events = bytes(t % 3 == 0 for t in range(1200))
         stores = [store_for(120, 9, 40.0, levels=(step,)) for _ in range(2)]
         skipped = awake = 0
+        segment = Segment.of(source, stores[0], 1200, 30, record=record)
         for p in range(3):
-            args = (events, p, 1200, 30, frozenset(), None, record)
-            got = run_period(Overplanner(), stores[0], source, *args)
-            want = per_tick_oracle.run_period(Overplanner(), stores[1], source, *args)
+            got = run_period(Overplanner(), stores[0], segment, events, p)
+            want = per_tick_oracle.run_period(Overplanner(), stores[1], segment, events, p)
             assert_same_log(got, want)
             skipped += got.skipped_wakeups
             awake += got.awake_ticks
@@ -802,8 +803,9 @@ class TestSteadyStateReplay:
     def test_a_replayed_period_keeps_the_end_check(self):
         clear_sweep_caches()
         store = store_for(120, 9)
-        args = (HarvestSource.constant(1.0), bytes(1200), 0, 1200, 30, (), None, True)
-        log, again = (run_period(GtPolicy(), store_for(120, 9), *args) for _ in "ab")
+        segment = Segment.of(HarvestSource.constant(1.0), store, 1200, 30, record=True)
+        log, again = (run_period(GtPolicy(), store_for(120, 9), segment, bytes(1200), 0)
+                      for _ in "ab")
         assert_same_log(again, log)
         info = engine._steady_arrays.cache_info()
         assert (info.misses, info.hits) == (1, 1)
@@ -945,7 +947,7 @@ class TestIdleRuns:
         pytest.param(0, 2**80, 2**81 + 1, 3, (2**81 + 1, 2**80 + 6), id="past-2**64"),
     ])
     def test_idle_run_edge_cases(self, s, inc, cap, n, want):
-        assert _idle(s, 7, inc, cap, n) == want == idle_per_tick(s, 7, inc, cap, min(n, 50))
+        assert _idle(s, 7, n * inc, cap) == want == idle_per_tick(s, 7, inc, cap, min(n, 50))
     @given(
         cap=st.integers(min_value=1, max_value=10**5),
         share=st.integers(min_value=0, max_value=1000),
@@ -958,7 +960,7 @@ class TestIdleRuns:
     def test_idle_run_equals_the_per_tick_loop(self, cap, share, inc, waste, n, scale):
         cap, inc, waste = cap * scale, inc * scale, waste * scale
         s = cap * share // 1000
-        assert _idle(s, waste, inc, cap, n) == idle_per_tick(s, waste, inc, cap, n)
+        assert _idle(s, waste, n * inc, cap) == idle_per_tick(s, waste, inc, cap, n)
 
     def test_gt_waste_over_150_periods_matches_oracle(self):
         # GT never draws: the store saturates in period 0 and every later
@@ -1005,22 +1007,26 @@ def ctid_cases(draw):
     pieces = draw(st.lists(st.tuples(st.integers(min_value=1, max_value=200),
                                      st.integers(min_value=0, max_value=30)),
                            min_size=1, max_size=4))
-    t0 = draw(st.integers(min_value=-300, max_value=300))
-    runs, t = [], t0
-    for n, inc in pieces:
-        runs.append((t, t + n, inc * scale))
-        t += n
+    t0 = draw(st.integers(min_value=0, max_value=300))
+    inflows = [inc * scale for n, inc in pieces for _ in range(n)]
     return dict(
         s=draw(st.integers(min_value=0, max_value=cap)) * scale, waste=0, cap=cap * scale,
         wake=wake * scale, e_on=e_on * scale, e_off=e_off * scale, interval=interval,
         discharging=draw(st.booleans()), start=draw(st.integers(min_value=-10, max_value=10)),
-        runs=runs, t=t0, end=t,
-    )
+        P=cumulative(inflows, t0), t=t0, end=t0 + len(inflows),
+    ), inflows
+
+
+def cumulative(inflows, t0=0):
+    """`P` of ticks t0.. at `inflows[i]` quanta on tick t0 + i: `P[t0]` is 0,
+    and the ticks before t0 are never read."""
+    return [0] * t0 + list(accumulate(inflows, initial=0))
 
 
 class TestCtidRuns:
-    """A CTID charge is one ceiling division and a discharge one draw run:
-    `engine._ctid_run` against CTID's rule stepped tick by tick."""
+    """A CTID charge is one bisection of the cumulative inflow and a
+    discharge one draw run: `engine._ctid_run` against CTID's rule stepped
+    tick by tick."""
 
     @pytest.mark.parametrize("s, inc, e_on, e_off, interval", [
         pytest.param(0, 7, 100, 0, 1, id="e_on-at-capacity-clamps"),
@@ -1031,21 +1037,21 @@ class TestCtidRuns:
         pytest.param(9, 1, 10, 0, 2, id="discharge-below-one-wake"),
     ])
     def test_ctid_run_edge_cases(self, s, inc, e_on, e_off, interval):
-        # capacity 100, a wake-up costs 10; 1,000 ticks from tick -300
+        # capacity 100, a wake-up costs 10; 1,000 ticks from tick 300
         args = dict(s=s, waste=0, cap=100, wake=10, e_on=e_on, e_off=e_off, interval=interval,
                     discharging=False, start=0)
         s, waste, discharging, start, dark, wakes = _ctid_run(
-            **args, runs=[(-300, 700, inc)], t=-300, end=700)
-        want = ctid_per_tick(**args, inflows=[inc] * 1000, t0=-300)
+            **args, P=cumulative([inc] * 1000, 300), t=300, end=1300)
+        want = ctid_per_tick(**args, inflows=[inc] * 1000, t0=300)
         assert (s, waste, discharging, start) == want[:4]
         assert [t for r in wakes for t in r] == want[4]
         assert [t for a, b in dark for t in range(a, b)] == want[5]
 
-    @given(case=ctid_cases())
+    @given(drawn=ctid_cases())
     @settings(max_examples=500, deadline=None)
-    def test_ctid_run_equals_the_per_tick_loop(self, case):
+    def test_ctid_run_equals_the_per_tick_loop(self, drawn):
+        case, inflows = drawn  # `P` of up to 4 inflows, piece by piece, for charges to bisect
         s, waste, discharging, start, dark, wakes = _ctid_run(**case)
-        inflows = [inc for a, b, inc in case["runs"] for _ in range(a, b)]
         args = {k: case[k] for k in ("s", "waste", "cap", "wake", "e_on", "e_off", "interval",
                                      "discharging", "start")}
         want = ctid_per_tick(**args, inflows=inflows, t0=case["t"])
@@ -1106,7 +1112,7 @@ def replay_period(case, end_offset=0):
     policy = BasePolicy()
     policy.draws_energy = case["draws_energy"]
     got = _tick_arrays(policy, ticks, case["slot_len"], [], np.flatnonzero(want["awake"]), [],
-                       case["dark"], case["forced_at"], case["entry_value"], case["inflows"],
+                       case["dark"], case["forced_at"], case["entry_value"], cumulative(inflows),
                        case["inc"], cap, wake, case["s"], s + end_offset)
     return got, want
 
@@ -1519,6 +1525,60 @@ class TestVaryingSourceRuns:
         )
         result = run_experiment(config)
         assert result.n_periods_run == 5
+
+
+def count_inflow_calls(monkeypatch):
+    """Patch `AbstractStore.inflow`, and the `count` of every source that
+    `engine.make_source` builds, so that the returned dict counts their
+    calls."""
+    calls = {"inflow": 0, "count": 0}
+    inflow, make_source = AbstractStore.inflow, engine.make_source
+
+    def counting_inflow(self, step):
+        calls["inflow"] += 1
+        return inflow(self, step)
+
+    def counting_make_source(config, pattern):
+        source = make_source(config, pattern)
+        count = source.count
+
+        def counting_count(tick):
+            calls["count"] += 1
+            return count(tick)
+
+        source.count = counting_count
+        return source
+
+    monkeypatch.setattr(AbstractStore, "inflow", counting_inflow)
+    monkeypatch.setattr(engine, "make_source", counting_make_source)
+    return calls
+
+
+class TestInflowPerSegment:
+    """A segment prices its source once, not once per period: one
+    `AbstractStore.inflow` call, and one `count` call for a constant source.
+    A varying source's `count` is called once per tick."""
+
+    def test_a_constant_run_works_out_its_inflow_once(self, monkeypatch):
+        config = base_config(n_periods=40, record_level="per-tick")
+        calls = count_inflow_calls(monkeypatch)
+        assert run_experiment(config).n_periods_run == 40
+        assert calls == {"inflow": 1, "count": 1}
+
+    def test_each_segment_of_the_adaptation_preset_works_out_its_inflow_once(
+            self, monkeypatch):
+        runs = expand_sweep(PRESETS["adaptation"]())
+        calls = count_inflow_calls(monkeypatch)
+        for _, config in runs:
+            assert len(config.segments()) == 3
+            assert run_experiment(config).n_periods_run == config.n_periods == 210
+        assert calls == {"inflow": 3 * len(runs), "count": 3 * len(runs)}
+
+    def test_a_diurnal_source_is_evaluated_once_per_tick(self, monkeypatch):
+        config = base_config(n_periods=5, source_kind="diurnal", policy="ctid")
+        calls = count_inflow_calls(monkeypatch)
+        assert run_experiment(config).n_periods_run == 5
+        assert calls == {"inflow": 1, "count": 5 * 1200}
 
 
 class TestProfilingPassCounts:

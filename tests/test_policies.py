@@ -10,6 +10,7 @@ from smarton_sim import engine
 from smarton_sim.energy import WAKE_COST, HarvestSource
 from smarton_sim.engine import (
     PatternChange,
+    Segment,
     SimConfig,
     compute_metrics,
     make_policy,
@@ -30,11 +31,9 @@ from per_tick_oracle import store_for
 
 def run_one_period(policy, store, events, entry_slots=(), entry_value=None,
                    record=True, period=0):
-    src = HarvestSource.constant(1.0)
-    return run_period(
-        policy, store, src, events, period, len(events), 30,
-        entry_slots, entry_value, record,
-    )
+    segment = Segment.of(HarvestSource.constant(1.0), store, len(events), 30, entry_slots,
+                         entry_value, record)
+    return run_period(policy, store, segment, events, period)
 
 
 class TestGt:
@@ -92,9 +91,8 @@ class TestCtid:
     def test_no_source_never_wakes(self):
         store = store_for(120, 9)
         policy = ctid_policy(store, e_on=10.0, e_off=0.0)
-        src = HarvestSource.constant(0.0)
-        log = run_period(policy, store, src, [0] * 1200, 0, 1200, 30,
-                         frozenset(), None, False)
+        segment = Segment.of(HarvestSource.constant(0.0), store, 1200, 30)
+        log = run_period(policy, store, segment, [0] * 1200, 0)
         assert log.awake_ticks == 0
 
     def test_trace_oblivious(self):
@@ -441,14 +439,10 @@ class TestDominanceAtEqualAwakeTime:
             bits = trace.occurrences[start : start + len(tail) * 1200]
             store = store_for(120, 9)
             ctid = ctid_policy(store, e_on=30.0, e_off=0.0)
-            src = HarvestSource.constant(1.0)
+            segment = Segment.of(HarvestSource.constant(1.0), store, 1200, 30, record=True)
             awake_flags = []
             for p in range(len(tail)):
-                log = run_period(
-                    ctid, store, src,
-                    bits[p * 1200 : (p + 1) * 1200].tolist(),
-                    p, 1200, 30, frozenset(), None, True,
-                )
+                log = run_period(ctid, store, segment, bits[p * 1200 : (p + 1) * 1200].tolist(), p)
                 awake_flags.extend(log.ticks["awake"].tolist())
             # CTID's first `smarton_awake` awake ticks on the same trace
             ctid_catches = 0
