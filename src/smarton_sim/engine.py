@@ -362,10 +362,10 @@ class Segment:
     unit: int
     period_ticks: int
     slot_len: int
-    entry_slots: tuple[int, ...] = ()
-    entry_value: int | None = None
-    record: bool = False
-    inc: int | None = None
+    entry_slots: tuple[int, ...]
+    entry_value: int | None
+    record: bool
+    inc: int | None
 
     @classmethod
     def of(cls, source: HarvestSource, store: AbstractStore, period_ticks: int, slot_len: int,
