@@ -13,14 +13,15 @@ Energy is exact: every energy of a run is an integer count of one quantum,
 event-driven kernel (`run_period`) implements these semantics for every
 policy and harvest source, with one harvest form: a period's cumulative
 inflow `P`, the quanta that its ticks 0..t-1 harvest at `P[t]`
-(`Segment.harvest`).  It jumps from one decision to the next -- slots the
-policy's look-ahead names as able to act, wake-ups, CTID mode flips -- and
-the harvest-only ticks a..b-1 between them leave `min(s + P[b] - P[a],
-cap)` (`_idle`), since the per-tick clamp is monotone for any nonnegative
-inflow; a planned slot that the store funds at its start is one closed form
-too.  Events arrive as a 0/1 byte string per period.  Per-tick recording takes the
-same path and replays the kernel's decisions into per-tick arrays
-(`_tick_arrays`), so it cannot change a number.
+(`Segment.harvest`), built once per segment whose source repeats every
+period.  It jumps from one decision to the next -- slots the policy's
+look-ahead names as able to act, wake-ups, CTID mode flips -- and the
+harvest-only ticks a..b-1 between them leave `min(s + P[b] - P[a], cap)`
+(`_idle`), since the per-tick clamp is monotone for any nonnegative inflow;
+a planned slot that the store funds at its start is one closed form too.
+A period's events are a slice of its segment's one 0/1 byte string.
+Per-tick recording takes the same path and replays the kernel's decisions
+into per-tick arrays (`_tick_arrays`), so it cannot change a number.
 
 Within a run, a phase-3 episode of the learning policy is replayed by its
 start (`episode_memo`).  Within a sweep, what follows from the config and a
@@ -222,10 +223,11 @@ class SimConfig:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class PeriodLog:
     """One period's counts, and its energies in wake costs: each the
-    correctly rounded quotient of the kernel's quanta by the quantum."""
+    correctly rounded quotient of the kernel's quanta by the quantum.
+    `run_period` builds it positionally, in field order."""
 
     period: int
     phase_start: int
@@ -356,7 +358,10 @@ class Segment:
     """What the periods of a stretch of a run share: the source, and the
     quanta a tick harvests per step of its value (`unit`); the entry slots
     and the quanta forcing sets there (`entry_value`, None to force
-    nothing); and `inc`, a constant source's quanta per tick, or None."""
+    nothing); `inc`, a constant source's quanta per tick, or None; and
+    `steady`, the one `P` of its periods when the source's cycle divides
+    the period, or None.  Each period's events are a slice of one byte
+    string (`_segment_periods`)."""
 
     source: HarvestSource
     unit: int
@@ -366,6 +371,7 @@ class Segment:
     entry_value: int | None
     record: bool
     inc: int | None
+    steady: range | tuple[int, ...] | None
 
     @classmethod
     def of(cls, source: HarvestSource, store: AbstractStore, period_ticks: int, slot_len: int,
@@ -373,39 +379,44 @@ class Segment:
         """`source`'s segment in the quanta of `store`."""
         unit = store.inflow(source.step)
         inc = source.count(0) * unit if source.kind == "constant" else None
-        return cls(source, unit, period_ticks, slot_len, tuple(entry_slots), entry_value,
-                   record, inc)
+        steady = None if inc is None else _steady(inc, period_ticks)
+        segment = cls(source, unit, period_ticks, slot_len, tuple(entry_slots), entry_value,
+                      record, inc, steady)
+        if steady is not None or period_ticks % source.cycle:
+            return segment
+        return replace(segment, steady=segment.harvest(0))
 
     def harvest(self, period: int):
         """`P` of period `period`: `P[t]` is the quanta that its ticks
         0..t-1 harvest, for t in 0..period_ticks."""
-        if self.inc is not None:
-            return _steady(self.inc, self.period_ticks)
+        if self.steady is not None:
+            return self.steady
         base = period * self.period_ticks
         counts = map(self.source.count, range(base, base + self.period_ticks))
-        return list(accumulate(map(self.unit.__mul__, counts), initial=0))
+        return tuple(accumulate(map(self.unit.__mul__, counts), initial=0))
 
 
 def _steady(inc: int, ticks: int):
     """`P` of `ticks` ticks at `inc` quanta each."""
-    return range(0, (ticks + 1) * inc, inc) if inc else [0] * (ticks + 1)
+    return range(0, (ticks + 1) * inc, inc) if inc else (0,) * (ticks + 1)
 
 
 def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                events: bytes | list, period_index: int) -> PeriodLog:
     """Simulate period `period_index` of `segment`; `events` is the period's
-    per-tick 0/1 sequence (`bytes` from a sampled trace, or a list).  Energy
-    is an integer count of the store's quanta: the policy hooks get the
-    stored quanta, and `store` is read at the start and written at the end.
-    Entry forcing sets the store to `entry_value` quanta at the start of
-    each of the sorted learner slots `entry_slots` (`peak_start_slots`) once
-    the policy is past phase 1.
+    per-tick 0/1 sequence (`bytes`, a slice of the segment's sampled trace,
+    or a list).  Energy is an integer count of the store's quanta: the
+    policy hooks get the stored quanta, and `store` is read at the start
+    and written at the end.  Entry forcing sets the store to `entry_value`
+    quanta at the start of each of the sorted learner slots `entry_slots`
+    (`peak_start_slots`) once the policy is past phase 1.
 
     The kernel advances from one decision to the next instead of stepping
     every tick: entry forcing, the slots a policy can act in, wake-ups, CTID
     mode flips.  A slot-planned policy names the next slot whose hooks can
     act (`next_active_slot`); the slots before it are banked without calling
-    the policy.  Every source takes one form, the cumulative inflow `P`:
+    the policy.  Every source takes one form, the cumulative inflow `P`,
+    one object for every period of a periodic segment (`Segment.steady`):
     from `s`, harvest-only ticks `a..b-1` leave `min(s + P[b] - P[a], cap)`
     and waste the rest (`_idle`), as the per-tick clamp is monotone for any
     nonnegative inflow.  A wake-up is funded when the store holds one wake
@@ -605,7 +616,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     store.wasted_saturation += waste
     policy.on_period_end(period_index)
 
-    harvested = P[period_ticks] - sum(P[b] - P[a] for a, b in dark)
+    harvested = P[period_ticks] - (sum(P[b] - P[a] for a, b in dark) if dark else 0)
     ticks = None
     if record_ticks:
         if inc is not None and isinstance(policy, (GtPolicy, CtidPolicy)):
@@ -618,23 +629,12 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                                  stored_start, s)
         ticks["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
 
-    # the log's reals are in wake costs, each the correctly rounded quotient
-    return PeriodLog(
-        period=period_index,
-        phase_start=phase_start,
-        awake_ticks=awake_total,
-        event_ticks=event_ticks,
-        catches=catches_total,
-        # every awake tick of a drawing policy drew one wake cost
-        drawn=float(awake_total) if policy.draws_energy else 0.0,
-        harvested=harvested / wake,
-        wasted_saturation=waste / wake,
-        skipped_wakeups=skipped,
-        stored_start=stored_start / wake,
-        stored_end=s / wake,
-        forced_delta=forced_delta / wake,
-        ticks=ticks,
-    )
+    # the log's reals are in wake costs, each the correctly rounded quotient;
+    # every awake tick of a drawing policy drew one wake cost
+    return PeriodLog(period_index, phase_start, awake_total, event_ticks, catches_total,
+                     float(awake_total) if policy.draws_energy else 0.0, harvested / wake,
+                     waste / wake, skipped, stored_start / wake, s / wake, forced_delta / wake,
+                     ticks)
 
 
 def _ctid_run(s: int, waste: int, cap: int, wake: int, e_on: int, e_off: int, interval: int,
@@ -833,8 +833,8 @@ def _segment_periods(config: SimConfig, policy: BasePolicy, store: AbstractStore
         source = make_source(config, pattern)
         # streams keyed by the pattern: a returning pattern replays its events
         name = "trace" if pattern == config.pattern else f"trace:{pattern_id(pattern)}"
-        trace = sample_trace(pattern, config.seed, end - start, stream_name=name,
-                             repeat_first_period=config.repeat_first_period)
+        bits = sample_trace(pattern, config.seed, end - start, stream_name=name,
+                            repeat_first_period=config.repeat_first_period).occurrences.tobytes()
         if isinstance(policy, SmartOnPolicy):
             policy.entry_level_hint = level
         entry_slots, entry_value = (), None
@@ -845,10 +845,9 @@ def _segment_periods(config: SimConfig, policy: BasePolicy, store: AbstractStore
         segment = Segment.of(source, store, config.pattern.period_ticks,
                              config.learner.state_duration, entry_slots, entry_value,
                              config.record_level == "per-tick")
+        ticks = pattern.period_ticks
         for p in range(start, end):
-            offset = (p - start) * pattern.period_ticks
-            events = trace.occurrences[offset : offset + pattern.period_ticks].tobytes()
-            yield p, segment, events
+            yield p, segment, bits[(p - start) * ticks : (p - start + 1) * ticks]
 
 
 def run_experiment(config: SimConfig) -> ExperimentResult:

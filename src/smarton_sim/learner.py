@@ -145,39 +145,40 @@ class SlotProfile:
 
     One *run* visits every slot exactly once (possibly over several passes);
     completed runs are snapshotted into ``history`` and the slate cleared for
-    the next run.
+    the next run.  `counts` is a list of ints and `visited` a bytearray.
     """
 
     def __init__(self, n_slots: int):
         self.n_slots = n_slots
-        self.counts = np.zeros(n_slots, dtype=np.int64)
-        self.visited = np.zeros(n_slots, dtype=bool)
-        self.history: list[np.ndarray] = []
+        self.counts = [0] * n_slots
+        self.visited = bytearray(n_slots)
+        self.history: list[list[int]] = []
 
     def record_slot(self, slot: int, catches: int) -> None:
         if self.visited[slot]:
             raise ValueError(f"slot {slot} already visited in this run")
         self.counts[slot] = catches
-        self.visited[slot] = True
+        self.visited[slot] = 1
 
     def run_complete(self) -> bool:
-        return bool(self.visited.all())
+        return 0 not in self.visited
 
     def next_unvisited(self, slot: int) -> int:
         """The first unvisited slot at or after `slot`, else `n_slots`."""
-        i = self.visited.tobytes().find(0, slot)
+        i = self.visited.find(0, slot)
         return self.n_slots if i < 0 else i
 
     def finish_run(self) -> None:
         """Snapshot the completed profile and start a fresh run."""
         if not self.run_complete():
             raise ValueError("cannot finish an incomplete profiling run")
-        self.history.append(self.counts.copy())
-        self.counts = np.zeros(self.n_slots, dtype=np.int64)
-        self.visited = np.zeros(self.n_slots, dtype=bool)
+        self.history.append(self.counts)
+        self.counts = [0] * self.n_slots
+        self.visited = bytearray(self.n_slots)
 
 
-def _counts_stable(a: np.ndarray, b: np.ndarray, cfg: LearnerConfig) -> bool:
+def _counts_stable(a, b, cfg: LearnerConfig) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
     diff = np.abs(a.astype(float) - b.astype(float))
     rel_base = np.maximum(np.maximum(a, b), 1).astype(float)
     return bool(np.all((diff <= cfg.profile_tol_abs) | (diff / rel_base <= cfg.profile_tol_rel)))

@@ -152,12 +152,11 @@ def emit_csv(records: list[RunRecord], out_dir, measure_from: int = 0,
         for rec in records:
             k = rec.key
             level = "" if k.entry_level is None else k.entry_level
-            for period, _phase, catches, _misses, awake, events in rec.periods:
-                eff = catches / awake if awake else 0.0
-                fh.write(
-                    f"{rec.scenario},{k.policy},{k.event_type},{level},{k.seed},"
-                    f"{period},{catches},{_fmt(eff)},{awake},{events}\n"
-                )
+            prefix = f"{rec.scenario},{k.policy},{k.event_type},{level},{k.seed},"
+            fh.write("".join(
+                f"{prefix}{period},{catches},{(catches / awake if awake else 0.0):.6f},"
+                f"{awake},{events}\n"
+                for period, _phase, catches, _misses, awake, events in rec.periods))
     paths.append(path)
 
     path = os.path.join(out_dir, "convergence.csv")

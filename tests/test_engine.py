@@ -1580,6 +1580,65 @@ class TestInflowPerSegment:
         assert run_experiment(config).n_periods_run == 5
         assert calls == {"inflow": 1, "count": 5 * 1200}
 
+    def test_a_gated_source_is_evaluated_over_one_period(self, monkeypatch):
+        # the gate repeats every period, so the segment's one P serves all 40
+        config = base_config(n_periods=40, gate_source_in_peaks=True)
+        assert make_source(config, config.pattern).kind == "constant-gated"
+        calls = count_inflow_calls(monkeypatch)
+        assert run_experiment(config).n_periods_run == 40
+        assert calls == {"inflow": 1, "count": 1200}
+
+
+def _per_tick_harvest(source, unit, period, period_ticks):
+    """`P` of one period by the per-tick sum of the inflows."""
+    base = period * period_ticks
+    return list(accumulate((unit * source.count(t) for t in range(base, base + period_ticks)),
+                           initial=0))
+
+
+class TestSegmentHarvest:
+    """A source that repeats every period gives its segment one `P` object
+    for all periods; any other source builds its `P` period by period."""
+
+    @pytest.mark.parametrize("source", [
+        pytest.param(HarvestSource.constant(1.0), id="constant"),
+        pytest.param(HarvestSource.constant(0.0), id="constant-0"),
+        pytest.param(HarvestSource.constant_gated(1.0, [(300, 420), (900, 960)], 1200),
+                     id="gated"),
+        pytest.param(HarvestSource.trace((0.5, 0.0, 1.25, 2.0)), id="trace-of-4"),
+        pytest.param(HarvestSource.trace((0.3,) * 600 + (1.1,) * 600), id="trace-of-1200"),
+    ])
+    def test_a_periodic_segment_shares_one_p(self, source):
+        store = store_for(120, 9, levels=(source.step,))
+        segment = Segment.of(source, store, 1200, 30)
+        assert segment.steady is not None
+        first = segment.harvest(0)
+        unit = store.inflow(source.step)
+        for k in (0, 1, 7, 40, 1001):
+            assert segment.harvest(k) is first
+            assert list(first) == _per_tick_harvest(source, unit, k, 1200)
+
+    @pytest.mark.parametrize("source", [
+        pytest.param(HarvestSource.diurnal(1.0), id="diurnal"),
+        pytest.param(HarvestSource.diurnal(1.0, day_ticks=2400), id="diurnal-2-periods"),
+        pytest.param(HarvestSource.trace(TRACE_VALUES), id="trace-of-151"),
+    ])
+    def test_other_segments_build_p_per_period(self, source):
+        store = store_for(120, 9, levels=(source.step,))
+        segment = Segment.of(source, store, 1200, 30)
+        assert segment.steady is None
+        unit = store.inflow(source.step)
+        built = [segment.harvest(k) for k in range(3)]
+        assert built[0] is not segment.harvest(0)
+        for k, P in enumerate(built):
+            assert list(P) == _per_tick_harvest(source, unit, k, 1200)
+        assert built[0] != built[1]
+
+    def test_a_day_of_whole_periods_shares_one_p(self):
+        source = HarvestSource.diurnal(1.0, day_ticks=600)
+        segment = Segment.of(source, store_for(120, 9, levels=(source.step,)), 1200, 30)
+        assert segment.harvest(5) is segment.harvest(0)
+
 
 class TestProfilingPassCounts:
     def test_four_fundable_slots_per_pass_means_ten_passes(self):

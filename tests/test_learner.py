@@ -471,6 +471,44 @@ class TestProfile:
         with pytest.raises(ValueError, match="already visited"):
             profile.record_slot(1, 9)
 
+    def test_a_finished_run_keeps_its_snapshot(self):
+        # the next run's slots are recorded into fresh lists, never into the
+        # snapshot that history holds
+        profile = SlotProfile(3)
+        for slot, c in enumerate((10, 55, 12)):
+            profile.record_slot(slot, c)
+        profile.finish_run()
+        snapshot = list(profile.history[-1])
+        for slot, c in enumerate((1, 2, 3)):
+            profile.record_slot(slot, c)
+        assert profile.history[-1] == snapshot == [10, 55, 12]
+        assert profile.counts == [1, 2, 3]
+        profile.finish_run()
+        assert profile.history == [[10, 55, 12], [1, 2, 3]]
+        assert profile.counts == [0, 0, 0] and not any(profile.visited)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(order=st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))),
+           cut=st.integers(0, 12), data=st.data())
+    def test_run_complete_and_next_unvisited_match_a_brute_force_reference(
+            self, order, cut, data):
+        n = len(order)
+        profile = SlotProfile(n)
+        seen = set()
+        for run in range(2):
+            for slot in order[:cut] if run == 0 else order:
+                profile.record_slot(slot, slot + 1)
+                seen.add(slot)
+                assert profile.run_complete() == (len(seen) == n)
+                start = data.draw(st.integers(min_value=0, max_value=n))
+                expected = next((s for s in range(start, n) if s not in seen), n)
+                assert profile.next_unvisited(start) == expected
+            if not profile.run_complete():
+                break
+            profile.finish_run()
+            seen = set()
+            assert not profile.run_complete() and profile.next_unvisited(0) == 0
+
 
 class TestPartitionConverged:
     def test_no_episodes_is_false(self):
@@ -551,7 +589,7 @@ class TestPhaseTransitions:
         ctx.profile.record_slot(0, 3)
         phase_transition(ctx, ProbeCaught(1))
         assert ctx.phase == 1
-        assert not ctx.profile.visited.any()
+        assert not any(ctx.profile.visited)
         assert ctx.phase1_entries == 2
 
     def test_invalid_transition_raises(self):

@@ -11,12 +11,13 @@ from smarton_sim.reports import (
     METRICS_HEADER,
     TIMELINE_HEADER,
     PLOT_IDS,
+    RunRecord,
     UnknownPlot,
     emit_csv,
     emit_plot_data,
     run_sweep,
 )
-from smarton_sim.scenario import PRESETS, default_scenario
+from smarton_sim.scenario import PRESETS, RunKey, default_scenario
 
 
 def small_sweep():
@@ -73,6 +74,24 @@ class TestCsvSchemas:
         with open(os.path.join(sweep_dir, "timeline.csv"), encoding="utf-8") as fh:
             rows = fh.readlines()[1:]
         assert len(rows) == 2 * 40  # two smarton runs
+
+    def test_metrics_rows_are_pinned(self, tmp_path):
+        # a run without entry level leaves its column empty, and a period
+        # with no awake tick has efficiency 0
+        key = RunKey("gt", "type1", None, 30, 9.0, 3)
+        forced = RunKey("smarton", "type2", 4, 30, 9.0, 0)
+        records = [
+            RunRecord(key, "demo", [(0, 1, 5, 2, 1200, 7), (1, 1, 0, 0, 0, 3)], [], None),
+            RunRecord(forced, "demo", [(0, 2, 1, 2, 3, 3)], [], None),
+        ]
+        emit_csv(records, tmp_path)
+        with open(tmp_path / "metrics.csv", encoding="utf-8", newline="") as fh:
+            assert fh.read() == (
+                METRICS_HEADER + "\n"
+                "demo,gt,type1,,3,0,5,0.004167,1200,7\n"
+                "demo,gt,type1,,3,1,0,0.000000,0,3\n"
+                "demo,smarton,type2,4,0,0,1,0.333333,3,3\n"
+            )
 
     def test_empty_results_give_header_only_files(self, tmp_path):
         paths = emit_csv([], tmp_path, measure_from=0)
