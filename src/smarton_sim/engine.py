@@ -23,11 +23,10 @@ A period's events are a slice of its segment's one 0/1 byte string.
 Per-tick recording takes the same path and replays the kernel's decisions
 into per-tick arrays (`_tick_arrays`), so it cannot change a number.
 
-Within a run, a phase-3 episode of the learning policy is replayed by its
-start (`episode_memo`).  Within a sweep, what follows from the config and a
-start state alone is computed once (`SWEEP_CACHES`): CTID periods
-(`_ctid_period`) and the per-tick arrays of recorded GT and CTID periods
-(`_steady_arrays`).
+Reuse lives on the run's policy, so no number depends on another run: a
+phase-3 episode of the learning policy is replayed by its start
+(`episode_memo`), and under a constant source a GT or CTID period, with its
+per-tick arrays, is computed once per start state (`periods`).
 
 A pattern-change schedule (shift, morph or replace) splits a run into
 segments (`SimConfig.segments`), each with its own source and entry forcing
@@ -41,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, repeat
 from math import inf
 from numbers import Integral
@@ -92,6 +91,9 @@ class PatternChange:
     kind: str  # shift | morph | replace
     arg: object = None
     entry_level: int | None = None
+
+    def __post_init__(self):
+        require_integer(self, "period")
 
 
 @dataclass
@@ -442,10 +444,12 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     Under a constant source (`segment.inc`), while the policy keeps an
     `episode_memo`, an episode that `episode_at` names, with no entry slot
     after its first and before its end, is replayed by (peak, stored energy,
-    inflow), or run and stored with its waste; CTID periods come from the
-    sweep cache `_ctid_period`, and recorded GT and CTID periods copy their
-    arrays from `_steady_arrays`.  Recording takes these same paths and
-    lists its decisions for `_tick_arrays`.
+    inflow), or run and stored with its waste.  A GT or CTID period, blind
+    to events, is computed once per start state (`_blind_period`) and kept
+    in the policy's `periods`, with its per-tick arrays once built; catches
+    are counted from its own events, and each log owns copies of the
+    arrays.  Recording takes these paths and lists decisions for
+    `_tick_arrays`.
     """
     phase_start = policy.current_phase
     s = stored_start = store.stored
@@ -458,30 +462,36 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     P = segment.harvest(period_index)
     waste = 0
     event_ticks = events.count(1)
-
-    wakes = [] if record_ticks else None  # funded wake ticks of planned slots
-    wake_runs = []  # ranges of funded wake ticks: GT, draw runs
-    forced_at = []  # ticks where entry forcing set the store
-    slot_info = []  # (phase, step) per slot, when recording
-    dark = []  # (start, end) tick spans that harvested nothing
     awake_total = catches_total = skipped = forced_delta = 0
+    recorded = None  # the log's per-tick arrays
 
-    if isinstance(policy, GtPolicy):
-        # awake at every tick, draws nothing, harvests throughout
-        s, waste = _idle(s, waste, P[period_ticks], cap)
-        awake_total = period_ticks
-        catches_total = event_ticks
-        wake_runs.append(range(period_ticks))
-    elif isinstance(policy, CtidPolicy):
-        ctid = (wake, policy.e_on, policy.e_off, policy.cfg.wake_interval,
-                policy.discharging, policy.discharge_start)
-        s, waste, *mode, dark, wake_runs = (
-            _ctid_period(s, inc, cap, *ctid, period_ticks) if inc is not None
-            else _ctid_run(s, waste, cap, *ctid, P, 0, period_ticks))
-        policy.discharging, policy.discharge_start = mode
-        awake_total = sum(map(len, wake_runs))
-        catches_total = sum(events[r.start : r.stop : r.step].count(1) for r in wake_runs)
+    if isinstance(policy, (GtPolicy, CtidPolicy)):
+        ctid = isinstance(policy, CtidPolicy)
+        key = (s, policy.discharging, policy.discharge_start, inc) if ctid else (s, inc)
+        run = policy.periods.get(key)
+        if run is None:
+            run = _blind_period(policy, s, P, cap, wake, period_ticks)
+            if inc is not None:
+                policy.periods[key] = run
+        s, waste, mode, dark, wake_runs, awake_total, harvested, arrays = run
+        if ctid:
+            policy.discharging, policy.discharge_start = mode
+            catches_total = sum(events[r.start : r.stop : r.step].count(1) for r in wake_runs)
+        else:
+            catches_total = event_ticks
+        if record_ticks:
+            if arrays is None:  # no slot planned, no forcing
+                arrays = run[-1] = _tick_arrays(policy, period_ticks, slot_len, (), (),
+                                                wake_runs, dark, (), None, P, inc, cap, wake,
+                                                stored_start, s)
+            recorded = {name: a.copy() for name, a in arrays.items()}  # every log owns its arrays
+            recorded["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
     else:
+        wakes = [] if record_ticks else None  # funded wake ticks of planned slots
+        wake_runs = []  # ranges of funded wake ticks: draw runs
+        forced_at = []  # ticks where entry forcing set the store
+        slot_info = []  # (phase, step) per slot, when recording
+        dark = []  # (start, end) tick spans that harvested nothing
         n_slots = period_ticks // slot_len
         # entry forcing rewrites the store at a slot start: a stop for the
         # look-ahead whether or not the policy acts there
@@ -612,29 +622,23 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                     wakes.extend(ticks)
                 episode_end, woken = None, wakes
 
+        harvested = P[period_ticks] - (sum(P[b] - P[a] for a, b in dark) if dark else 0)
+        if record_ticks:
+            recorded = _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes,
+                                    wake_runs, dark, forced_at, entry_value, P, inc, cap, wake,
+                                    stored_start, s)
+            recorded["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
+
     store.stored = s
     store.wasted_saturation += waste
     policy.on_period_end(period_index)
-
-    harvested = P[period_ticks] - (sum(P[b] - P[a] for a, b in dark) if dark else 0)
-    ticks = None
-    if record_ticks:
-        if inc is not None and isinstance(policy, (GtPolicy, CtidPolicy)):
-            arrays = _steady_arrays(type(policy), stored_start, inc, cap, wake, period_ticks,
-                                    slot_len, tuple(wake_runs), tuple(dark), s)
-            ticks = {name: a.copy() for name, a in arrays.items()}  # every log owns its arrays
-        else:
-            ticks = _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs,
-                                 dark, forced_at, entry_value, P, inc, cap, wake,
-                                 stored_start, s)
-        ticks["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
 
     # the log's reals are in wake costs, each the correctly rounded quotient;
     # every awake tick of a drawing policy drew one wake cost
     return PeriodLog(period_index, phase_start, awake_total, event_ticks, catches_total,
                      float(awake_total) if policy.draws_energy else 0.0, harvested / wake,
                      waste / wake, skipped, stored_start / wake, s / wake, forced_delta / wake,
-                     ticks)
+                     recorded)
 
 
 def _ctid_run(s: int, waste: int, cap: int, wake: int, e_on: int, e_off: int, interval: int,
@@ -685,16 +689,21 @@ def _ctid_run(s: int, waste: int, cap: int, wake: int, e_on: int, e_off: int, in
     return s, waste, discharging, (start - end) % interval, dark, wakes
 
 
-# The fig-perf preset's 24,000 CTID periods hold 152 distinct ones.
-@lru_cache(maxsize=1024)
-def _ctid_period(s: int, inc: int, cap: int, wake: int, e_on: int, e_off: int, interval: int,
-                 discharging: bool, start: int, period_ticks: int):
-    """`_ctid_run` over one period at the constant inflow `inc`: (s, waste,
-    discharging, start, dark spans, wake ranges), as tuples."""
-    s, waste, discharging, start, dark, wakes = _ctid_run(
-        s, 0, cap, wake, e_on, e_off, interval, discharging, start,
-        _steady(inc, period_ticks), 0, period_ticks)
-    return s, waste, discharging, start, tuple(dark), tuple(wakes)
+def _blind_period(policy, s: int, P, cap: int, wake: int, ticks: int) -> list:
+    """A GT or CTID period of `ticks` ticks of the cumulative inflow `P`,
+    from `s` quanta and the policy's mode: [s, waste, mode, dark spans, wake
+    ranges, awake ticks, harvest, None], the last slot left for the per-tick
+    arrays.  GT is awake at every tick, draws nothing and harvests
+    throughout; CTID is `_ctid_run`, whose mode (`discharging`, `start`)
+    the caller keeps."""
+    if isinstance(policy, GtPolicy):
+        s, waste = _idle(s, 0, P[ticks], cap)
+        return [s, waste, None, (), (range(ticks),), ticks, P[ticks], None]
+    s, waste, *mode, dark, wakes = _ctid_run(
+        s, 0, cap, wake, policy.e_on, policy.e_off, policy.cfg.wake_interval,
+        policy.discharging, policy.discharge_start, P, 0, ticks)
+    return [s, waste, mode, dark, wakes, sum(map(len, wakes)),
+            P[ticks] - sum(P[b] - P[a] for a, b in dark), None]
 
 
 def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSource,
@@ -771,24 +780,6 @@ def _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, da
     }
 
 
-# An entry of 1,200 ticks takes about 42 KB: the fig-perf preset recorded per
-# tick needs 154 of the 256 entries, about 6.5 MB.
-@lru_cache(maxsize=256)
-def _steady_arrays(cls, s: int, inc: int, cap: int, wake: int, period_ticks: int,
-                   slot_len: int, wake_runs: tuple, dark: tuple, end: int):
-    """`_tick_arrays` of a period at the constant inflow `inc` of policy
-    class `cls`, GT or CTID: these plan no slot, keep one phase and step and
-    are never forced.  Keyed by the kernel's `end`, which the replay checks
-    when it builds an entry."""
-    return _tick_arrays(cls, period_ticks, slot_len, [], [], wake_runs, dark, [], None,
-                        _steady(inc, period_ticks), inc, cap, wake, s, end)
-
-
-# The kernel's reuse across a sweep's runs, each a pure function of the config
-# and a start state: `reports.run_sweep` clears them all at its start.
-SWEEP_CACHES = (_ctid_period, _steady_arrays)
-
-
 def apply_change(pattern: EventPattern, change: PatternChange) -> EventPattern:
     if change.kind == "shift":
         return shift_pattern(pattern, int(change.arg))
@@ -802,8 +793,8 @@ def apply_change(pattern: EventPattern, change: PatternChange) -> EventPattern:
 
 def _parse_stop_rule(rule: str | None) -> tuple[float, int]:
     """(phase, periods): stop once `periods` periods in a row end in `phase` or
-    above; phase_ge:N is (N, 1), phase3_stable:N is (3, N) with N >= 1, no
-    rule never stops."""
+    above; phase_ge:N is (N, 1) with N <= 3, the last phase, phase3_stable:N
+    is (3, N) with N >= 1, no rule never stops."""
     if rule is None:
         return inf, 1
     kind, _, arg = rule.partition(":")
@@ -812,6 +803,8 @@ def _parse_stop_rule(rule: str | None) -> tuple[float, int]:
             f"unknown stop rule {rule!r}; valid: phase_ge[:N], phase3_stable[:N]"
         )
     if kind == "phase_ge":
+        if int(arg or 2) > 3:  # no policy passes phase 3: it would never stop
+            raise ValueError(f"stop rule {rule!r} needs N <= 3, the last phase")
         return int(arg or 2), 1
     periods = int(arg or 5)
     if periods < 1:  # a streak of 0 periods would stop after any period

@@ -51,8 +51,7 @@ BURST = "burst"
 
 @dataclass(frozen=True)
 class CtidConfig:
-    """Charge-then-immediately-discharge thresholds, in wake-cost units.
-    Frozen, so that the kernel's sweep cache of CTID periods keys by it."""
+    """Charge-then-immediately-discharge thresholds, in wake-cost units."""
 
     e_on: float = 30.0
     e_off: float = 0.0
@@ -113,10 +112,15 @@ class BasePolicy:
 
 
 class GtPolicy(BasePolicy):
-    """Ground-truth oracle: awake everywhere, catches everything."""
+    """Ground-truth oracle: awake everywhere, catches everything.  The
+    kernel keeps its periods in `periods` by (stored quanta, inflow), as
+    for `CtidPolicy`."""
 
     name = "gt"
     draws_energy = False
+
+    def __init__(self):
+        self.periods = {}
 
 
 class CtidPolicy(BasePolicy):
@@ -124,7 +128,11 @@ class CtidPolicy(BasePolicy):
     store cannot fund another wake-up (or falls to e_off).  Oblivious to
     events; harvesting is suspended while discharging.  The engine kernel
     runs the cycle and keeps its mode here between periods, and its
-    thresholds in quanta, `wake` of them to a wake-up."""
+    thresholds in quanta, `wake` of them to a wake-up.  Under a constant
+    source the kernel keeps each period here, in `periods`, by (stored
+    quanta, `discharging`, `discharge_start`, inflow), with its per-tick
+    arrays once built: bounded by the run's output, at most one array set
+    per period run, of which each log owns a copy."""
 
     name = "ctid"
 
@@ -136,6 +144,7 @@ class CtidPolicy(BasePolicy):
         # wake-ups fall on ticks t with (t - discharge_start) % wake_interval
         # == 0, t counted from the running period's start
         self.discharge_start = 0
+        self.periods = {}
 
 
 class _Profiling(BasePolicy):

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .engine import SWEEP_CACHES, convergence_stats, run_experiment, run_partition_study
+from .engine import convergence_stats, run_experiment, run_partition_study
 from .rng import Stream
 from .scenario import RunKey, Scenario, expand_sweep
 
@@ -102,14 +102,10 @@ def run_sweep(scenario: Scenario, jobs: int = 1) -> list[RunRecord]:
 
     When state_duration is swept, each run's scenario label carries a
     `/d<duration>` suffix so that metrics.csv rows (whose schema has no
-    duration column) stay distinguishable.
-
-    The kernel's reuse across runs is cached for one sweep
-    (`engine.SWEEP_CACHES`), cleared here before any worker forks: each
-    sweep pays its own misses.
+    duration column) stay distinguishable.  Each run keeps its own reuse
+    on its policy, so no record depends on the runs before it, in this
+    process or a worker.
     """
-    for cache in SWEEP_CACHES:
-        cache.cache_clear()
     multi_duration = len(scenario.axis("state_duration")) > 1
     study = scenario.study is not None
     runs = []

@@ -80,6 +80,8 @@ class TestSimulate:
             ("[learner]\nfrequencies = 0,0.5,1.5\n", "1 Hz"),
             ("[run]\nstop_rule = bogus:3\n", "stop rule"),
             ("[run]\nstop_rule = phase_ge:x\n", "stop rule"),
+            # no policy passes phase 3, so the run would never stop
+            ("[run]\nstop_rule = phase_ge:7\n", "stop rule"),
             # a streak of 0 periods would stop after the first period
             ("[run]\nstop_rule = phase3_stable:0\n", "stop rule"),
             ("[energy]\nsource = solar\n", "unknown source"),

@@ -559,20 +559,16 @@ def phase3_plans(monkeypatch):
     return planned
 
 
-def clear_sweep_caches():
-    for cache in engine.SWEEP_CACHES:
-        cache.cache_clear()
-
-
 def count_ctid_runs(monkeypatch):
     """Patch `engine._ctid_run` and `engine._tick_arrays` so that the start
-    of every CTID span computed and the end of every array set built are
-    appended to the two returned lists."""
+    state (stored quanta, discharging, cadence) of every CTID span computed
+    and the end of every array set built are appended to the two returned
+    lists."""
     computed, built = [], []
     ctid_run, tick_arrays = engine._ctid_run, engine._tick_arrays
 
     def counting_ctid_run(*args):
-        computed.append(args[0])
+        computed.append((args[0], args[7], args[8]))
         return ctid_run(*args)
 
     def counting_tick_arrays(*args):
@@ -585,9 +581,9 @@ def count_ctid_runs(monkeypatch):
 
 
 class TestSteadyStateReplay:
-    """Phase-3 episodes are replayed from a memo within a run, and CTID
-    charges, CTID periods and GT/CTID per-tick arrays from the sweep caches;
-    every number must still match the per-tick oracle."""
+    """Phase-3 episodes are replayed from a memo within a run, and GT and
+    CTID periods, with their per-tick arrays, from the run policy's
+    `periods`; every number must still match the per-tick oracle."""
 
     # loose enough that phase 3 starts by period ~60 on fresh events
     QUICK = LearnerConfig(convergence_epsilon=100.0)
@@ -728,66 +724,69 @@ class TestSteadyStateReplay:
     ])
     def test_ctid_periods_replay_from_their_start_state(self, e_on, record_level, monkeypatch):
         computed, built = count_ctid_runs(monkeypatch)
+        starts = []
+        run_period = engine.run_period
+
+        def recording_starts(policy, store, *args):
+            starts.append((store.stored, policy.discharging, policy.discharge_start))
+            return run_period(policy, store, *args)
+
+        monkeypatch.setattr(engine, "run_period", recording_starts)
         config = base_config(policy="ctid", ctid=CtidConfig(e_on=e_on), charging_ratio=8.5,
                              entry_level=None, repeat_first_period=False,
                              record_level=record_level)
-        clear_sweep_caches()
         kernel = run_experiment(config)
-        info = engine._ctid_period.cache_info()
-        assert len(computed) == info.misses == info.currsize < 25
+        # each distinct start state is computed once, and kept on the policy
+        assert len(starts) == config.n_periods
+        assert sorted(computed) == sorted(set(starts))
+        assert len(computed) == len(kernel.policy.periods) < 25
         # catches are counted from each period's fresh events
         assert len({log.catches for log in kernel.periods[25:]}) > 5
         if record_level == "per-tick":
-            # the per-tick arrays are built once per decision record
+            # the per-tick arrays are built once per distinct start state; an
+            # empty store left discharging flips at once, as one not
+            # discharging, so two start states can share one period
             records = {(log.stored_start, log.ticks["awake"].tobytes(),
                         log.ticks["harvested"].tobytes()) for log in kernel.periods}
-            assert len(built) == len(records) == engine._steady_arrays.cache_info().currsize < 25
+            assert len(built) == len(computed) >= len(records) > 1
         monkeypatch.undo()
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
     @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
-    def test_a_ctid_period_is_reused_by_another_run(self, record_level, monkeypatch):
-        # CTID ignores events and entry levels: a run of another event type
-        # and entry level passes through the same start states
+    @pytest.mark.parametrize("policy", ["gt", "ctid"])
+    def test_no_period_is_shared_between_runs(self, policy, record_level, monkeypatch):
         computed, built = count_ctid_runs(monkeypatch)
-        first = base_config(policy="ctid", charging_ratio=8.5, entry_level=1,
-                            repeat_first_period=False, n_periods=40, record_level=record_level)
-        second = dc_replace(first, pattern=build_pattern([("type3", 10)]), entry_level=4)
-        clear_sweep_caches()
-        runs = [run_experiment(first)]
-        counts = (len(computed), len(built))
-        hits = engine._ctid_period.cache_info().hits
-        runs.append(run_experiment(second))
-        assert counts[0] and (len(computed), len(built)) == counts
-        assert engine._ctid_period.cache_info().hits == hits + second.n_periods
-        assert [log.catches for log in runs[0].periods] != [log.catches for log in runs[1].periods]
+        config = base_config(policy=policy, charging_ratio=8.5, entry_level=None,
+                             repeat_first_period=False, n_periods=40, record_level=record_level)
+        runs, counts = [], []
+        for _ in "ab":
+            runs.append(run_experiment(config))
+            counts.append((len(computed), len(built), len(runs[-1].policy.periods)))
+            computed.clear()
+            built.clear()
+        # the second run of the config computes every period the first did
+        assert counts[0] == counts[1] and counts[0][2] > 0
+        assert (counts[0][0] > 0) == (policy == "ctid")
+        assert (counts[0][1] > 0) == (record_level == "per-tick")
+        assert runs[0].policy.periods is not runs[1].policy.periods
         monkeypatch.undo()
-        for config, kernel in zip((first, second), runs):
-            assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+        assert_same_run(runs[1], runs[0])
+        assert_same_run(runs[0], per_tick_oracle.run_experiment(config))
 
     @pytest.mark.parametrize("policy", ["gt", "ctid"])
-    def test_replayed_per_tick_periods_own_their_arrays(self, policy, monkeypatch):
+    def test_replayed_per_tick_periods_own_their_arrays(self, policy):
         config = base_config(policy=policy, charging_ratio=8.5, entry_level=None,
                              repeat_first_period=False, n_periods=40, record_level="per-tick")
-        cached = {}  # the cache's own arrays, by identity
-        steady_arrays = engine._steady_arrays
-
-        def keeping_steady_arrays(*args):
-            arrays = steady_arrays(*args)
-            cached[id(arrays)] = arrays
-            return arrays
-
-        monkeypatch.setattr(engine, "_steady_arrays", keeping_steady_arrays)
-        clear_sweep_caches()
         kernel = run_experiment(config)
-        assert len(cached) == steady_arrays.cache_info().currsize < 25
+        kept_arrays = [run[-1] for run in kernel.policy.periods.values()]
+        assert 0 < len(kept_arrays) < 25 and all(kept_arrays)
 
         def snapshot(arrays):
             return {name: (a.dtype, a.tobytes()) for name, a in arrays.items()}
 
         logs = [snapshot(log.ticks) for log in kernel.periods]
-        kept = [snapshot(arrays) for arrays in cached.values()]
-        # a period whose arrays the cache built, and a replay of it
+        kept = [snapshot(arrays) for arrays in kept_arrays]
+        # a period whose arrays the run built, and a replay of it
         first = kernel.periods[1].ticks["stored"]
         replayed = [p for p, log in enumerate(kernel.periods) if p > 1 and np.array_equal(
             log.ticks["stored"], first)]
@@ -798,26 +797,33 @@ class TestSteadyStateReplay:
         for p, log in enumerate(kernel.periods):
             if p not in (1, replayed[-1]):
                 assert snapshot(log.ticks) == logs[p], f"period {p}"
-        assert [snapshot(arrays) for arrays in cached.values()] == kept
+        assert [snapshot(arrays) for arrays in kept_arrays] == kept
 
     def test_a_replayed_period_keeps_the_end_check(self):
-        clear_sweep_caches()
         store = store_for(120, 9)
-        segment = Segment.of(HarvestSource.constant(1.0), store, 1200, 30, record=True)
-        log, again = (run_period(GtPolicy(), store_for(120, 9), segment, bytes(1200), 0)
-                      for _ in "ab")
-        assert_same_log(again, log)
-        info = engine._steady_arrays.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        # the entry is keyed by the kernel's end: the same end is a hit, and
-        # another is a miss whose rebuilt arrays fail the replay's end check
-        end = round(log.stored_end * store.wake)
-        key = (GtPolicy, 0, 1, store.capacity, store.wake, 1200, 30, (range(1200),), ())
-        engine._steady_arrays(*key, end)
+        source = HarvestSource.constant(1.0)
+        summary, recorded = (Segment.of(source, store, 1200, 30, record=record)
+                             for record in (False, True))
+        policy = GtPolicy()
+        log = run_period(policy, store_for(120, 9), summary, bytes(1200), 0)
+        (run,) = policy.periods.values()
+        assert run[-1] is None
+        # a recorded replay of a summary period builds its arrays once, and
+        # checks that they end at the kernel's end
+        again = run_period(policy, store_for(120, 9), recorded, bytes(1200), 0)
+        assert_same_log(again, run_period(GtPolicy(), store_for(120, 9), recorded,
+                                          bytes(1200), 0))
+        assert again.catches == log.catches and run[-1] is not None
+        run[0] -= 1
+        run[-1] = None
         with pytest.raises(RuntimeError, match="per-tick replay ends at"):
-            engine._steady_arrays(*key, end - 1)
-        info = engine._steady_arrays.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 2, 1)
+            run_period(policy, store_for(120, 9), recorded, bytes(1200), 0)
+
+    def test_each_policy_owns_its_periods(self):
+        # a class-level dict would be shared by every run in the process
+        assert GtPolicy().periods is not GtPolicy().periods
+        ctid = CtidConfig()
+        assert CtidPolicy(ctid).periods is not CtidPolicy(ctid).periods
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_fig_perf_summary_equals_per_tick_over_150_periods(self, policy):
@@ -1308,6 +1314,12 @@ class TestExperiment:
         # the base peak starts at tick 300, a multiple of the 60 s learner slot
         with pytest.raises(ValueError, match=match):
             base_config(learner=LearnerConfig(state_duration=60), schedule=(change,))
+
+    @pytest.mark.parametrize("period", [2.5, math.nan, True], ids=["fraction", "nan", "bool"])
+    def test_a_change_period_that_is_not_an_integer_is_rejected(self, period):
+        # 2.5 and nan failed inside the run, and True ran as period 1
+        with pytest.raises(ValueError, match="period must be an integer"):
+            base_config(n_periods=5, schedule=(PatternChange(period, "shift", 1),))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

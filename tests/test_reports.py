@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from smarton_sim import engine, reports
 from smarton_sim.reports import (
     CONVERGENCE_HEADER,
     METRICS_HEADER,
@@ -113,51 +112,21 @@ class TestDeterminism:
             b = (b_dir / name).read_bytes()
             assert a == b, f"{name} differs between identical sweeps"
 
-
-    @staticmethod
-    def fig_perf_subset(seeds="0"):
-        # recorded per tick, so that every sweep cache serves the sweep
-        s = PRESETS["fig-perf"]()
-        for axis, value in (("seeds", seeds), ("event_type", "type1,type3"),
+    def test_a_preset_sweep_is_byte_identical_after_another_and_under_jobs(self, tmp_path):
+        # recorded per tick, so that every GT and CTID run replays periods
+        # and their arrays from its own policy; no run reuses another's
+        scenario = PRESETS["fig-perf"]()
+        for axis, value in (("seeds", "0"), ("event_type", "type1,type3"),
                             ("entry_level", "1,4")):
-            s = s.with_value("sweep", axis, value)
-        return s.with_value("run", "record_level", "per-tick")
-
-    @staticmethod
-    def cache_infos():
-        return [cache.cache_info() for cache in engine.SWEEP_CACHES]
-
-    @pytest.mark.parametrize("cleared", [True, False], ids=["cold", "warm"])
-    def test_a_preset_sweep_is_byte_identical_from_a_cold_or_warm_cache(
-            self, tmp_path, monkeypatch, cleared):
-        scenario = self.fig_perf_subset()
+            scenario = scenario.with_value("sweep", axis, value)
+        scenario = scenario.with_value("run", "record_level", "per-tick")
         measure_from = scenario.values[("run", "measure_from")]
-        emit_csv(run_sweep(scenario), tmp_path / "a", measure_from=measure_from)
-        first = self.cache_infos()
-        if not cleared:
-            # the second sweep starts from every entry the first one made
-            monkeypatch.setattr(reports, "SWEEP_CACHES", ())
-        emit_csv(run_sweep(scenario), tmp_path / "b", measure_from=measure_from)
-        second = self.cache_infos()
-        assert all(info.hits > 0 for info in first)
-        if cleared:
-            assert second == first
-        else:
-            # every call of the second sweep hits; a CTID period that hits
-            # sums none of its charges again
-            for a, b in zip(first, second):
-                assert b.misses == a.misses and b.hits > a.hits
+        for out, jobs in (("a", 1), ("b", 1), ("c", 2)):
+            emit_csv(run_sweep(scenario, jobs=jobs), tmp_path / out, measure_from=measure_from)
         for name in ("metrics.csv", "convergence.csv", "timeline.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_the_sweep_cache_does_not_grow_across_sweeps(self):
-        # another sweep in between leaves nothing behind for the third
-        infos = []
-        for seeds in ("0", "0:3", "0"):
-            run_sweep(self.fig_perf_subset(seeds))
-            infos.append(self.cache_infos())
-        assert all(info.currsize > 0 for info in infos[0]) and infos[1] != infos[0]
-        assert infos[2] == infos[0]
+            first = (tmp_path / "a" / name).read_bytes()
+            for out in "bc":
+                assert (tmp_path / out / name).read_bytes() == first, f"{out}/{name}"
 
 
 class TestPlotData:
