@@ -2,9 +2,10 @@
 
 One run binds a store, a sampled event trace and a policy, then walks the
 period.  Within a tick the order is fixed: slot-boundary bookkeeping
-(entry-level forcing, slot planning), the wake decision, the energy draw (a
-wake-up that cannot be funded is skipped, never partial), then harvesting --
-so a decision sees the energy banked up to the end of the previous tick.
+(entry-level forcing, slot planning), the wake decision, the energy draw,
+then harvesting -- so a decision sees the energy banked up to the end of the
+previous tick.  A policy plans only the wake-ups that the store funds at the
+slot start; `run_period` raises RuntimeError on any other plan.
 Periods repeat until the period cap or a stop rule.
 
 Energy is exact: every energy of a run is an integer count of one quantum,
@@ -18,7 +19,7 @@ period.  It jumps from one decision to the next -- slots the policy's
 look-ahead names as able to act, wake-ups, CTID mode flips -- and the
 harvest-only ticks a..b-1 between them leave `min(s + P[b] - P[a], cap)`
 (`_idle`), since the per-tick clamp is monotone for any nonnegative inflow;
-a planned slot that the store funds at its start is one closed form too.
+a planned slot, which the store funds at its start, is one closed form too.
 A period's events are a slice of its segment's one 0/1 byte string.
 Per-tick recording takes the same path and replays the kernel's decisions
 into per-tick arrays (`_tick_arrays`), so it cannot change a number.
@@ -85,7 +86,9 @@ MAX_JITTER_CYCLE = 10_000_000
 
 @dataclass(frozen=True)
 class PatternChange:
-    """Swap the world's pattern starting at `period`."""
+    """Swap the world's pattern starting at `period`: `arg` is a shift's
+    slots (an integer), a morph's (peak index, shape) pair or a replace's
+    `EventPattern`, each refused with ValueError when it is not."""
 
     period: int
     kind: str  # shift | morph | replace
@@ -94,6 +97,18 @@ class PatternChange:
 
     def __post_init__(self):
         require_integer(self, "period")
+        if self.kind == "shift":
+            require_integer(self, "arg")
+        elif self.kind == "morph":
+            # a shape is a canonical name or a tuple of steps, both checked when applied
+            pair = self.arg if isinstance(self.arg, tuple) else ()
+            if len(pair) != 2 or isinstance(pair[0], bool) or not isinstance(pair[0], Integral) \
+                    or not isinstance(pair[1], (str, tuple)):
+                raise ValueError(f"a morph needs an (integer index, shape) pair, got {self.arg!r}")
+        elif self.kind != "replace":
+            raise ValueError(f"pattern change kind {self.kind!r} is not shift, morph or replace")
+        elif not isinstance(self.arg, EventPattern):
+            raise ValueError(f"a replace needs an EventPattern, got {self.arg!r}")
 
 
 @dataclass
@@ -239,7 +254,7 @@ class PeriodLog:
     drawn: float
     harvested: float
     wasted_saturation: float
-    skipped_wakeups: int
+    skipped_wakeups: int  # 0 by construction; kept while the benchmark reports it
     stored_start: float
     stored_end: float
     forced_delta: float = 0.0  # energy injected/removed by entry forcing
@@ -423,14 +438,13 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     and waste the rest (`_idle`), as the per-tick clamp is monotone for any
     nonnegative inflow.  A wake-up is funded when the store holds one wake
     cost; a run of them is one floor division.  A planned slot of `L` ticks
-    from `base` whose start holds all `m` of its wake-ups (`s >= m * wake`)
-    is closed form: no draw can fail, as a clamp only lowers the store to
-    `cap >= s`, so it ends at `s + P[base + L] - P[base] - m * wake` less
-    the overflow of the store's highest point, just before a wake-up or at
-    the slot end.  Other planned slots are walked wake-up by wake-up,
-    skipping a wake-up the store cannot fund.  GT is closed form (awake
-    every tick, catches every event); a CTID charge ends at one bisection of
-    `P`, and its discharge phases draw runs (`_ctid_run`).
+    from `base` must hold all `m` of its wake-ups at its start (`s >= m *
+    wake`), or RuntimeError is raised: no draw can then fail, as a clamp
+    only lowers the store to `cap >= s`, so it ends at `s + P[base + L] -
+    P[base] - m * wake` less the overflow of the store's highest point, just
+    before a wake-up or at the slot end.  GT is closed form (awake every
+    tick, catches every event); a CTID charge ends at one bisection of `P`,
+    and its discharge phases draw runs (`_ctid_run`).
 
     Burst slots and CTID discharge phases are dark: they harvest nothing.
     So a `BURST` drains the run of known slots it starts, up to the next
@@ -462,11 +476,13 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     P = segment.harvest(period_index)
     waste = 0
     event_ticks = events.count(1)
-    awake_total = catches_total = skipped = forced_delta = 0
+    awake_total = catches_total = forced_delta = 0
     recorded = None  # the log's per-tick arrays
 
     if isinstance(policy, (GtPolicy, CtidPolicy)):
         ctid = isinstance(policy, CtidPolicy)
+        if ctid and (s <= policy.e_off or s < wake):
+            policy.discharging = False  # as the first tick would: one key for one period
         key = (s, policy.discharging, policy.discharge_start, inc) if ctid else (s, inc)
         run = policy.periods.get(key)
         if run is None:
@@ -539,17 +555,16 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                     key = (peak, s, inc)
                     hit = memo.get(key)
                     if hit is not None:
-                        ticks, n_skipped, s, episode_waste = hit
+                        ticks, s, episode_waste = hit
                         waste += episode_waste
                         awake_total += len(ticks)
                         catches_total += sum(map(events.__getitem__, ticks))
-                        skipped += n_skipped
                         if record_ticks:
                             wakes.extend(ticks)
                             slot_info.extend(zip(repeat(3), range(1, peak.n_steps + 1)))
                         slot = end
                         continue
-                    episode_end, skipped_before, waste_before, woken = end, skipped, waste, []
+                    episode_end, waste_before, woken = end, waste, []
 
             plan = policy.plan_slot(slot, s)
             if record_ticks:
@@ -574,7 +589,11 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                 slot = run_end - 1
             elif not plan:
                 s, waste = _idle(s, waste, P[base + slot_len] - P[base], cap)
-            elif s >= len(plan) * wake:
+            else:
+                if s < len(plan) * wake:
+                    raise RuntimeError(
+                        f"slot {slot}: {policy.name} planned {len(plan)} wake-ups, and the "
+                        f"store funds {s // wake}")
                 # funded at its start, so no wake-up fails: the store is the
                 # harvest-less-draw path reflected at `cap`, which rises
                 # between wake-ups and peaks just before one or at the end;
@@ -591,25 +610,6 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                 s = end
                 if woken is not None:
                     woken.extend([base + o for o in plan])
-            else:
-                # each wake-up is followed by harvest-only ticks up to the
-                # next one or the slot end
-                done = base  # first tick not yet banked
-                for offset in (*plan, slot_len):
-                    t = base + offset
-                    if t > done:
-                        s, waste = _idle(s, waste, P[t] - P[done], cap)
-                        done = t
-                    if offset == slot_len:
-                        break
-                    if s >= wake:
-                        s -= wake
-                        slot_awake += 1
-                        slot_catches += events[t]
-                        if woken is not None:
-                            woken.append(t)
-                    else:
-                        skipped += 1
 
             awake_total += slot_awake
             catches_total += slot_catches
@@ -617,7 +617,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
             slot += 1
             if slot == episode_end:
                 ticks = tuple(woken)
-                memo[key] = (ticks, skipped - skipped_before, s, waste - waste_before)
+                memo[key] = (ticks, s, waste - waste_before)
                 if record_ticks:
                     wakes.extend(ticks)
                 episode_end, woken = None, wakes
@@ -637,7 +637,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     # every awake tick of a drawing policy drew one wake cost
     return PeriodLog(period_index, phase_start, awake_total, event_ticks, catches_total,
                      float(awake_total) if policy.draws_energy else 0.0, harvested / wake,
-                     waste / wake, skipped, stored_start / wake, s / wake, forced_delta / wake,
+                     waste / wake, 0, stored_start / wake, s / wake, forced_delta / wake,
                      recorded)
 
 
@@ -782,13 +782,10 @@ def _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, da
 
 def apply_change(pattern: EventPattern, change: PatternChange) -> EventPattern:
     if change.kind == "shift":
-        return shift_pattern(pattern, int(change.arg))
+        return shift_pattern(pattern, change.arg)
     if change.kind == "morph":
-        index, shape = change.arg
-        return morph_pattern(pattern, index, shape)
-    if change.kind == "replace":
-        return change.arg
-    raise ValueError(f"unknown pattern change kind {change.kind!r}")
+        return morph_pattern(pattern, *change.arg)
+    return change.arg
 
 
 def _parse_stop_rule(rule: str | None) -> tuple[float, int]:

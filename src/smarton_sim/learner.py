@@ -123,8 +123,9 @@ class LearnerConfig:
 @cache
 def wake_offsets(freq: float, duration: int) -> tuple[int, ...]:
     """Tick offsets within a slot for an evenly spread wake-up frequency;
-    strictly increasing for frequencies up to 1 Hz.  Memoised: the learner
-    asks for the same few schedules at every slot."""
+    strictly increasing for frequencies up to 1 Hz.  Memoised: each learning
+    policy builds its plans here once, so the runs of a process share one
+    tuple per schedule."""
     if freq <= 0:
         return ()
     n = round(freq * duration)

@@ -99,8 +99,9 @@ class BasePolicy:
         return None
 
     def plan_slot(self, slot: int, stored: int):
-        """Wake offsets within the slot, or BURST, given the quanta `stored`
-        at the slot start."""
+        """Wake offsets within the slot, at most `stored // wake` of them, or
+        BURST, given the quanta `stored` at the slot start; `run_period`
+        refuses a plan the store cannot fund."""
         return ()
 
     def on_slot_end(self, slot: int, awake: int, catches: int, stored: int) -> None:

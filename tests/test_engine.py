@@ -45,6 +45,7 @@ from smarton_sim.scenario import PRESETS, build_sim_config, expand_sweep, parse_
 
 import per_tick_oracle
 from per_tick_oracle import store_for
+from test_learner import frequencies_and_slot
 
 
 POLICIES = ("smarton", "ctid", "ctidpro", "gt")
@@ -419,26 +420,53 @@ class TestRunPeriod:
         # lit for the first period, dark for the second, on a grid of 1e-6
         pytest.param(HarvestSource.diurnal(1.0, day_ticks=2400), 1e-6, id="diurnal"),
     ])
-    def test_unfundable_wake_ups_are_skipped_as_in_the_oracle(self, source, step, record):
+    def test_a_plan_the_store_cannot_fund_is_refused(self, source, step, record):
         class Overplanner(BasePolicy):
             """Wake-ups one tick apart and with gaps, 11 per 30-tick slot:
             more than a source at 1/9 of a wake cost per tick funds."""
 
             def plan_slot(self, slot, stored):
+                starts.append(stored)
                 return (0, 1, 2, 3, 10, 11, 12, 13, 14, 28, 29)
 
+        starts = []
         events = bytes(t % 3 == 0 for t in range(1200))
-        stores = [store_for(120, 9, 40.0, levels=(step,)) for _ in range(2)]
-        skipped = awake = 0
-        segment = Segment.of(source, stores[0], 1200, 30, record=record)
-        for p in range(3):
-            got = run_period(Overplanner(), stores[0], segment, events, p)
-            want = per_tick_oracle.run_period(Overplanner(), stores[1], segment, events, p)
-            assert_same_log(got, want)
-            skipped += got.skipped_wakeups
-            awake += got.awake_ticks
-        assert stores[0] == stores[1]
-        assert skipped > 0 and awake > 0
+        store = store_for(120, 9, 40.0, levels=(step,))
+        segment = Segment.of(source, store, 1200, 30, record=record)
+        with pytest.raises(RuntimeError) as refused:
+            run_period(Overplanner(), store, segment, events, 0)
+        # every slot before the refused one was funded at its start
+        funds = [stored // store.wake for stored in starts]
+        assert len(funds) > 1 and min(funds[:-1]) >= 11 > funds[-1]
+        assert str(refused.value) == (f"slot {len(funds) - 1}: base planned 11 wake-ups, "
+                                      f"and the store funds {funds[-1]}")
+
+    def test_the_learning_policies_plan_only_what_the_store_funds(self):
+        # run_period refuses any other plan, so every run must complete;
+        # unusual frequency sets and small stores reach phases 2 and 3 here,
+        # which the golden cases and the schema fuzz hardly do
+        phases = []
+
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(freqs_and_slot=frequencies_and_slot(), capacity=st.integers(2, 200),
+               ratio=st.integers(1, 12), level=st.sampled_from([None, 1, 2, 3, 4]),
+               source=st.sampled_from(["constant", "diurnal"]))
+        def run(freqs_and_slot, capacity, ratio, level, source):
+            freqs, slot_len = freqs_and_slot
+            # the peak's slots are learner slots, as entry forcing needs
+            pattern = build_pattern([("type1", 4)], period_ticks=8 * slot_len,
+                                    state_duration=slot_len, peak_max_duration=3 * slot_len)
+            for policy in ("smarton", "ctidpro"):
+                config = base_config(pattern=pattern, policy=policy, capacity=capacity,
+                                     charging_ratio=ratio, entry_level=level, source_kind=source,
+                                     learner=LearnerConfig(frequencies=tuple(freqs),
+                                                           state_duration=slot_len))
+                result = run_experiment(config)
+                assert result.n_periods_run == 60
+                phases.append(max(result.phase_timeline))
+
+        run()
+        assert max(phases) >= 2
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), wake=st.integers(1, 5), inc=st.integers(0, 12),
@@ -728,7 +756,10 @@ class TestSteadyStateReplay:
         run_period = engine.run_period
 
         def recording_starts(policy, store, *args):
-            starts.append((store.stored, policy.discharging, policy.discharge_start))
+            # a store left discharging that the first tick flips out of
+            # discharging runs the period of one not discharging
+            s, flips = store.stored, store.stored <= policy.e_off or store.stored < store.wake
+            starts.append((s, policy.discharging and not flips, policy.discharge_start))
             return run_period(policy, store, *args)
 
         monkeypatch.setattr(engine, "run_period", recording_starts)
@@ -743,12 +774,10 @@ class TestSteadyStateReplay:
         # catches are counted from each period's fresh events
         assert len({log.catches for log in kernel.periods[25:]}) > 5
         if record_level == "per-tick":
-            # the per-tick arrays are built once per distinct start state; an
-            # empty store left discharging flips at once, as one not
-            # discharging, so two start states can share one period
+            # the per-tick arrays are built once per distinct period
             records = {(log.stored_start, log.ticks["awake"].tobytes(),
                         log.ticks["harvested"].tobytes()) for log in kernel.periods}
-            assert len(built) == len(computed) >= len(records) > 1
+            assert len(built) == len(computed) == len(records) > 1
         monkeypatch.undo()
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
@@ -1302,18 +1331,36 @@ class TestExperiment:
             (PatternChange(5, "shift", 1), "entry_level forcing"),
             (PatternChange(5, "replace", build_pattern([("type1", 10)]), entry_level=9),
              "entry_level 9"),
-            (PatternChange(5, "rotate"), "change kind"),
             (PatternChange(-1, "replace", build_pattern([("type1", 10)])), "period -1"),
             (PatternChange(3, "replace", build_pattern([("type1", 10)], period_ticks=2400)),
              "change at period 3"),
         ],
-        ids=["misaligned-replace", "misaligned-shift", "level-out-of-range", "bad-kind",
+        ids=["misaligned-replace", "misaligned-shift", "level-out-of-range",
              "negative-period", "other-period-length"],
     )
     def test_schedule_errors_are_rejected_when_the_config_is_built(self, change, match):
         # the base peak starts at tick 300, a multiple of the 60 s learner slot
         with pytest.raises(ValueError, match=match):
             base_config(learner=LearnerConfig(state_duration=60), schedule=(change,))
+
+    @pytest.mark.parametrize("kind, arg, match", [
+        ("rotate", None, "change kind 'rotate'"),
+        ("shift", None, "arg must be an integer"),
+        ("shift", 2.7, "arg must be an integer"),
+        ("shift", True, "arg must be an integer"),
+        ("shift", math.nan, "arg must be an integer"),
+        ("shift", "2", "arg must be an integer"),
+        ("morph", None, "integer index, shape"),
+        ("morph", ("0", "type2"), "integer index, shape"),
+        ("replace", None, "EventPattern"),
+        ("replace", "type3", "EventPattern"),
+    ], ids=["bad-kind", "shift-none", "shift-fraction", "shift-bool", "shift-nan", "shift-str",
+            "morph-none", "morph-str-index", "replace-none", "replace-shape-name"])
+    def test_a_pattern_change_with_a_bad_argument_is_refused(self, kind, arg, match):
+        # a shift of 2.7 moved the peaks by 2 slots and True by 1; the others
+        # failed with TypeError or AttributeError once the config was built
+        with pytest.raises(ValueError, match=match):
+            PatternChange(2, kind, arg)
 
     @pytest.mark.parametrize("period", [2.5, math.nan, True], ids=["fraction", "nan", "bool"])
     def test_a_change_period_that_is_not_an_integer_is_rejected(self, period):
