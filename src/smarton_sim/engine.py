@@ -59,7 +59,7 @@ from .events import (
     sample_trace,
     shift_pattern,
 )
-from .learner import LearnerConfig
+from .learner import LearnerConfig, schedule_cost
 from .policies import (
     BURST,
     BasePolicy,
@@ -189,6 +189,13 @@ class SimConfig:
                 f"the period {self.pattern.period_ticks}"
             )
         slot_len, k = self.learner.state_duration, self.learner.k_levels
+        # a store that can never reach its first threshold never wakes
+        if self.policy in ("smarton", "ctidpro") and self.capacity < (
+                top := schedule_cost(self.learner.frequencies[-1], slot_len)):
+            raise ValueError(f"capacity {self.capacity:g} cannot fund one profiling slot's "
+                             f"{top} wake-ups")
+        if self.policy == "ctid" and self.ctid.e_on > self.capacity:
+            raise ValueError(f"e_on {self.ctid.e_on:g} is above capacity {self.capacity:g}")
         for start, pattern, level in self.segments():
             if start < 0:
                 raise ValueError(f"pattern change at period {start}: periods start at 0")
@@ -388,7 +395,7 @@ class Segment:
     entry_value: int | None
     record: bool
     inc: int | None
-    steady: range | tuple[int, ...] | None
+    steady: tuple[int, ...] | None
 
     @classmethod
     def of(cls, source: HarvestSource, store: AbstractStore, period_ticks: int, slot_len: int,
@@ -396,7 +403,8 @@ class Segment:
         """`source`'s segment in the quanta of `store`."""
         unit = store.inflow(source.step)
         inc = source.count(0) * unit if source.kind == "constant" else None
-        steady = None if inc is None else _steady(inc, period_ticks)
+        # a tuple: indexing a range computes each element
+        steady = None if inc is None else tuple(_steady(inc, period_ticks))
         segment = cls(source, unit, period_ticks, slot_len, tuple(entry_slots), entry_value,
                       record, inc, steady)
         if steady is not None or period_ticks % source.cycle:
@@ -429,31 +437,35 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     (`peak_start_slots`) once the policy is past phase 1.
 
     The kernel advances from one decision to the next instead of stepping
-    every tick: entry forcing, the slots a policy can act in, wake-ups, CTID
-    mode flips.  A slot-planned policy names the next slot whose hooks can
-    act (`next_active_slot`); the slots before it are banked without calling
-    the policy.  Every source takes one form, the cumulative inflow `P`,
-    one object for every period of a periodic segment (`Segment.steady`):
-    from `s`, harvest-only ticks `a..b-1` leave `min(s + P[b] - P[a], cap)`
-    and waste the rest (`_idle`), as the per-tick clamp is monotone for any
+    every tick: entry forcing, probes, the slots a policy can act in,
+    wake-ups, CTID mode flips.  The hooks run only where a policy decides:
+    a slot-planned policy names the next slot whose hooks can act
+    (`next_active_slot`), and the slots before it are banked without calling
+    it.  Every source takes one form, the cumulative inflow `P`, one object
+    for every period of a periodic segment (`Segment.steady`): from `s`,
+    harvest-only ticks `a..b-1` leave `min(s + P[b] - P[a], cap)` and waste
+    the rest (`_idle`), as the per-tick clamp is monotone for any
     nonnegative inflow.  A wake-up is funded when the store holds one wake
     cost; a run of them is one floor division.  A planned slot of `L` ticks
     from `base` must hold all `m` of its wake-ups at its start (`s >= m *
     wake`), or RuntimeError is raised: no draw can then fail, as a clamp
     only lowers the store to `cap >= s`, so it ends at `s + P[base + L] -
     P[base] - m * wake` less the overflow of the store's highest point, just
-    before a wake-up or at the slot end.  GT is closed form (awake every
-    tick, catches every event); a CTID charge ends at one bisection of `P`,
-    and its discharge phases draw runs (`_ctid_run`).
+    before a wake-up or at the slot end (`_planned`).  GT is closed form
+    (awake every tick, catches every event); a CTID charge ends at one
+    bisection of `P`, and its discharge phases draw runs (`_ctid_run`).
 
     Burst slots and CTID discharge phases are dark: they harvest nothing.
     So a `BURST` drains the run of known slots it starts, up to the next
-    entry slot, as one draw run with one call of each hook.  Each stop
-    bisects `entry_slots` once, and that index serves the look-ahead, the
-    forcing test, the burst run's end and the replay guard below.
-    Profiling (phase 1, which never forces) plans nothing from below
-    `full_floor`: the slots up to the first start at the floor, one
-    bisection of `P`, are banked at once.
+    kernel stop, as one draw run with one call of each hook.  The kernel's
+    own stops are the entry slots and the policy's `probe_slots`, bisected
+    once a stop for the look-ahead, the forcing and probe tests, the burst's
+    end and the replay guard below.  The kernel funds a probe, after any
+    forcing, as a planned slot of `probe_offsets` when the store holds
+    `probe_floor`, calls no slot hook there, and hands the period's probe
+    catches to `on_period_end`.  Profiling (phase 1, which never forces)
+    plans nothing from below `full_floor`: the slots up to the first start
+    at the floor, one bisection of `P`, are banked at once.
 
     Under a constant source (`segment.inc`), while the policy keeps an
     `episode_memo`, an episode that `episode_at` names, with no entry slot
@@ -476,7 +488,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     P = segment.harvest(period_index)
     waste = 0
     event_ticks = events.count(1)
-    awake_total = catches_total = forced_delta = 0
+    awake_total = catches_total = forced_delta = probe_catches = 0
     recorded = None  # the log's per-tick arrays
 
     if isinstance(policy, (GtPolicy, CtidPolicy)):
@@ -509,19 +521,22 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
         slot_info = []  # (phase, step) per slot, when recording
         dark = []  # (start, end) tick spans that harvested nothing
         n_slots = period_ticks // slot_len
-        # entry forcing rewrites the store at a slot start: a stop for the
-        # look-ahead whether or not the policy acts there
-        n_entries = len(entry_slots) if entry_value is not None else 0
+        # the kernel's own stops, whether or not the policy acts there; a
+        # slot in both comes twice, and the probe branch takes it whole
+        forced = entry_slots if entry_value is not None else ()
+        probes = policy.probe_slots
+        stops = tuple(sorted(forced + probes)) if probes else forced
+        n_stops = len(stops)
         woken, episode_end = wakes, None  # the wake tick list, the end of a memoized episode
-        slot = i = 0  # i: the first entry slot at or after `slot`
+        slot = i = 0  # i: the first kernel stop at or after `slot`
         while slot < n_slots:
             # bank the slots before the next one that can act in one idle run;
-            # none of them is an entry slot, so `i` holds for `nxt` too
+            # none of them is a kernel stop, so `i` holds for `nxt` too
             nxt = policy.next_active_slot(slot)
-            if n_entries:
-                i = bisect_left(entry_slots, slot)
-                if i < n_entries and entry_slots[i] < nxt:
-                    nxt = entry_slots[i]
+            if n_stops:
+                i = bisect_left(stops, slot)
+                if i < n_stops and stops[i] < nxt:
+                    nxt = stops[i]
             if nxt > slot:
                 s, waste = _idle(s, waste, P[nxt * slot_len] - P[slot * slot_len], cap)
                 if record_ticks:
@@ -530,12 +545,24 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                 if slot == n_slots:
                     break
             base = slot * slot_len
-            if i < n_entries and entry_slots[i] == slot:
+            if i < n_stops and stops[i] == slot:
                 i += 1
-                if policy.current_phase >= 2:
+                if slot in forced and policy.current_phase >= 2:
                     forced_delta += entry_value - s
                     s = entry_value
                     forced_at.append(base)
+                if slot in probes:
+                    if record_ticks:
+                        slot_info.append((3, 0))
+                    if s >= policy.probe_floor:
+                        s, waste, slot_catches = _planned(policy.probe_offsets, s, waste, P,
+                                                          events, base, slot_len, cap, wake, woken)
+                        awake_total += len(policy.probe_offsets)
+                        probe_catches += slot_catches
+                    else:
+                        s, waste = _idle(s, waste, P[base + slot_len] - P[base], cap)
+                    slot += 1
+                    continue
             if policy.current_phase == 1 and s < policy.full_floor:
                 # bank the slots up to the first start at the floor
                 t = bisect_left(P, P[base] + policy.full_floor - s, base)
@@ -551,7 +578,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                     and (peak := policy.episode_at(slot, s))):
                 end = slot + peak.n_steps
                 # no forcing inside the episode
-                if end <= n_slots and (i == n_entries or entry_slots[i] >= end):
+                if end <= n_slots and (i == n_stops or stops[i] >= end):
                     key = (peak, s, inc)
                     hit = memo.get(key)
                     if hit is not None:
@@ -575,7 +602,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                 # drain while a wake-up can be funded; nothing is harvested, and
                 # no hook acts inside the known run, as probes skip known slots
                 known = policy.known_slots
-                stop = entry_slots[i] if i < n_entries else n_slots
+                stop = stops[i] if i < n_stops else n_slots
                 run_end = slot + 1
                 while run_end < stop and run_end in known:
                     run_end += 1
@@ -594,22 +621,9 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                     raise RuntimeError(
                         f"slot {slot}: {policy.name} planned {len(plan)} wake-ups, and the "
                         f"store funds {s // wake}")
-                # funded at its start, so no wake-up fails: the store is the
-                # harvest-less-draw path reflected at `cap`, which rises
-                # between wake-ups and peaks just before one or at the end;
-                # before a wake-up it is at most `s + P[base + plan[-1]] - P[base]`
-                top = s - P[base]
                 slot_awake = len(plan)
-                slot_catches = sum(map(events[base : base + slot_len].__getitem__, plan))
-                end = top + P[base + slot_len] - slot_awake * wake
-                if end > cap or top + P[base + plan[-1]] > cap:
-                    peak = max([end] + [top + P[base + o] - j * wake for j, o in enumerate(plan)])
-                    if peak > cap:
-                        waste += peak - cap
-                        end -= peak - cap
-                s = end
-                if woken is not None:
-                    woken.extend([base + o for o in plan])
+                s, waste, slot_catches = _planned(plan, s, waste, P, events, base, slot_len,
+                                                  cap, wake, woken)
 
             awake_total += slot_awake
             catches_total += slot_catches
@@ -631,14 +645,33 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
 
     store.stored = s
     store.wasted_saturation += waste
-    policy.on_period_end(period_index)
+    policy.on_period_end(period_index, probe_catches)
 
     # the log's reals are in wake costs, each the correctly rounded quotient;
     # every awake tick of a drawing policy drew one wake cost
+    catches_total += probe_catches
     return PeriodLog(period_index, phase_start, awake_total, event_ticks, catches_total,
                      float(awake_total) if policy.draws_energy else 0.0, harvested / wake,
                      waste / wake, 0, stored_start / wake, s / wake, forced_delta / wake,
                      recorded)
+
+
+def _planned(plan, s: int, waste: int, P, events, base: int, slot_len: int, cap, wake, woken):
+    """(s, waste, catches) after a slot of `slot_len` ticks from `base` whose
+    wake-ups `plan` are funded by `s`: the store peaks just before a wake-up
+    or at the end.  The wake ticks go onto the list `woken` if there is one."""
+    # the store is the harvest-less-draw path reflected at `cap`, which rises
+    # between wake-ups; before one it is at most `s + P[base + plan[-1]] - P[base]`
+    top = s - P[base]
+    end = top + P[base + slot_len] - len(plan) * wake
+    if end > cap or top + P[base + plan[-1]] > cap:
+        peak = max([end] + [top + P[base + o] - j * wake for j, o in enumerate(plan)])
+        if peak > cap:
+            waste += peak - cap
+            end -= peak - cap
+    if woken is not None:
+        woken.extend([base + o for o in plan])
+    return end, waste, sum(map(events[base : base + slot_len].__getitem__, plan))
 
 
 def _ctid_run(s: int, waste: int, cap: int, wake: int, e_on: int, e_off: int, interval: int,
@@ -668,9 +701,9 @@ def _ctid_run(s: int, waste: int, cap: int, wake: int, e_on: int, e_off: int, in
                 discharging = True
                 start = dark_from = t
             else:
-                # harvest up to the tick whose pre-tick check sees e_on, which
-                # a store clamped below it never does, or to the span's end
-                b = bisect_left(P, P[t] + e_on - s, t, end) if e_on <= cap else end
+                # harvest up to the tick whose pre-tick check sees e_on, or
+                # to the span's end; e_on is at most `cap`, so no clamp comes first
+                b = bisect_left(P, P[t] + e_on - s, t, end)
                 s, waste = _idle(s, waste, P[b] - P[t], cap)
                 t = b
                 continue

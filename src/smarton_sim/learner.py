@@ -358,12 +358,14 @@ def partition_converged(table: QTable, entry_level: int, cfg: LearnerConfig) -> 
     return all(c <= cfg.convergence_epsilon for c in changes[-cfg.convergence_window:])
 
 
-def probe_plan(candidates: tuple[int, ...], budget: int, stream) -> set[int]:
-    """Up to `budget` probe slots drawn uniformly from `candidates`, the
-    slots outside known peaks, which the caller keeps between changes."""
-    if budget <= 0 or not candidates:
-        return set()
-    return set(stream.sample_without_replacement(candidates, budget))
+def probe_plan(candidates: tuple[int, ...], budget: int, stream) -> tuple[int, ...]:
+    """Up to `budget` of `candidates`, the slots outside known peaks, in
+    ascending order: the picks of `Stream.sample_without_replacement`, with
+    its doubles read from one block."""
+    pool, picks = list(candidates), []
+    for u in stream.next_doubles(min(budget, len(pool))):
+        picks.append(pool.pop(int(u * len(pool))))
+    return tuple(sorted(picks))
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,16 @@
 The learning policy and CTIDpro are slot-planned: at each slot boundary they
 return a tuple of wake offsets within the slot, or the ``BURST`` marker for
 CTIDpro's greedy drain-until-empty (harvest paused), which spans the run of
-`known_slots` it starts, up to the next entry slot.  They also look ahead
-(`next_active_slot`): the slots before the next one that can act -- an
-unvisited profile slot, a learned peak, a probe slot -- plan nothing, so the
-kernel banks them as one idle run without calling the hooks, as it does a
-profile slot whose start holds less than `full_floor`.  Both profile and
-probe through one base class, `_Profiling`, and a profile with no peaks
-leaves them exploiting nothing and probing.  GT and CTID plan nothing: the
-engine's kernel runs them in closed form and as a charge/discharge advance
-whose mode flips fall on any tick, and this module only holds their
-configuration and carried state.
+`known_slots` it starts, up to the next entry or probe slot.  They also look
+ahead (`next_active_slot`): the slots before the next one that can act -- an
+unvisited profile slot, a learned peak -- plan nothing, so the kernel banks
+them as one idle run without calling the hooks, as it does a profile slot
+whose start holds less than `full_floor`.  Both profile and probe through
+one base class, `_Profiling`, and a profile with no peaks leaves them
+exploiting nothing and probing; the kernel runs their probe slots.  GT and
+CTID plan nothing: the engine's kernel runs them in closed form and as a
+charge/discharge advance whose mode flips fall on any tick, and this module
+only holds their configuration and carried state.
 
 GT is an oracle: it is awake at every tick and draws no energy, but its
 efficiency metric still prices every awake tick at one wake cost.
@@ -83,6 +83,7 @@ class BasePolicy:
     current_phase = 0  # 0 = not a phased policy
     current_step = 0
     episode_memo = None  # a dict while `episode_at` names episodes to replay
+    probe_slots: tuple[int, ...] = ()  # this period's, ascending; `run_period` funds them
 
     def on_period_start(self, period: int) -> None:
         pass
@@ -108,8 +109,8 @@ class BasePolicy:
         """The slot's awake ticks and catches, and the quanta `stored` at its
         end."""
 
-    def on_period_end(self, period: int) -> None:
-        pass
+    def on_period_end(self, period: int, probe_catches: int) -> None:
+        """The period's end, with the catches of its `probe_slots`."""
 
 
 class GtPolicy(BasePolicy):
@@ -155,11 +156,12 @@ class _Profiling(BasePolicy):
 
     Profiling wakes at the top frequency in each unvisited slot whose whole
     schedule the store can fund, until consecutive runs agree; `_exploit`
-    then takes the peaks, if any.  A period that starts in phase 3 probes
-    slots outside `known_slots` at the lowest nonzero frequency, drawn from
-    a tuple of those slots built once per change of `known_slots`; and
-    `probe_trigger` or more catches there call `_reprofile` at its end.
-    Subclasses provide `profile`, `known_slots`, `_exploit_starts`,
+    then takes the peaks, if any.  A period that starts in phase 3 draws its
+    `probe_slots` from the slots outside `known_slots`, a tuple built once
+    per change of them; the kernel wakes in each at the lowest nonzero
+    frequency (`probe_offsets`) when it holds `probe_floor`, and
+    `probe_trigger` or more catches there call `_reprofile` at the period's
+    end.  Subclasses provide `profile`, `known_slots`, `_exploit_starts`,
     `_exploit` and `_reprofile`, and define the engine hooks themselves.
     Stored energy is in quanta, `wake` of them to a wake-up."""
 
@@ -179,35 +181,22 @@ class _Profiling(BasePolicy):
         self.full_floor = len(self.full_offsets) * wake
         self.probe_floor = len(self.probe_offsets) * wake
         self._profiling_slot: int | None = None
-        self._probe_slots: set[int] = set()
-        self._probe_catches = 0
-        self._active_slots: tuple[int, ...] = ()  # exploit starts and probe slots
-        # the slots outside `known_slots`; set to None where those change
-        self._probe_candidates: tuple[int, ...] | None = None
+        # the slots where exploiting begins, and those outside `known_slots`
+        self._active_slots = self._probe_candidates = ()
 
-    def _refresh_active_slots(self) -> None:
-        self._active_slots = tuple(sorted(self._exploit_starts() | self._probe_slots))
+    def _known_slots_changed(self) -> None:
+        known = self.known_slots
+        self._active_slots = tuple(sorted(self._exploit_starts()))
+        self._probe_candidates = tuple(s for s in range(self.n_slots) if s not in known)
 
     def _draw_probes(self) -> None:
-        """This period's probe slots, at its start: drawn in phase 3 only.
-        `_active_slots` is rebuilt in phase 3 and where the probes leave it."""
-        self._probe_catches = 0
-        if self.current_phase == 3:
-            if self._probe_candidates is None:
-                known = self.known_slots
-                self._probe_candidates = tuple(s for s in range(self.n_slots) if s not in known)
-            self._probe_slots = probe_plan(self._probe_candidates, self.cfg.probe_budget,
-                                           self.probe_stream)
-        elif self._probe_slots:
-            self._probe_slots = set()
-        else:
-            return
-        self._refresh_active_slots()
+        """This period's probe slots, at its start: drawn in phase 3 only."""
+        self.probe_slots = (probe_plan(self._probe_candidates, self.cfg.probe_budget,
+                                       self.probe_stream) if self.current_phase == 3 else ())
 
     def next_active_slot(self, slot: int) -> int:
         # every slot of an episode plans; while profiling only unvisited
         # slots plan anything; otherwise the slots where exploiting begins
-        # and this period's probe slots
         if self._episode is not None:
             return slot
         if self.current_phase == 1:
@@ -221,11 +210,6 @@ class _Profiling(BasePolicy):
         plan = self.full_offsets if fund else ()
         self._profiling_slot = slot if plan else None
         return plan
-
-    def _plan_probe(self, slot: int, stored: int):
-        if slot in self._probe_slots and stored >= self.probe_floor:
-            return self.probe_offsets
-        return ()
 
     def _profile_slot_end(self, slot: int, catches: int, stored: int) -> None:
         if self._profiling_slot == slot:
@@ -242,14 +226,10 @@ class _Profiling(BasePolicy):
         else:
             profile.finish_run()
 
-    def _probe_slot_end(self, slot: int, catches: int) -> None:
-        if slot in self._probe_slots:
-            self._probe_catches += catches
-
-    def _end_probing(self) -> None:
-        """At the period end: re-profile on enough probe catches."""
-        if self.current_phase == 3 and self._probe_catches >= self.cfg.probe_trigger:
-            self._reprofile()
+    def _end_probing(self, probe_catches: int) -> None:
+        """At the end of a period: re-profile on enough probe catches."""
+        if probe_catches >= self.cfg.probe_trigger:
+            self._reprofile(probe_catches)
 
 
 @dataclass(slots=True)
@@ -326,8 +306,7 @@ class SmartOnPolicy(_Profiling):
 
     def _refresh_peaks(self) -> None:
         self._peak_starts = {p.start_slot: p for p in self.ctx.known_peaks}
-        self._probe_candidates = None
-        self._refresh_active_slots()
+        self._known_slots_changed()
 
     # -- engine hooks ------------------------------------------------------
 
@@ -358,7 +337,7 @@ class SmartOnPolicy(_Profiling):
         if ep is None:
             peak = self._peak_starts.get(slot)
             if peak is None:
-                return self._plan_probe(slot, stored)
+                return ()
             self._begin_episode(peak, stored)
         elif slot != ep.slot:
             raise RuntimeError(f"episode cursor lost: slot {slot}, expected {ep.slot}")
@@ -390,8 +369,6 @@ class SmartOnPolicy(_Profiling):
             self._profile_slot_end(slot, catches, stored)
         elif self._episode is not None:
             self._finish_episode_step(catches, awake, stored)
-        else:
-            self._probe_slot_end(slot, catches)
 
     def _finish_profile_run(self, stored: int) -> None:
         self.phase1_stays[-1]["profiles"] += 1
@@ -480,16 +457,16 @@ class SmartOnPolicy(_Profiling):
                 return False
         return True
 
-    def on_period_end(self, period: int) -> None:
+    def on_period_end(self, period: int, probe_catches: int) -> None:
         # a pass is one traversal of the period while profiling; count it
         # against the phase the period started in so a mid-period transition
         # still credits the completed pass
         if self._phase_at_period_start == 1:
             self.phase1_stays[-1]["passes"] += 1
-        self._end_probing()
+        self._end_probing(probe_catches)
 
-    def _reprofile(self) -> None:
-        self._transition(ProbeCaught(self._probe_catches))
+    def _reprofile(self, probe_catches: int) -> None:
+        self._transition(ProbeCaught(probe_catches))
         self.phase1_stays.append({"entry": self.ctx.phase1_entries, "passes": 0, "profiles": 0})
 
 
@@ -514,25 +491,20 @@ class CtidProPolicy(_Profiling):
     def plan_slot(self, slot: int, stored: int):
         if self.current_phase == 1:
             return self._plan_profile(slot, stored)
-        if slot in self.known_slots:
-            return BURST
-        return self._plan_probe(slot, stored)
+        return BURST if slot in self.known_slots else ()
 
     def on_slot_end(self, slot: int, awake: int, catches: int, stored: int) -> None:
         if self.current_phase == 1:
             self._profile_slot_end(slot, catches, stored)
-        else:
-            self._probe_slot_end(slot, catches)
 
     def _exploit(self, peaks: tuple[LearnedPeak, ...], stored: int) -> None:
         self.known_slots = {s for p in peaks for s in range(p.start_slot, p.end_slot)}
         self.current_phase = 3
-        self._probe_candidates = None
-        self._refresh_active_slots()
+        self._known_slots_changed()
 
-    def on_period_end(self, period: int) -> None:
-        self._end_probing()
+    def on_period_end(self, period: int, probe_catches: int) -> None:
+        self._end_probing(probe_catches)
 
-    def _reprofile(self) -> None:
+    def _reprofile(self, probe_catches: int) -> None:
         self.profile = SlotProfile(self.n_slots)
         self.current_phase = 1

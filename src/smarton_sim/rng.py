@@ -53,11 +53,14 @@ class Stream:
     that just want a sequence.
     """
 
+    BLOCK = 256  # doubles that `next_doubles` draws ahead at once
+
     def __init__(self, seed: int, name: str):
         self.seed = seed
         self.name = name
         self.key = (int(seed) ^ fnv1a64(name)) & MASK64
         self.cursor = 0
+        self._block, self._block_at = [], 0  # doubles from counter _block_at on
 
     def at(self, i: int) -> float:
         """Uniform double in [0, 1) at counter position i."""
@@ -84,6 +87,15 @@ class Stream:
         i = self.cursor
         self.cursor = i + 1
         return int((mix64(self.key + (i + 1) * GOLDEN_GAMMA) >> 11) * 2.0**-53 * n)
+
+    def next_doubles(self, count: int) -> list[float]:
+        """`count` `next_double` calls, read from a block that `doubles` draws
+        ahead: `(z >> 11) * 2**-53` is exact in float64 there too."""
+        i, self.cursor = self.cursor, self.cursor + count
+        k = i - self._block_at
+        if k < 0 or k + count > len(self._block):
+            self._block, self._block_at, k = self.doubles(i, max(count, self.BLOCK)).tolist(), i, 0
+        return self._block[k : k + count]
 
     def sample_without_replacement(self, items: list, k: int) -> list:
         """First k elements of a Fisher-Yates shuffle driven by this stream."""

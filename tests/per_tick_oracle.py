@@ -5,11 +5,14 @@ It steps every tick through the per-tick store operations defined here
 quanta) and the policy hooks in the documented order -- slot bookkeeping,
 wake decision, draw (an unfundable wake-up is skipped), then harvest --
 with CTID's charge/discharge rule written out per tick and GT awake at
-every tick.  Tests run whole experiments through it by patching it over the
-kernel and the CTID warm-up, then compare every log field and per-tick array
-with the kernel's.
+every tick.  A slot in the policy's `probe_slots` plans `probe_offsets`
+when its start holds `probe_floor`, without either slot hook, and the
+probes' catches go to `on_period_end`.  Tests run whole experiments through
+it by patching it over the kernel and the CTID warm-up, then compare every
+log field and per-tick array with the kernel's.
 """
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -72,16 +75,18 @@ def ctid_warm_up(policy, store, source, ticks):
     policy.discharge_start %= policy.cfg.wake_interval  # the cadence, as the kernel keeps it
 
 
-def run_period(policy, store, segment, events, period_index):
+def run_period(policy, store, segment, events, period_index, probe_counts=None):
     """`engine.run_period`, one tick at a time: each tick harvests
-    `source.count(tick)` steps of the segment's source, priced by the store."""
+    `source.count(tick)` steps of the segment's source, priced by the store.
+    A dict `probe_counts` counts the probe slots that are funded and not."""
     source, period_ticks, slot_len = segment.source, segment.period_ticks, segment.slot_len
     entry_slots, entry_value = segment.entry_slots, segment.entry_value
     phase_start = policy.current_phase
     stored_start = store.stored
     waste_before = store.wasted_saturation
     policy.on_period_start(period_index)
-    awake_total = catches_total = skipped = 0
+    probes = policy.probe_slots
+    awake_total = catches_total = skipped = probe_catches = 0
     drawn_total = harvested_total = forced_delta = 0
     wake = store.wake
     rows = []
@@ -94,8 +99,15 @@ def run_period(policy, store, segment, events, period_index):
             before = store.stored
             store.stored = entry_value
             forced_delta += store.stored - before
-        plan = () if ctid or gt else policy.plan_slot(slot, store.stored)
-        step = policy.current_step
+        probe = slot in probes
+        if probe:
+            plan = policy.probe_offsets if store.stored >= policy.probe_floor else ()
+            if probe_counts is not None:
+                probe_counts["funded" if plan else "unfunded"] += 1
+            step = 0
+        else:
+            plan = () if ctid or gt else policy.plan_slot(slot, store.stored)
+            step = policy.current_step
         slot_awake = slot_catches = 0
         for i in range(slot_len):
             t = base + i
@@ -128,10 +140,13 @@ def run_period(policy, store, segment, events, period_index):
                          policy.current_phase, slot, step))
         awake_total += slot_awake
         catches_total += slot_catches
-        policy.on_slot_end(slot, slot_awake, slot_catches, store.stored)
+        if probe:
+            probe_catches += slot_catches
+        else:
+            policy.on_slot_end(slot, slot_awake, slot_catches, store.stored)
     if ctid:  # the cadence goes on in the next period's frame
         policy.discharge_start = (policy.discharge_start - period_ticks) % policy.cfg.wake_interval
-    policy.on_period_end(period_index)
+    policy.on_period_end(period_index, probe_catches)
 
     ticks = None
     if segment.record:
@@ -151,10 +166,10 @@ def run_period(policy, store, segment, events, period_index):
     )
 
 
-def run_experiment(config):
+def run_experiment(config, probe_counts=None):
     """`engine.run_experiment` with every period and the CTID warm-up stepped
     tick by tick."""
-    with mock.patch.object(engine, "run_period", run_period), \
+    with mock.patch.object(engine, "run_period", partial(run_period, probe_counts=probe_counts)), \
             mock.patch.object(engine, "_ctid_warm_up", ctid_warm_up):
         return engine.run_experiment(config)
 

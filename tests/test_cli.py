@@ -120,6 +120,13 @@ class TestSimulate:
             ("[run]\nn_periods = 3\nmeasure_from = -5\n", "measure_from"),
             ("[policy]\npolicy = ctid\ndischarge_frequency = 2\n", "discharge_frequency"),
             ("[policy]\npolicy = ctid\ne_off = -1\n", "e_off"),
+            # a store below one profiling slot's 30 wake-ups never wakes
+            ("[energy]\ncapacity = 29\n", "capacity"),
+            ("[policy]\npolicy = ctidpro\n[energy]\ncapacity = 29.5\n", "capacity"),
+            ("[learner]\nstate_duration = 60\n[energy]\ncapacity = 59\n", "capacity"),
+            # a store below e_on never discharges
+            ("[policy]\npolicy = ctid\n[energy]\ncapacity = 29\n", "e_on"),
+            ("[policy]\npolicy = ctid\ne_on = 120.5\n", "e_on"),
         ],
     )
     def test_learner_config_errors_exit_2(self, tmp_path, capsys, text, field):

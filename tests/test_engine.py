@@ -240,9 +240,11 @@ class TestRunPeriod:
             pytest.param("ctidpro", dict(source_level=0.0, initial_stored=50.0),
                          id="dark-ctidpro"),
             pytest.param("gt", dict(source_level=0.0), id="dark-gt"),
-            # e_on at or above capacity: charge phases saturate, so no jump
+            # e_on at capacity: a charge ends as the store fills; above it,
+            # the store would never reach e_on, and the config is refused
             pytest.param("ctid", dict(ctid=CtidConfig(e_on=120.0)), id="ctid-e_on-at-cap"),
-            pytest.param("ctid", dict(ctid=CtidConfig(e_on=150.0)), id="ctid-e_on-over-cap"),
+            pytest.param("ctid", dict(ctid=CtidConfig(e_on=150.0), refused="e_on 150"),
+                         id="ctid-e_on-over-cap"),
             # 20 s and 60 s learner slots
             pytest.param("smarton", dict(learner=LearnerConfig(state_duration=20)),
                          id="slot20-smarton"),
@@ -255,6 +257,11 @@ class TestRunPeriod:
     ):
         kw = dict(policy=policy, seed=4, n_periods=25, ctid_phase_jitter=True)
         kw.update(overrides)
+        refused = kw.pop("refused", None)
+        if refused:
+            with pytest.raises(ValueError, match=refused):
+                base_config(record_level=record_level, **kw)
+            return
         assert_kernel_matches_oracle(base_config(record_level=record_level, **kw))
 
     @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
@@ -296,7 +303,7 @@ class TestRunPeriod:
         self, policy, ratio, capacity, level, fill, e_on, e_off_share, frequency,
         probe_budget, entry, gated, record_level
     ):
-        assert_kernel_matches_oracle(base_config(
+        kw = dict(
             policy=policy, charging_ratio=float(ratio), capacity=float(capacity),
             source_level=float(level), initial_stored=float(fill * capacity),
             ctid=CtidConfig(e_on=float(e_on), e_off=float(e_off_share * e_on),
@@ -304,7 +311,15 @@ class TestRunPeriod:
             learner=LearnerConfig(probe_budget=probe_budget), entry_level=entry,
             gate_source_in_peaks=gated, record_level=record_level,
             ctid_phase_jitter=True, n_periods=4, seed=3,
-        ))
+        )
+        # a profiling slot wakes 30 times at the default 1 Hz over 30 ticks
+        refused = ("capacity" if policy in ("smarton", "ctidpro") and capacity < 30
+                   else "e_on" if policy == "ctid" and e_on > capacity else None)
+        if refused:
+            with pytest.raises(ValueError, match=refused):
+                base_config(**kw)
+            return
+        assert_kernel_matches_oracle(base_config(**kw))
 
     @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
     @pytest.mark.parametrize("policy", ["smarton", "ctidpro"])
@@ -324,6 +339,37 @@ class TestRunPeriod:
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
         timeline = kernel.phase_timeline
         assert 3 in timeline[:70] and 1 in timeline[70:] and timeline[-1] == 3
+
+    def test_kernel_matches_per_tick_oracle_through_phase_3_on_drawn_configs(self):
+        # the kernel runs the probe slots itself: over about 100 periods the
+        # learning policies reach phase 3 and probe, with stores that fund
+        # some probe slots and not others; peaks that shift at period 50
+        # put events under the probes, whose catches send some runs back
+        # to profiling
+        counts = {"funded": 0, "unfunded": 0}
+        timelines = []
+
+        @settings(max_examples=15, deadline=None, derandomize=True)
+        @given(policy=st.sampled_from(("smarton", "ctidpro")),
+               probe_budget=st.sampled_from((1, 2, 5)), seed=st.integers(0, 2**16),
+               entry=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+               gated=st.booleans(), record_level=st.sampled_from(("summary", "per-tick")),
+               capacity=st.integers(30, 200), shift=st.sampled_from((0, 4, 8)))
+        def run(policy, probe_budget, seed, entry, gated, record_level, capacity, shift):
+            config = base_config(
+                policy=policy, learner=LearnerConfig(probe_budget=probe_budget), seed=seed,
+                entry_level=entry, gate_source_in_peaks=gated, record_level=record_level,
+                capacity=float(capacity), n_periods=100,
+                schedule=(PatternChange(50, "shift", shift, entry_level=entry),) if shift else (),
+            )
+            kernel = run_experiment(config)
+            assert_same_run(kernel, per_tick_oracle.run_experiment(config, counts))
+            timelines.append("".join(map(str, kernel.phase_timeline)))
+
+        run()
+        assert sum("3" in timeline for timeline in timelines) > len(timelines) / 2
+        assert any("31" in timeline for timeline in timelines), timelines
+        assert counts["funded"] > 0 and counts["unfunded"] > 0, counts
 
     @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
     @pytest.mark.parametrize("frequency", [0.2, 0.25, 0.5, 1.0])
@@ -444,8 +490,10 @@ class TestRunPeriod:
     def test_the_learning_policies_plan_only_what_the_store_funds(self):
         # run_period refuses any other plan, so every run must complete;
         # unusual frequency sets and small stores reach phases 2 and 3 here,
-        # which the golden cases and the schema fuzz hardly do
+        # which the golden cases and the schema fuzz hardly do; a capacity
+        # below one profiling slot's wake-ups is refused when the config is built
         phases = []
+        refused = []
 
         @settings(max_examples=30, deadline=None, derandomize=True)
         @given(freqs_and_slot=frequencies_and_slot(), capacity=st.integers(2, 200),
@@ -457,16 +505,21 @@ class TestRunPeriod:
             pattern = build_pattern([("type1", 4)], period_ticks=8 * slot_len,
                                     state_duration=slot_len, peak_max_duration=3 * slot_len)
             for policy in ("smarton", "ctidpro"):
-                config = base_config(pattern=pattern, policy=policy, capacity=capacity,
-                                     charging_ratio=ratio, entry_level=level, source_kind=source,
-                                     learner=LearnerConfig(frequencies=tuple(freqs),
-                                                           state_duration=slot_len))
-                result = run_experiment(config)
+                kw = dict(pattern=pattern, policy=policy, capacity=capacity,
+                          charging_ratio=ratio, entry_level=level, source_kind=source,
+                          learner=LearnerConfig(frequencies=tuple(freqs),
+                                                state_duration=slot_len))
+                if capacity < len(wake_offsets(freqs[-1], slot_len)):
+                    with pytest.raises(ValueError, match="cannot fund one profiling slot"):
+                        base_config(**kw)
+                    refused.append(capacity)
+                    continue
+                result = run_experiment(base_config(**kw))
                 assert result.n_periods_run == 60
                 phases.append(max(result.phase_timeline))
 
         run()
-        assert max(phases) >= 2
+        assert max(phases) >= 2 and refused
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), wake=st.integers(1, 5), inc=st.integers(0, 12),

@@ -537,10 +537,12 @@ class TestPartitionConverged:
 
 class TestProbePlan:
     def test_zero_budget(self):
-        assert probe_plan(tuple(range(10)), 0, Stream(0, "probe")) == set()
+        stream = Stream(0, "probe")
+        assert probe_plan(tuple(range(10)), 0, stream) == ()
+        assert stream.cursor == 0
 
     def test_everything_in_peaks(self):
-        assert probe_plan((), 2, Stream(0, "probe")) == set()
+        assert probe_plan((), 2, Stream(0, "probe")) == ()
 
     def test_reproducible_choice_outside_peaks(self):
         candidates = tuple(s for s in range(40) if s not in range(10, 13))
@@ -548,7 +550,26 @@ class TestProbePlan:
         b = probe_plan(candidates, 2, Stream(21, "probe"))
         assert a == b
         assert len(a) == 2
-        assert a <= set(candidates)
+        assert a == tuple(sorted(a)) and set(a) <= set(candidates)
+
+    def test_block_draws_equal_the_fisher_yates_draws(self):
+        # 10,000 consecutive periods on one stream, each with its own
+        # candidates (1-40 of 60 slots, ascending) and budget (0-5, at times
+        # above the candidate count): the block-drawn probes are the sorted
+        # picks of `sample_without_replacement`, and the cursor is where its
+        # draws leave it after every period
+        rng = np.random.default_rng(31)
+        stream, reference = Stream(17, "probe"), Stream(17, "probe")
+        over = 0
+        for period in range(10_000):
+            n = int(rng.integers(1, 41))
+            budget = int(rng.integers(0, 6))
+            over += budget > n
+            candidates = tuple(sorted(rng.choice(60, n, replace=False).tolist()))
+            want = tuple(sorted(reference.sample_without_replacement(candidates, budget)))
+            assert probe_plan(candidates, budget, stream) == want, period
+            assert stream.cursor == reference.cursor, period
+        assert over > 100
 
 
 class TestPhaseTransitions:

@@ -143,6 +143,7 @@ class TestCtidPro:
         policy = CtidProPolicy(cfg, 40, seed=0, wake=store.wake)
         policy.current_phase = 3
         policy.known_slots = set(known)
+        policy._known_slots_changed()
         policy.cfg = cfg
         return policy
 
@@ -161,7 +162,6 @@ class TestCtidPro:
     def test_no_profile_never_awake(self):
         store = store_for(120, 9)
         policy = self._exploit_policy(set(), store)
-        policy._probe_slots = set()
         cfg_probe_off = LearnerConfig(probe_budget=0)
         policy.cfg = cfg_probe_off
         log = run_one_period(policy, store, [0] * 1200)
@@ -254,30 +254,40 @@ class TestLookAhead:
     @pytest.mark.parametrize("policy_name", ["smarton", "ctidpro"])
     def test_a_phase3_period_keeps_its_active_slots(self, policy_name, monkeypatch):
         # what lets a kernel walk a phase-3 period's active slots itself: the
-        # tuple `on_period_start` leaves holds at every later stop of the
-        # period, which the per-tick oracle makes at every slot
-        seen = {"periods": 0, "probing": 0, "stops": 0}
+        # tuple of exploit starts holds at every later stop of the period,
+        # which the per-tick oracle makes at every slot, and from one period
+        # to the next until the known slots change; no probe slot is in it,
+        # and no slot hook runs at one
+        seen = {"periods": 0, "probing": 0, "stops": 0, "probes": 0, "kept": 0}
         make_policy_ = engine.make_policy
 
         def checked_policy(config):
             policy = make_policy_(config)
             period_start, plan_slot, on_slot_end = (
                 policy.on_period_start, policy.plan_slot, policy.on_slot_end)
-            fixed = [None]  # the period's active slots, in a phase-3 period
+            fixed = [None, None]  # the period's active slots in phase 3, the last ones
 
             def start(period):
                 period_start(period)
                 fixed[0] = policy._active_slots if policy.current_phase == 3 else None
                 if fixed[0] is not None:
+                    probes = policy.probe_slots
+                    assert probes == tuple(sorted(probes))
+                    assert not set(probes) & (set(fixed[0]) | set(policy.known_slots))
+                    assert fixed[0] == tuple(sorted(policy._exploit_starts()))
+                    seen["kept"] += fixed[0] is fixed[1]
+                    fixed[1] = fixed[0]
                     seen["periods"] += 1
-                    seen["probing"] += bool(policy._probe_slots)
+                    seen["probing"] += bool(probes)
+                    seen["probes"] += len(probes)
 
             def checked(hook):
-                def stop(*args):
-                    result = hook(*args)
+                def stop(slot, *args):
+                    result = hook(slot, *args)
                     if fixed[0] is not None:
                         seen["stops"] += 1
-                        assert policy._active_slots == fixed[0], args
+                        assert slot not in policy.probe_slots, slot
+                        assert policy._active_slots == fixed[0], (slot, *args)
                     return result
                 return stop
 
@@ -295,13 +305,15 @@ class TestLookAhead:
         )
         per_tick_oracle.run_experiment(config)
         assert seen["probing"] == seen["periods"] > 20
-        assert seen["stops"] == 2 * 40 * seen["periods"]
+        assert seen["kept"] > seen["periods"] - 10
+        assert seen["stops"] == 2 * (40 * seen["periods"] - seen["probes"])
 
-    def test_exploiting_ctidpro_looks_ahead_to_known_and_probe_slots(self):
-        policy = CtidProPolicy(LearnerConfig(probe_budget=0), 40, seed=0)
-        policy.current_phase = 3
-        policy.known_slots = {10, 11, 12}
+    def test_exploiting_ctidpro_looks_ahead_to_known_slots_only(self):
+        # probe slots are the kernel's stops, not the policy's
+        policy = CtidProPolicy(LearnerConfig(probe_budget=5), 40, seed=0)
+        policy._exploit((LearnedPeak(10, "HHH"),), 0)
         policy.on_period_start(0)
+        assert len(policy.probe_slots) == 5 and 10 not in policy.probe_slots
         assert [policy.next_active_slot(s) for s in (0, 10, 11, 12, 13)] == [10, 10, 11, 12, 40]
 
     def test_profiling_looks_ahead_to_unvisited_slots(self):
@@ -342,12 +354,13 @@ class TestProbeDraws:
             known = set(policy.known_slots)
             phase = policy.current_phase
             log = inner(policy, *args)
-            want = set()
+            want = ()
             if phase == 3:
                 candidates = [s for s in range(policy.n_slots) if s not in known]
-                want = set(reference.sample_without_replacement(candidates, 2))
+                want = tuple(sorted(reference.sample_without_replacement(candidates, 2)))
                 probing.append(log.period)
-            assert policy._probe_slots == want, f"period {log.period}"
+            assert policy.probe_slots == want, f"period {log.period}"
+            assert policy.probe_stream.cursor == reference.cursor, f"period {log.period}"
             if isinstance(policy, SmartOnPolicy):
                 assert policy.current_phase == policy.ctx.phase, f"period {log.period}"
             return log

@@ -34,6 +34,19 @@ def test_sequential_matches_counter():
     assert seq == [s.at(i) for i in range(50)]
 
 
+def test_block_doubles_equal_the_cursor_draws():
+    # `next_doubles` reads blocks drawn ahead; the values and the cursor are
+    # those of one `next_double` call per value, across block refills and
+    # interleaved cursor draws
+    s, ref = Stream(3, "probe"), Stream(3, "probe")
+    for count in [1, 2, 5, 0, Stream.BLOCK - 3, 7, 2 * Stream.BLOCK, 3] * 3:
+        assert s.next_doubles(count) == [ref.next_double() for _ in range(count)]
+        assert s.cursor == ref.cursor
+        assert s.next_below(40) == ref.next_below(40)
+    s.cursor = 5  # a cursor moved back reads outside the block
+    assert s.next_doubles(3) == [s.at(i) for i in range(5, 8)]
+
+
 @settings(max_examples=300, derandomize=True)
 @given(
     seed=st.integers(min_value=0, max_value=2**64 - 1),
