@@ -52,14 +52,12 @@ class HarvestSource:
     """Nonnegative power profile over ticks, held exactly: the value at a
     tick is `count(tick)` whole steps of the Fraction `step`, so one tick's
     inflow is that count times the quanta of one step (`AbstractStore.inflow`).
-    `count` repeats every `cycle` ticks; ``kind`` is one of ``constant``,
-    ``constant-gated``, ``diurnal-ramp`` or ``trace-file``.
+    `count` repeats every `cycle` ticks.
     """
 
-    def __init__(self, count, step: Fraction, kind: str, cycle: int):
+    def __init__(self, count, step: Fraction, cycle: int):
         self.count = count
         self.step = step
-        self.kind = kind
         self.cycle = cycle
 
     def __call__(self, tick: int) -> float:
@@ -70,7 +68,7 @@ class HarvestSource:
     def constant(cls, level: float = 1.0) -> "HarvestSource":
         if level < 0:
             raise ValueError(f"source level must be nonnegative, got {level}")
-        return cls(lambda t: 1, exact(level), "constant", 1)
+        return cls(lambda t: 1, exact(level), 1)
 
     @classmethod
     def diurnal(cls, peak: float = 1.0, day_ticks: int = 86400) -> "HarvestSource":
@@ -85,7 +83,7 @@ class HarvestSource:
             phase = (t % day_ticks) / day_ticks
             return round(peak * math.sin(2.0 * math.pi * phase) * scale) if phase < 0.5 else 0
 
-        return cls(count, Fraction(10) ** -digits, "diurnal-ramp", day_ticks)
+        return cls(count, Fraction(10) ** -digits, day_ticks)
 
     @classmethod
     def constant_gated(cls, level: float, gaps, period_ticks: int) -> "HarvestSource":
@@ -103,7 +101,7 @@ class HarvestSource:
                     return 0
             return 1
 
-        return cls(count, exact(level), "constant-gated", period_ticks)
+        return cls(count, exact(level), period_ticks)
 
     @classmethod
     def trace(cls, values: tuple[float, ...]) -> "HarvestSource":
@@ -114,7 +112,7 @@ class HarvestSource:
         step = Fraction(math.gcd(*(x.numerator * (den // x.denominator)
                                    for x in exacts.values())), den) or Fraction(1)
         counts = tuple(int(exacts[v] / step) for v in values)
-        return cls(lambda t: counts[t % len(counts)], step, "trace-file", len(counts))
+        return cls(lambda t: counts[t % len(counts)], step, len(counts))
 
 
 def read_trace_file(path) -> tuple[float, ...]:

@@ -14,8 +14,8 @@ Energy is exact: every energy of a run is an integer count of one quantum,
 event-driven kernel (`run_period`) implements these semantics for every
 policy and harvest source, with one harvest form: a period's cumulative
 inflow `P`, the quanta that its ticks 0..t-1 harvest at `P[t]`
-(`Segment.harvest`), built once per segment whose source repeats every
-period.  It jumps from one decision to the next -- slots the policy's
+(`Segment.harvest`), built once per offset of the period in the source's
+cycle.  It jumps from one decision to the next -- slots the policy's
 look-ahead names as able to act, wake-ups, CTID mode flips -- and the
 harvest-only ticks a..b-1 between them leave `min(s + P[b] - P[a], cap)`
 (`_idle`), since the per-tick clamp is monotone for any nonnegative inflow;
@@ -25,9 +25,9 @@ Per-tick recording takes the same path and replays the kernel's decisions
 into per-tick arrays (`_tick_arrays`), so it cannot change a number.
 
 Reuse lives on the run's policy, so no number depends on another run: a
-phase-3 episode of the learning policy is replayed by its start
-(`episode_memo`), and under a constant source a GT or CTID period, with its
-per-tick arrays, is computed once per start state (`periods`).
+phase-3 episode of the learning policy is replayed by its start and the
+name of its `P` (`episode_memo`), and a GT or CTID period, with its
+per-tick arrays, is computed once per start state and `P` (`periods`).
 
 A pattern-change schedule (shift, morph or replace) splits a run into
 segments (`SimConfig.segments`), each with its own source and entry forcing
@@ -39,10 +39,11 @@ to force re-profiling.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, count, cycle, islice, repeat
 from math import inf
 from numbers import Integral
 
@@ -377,15 +378,19 @@ def peak_start_slots(pattern: EventPattern, slot_len: int) -> tuple[int, ...]:
     return tuple(t // slot_len for t in ticks)
 
 
+# the harvest table's size, one default diurnal day of 1,200-tick periods: a
+# cycle that shares no divisor with the period repeats no offset for long
+HARVESTS_MAX = 72
+
+
 @dataclass(frozen=True)
 class Segment:
     """What the periods of a stretch of a run share: the source, and the
     quanta a tick harvests per step of its value (`unit`); the entry slots
     and the quanta forcing sets there (`entry_value`, None to force
-    nothing); `inc`, a constant source's quanta per tick, or None; and
-    `steady`, the one `P` of its periods when the source's cycle divides
-    the period, or None.  Each period's events are a slice of one byte
-    string (`_segment_periods`)."""
+    nothing); and `harvests`, its periods' harvest by their offset in the
+    source's cycle, named from `names`, the run's counter.  Each period's
+    events are a slice of one byte string (`_segment_periods`)."""
 
     source: HarvestSource
     unit: int
@@ -394,36 +399,35 @@ class Segment:
     entry_slots: tuple[int, ...]
     entry_value: int | None
     record: bool
-    inc: int | None
-    steady: tuple[int, ...] | None
+    names: Iterator[int] = field(compare=False)
+    harvests: dict = field(default_factory=dict, compare=False)
 
     @classmethod
     def of(cls, source: HarvestSource, store: AbstractStore, period_ticks: int, slot_len: int,
-           entry_slots=(), entry_value: int | None = None, record: bool = False) -> "Segment":
-        """`source`'s segment in the quanta of `store`."""
-        unit = store.inflow(source.step)
-        inc = source.count(0) * unit if source.kind == "constant" else None
-        # a tuple: indexing a range computes each element
-        steady = None if inc is None else tuple(_steady(inc, period_ticks))
-        segment = cls(source, unit, period_ticks, slot_len, tuple(entry_slots), entry_value,
-                      record, inc, steady)
-        if steady is not None or period_ticks % source.cycle:
-            return segment
-        return replace(segment, steady=segment.harvest(0))
+           entry_slots=(), entry_value: int | None = None, record: bool = False,
+           names: Iterator[int] | None = None) -> "Segment":
+        """`source`'s segment in the quanta of `store`; one policy's segments share `names`."""
+        return cls(source, store.inflow(source.step), period_ticks, slot_len, tuple(entry_slots),
+                   entry_value, record, count() if names is None else names)
 
     def harvest(self, period: int):
-        """`P` of period `period`: `P[t]` is the quanta that its ticks
-        0..t-1 harvest, for t in 0..period_ticks."""
-        if self.steady is not None:
-            return self.steady
-        base = period * self.period_ticks
-        counts = map(self.source.count, range(base, base + self.period_ticks))
-        return tuple(accumulate(map(self.unit.__mul__, counts), initial=0))
-
-
-def _steady(inc: int, ticks: int):
-    """`P` of `ticks` ticks at `inc` quanta each."""
-    return range(0, (ticks + 1) * inc, inc) if inc else (0,) * (ticks + 1)
+        """(name, P, inflows) of every period at `period`'s offset in the
+        source's cycle: `P[t]` is the quanta that ticks 0..t-1 harvest, for t
+        in 0..period_ticks, `inflows` each tick's quanta when recording, and
+        `name`, unique in the run, stands for `P` in memo keys."""
+        offset = period * self.period_ticks % self.source.cycle
+        entry = self.harvests.get(offset)
+        if entry is None:
+            # the counts of one cycle, or of one period if shorter, repeated
+            span = range(offset, offset + min(self.source.cycle, self.period_ticks))
+            ticks = [self.unit * n for n in map(self.source.count, span)]
+            ticks = list(islice(cycle(ticks), self.period_ticks))
+            P = tuple(accumulate(ticks, initial=0))
+            if len(self.harvests) == HARVESTS_MAX:
+                del self.harvests[next(iter(self.harvests))]
+            entry = self.harvests[offset] = (next(self.names), P, np.array(
+                ticks, np.int64 if P[-1] < 2**53 else object) if self.record else None)
+        return entry
 
 
 def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
@@ -441,12 +445,13 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     wake-ups, CTID mode flips.  The hooks run only where a policy decides:
     a slot-planned policy names the next slot whose hooks can act
     (`next_active_slot`), and the slots before it are banked without calling
-    it.  Every source takes one form, the cumulative inflow `P`, one object
-    for every period of a periodic segment (`Segment.steady`): from `s`,
-    harvest-only ticks `a..b-1` leave `min(s + P[b] - P[a], cap)` and waste
-    the rest (`_idle`), as the per-tick clamp is monotone for any
-    nonnegative inflow.  A wake-up is funded when the store holds one wake
-    cost; a run of them is one floor division.  A planned slot of `L` ticks
+    it.  Every source takes one form, the cumulative inflow `P`, one named
+    object for the periods at one offset in the source's cycle
+    (`Segment.harvest`): from `s`, harvest-only ticks `a..b-1` leave
+    `min(s + P[b] - P[a], cap)` and waste the rest (`_idle`), as the
+    per-tick clamp is monotone for any nonnegative inflow.  A wake-up is
+    funded when the store holds one wake cost; a run of them is one floor
+    division.  A planned slot of `L` ticks
     from `base` must hold all `m` of its wake-ups at its start (`s >= m *
     wake`), or RuntimeError is raised: no draw can then fail, as a clamp
     only lowers the store to `cap >= s`, so it ends at `s + P[base + L] -
@@ -467,25 +472,24 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     plans nothing from below `full_floor`: the slots up to the first start
     at the floor, one bisection of `P`, are banked at once.
 
-    Under a constant source (`segment.inc`), while the policy keeps an
-    `episode_memo`, an episode that `episode_at` names, with no entry slot
-    after its first and before its end, is replayed by (peak, stored energy,
-    inflow), or run and stored with its waste.  A GT or CTID period, blind
-    to events, is computed once per start state (`_blind_period`) and kept
-    in the policy's `periods`, with its per-tick arrays once built; catches
-    are counted from its own events, and each log owns copies of the
-    arrays.  Recording takes these paths and lists decisions for
-    `_tick_arrays`.
+    While the policy keeps an `episode_memo`, an episode that `episode_at`
+    names, with no entry slot after its first and before its end, is
+    replayed by (start slot, shape, stored energy, name of `P`), or run and
+    stored with its waste.  A GT or CTID period, blind to events, is
+    computed once per start state and `P` (`_blind_period`) and kept in the
+    policy's `periods`, with its per-tick arrays once built; catches are
+    counted from its own events, and each log owns copies of the arrays.
+    Recording takes these paths and lists decisions for `_tick_arrays`.
     """
     phase_start = policy.current_phase
     s = stored_start = store.stored
     policy.on_period_start(period_index)
 
     cap, wake = store.capacity, store.wake
-    period_ticks, slot_len, inc = segment.period_ticks, segment.slot_len, segment.inc
+    period_ticks, slot_len = segment.period_ticks, segment.slot_len
     entry_slots, entry_value, record_ticks = (segment.entry_slots, segment.entry_value,
                                               segment.record)
-    P = segment.harvest(period_index)
+    name, P, inflows = segment.harvest(period_index)
     waste = 0
     event_ticks = events.count(1)
     awake_total = catches_total = forced_delta = probe_catches = 0
@@ -495,12 +499,10 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
         ctid = isinstance(policy, CtidPolicy)
         if ctid and (s <= policy.e_off or s < wake):
             policy.discharging = False  # as the first tick would: one key for one period
-        key = (s, policy.discharging, policy.discharge_start, inc) if ctid else (s, inc)
+        key = (s, policy.discharging, policy.discharge_start, name) if ctid else (s, name)
         run = policy.periods.get(key)
         if run is None:
-            run = _blind_period(policy, s, P, cap, wake, period_ticks)
-            if inc is not None:
-                policy.periods[key] = run
+            run = policy.periods[key] = _blind_period(policy, s, P, cap, wake, period_ticks)
         s, waste, mode, dark, wake_runs, awake_total, harvested, arrays = run
         if ctid:
             policy.discharging, policy.discharge_start = mode
@@ -510,7 +512,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
         if record_ticks:
             if arrays is None:  # no slot planned, no forcing
                 arrays = run[-1] = _tick_arrays(policy, period_ticks, slot_len, (), (),
-                                                wake_runs, dark, (), None, P, inc, cap, wake,
+                                                wake_runs, dark, (), None, P, inflows, cap, wake,
                                                 stored_start, s)
             recorded = {name: a.copy() for name, a in arrays.items()}  # every log owns its arrays
             recorded["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
@@ -573,13 +575,12 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                 slot = nxt
                 continue
 
-            if (inc is not None and episode_end is None
-                    and (memo := policy.episode_memo) is not None
+            if (episode_end is None and (memo := policy.episode_memo) is not None
                     and (peak := policy.episode_at(slot, s))):
-                end = slot + peak.n_steps
+                end = slot + len(peak.shape)
                 # no forcing inside the episode
                 if end <= n_slots and (i == n_stops or stops[i] >= end):
-                    key = (peak, s, inc)
+                    key = (slot, peak.shape, s, name)
                     hit = memo.get(key)
                     if hit is not None:
                         ticks, s, episode_waste = hit
@@ -588,7 +589,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                         catches_total += sum(map(events.__getitem__, ticks))
                         if record_ticks:
                             wakes.extend(ticks)
-                            slot_info.extend(zip(repeat(3), range(1, peak.n_steps + 1)))
+                            slot_info.extend(zip(repeat(3), range(1, end - slot + 1)))
                         slot = end
                         continue
                     episode_end, waste_before, woken = end, waste, []
@@ -639,7 +640,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
         harvested = P[period_ticks] - (sum(P[b] - P[a] for a, b in dark) if dark else 0)
         if record_ticks:
             recorded = _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes,
-                                    wake_runs, dark, forced_at, entry_value, P, inc, cap, wake,
+                                    wake_runs, dark, forced_at, entry_value, P, inflows, cap, wake,
                                     stored_start, s)
             recorded["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
 
@@ -748,7 +749,7 @@ def _ctid_warm_up(policy: CtidPolicy, store: AbstractStore, source: HarvestSourc
     store.stored, waste, policy.discharging, policy.discharge_start, *_ = _ctid_run(
         store.stored, 0, store.capacity, store.wake, policy.e_on, policy.e_off,
         policy.cfg.wake_interval, policy.discharging, policy.discharge_start + ticks,
-        _steady(inc, ticks), 0, ticks)
+        range(0, (ticks + 1) * inc, inc), 0, ticks)
     store.wasted_saturation += waste
 
 
@@ -763,18 +764,18 @@ def _idle(s: int, waste: int, harvest: int, cap: int):
 
 
 def _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, dark,
-                 forced_at, entry_value, P, inc, cap, wake, s, end):
+                 forced_at, entry_value, P, inflows, cap, wake, s, end):
     """The per-tick arrays of one recorded period but `event`, rebuilt from
-    the kernel's decisions and the cumulative inflow `P` (`inc` a tick under
-    a constant source), with energies in wake costs.  `stored` replays from
-    `s` quanta the per-tick rule: forcing, the draw, then the harvest
-    clamped at `cap`.  A draw never meets the clamp, so a tick's draw and
-    harvest are one step, and between forced ticks the store is the prefix
-    sum `S` of the steps less the running maximum of `S - cap`, floored at
-    0: a one-sided reflection at `cap`, whose increments are the waste.  The
-    sums are int64 while they stay below 2**53, where a float holds them
-    too, and Python ints beyond.  Raises RuntimeError unless the replay ends
-    at the kernel's `end`."""
+    the kernel's decisions, the per-tick `inflows` and their cumulative
+    sum `P`, with energies in wake costs.  `stored` replays from `s` quanta
+    the per-tick rule: forcing, the draw, then the harvest clamped at `cap`.
+    A draw never meets the clamp, so a tick's draw and harvest are one step,
+    and between forced ticks the store is the prefix sum `S` of the steps
+    less the running maximum of `S - cap`, floored at 0: a one-sided
+    reflection at `cap`, whose increments are the waste.  The sums are int64
+    while they stay below 2**53, where a float holds them too, and Python
+    ints beyond.  Raises RuntimeError unless the replay ends at the kernel's
+    `end`."""
     n_slots = period_ticks // slot_len
     awake = np.zeros(period_ticks, dtype=bool)
     awake[np.fromiter(wakes, np.intp)] = True
@@ -782,8 +783,7 @@ def _tick_arrays(policy, period_ticks, slot_len, slot_info, wakes, wake_runs, da
         awake[r.start : r.stop : r.step] = True
     draws = awake if policy.draws_energy else np.zeros(period_ticks, dtype=bool)
     dtype = np.int64 if max(cap + P[-1], wake) < 2**53 else object
-    harvested = (np.full(period_ticks, inc, dtype) if inc is not None
-                 else np.diff(np.array(P, dtype)))
+    harvested = inflows.astype(dtype)
     for a, b in dark:
         harvested[a:b] = 0
     steps = harvested.copy()
@@ -849,6 +849,7 @@ def _segment_periods(config: SimConfig, policy: BasePolicy, store: AbstractStore
     segment's world is built once, at its start, where the learning
     policy's entry-level hint is set too."""
     segments = config.segments()
+    names = count()  # the run's harvest names: its memos span segments
     ends = [min(start, config.n_periods) for start, _, _ in segments[1:]] + [config.n_periods]
     for (start, pattern, level), end in zip(segments, ends):
         if start >= end:
@@ -867,7 +868,7 @@ def _segment_periods(config: SimConfig, policy: BasePolicy, store: AbstractStore
                                              config.learner.k_levels)
         segment = Segment.of(source, store, config.pattern.period_ticks,
                              config.learner.state_duration, entry_slots, entry_value,
-                             config.record_level == "per-tick")
+                             config.record_level == "per-tick", names)
         ticks = pattern.period_ticks
         for p in range(start, end):
             yield p, segment, bits[(p - start) * ticks : (p - start + 1) * ticks]

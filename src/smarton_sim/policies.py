@@ -115,8 +115,8 @@ class BasePolicy:
 
 class GtPolicy(BasePolicy):
     """Ground-truth oracle: awake everywhere, catches everything.  The
-    kernel keeps its periods in `periods` by (stored quanta, inflow), as
-    for `CtidPolicy`."""
+    kernel keeps its periods in `periods` by (stored quanta, name of the
+    period's `P`), as for `CtidPolicy`."""
 
     name = "gt"
     draws_energy = False
@@ -130,11 +130,11 @@ class CtidPolicy(BasePolicy):
     store cannot fund another wake-up (or falls to e_off).  Oblivious to
     events; harvesting is suspended while discharging.  The engine kernel
     runs the cycle and keeps its mode here between periods, and its
-    thresholds in quanta, `wake` of them to a wake-up.  Under a constant
-    source the kernel keeps each period here, in `periods`, by (stored
-    quanta, `discharging`, `discharge_start`, inflow), with its per-tick
-    arrays once built: bounded by the run's output, at most one array set
-    per period run, of which each log owns a copy."""
+    thresholds in quanta, `wake` of them to a wake-up.  The kernel keeps
+    each period here, in `periods`, by (stored quanta, `discharging`,
+    `discharge_start`, name of the period's `P`), with its per-tick arrays
+    once built: at most one array set per period run, of which each log
+    owns a copy."""
 
     name = "ctid"
 
@@ -318,7 +318,7 @@ class SmartOnPolicy(_Profiling):
         phase_transition(self.ctx, observation)
         self.current_phase = self.ctx.phase
         # phase 3 plans greedily on tables it never updates: an episode is a
-        # pure function of peak, entry energy and inflow for the whole stay
+        # pure function of peak, entry energy and `P` for the whole stay
         self.episode_memo = (self.episode_memo or {}) if self.ctx.phase == 3 else None
 
     def episode_at(self, slot: int, stored: int):

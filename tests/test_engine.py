@@ -55,6 +55,8 @@ POLICIES = ("smarton", "ctid", "ctidpro", "gt")
 TRACE_VALUES = (
     [1.0] * 50 + [0.0] * 30 + [2.5] * 17 + [0.3, 0.7, 1.9, 0.0, 4.0] * 6 + [0.95] * 24
 )
+# a 1,000-tick cycle: every 1,200-tick period falls at one of 5 offsets in it
+TRACE_1000 = (TRACE_VALUES * 7)[:1000]
 
 
 def _bits(value):
@@ -265,7 +267,8 @@ class TestRunPeriod:
         assert_kernel_matches_oracle(base_config(record_level=record_level, **kw))
 
     @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
-    @pytest.mark.parametrize("source", ["constant", "gated", "diurnal", "trace"])
+    @pytest.mark.parametrize("source", ["constant", "gated", "diurnal", "diurnal-80", "trace",
+                                        "trace-1000"])
     @pytest.mark.parametrize("policy", POLICIES)
     def test_kernel_matches_per_tick_oracle_on_every_source(
         self, policy, source, record_level, tmp_path
@@ -277,11 +280,21 @@ class TestRunPeriod:
         elif source == "diurnal":
             # the first day's light ends in period 36
             kw.update(source_kind="diurnal", n_periods=40)
-        elif source == "trace":
+        elif source == "diurnal-80":
+            # periods 72-79 are the first day's lit offsets again
+            kw.update(source_kind="diurnal", n_periods=80)
+        elif source.startswith("trace"):
+            # 151 values never repeat an offset in 25 periods; 1,000 values do
             path = tmp_path / "source.txt"
-            path.write_text("\n".join(map(str, TRACE_VALUES)) + "\n", encoding="utf-8")
+            values = TRACE_1000 if source == "trace-1000" else TRACE_VALUES
+            path.write_text("\n".join(map(str, values)) + "\n", encoding="utf-8")
             kw.update(source_kind="trace", source_path=str(path))
-        assert_kernel_matches_oracle(base_config(**kw))
+        config = base_config(**kw)
+        kernel = run_experiment(config)
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+        if policy == "gt" and source in ("diurnal-80", "trace-1000"):
+            # GT's store stays full, so a repeated offset replays its period
+            assert 0 < len(kernel.policy.periods) < kernel.n_periods_run
 
     @given(
         policy=st.sampled_from(POLICIES),
@@ -758,7 +771,26 @@ class TestSteadyStateReplay:
         kernel = run_experiment(config)
         # both peaks' episodes are memoised
         starts = {slot for _, slot in peaks}
-        assert {peak.start_slot for peak, _, _ in kernel.policy.episode_memo} == starts
+        assert {slot for slot, _, _, _ in kernel.policy.episode_memo} == starts
+        assert_same_run(kernel, per_tick_oracle.run_experiment(config))
+
+    @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
+    @pytest.mark.parametrize("source", ["gated", "trace-1000", "diurnal"])
+    def test_episodes_replay_under_every_source(self, source, record_level, tmp_path,
+                                                monkeypatch):
+        # an episode is keyed by the name of its period's `P`: a gated
+        # source has one, the trace 5 and the day 72, so phase 3 replays
+        kw = dict(gated=dict(gate_source_in_peaks=True), diurnal=dict(source_kind="diurnal"))
+        if source == "trace-1000":
+            path = tmp_path / "source.txt"
+            path.write_text("\n".join(map(str, TRACE_1000)) + "\n", encoding="utf-8")
+            kw[source] = dict(source_kind="trace", source_path=str(path))
+        config = base_config(n_periods=150, repeat_first_period=False, entry_level=1,
+                             learner=self.QUICK, record_level=record_level, **kw[source])
+        planned = phase3_plans(monkeypatch)
+        kernel = run_experiment(config)
+        phase3 = [p for p, phase in enumerate(kernel.phase_timeline) if phase == 3]
+        assert len(phase3) > len(set(planned)) == len(kernel.policy.episode_memo) > 0
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
     def test_periods_at_different_constant_inflows_match_oracle(self, tmp_path):
@@ -887,6 +919,7 @@ class TestSteadyStateReplay:
         summary, recorded = (Segment.of(source, store, 1200, 30, record=record)
                              for record in (False, True))
         policy = GtPolicy()
+        # each segment names its one `P` 0, so the recorded period replays
         log = run_period(policy, store_for(120, 9), summary, bytes(1200), 0)
         (run,) = policy.periods.values()
         assert run[-1] is None
@@ -1201,7 +1234,7 @@ def replay_period(case, end_offset=0):
     policy.draws_energy = case["draws_energy"]
     got = _tick_arrays(policy, ticks, case["slot_len"], [], np.flatnonzero(want["awake"]), [],
                        case["dark"], case["forced_at"], case["entry_value"], cumulative(inflows),
-                       case["inc"], cap, wake, case["s"], s + end_offset)
+                       np.array(inflows), cap, wake, case["s"], s + end_offset)
     return got, want
 
 
@@ -1669,7 +1702,8 @@ def count_inflow_calls(monkeypatch):
 class TestInflowPerSegment:
     """A segment prices its source once, not once per period: one
     `AbstractStore.inflow` call, and one `count` call for a constant source.
-    A varying source's `count` is called once per tick."""
+    A varying source's `count` is called once per tick of each offset of
+    the period in its cycle, over the cycle or the period if shorter."""
 
     def test_a_constant_run_works_out_its_inflow_once(self, monkeypatch):
         config = base_config(n_periods=40, record_level="per-tick")
@@ -1686,16 +1720,25 @@ class TestInflowPerSegment:
             assert run_experiment(config).n_periods_run == config.n_periods == 210
         assert calls == {"inflow": 3 * len(runs), "count": 3 * len(runs)}
 
-    def test_a_diurnal_source_is_evaluated_once_per_tick(self, monkeypatch):
-        config = base_config(n_periods=5, source_kind="diurnal", policy="ctid")
+    def test_a_diurnal_day_is_evaluated_once(self, monkeypatch):
+        # 150 periods visit the day's 72 offsets, each built once
+        config = base_config(n_periods=150, source_kind="diurnal", policy="ctid")
         calls = count_inflow_calls(monkeypatch)
-        assert run_experiment(config).n_periods_run == 5
-        assert calls == {"inflow": 1, "count": 5 * 1200}
+        assert run_experiment(config).n_periods_run == 150
+        assert calls == {"inflow": 1, "count": 72 * 1200}
+
+    def test_a_trace_is_evaluated_once_per_offset(self, monkeypatch, tmp_path):
+        path = tmp_path / "source.txt"
+        path.write_text("\n".join(map(str, TRACE_1000)) + "\n", encoding="utf-8")
+        config = base_config(n_periods=40, source_kind="trace", source_path=str(path))
+        calls = count_inflow_calls(monkeypatch)
+        assert run_experiment(config).n_periods_run == 40
+        assert calls == {"inflow": 1, "count": 5 * 1000}
 
     def test_a_gated_source_is_evaluated_over_one_period(self, monkeypatch):
         # the gate repeats every period, so the segment's one P serves all 40
         config = base_config(n_periods=40, gate_source_in_peaks=True)
-        assert make_source(config, config.pattern).kind == "constant-gated"
+        assert make_source(config, config.pattern).cycle == 1200
         calls = count_inflow_calls(monkeypatch)
         assert run_experiment(config).n_periods_run == 40
         assert calls == {"inflow": 1, "count": 1200}
@@ -1709,48 +1752,64 @@ def _per_tick_harvest(source, unit, period, period_ticks):
 
 
 class TestSegmentHarvest:
-    """A source that repeats every period gives its segment one `P` object
-    for all periods; any other source builds its `P` period by period."""
+    """A segment builds the `P` of each offset of its periods in the
+    source's cycle once, and every period at that offset shares the entry;
+    the entries' names are unique among a run's segments."""
 
-    @pytest.mark.parametrize("source", [
-        pytest.param(HarvestSource.constant(1.0), id="constant"),
-        pytest.param(HarvestSource.constant(0.0), id="constant-0"),
-        pytest.param(HarvestSource.constant_gated(1.0, [(300, 420), (900, 960)], 1200),
+    @pytest.mark.parametrize("source, offsets", [
+        pytest.param(HarvestSource.constant(1.0), 1, id="constant"),
+        pytest.param(HarvestSource.constant(0.0), 1, id="constant-0"),
+        pytest.param(HarvestSource.constant_gated(1.0, [(300, 420), (900, 960)], 1200), 1,
                      id="gated"),
-        pytest.param(HarvestSource.trace((0.5, 0.0, 1.25, 2.0)), id="trace-of-4"),
-        pytest.param(HarvestSource.trace((0.3,) * 600 + (1.1,) * 600), id="trace-of-1200"),
+        pytest.param(HarvestSource.trace((0.5, 0.0, 1.25, 2.0)), 1, id="trace-of-4"),
+        pytest.param(HarvestSource.trace((0.3,) * 600 + (1.1,) * 600), 1, id="trace-of-1200"),
+        pytest.param(HarvestSource.trace(TRACE_1000), 5, id="trace-of-1000"),
+        pytest.param(HarvestSource.diurnal(1.0, day_ticks=600), 1, id="diurnal-half-period"),
+        pytest.param(HarvestSource.diurnal(1.0, day_ticks=2400), 2, id="diurnal-2-periods"),
+        pytest.param(HarvestSource.diurnal(1.0), 72, id="diurnal"),
     ])
-    def test_a_periodic_segment_shares_one_p(self, source):
+    def test_periods_at_one_offset_share_one_entry(self, source, offsets):
         store = store_for(120, 9, levels=(source.step,))
-        segment = Segment.of(source, store, 1200, 30)
-        assert segment.steady is not None
-        first = segment.harvest(0)
+        segment = Segment.of(source, store, 1200, 30, record=True)
         unit = store.inflow(source.step)
-        for k in (0, 1, 7, 40, 1001):
-            assert segment.harvest(k) is first
-            assert list(first) == _per_tick_harvest(source, unit, k, 1200)
-
-    @pytest.mark.parametrize("source", [
-        pytest.param(HarvestSource.diurnal(1.0), id="diurnal"),
-        pytest.param(HarvestSource.diurnal(1.0, day_ticks=2400), id="diurnal-2-periods"),
-        pytest.param(HarvestSource.trace(TRACE_VALUES), id="trace-of-151"),
-    ])
-    def test_other_segments_build_p_per_period(self, source):
-        store = store_for(120, 9, levels=(source.step,))
-        segment = Segment.of(source, store, 1200, 30)
-        assert segment.steady is None
-        unit = store.inflow(source.step)
-        built = [segment.harvest(k) for k in range(3)]
-        assert built[0] is not segment.harvest(0)
-        for k, P in enumerate(built):
+        first = [segment.harvest(k) for k in range(offsets)]
+        assert len({name for name, _, _ in first}) == len(segment.harvests) == offsets
+        for k in (*range(offsets, 2 * offsets), 7 * offsets + 3, 1001 * offsets):
+            assert segment.harvest(k) is first[k % offsets]
+        for k, (_, P, inflows) in enumerate(first):
             assert list(P) == _per_tick_harvest(source, unit, k, 1200)
-        assert built[0] != built[1]
+            assert inflows.tolist() == np.diff(P).tolist()
+        # a summary segment keeps no per-tick inflows
+        assert Segment.of(source, store, 1200, 30).harvest(0)[2] is None
 
-    def test_a_day_of_whole_periods_shares_one_p(self):
-        source = HarvestSource.diurnal(1.0, day_ticks=600)
-        segment = Segment.of(source, store_for(120, 9, levels=(source.step,)), 1200, 30)
-        assert segment.harvest(5) is segment.harvest(0)
+    def test_a_dropped_entry_is_built_again_under_a_new_name(self):
+        # 1,201 ticks share no divisor with the period: no offset repeats
+        # within 1,201 periods, and the table keeps the latest HARVESTS_MAX
+        source = HarvestSource.trace(tuple(TRACE_VALUES * 8)[:1201])
+        store = store_for(120, 9, levels=(source.step,))
+        segment = Segment.of(source, store, 1200, 30)
+        names = [segment.harvest(k)[0] for k in range(300)]
+        assert len(set(names)) == 300
+        assert len(segment.harvests) == engine.HARVESTS_MAX
+        name, P, _ = segment.harvest(0)
+        assert name not in names
+        assert list(P) == _per_tick_harvest(source, store.inflow(source.step), 0, 1200)
 
+    @pytest.mark.parametrize("kind", ["constant", "diurnal"])
+    def test_names_are_unique_across_a_runs_segments(self, kind):
+        config = base_config(
+            n_periods=90, source_kind=kind,
+            schedule=(PatternChange(30, "shift", 4), PatternChange(60, "shift", -4)))
+        policy, store = make_policy(config), make_store(config)
+        segments, names = {}, {}
+        for p, segment, _ in engine._segment_periods(config, policy, store):
+            name, P, _ = segment.harvest(p)
+            assert names.setdefault(name, P) is P
+            segments[id(segment)] = segment
+        assert len(segments) == 3
+        assert len({id(segment.names) for segment in segments.values()}) == 1
+        # a constant source has one offset a segment, a day has 72
+        assert len(names) == (3 if kind == "constant" else 90)
 
 class TestProfilingPassCounts:
     def test_four_fundable_slots_per_pass_means_ten_passes(self):
