@@ -171,21 +171,21 @@ def _inflow(numerator: int, denominator: int, wake: int, ratio: float) -> int:
     return quanta(Fraction(numerator, denominator), Fraction(wake) / exact(ratio))
 
 
-def require_finite(config, *names: str) -> None:
+def require_finite(config, *fields: str) -> None:
     """Refuse a nan or infinite field of `config` by its name: nan would pass
     every range check by failing its comparison."""
-    for name in names:
+    for name in fields:
         if not math.isfinite(getattr(config, name)):
             raise ValueError(f"{name} must be finite, got {getattr(config, name)}")
 
 
-def require_integer(config, *names: str) -> None:
-    """Refuse a field of `config` that is not an integer, by its name: a
-    count of 2.5 periods, a nan window or an infinite slot length."""
-    for name in names:
+def require_integer(config, *fields: str, error=ValueError) -> None:
+    """Refuse a field of `config` that is not an integer, by its name, with
+    `error`: a count of 2.5 periods, a nan window or an infinite slot length."""
+    for name in fields:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass

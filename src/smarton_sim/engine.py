@@ -16,7 +16,7 @@ policy and harvest source, with one harvest form: a period's cumulative
 inflow `P`, the quanta that its ticks 0..t-1 harvest at `P[t]`
 (`Segment.harvest`), built once per offset of the period in the source's
 cycle.  It jumps from one decision to the next -- slots the policy's
-look-ahead names as able to act, wake-ups, CTID mode flips -- and the
+look-ahead finds able to act, wake-ups, CTID mode flips -- and the
 harvest-only ticks a..b-1 between them leave `min(s + P[b] - P[a], cap)`
 (`_idle`), since the per-tick clamp is monotone for any nonnegative inflow;
 a planned slot, which the store funds at its start, is one closed form too.
@@ -24,10 +24,10 @@ A period's events are a slice of its segment's one 0/1 byte string.
 Per-tick recording takes the same path and replays the kernel's decisions
 into per-tick arrays (`_tick_arrays`), so it cannot change a number.
 
-Reuse lives on the run's policy, so no number depends on another run: a
-phase-3 episode of the learning policy is replayed by its start and the
-name of its `P` (`episode_memo`), and a GT or CTID period, with its
-per-tick arrays, is computed once per start state and `P` (`periods`).
+Reuse lives on the harvest entry it replays, keyed by the run's policy:
+a phase-3 episode is replayed by its stay, start and energy, and a GT or
+CTID period, with its per-tick arrays, by its start state.  A dropped entry
+takes its replays along, so `HARVESTS_MAX` bounds all reuse.
 
 A pattern-change schedule (shift, morph or replace) splits a run into
 segments (`SimConfig.segments`), each with its own source and entry forcing
@@ -39,11 +39,10 @@ to force re-profiling.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, count, cycle, islice, repeat
+from itertools import accumulate, cycle, islice, repeat
 from math import inf
 from numbers import Integral
 
@@ -389,8 +388,8 @@ class Segment:
     quanta a tick harvests per step of its value (`unit`); the entry slots
     and the quanta forcing sets there (`entry_value`, None to force
     nothing); and `harvests`, its periods' harvest by their offset in the
-    source's cycle, named from `names`, the run's counter.  Each period's
-    events are a slice of one byte string (`_segment_periods`)."""
+    source's cycle, each entry with the replays of its periods.  Each
+    period's events are a slice of one byte string (`_segment_periods`)."""
 
     source: HarvestSource
     unit: int
@@ -399,22 +398,20 @@ class Segment:
     entry_slots: tuple[int, ...]
     entry_value: int | None
     record: bool
-    names: Iterator[int] = field(compare=False)
     harvests: dict = field(default_factory=dict, compare=False)
 
     @classmethod
     def of(cls, source: HarvestSource, store: AbstractStore, period_ticks: int, slot_len: int,
-           entry_slots=(), entry_value: int | None = None, record: bool = False,
-           names: Iterator[int] | None = None) -> "Segment":
-        """`source`'s segment in the quanta of `store`; one policy's segments share `names`."""
+           entry_slots=(), entry_value: int | None = None, record: bool = False) -> "Segment":
+        """`source`'s segment in the quanta of `store`."""
         return cls(source, store.inflow(source.step), period_ticks, slot_len, tuple(entry_slots),
-                   entry_value, record, count() if names is None else names)
+                   entry_value, record)
 
     def harvest(self, period: int):
-        """(name, P, inflows) of every period at `period`'s offset in the
+        """(P, inflows, replays) of every period at `period`'s offset in the
         source's cycle: `P[t]` is the quanta that ticks 0..t-1 harvest, for t
         in 0..period_ticks, `inflows` each tick's quanta when recording, and
-        `name`, unique in the run, stands for `P` in memo keys."""
+        `replays` where `run_period` keeps these periods' replays, by policy."""
         offset = period * self.period_ticks % self.source.cycle
         entry = self.harvests.get(offset)
         if entry is None:
@@ -425,8 +422,8 @@ class Segment:
             P = tuple(accumulate(ticks, initial=0))
             if len(self.harvests) == HARVESTS_MAX:
                 del self.harvests[next(iter(self.harvests))]
-            entry = self.harvests[offset] = (next(self.names), P, np.array(
-                ticks, np.int64 if P[-1] < 2**53 else object) if self.record else None)
+            entry = self.harvests[offset] = (P, np.array(
+                ticks, np.int64 if P[-1] < 2**53 else object) if self.record else None, {})
         return entry
 
 
@@ -443,10 +440,10 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     The kernel advances from one decision to the next instead of stepping
     every tick: entry forcing, probes, the slots a policy can act in,
     wake-ups, CTID mode flips.  The hooks run only where a policy decides:
-    a slot-planned policy names the next slot whose hooks can act
+    a slot-planned policy gives the next slot whose hooks can act
     (`next_active_slot`), and the slots before it are banked without calling
-    it.  Every source takes one form, the cumulative inflow `P`, one named
-    object for the periods at one offset in the source's cycle
+    it.  Every source takes one form, the cumulative inflow `P`, one object
+    for the periods at one offset in the source's cycle
     (`Segment.harvest`): from `s`, harvest-only ticks `a..b-1` leave
     `min(s + P[b] - P[a], cap)` and waste the rest (`_idle`), as the
     per-tick clamp is monotone for any nonnegative inflow.  A wake-up is
@@ -472,14 +469,14 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     plans nothing from below `full_floor`: the slots up to the first start
     at the floor, one bisection of `P`, are banked at once.
 
-    While the policy keeps an `episode_memo`, an episode that `episode_at`
-    names, with no entry slot after its first and before its end, is
-    replayed by (start slot, shape, stored energy, name of `P`), or run and
-    stored with its waste.  A GT or CTID period, blind to events, is
-    computed once per start state and `P` (`_blind_period`) and kept in the
-    policy's `periods`, with its per-tick arrays once built; catches are
-    counted from its own events, and each log owns copies of the arrays.
-    Recording takes these paths and lists decisions for `_tick_arrays`.
+    The period's harvest entry keeps its replays (`replays`): in a phase-3
+    stay (`episode_stay`), an episode that `episode_at` returns, with no
+    entry slot after its first and before its end, by (policy, stay, slot,
+    shape, s), with its waste; a GT or CTID period, blind to events
+    (`_blind_period`), by (policy, s) or (policy, s, `discharging`,
+    `discharge_start`), with its per-tick arrays once built.  Catches are
+    counted from each period's own events, and each log owns copies of the
+    arrays.  Recording takes these paths and lists decisions for `_tick_arrays`.
     """
     phase_start = policy.current_phase
     s = stored_start = store.stored
@@ -489,7 +486,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
     period_ticks, slot_len = segment.period_ticks, segment.slot_len
     entry_slots, entry_value, record_ticks = (segment.entry_slots, segment.entry_value,
                                               segment.record)
-    name, P, inflows = segment.harvest(period_index)
+    P, inflows, replays = segment.harvest(period_index)
     waste = 0
     event_ticks = events.count(1)
     awake_total = catches_total = forced_delta = probe_catches = 0
@@ -499,10 +496,10 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
         ctid = isinstance(policy, CtidPolicy)
         if ctid and (s <= policy.e_off or s < wake):
             policy.discharging = False  # as the first tick would: one key for one period
-        key = (s, policy.discharging, policy.discharge_start, name) if ctid else (s, name)
-        run = policy.periods.get(key)
+        key = (policy, s, policy.discharging, policy.discharge_start) if ctid else (policy, s)
+        run = replays.get(key)
         if run is None:
-            run = policy.periods[key] = _blind_period(policy, s, P, cap, wake, period_ticks)
+            run = replays[key] = _blind_period(policy, s, P, cap, wake, period_ticks)
         s, waste, mode, dark, wake_runs, awake_total, harvested, arrays = run
         if ctid:
             policy.discharging, policy.discharge_start = mode
@@ -514,7 +511,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                 arrays = run[-1] = _tick_arrays(policy, period_ticks, slot_len, (), (),
                                                 wake_runs, dark, (), None, P, inflows, cap, wake,
                                                 stored_start, s)
-            recorded = {name: a.copy() for name, a in arrays.items()}  # every log owns its arrays
+            recorded = {k: a.copy() for k, a in arrays.items()}  # every log owns its arrays
             recorded["event"] = np.frombuffer(bytes(events), np.uint8).astype(bool)
     else:
         wakes = [] if record_ticks else None  # funded wake ticks of planned slots
@@ -529,7 +526,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
         probes = policy.probe_slots
         stops = tuple(sorted(forced + probes)) if probes else forced
         n_stops = len(stops)
-        woken, episode_end = wakes, None  # the wake tick list, the end of a memoized episode
+        woken, episode_end = wakes, None  # the wake tick list, the end of an episode to keep
         slot = i = 0  # i: the first kernel stop at or after `slot`
         while slot < n_slots:
             # bank the slots before the next one that can act in one idle run;
@@ -575,13 +572,13 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
                 slot = nxt
                 continue
 
-            if (episode_end is None and (memo := policy.episode_memo) is not None
+            if (episode_end is None and (stay := policy.episode_stay) is not None
                     and (peak := policy.episode_at(slot, s))):
                 end = slot + len(peak.shape)
                 # no forcing inside the episode
                 if end <= n_slots and (i == n_stops or stops[i] >= end):
-                    key = (slot, peak.shape, s, name)
-                    hit = memo.get(key)
+                    key = (policy, stay, slot, peak.shape, s)
+                    hit = replays.get(key)
                     if hit is not None:
                         ticks, s, episode_waste = hit
                         waste += episode_waste
@@ -632,7 +629,7 @@ def run_period(policy: BasePolicy, store: AbstractStore, segment: Segment,
             slot += 1
             if slot == episode_end:
                 ticks = tuple(woken)
-                memo[key] = (ticks, s, waste - waste_before)
+                replays[key] = (ticks, s, waste - waste_before)
                 if record_ticks:
                     wakes.extend(ticks)
                 episode_end, woken = None, wakes
@@ -849,7 +846,6 @@ def _segment_periods(config: SimConfig, policy: BasePolicy, store: AbstractStore
     segment's world is built once, at its start, where the learning
     policy's entry-level hint is set too."""
     segments = config.segments()
-    names = count()  # the run's harvest names: its memos span segments
     ends = [min(start, config.n_periods) for start, _, _ in segments[1:]] + [config.n_periods]
     for (start, pattern, level), end in zip(segments, ends):
         if start >= end:
@@ -868,7 +864,7 @@ def _segment_periods(config: SimConfig, policy: BasePolicy, store: AbstractStore
                                              config.learner.k_levels)
         segment = Segment.of(source, store, config.pattern.period_ticks,
                              config.learner.state_duration, entry_slots, entry_value,
-                             config.record_level == "per-tick", names)
+                             config.record_level == "per-tick")
         ticks = pattern.period_ticks
         for p in range(start, end):
             yield p, segment, bits[(p - start) * ticks : (p - start + 1) * ticks]
@@ -965,11 +961,13 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
     """Force entry levels in the given order, each until its partition
     converges, and report global episode indices of the first and last
     convergence (the partitioned vs monolithic exploitation gates).  The
-    order must hold distinct levels in 1..k_levels, at least one, and the
+    order must hold distinct integers in 1..k_levels, at least one, and the
     pattern one peak that starts on a learner slot, where forcing sets the
     store; anything else is refused before a period runs.  The config's
     `n_periods` and schedule play no part."""
-    order = [int(x) for x in order]
+    order = list(order)
+    if any(isinstance(x, bool) or not isinstance(x, Integral) for x in order):
+        raise ValueError(f"partition order needs integer levels, got {order!r}")
     k = config.learner.k_levels
     if not order or len(set(order)) != len(order) or not all(1 <= x <= k for x in order):
         raise ValueError(f"partition order needs distinct levels in 1..{k}, got {order}")

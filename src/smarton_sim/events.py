@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .energy import require_integer
 from .rng import Stream
 
 CANONICAL_SHAPES = {
@@ -38,6 +39,7 @@ class PeakSpec:
     shape_name: str = "custom"
 
     def __post_init__(self):
+        require_integer(self, "start_slot", error=InvalidSpec)
         if len(self.steps) < 1:
             raise InvalidSpec("peak must span at least one slot")
         if any(s not in ("H", "L") for s in self.steps):
@@ -62,6 +64,11 @@ class EventPattern:
     p_low: float
     background_rate: float = 0.0
     peak_max_duration: int = 120
+
+    def __post_init__(self):
+        # a fractional size would fail in a run with a bare TypeError
+        require_integer(self, "period_ticks", "state_duration", "peak_max_duration",
+                        error=InvalidSpec)
 
     @property
     def n_slots(self) -> int:

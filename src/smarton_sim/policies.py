@@ -82,7 +82,7 @@ class BasePolicy:
     draws_energy = True
     current_phase = 0  # 0 = not a phased policy
     current_step = 0
-    episode_memo = None  # a dict while `episode_at` names episodes to replay
+    episode_stay = None  # the number of the phase-3 stay whose episodes replay
     probe_slots: tuple[int, ...] = ()  # this period's, ascending; `run_period` funds them
 
     def on_period_start(self, period: int) -> None:
@@ -96,7 +96,7 @@ class BasePolicy:
 
     def episode_at(self, slot: int, stored: int):
         """The peak whose episode starts at `slot`, or None; asked while
-        `episode_memo` is set, when episodes are pure functions of their start."""
+        `episode_stay` is set, when episodes are pure functions of their start."""
         return None
 
     def plan_slot(self, slot: int, stored: int):
@@ -115,14 +115,10 @@ class BasePolicy:
 
 class GtPolicy(BasePolicy):
     """Ground-truth oracle: awake everywhere, catches everything.  The
-    kernel keeps its periods in `periods` by (stored quanta, name of the
-    period's `P`), as for `CtidPolicy`."""
+    kernel replays its periods by stored quanta, as for `CtidPolicy`."""
 
     name = "gt"
     draws_energy = False
-
-    def __init__(self):
-        self.periods = {}
 
 
 class CtidPolicy(BasePolicy):
@@ -131,10 +127,9 @@ class CtidPolicy(BasePolicy):
     events; harvesting is suspended while discharging.  The engine kernel
     runs the cycle and keeps its mode here between periods, and its
     thresholds in quanta, `wake` of them to a wake-up.  The kernel keeps
-    each period here, in `periods`, by (stored quanta, `discharging`,
-    `discharge_start`, name of the period's `P`), with its per-tick arrays
-    once built: at most one array set per period run, of which each log
-    owns a copy."""
+    each period on its harvest entry by (policy, stored quanta,
+    `discharging`, `discharge_start`), with its per-tick arrays once built,
+    of which each log owns a copy."""
 
     name = "ctid"
 
@@ -146,7 +141,6 @@ class CtidPolicy(BasePolicy):
         # wake-ups fall on ticks t with (t - discharge_start) % wake_interval
         # == 0, t counted from the running period's start
         self.discharge_start = 0
-        self.periods = {}
 
 
 class _Profiling(BasePolicy):
@@ -317,9 +311,9 @@ class SmartOnPolicy(_Profiling):
     def _transition(self, observation) -> None:
         phase_transition(self.ctx, observation)
         self.current_phase = self.ctx.phase
-        # phase 3 plans greedily on tables it never updates: an episode is a
-        # pure function of peak, entry energy and `P` for the whole stay
-        self.episode_memo = (self.episode_memo or {}) if self.ctx.phase == 3 else None
+        # phase 3 plans greedily on tables it never updates, so an episode is a pure
+        # function of peak, entry energy and `P` in a stay, numbered by phase-1 entries
+        self.episode_stay = self.ctx.phase1_entries if self.ctx.phase == 3 else None
 
     def episode_at(self, slot: int, stored: int):
         peak = self._peak_starts.get(slot)

@@ -97,7 +97,7 @@ def _run_one(args):
 
 def run_sweep(scenario: Scenario, jobs: int = 1) -> list[RunRecord]:
     """Execute every run of `expand_sweep(scenario)`, as partition studies
-    when the scenario names one; order of records is deterministic.  With
+    when the scenario asks for one; order of records is deterministic.  With
     `jobs` > 1 the runs go to a pool of at most one worker per run.
 
     When state_duration is swept, each run's scenario label carries a

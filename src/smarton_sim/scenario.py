@@ -8,7 +8,7 @@ expansion, for plain sweeps and the partition-study presets alike.  Each
 run's key (policy, event_type, entry_level, state_duration, charging_ratio,
 seed) is read off its built config by `RunKey.of`.
 
-`SCHEMA` names each key once, with its default, its parser and its target:
+`SCHEMA` lists each key once, with its default, its parser and its target:
 the config field that takes the parsed value as is, such as
 "learner.k_levels" for [learner] energy_levels ("sim" is `SimConfig` itself,
 "pattern" the `build_pattern` arguments, "ctid" `CtidConfig`).  A key with
@@ -37,7 +37,7 @@ from .policies import CtidConfig
 
 
 class ScenarioError(Exception):
-    """Config parsing or validation failed; message names the field."""
+    """Config parsing or validation failed; message gives the field."""
 
 
 def _bool(s: str) -> bool:

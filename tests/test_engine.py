@@ -1,8 +1,10 @@
 """Simulation engine: the tick loop, metrics, experiments, studies."""
 
+import gc
 import math
 import pickle
 import signal
+import weakref
 from contextlib import contextmanager
 from dataclasses import fields, replace as dc_replace
 from decimal import Decimal
@@ -57,6 +59,9 @@ TRACE_VALUES = (
 )
 # a 1,000-tick cycle: every 1,200-tick period falls at one of 5 offsets in it
 TRACE_1000 = (TRACE_VALUES * 7)[:1000]
+# a 1,201-tick cycle shares no divisor with the period: no offset repeats
+# within 1,201 periods, more than the harvest table keeps
+TRACE_1201 = tuple(TRACE_VALUES * 8)[:1201]
 
 
 def _bits(value):
@@ -271,7 +276,7 @@ class TestRunPeriod:
                                         "trace-1000"])
     @pytest.mark.parametrize("policy", POLICIES)
     def test_kernel_matches_per_tick_oracle_on_every_source(
-        self, policy, source, record_level, tmp_path
+        self, policy, source, record_level, tmp_path, monkeypatch
     ):
         kw = dict(policy=policy, seed=2, n_periods=25, record_level=record_level,
                   ctid_phase_jitter=True)
@@ -290,11 +295,13 @@ class TestRunPeriod:
             path.write_text("\n".join(map(str, values)) + "\n", encoding="utf-8")
             kw.update(source_kind="trace", source_path=str(path))
         config = base_config(**kw)
+        segments = keep_segments(monkeypatch)
         kernel = run_experiment(config)
+        monkeypatch.undo()
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
         if policy == "gt" and source in ("diurnal-80", "trace-1000"):
             # GT's store stays full, so a repeated offset replays its period
-            assert 0 < len(kernel.policy.periods) < kernel.n_periods_run
+            assert 0 < len(replays_of(kernel.policy, segments)) < kernel.n_periods_run
 
     @given(
         policy=st.sampled_from(POLICIES),
@@ -674,10 +681,39 @@ def count_ctid_runs(monkeypatch):
     return computed, built
 
 
+def keep_segments(monkeypatch, shared=False):
+    """Patch `engine._segment_periods` so that every segment a run walks is
+    appended to the returned list; with `shared`, the k-th segment of every
+    later run is the first run's k-th segment."""
+    segments = []
+    segment_periods = engine._segment_periods
+
+    def keeping(*args):
+        walked = []
+        for p, segment, events in segment_periods(*args):
+            if not walked or walked[-1] is not segment:
+                walked.append(segment)
+                if not shared or len(segments) < len(walked):
+                    segments.append(segment)
+            yield p, segments[len(walked) - 1] if shared else segment, events
+
+    monkeypatch.setattr(engine, "_segment_periods", keeping)
+    return segments
+
+
+def replays_of(policy, segments):
+    """(key less the policy, replay) of every replay that `policy` keeps on
+    the live harvest entries of `segments`."""
+    return [(key[1:], run) for segment in segments
+            for _, _, replays in segment.harvests.values()
+            for key, run in replays.items() if key[0] is policy]
+
+
 class TestSteadyStateReplay:
-    """Phase-3 episodes are replayed from a memo within a run, and GT and
-    CTID periods, with their per-tick arrays, from the run policy's
-    `periods`; every number must still match the per-tick oracle."""
+    """Phase-3 episodes, and GT and CTID periods with their per-tick
+    arrays, are replayed from the harvest entry of their period, under a
+    key that starts with the run's policy; every number must still match
+    the per-tick oracle."""
 
     # loose enough that phase 3 starts by period ~60 on fresh events
     QUICK = LearnerConfig(convergence_epsilon=100.0)
@@ -721,10 +757,12 @@ class TestSteadyStateReplay:
         config = base_config(n_periods=150, repeat_first_period=False, entry_level=None,
                              learner=self.QUICK, charging_ratio=20.0, capacity=200.0)
         planned = phase3_plans(monkeypatch)
+        segments = keep_segments(monkeypatch)
         kernel = run_experiment(config)
+        monkeypatch.undo()
         phase3 = [p for p, phase in enumerate(kernel.phase_timeline) if phase == 3]
         assert len(phase3) > 30
-        assert len(phase3) > len(set(planned)) == len(kernel.policy.episode_memo) > 10
+        assert len(phase3) > len(set(planned)) == len(replays_of(kernel.policy, segments)) > 10
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
     def test_adaptation_drops_the_memo_at_re_profiling(self, monkeypatch):
@@ -762,24 +800,26 @@ class TestSteadyStateReplay:
         pytest.param([("type1", 10), ("type3", 13)], 90, id="back-to-back"),
     ])
     def test_an_entry_slot_after_an_episode_does_not_block_its_memo(
-            self, peaks, peak_max_duration, record_level):
+            self, peaks, peak_max_duration, record_level, monkeypatch):
         config = base_config(
             pattern=build_pattern(peaks, peak_max_duration=peak_max_duration),
             n_periods=150, seed=0, record_level=record_level,
             learner=dc_replace(self.QUICK, peak_max_duration=peak_max_duration),
         )
+        segments = keep_segments(monkeypatch)
         kernel = run_experiment(config)
-        # both peaks' episodes are memoised
+        monkeypatch.undo()
+        # both peaks' episodes are kept, by (stay, slot, shape, stored)
         starts = {slot for _, slot in peaks}
-        assert {slot for slot, _, _, _ in kernel.policy.episode_memo} == starts
+        assert {slot for (_, slot, _, _), _ in replays_of(kernel.policy, segments)} == starts
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
     @pytest.mark.parametrize("record_level", ["summary", "per-tick"])
     @pytest.mark.parametrize("source", ["gated", "trace-1000", "diurnal"])
     def test_episodes_replay_under_every_source(self, source, record_level, tmp_path,
                                                 monkeypatch):
-        # an episode is keyed by the name of its period's `P`: a gated
-        # source has one, the trace 5 and the day 72, so phase 3 replays
+        # an episode lives on its period's harvest entry: a gated source
+        # has one, the trace 5 and the day 72, so phase 3 replays
         kw = dict(gated=dict(gate_source_in_peaks=True), diurnal=dict(source_kind="diurnal"))
         if source == "trace-1000":
             path = tmp_path / "source.txt"
@@ -788,9 +828,11 @@ class TestSteadyStateReplay:
         config = base_config(n_periods=150, repeat_first_period=False, entry_level=1,
                              learner=self.QUICK, record_level=record_level, **kw[source])
         planned = phase3_plans(monkeypatch)
+        segments = keep_segments(monkeypatch)
         kernel = run_experiment(config)
+        monkeypatch.undo()
         phase3 = [p for p, phase in enumerate(kernel.phase_timeline) if phase == 3]
-        assert len(phase3) > len(set(planned)) == len(kernel.policy.episode_memo) > 0
+        assert len(phase3) > len(set(planned)) == len(replays_of(kernel.policy, segments)) > 0
         assert_same_run(kernel, per_tick_oracle.run_experiment(config))
 
     def test_periods_at_different_constant_inflows_match_oracle(self, tmp_path):
@@ -848,14 +890,15 @@ class TestSteadyStateReplay:
             return run_period(policy, store, *args)
 
         monkeypatch.setattr(engine, "run_period", recording_starts)
+        segments = keep_segments(monkeypatch)
         config = base_config(policy="ctid", ctid=CtidConfig(e_on=e_on), charging_ratio=8.5,
                              entry_level=None, repeat_first_period=False,
                              record_level=record_level)
         kernel = run_experiment(config)
-        # each distinct start state is computed once, and kept on the policy
+        # each distinct start state is computed once, and kept on the entry
         assert len(starts) == config.n_periods
         assert sorted(computed) == sorted(set(starts))
-        assert len(computed) == len(kernel.policy.periods) < 25
+        assert len(computed) == len(replays_of(kernel.policy, segments)) < 25
         # catches are counted from each period's fresh events
         assert len({log.catches for log in kernel.periods[25:]}) > 5
         if record_level == "per-tick":
@@ -870,29 +913,35 @@ class TestSteadyStateReplay:
     @pytest.mark.parametrize("policy", ["gt", "ctid"])
     def test_no_period_is_shared_between_runs(self, policy, record_level, monkeypatch):
         computed, built = count_ctid_runs(monkeypatch)
+        segments = keep_segments(monkeypatch)
         config = base_config(policy=policy, charging_ratio=8.5, entry_level=None,
                              repeat_first_period=False, n_periods=40, record_level=record_level)
         runs, counts = [], []
         for _ in "ab":
             runs.append(run_experiment(config))
-            counts.append((len(computed), len(built), len(runs[-1].policy.periods)))
+            counts.append((len(computed), len(built),
+                           len(replays_of(runs[-1].policy, segments))))
             computed.clear()
             built.clear()
         # the second run of the config computes every period the first did
         assert counts[0] == counts[1] and counts[0][2] > 0
         assert (counts[0][0] > 0) == (policy == "ctid")
         assert (counts[0][1] > 0) == (record_level == "per-tick")
-        assert runs[0].policy.periods is not runs[1].policy.periods
+        # each run walks its own segment, whose entries hold its replays only
+        first, second = segments
+        assert first.harvests is not second.harvests
+        assert not replays_of(runs[0].policy, [second]) and not replays_of(runs[1].policy, [first])
         monkeypatch.undo()
         assert_same_run(runs[1], runs[0])
         assert_same_run(runs[0], per_tick_oracle.run_experiment(config))
 
     @pytest.mark.parametrize("policy", ["gt", "ctid"])
-    def test_replayed_per_tick_periods_own_their_arrays(self, policy):
+    def test_replayed_per_tick_periods_own_their_arrays(self, policy, monkeypatch):
         config = base_config(policy=policy, charging_ratio=8.5, entry_level=None,
                              repeat_first_period=False, n_periods=40, record_level="per-tick")
+        segments = keep_segments(monkeypatch)
         kernel = run_experiment(config)
-        kept_arrays = [run[-1] for run in kernel.policy.periods.values()]
+        kept_arrays = [run[-1] for _, run in replays_of(kernel.policy, segments)]
         assert 0 < len(kept_arrays) < 25 and all(kept_arrays)
 
         def snapshot(arrays):
@@ -914,14 +963,16 @@ class TestSteadyStateReplay:
         assert [snapshot(arrays) for arrays in kept_arrays] == kept
 
     def test_a_replayed_period_keeps_the_end_check(self):
-        store = store_for(120, 9)
-        source = HarvestSource.constant(1.0)
-        summary, recorded = (Segment.of(source, store, 1200, 30, record=record)
-                             for record in (False, True))
+        recorded = Segment.of(HarvestSource.constant(1.0), store_for(120, 9), 1200, 30,
+                              record=True)
+        _, _, replays = recorded.harvest(0)
+        # a summary segment on the recorded one's table: the recorded period
+        # replays the summary one
+        summary = dc_replace(recorded, record=False)
+        assert summary.harvests is recorded.harvests
         policy = GtPolicy()
-        # each segment names its one `P` 0, so the recorded period replays
         log = run_period(policy, store_for(120, 9), summary, bytes(1200), 0)
-        (run,) = policy.periods.values()
+        (run,) = replays.values()
         assert run[-1] is None
         # a recorded replay of a summary period builds its arrays once, and
         # checks that they end at the kernel's end
@@ -935,10 +986,67 @@ class TestSteadyStateReplay:
             run_period(policy, store_for(120, 9), recorded, bytes(1200), 0)
 
     def test_each_policy_owns_its_periods(self):
-        # a class-level dict would be shared by every run in the process
-        assert GtPolicy().periods is not GtPolicy().periods
-        ctid = CtidConfig()
-        assert CtidPolicy(ctid).periods is not CtidPolicy(ctid).periods
+        # a class-level dict would be shared by every run in the process;
+        # within an entry, each key starts with its policy
+        store, source = store_for(120, 9), HarvestSource.constant(1.0)
+        a, b = (Segment.of(source, store, 1200, 30) for _ in "ab")
+        assert a == b and a.harvests is not b.harvests
+        assert a.harvest(0)[2] is not b.harvest(0)[2]
+        policies = GtPolicy(), CtidPolicy(CtidConfig(), store.wake)
+        for policy in policies:
+            run_period(policy, store_for(120, 9), a, bytes(1200), 0)
+        assert [key[0] for key in a.harvest(0)[2]] == list(policies)
+
+    @pytest.mark.parametrize("policy, a, b", [
+        pytest.param("gt", dict(seed=0), dict(seed=1), id="gt"),
+        pytest.param("ctid", dict(ctid=CtidConfig(e_on=30.0)), dict(ctid=CtidConfig(e_on=60.0)),
+                     id="ctid"),
+        pytest.param("smarton", dict(seed=0), dict(seed=3, learner=QUICK), id="smarton"),
+    ])
+    def test_policies_sharing_a_segment_never_replay_each_others_periods(
+            self, policy, a, b, monkeypatch):
+        # the two runs meet the same start states on one entry, where a key
+        # without its policy would replay the first run's period in the second
+        configs = [base_config(policy=policy, n_periods=150, charging_ratio=8.5, **kw)
+                   for kw in (a, b)]
+        alone = run_experiment(configs[1])
+        segments = keep_segments(monkeypatch, shared=True)
+        shared = [run_experiment(config) for config in configs]
+        monkeypatch.undo()
+        assert len(segments) == 1
+        assert all(replays_of(run.policy, segments) for run in shared)
+        assert_same_run(shared[1], alone)
+
+    @pytest.mark.parametrize("policy", ["gt", "ctid"])
+    def test_replays_live_only_on_the_tables_live_entries(self, policy, tmp_path, monkeypatch):
+        # 100 periods of a 1,201-value trace fall at 100 offsets: the table
+        # drops 28 entries, and with them replays no period can read again
+        path = tmp_path / "source.txt"
+        path.write_text("\n".join(map(str, TRACE_1201)) + "\n", encoding="utf-8")
+        config = base_config(policy=policy, entry_level=None, n_periods=100,
+                             record_level="per-tick", source_kind="trace", source_path=str(path))
+        computed = []
+        blind_period = engine._blind_period
+
+        class Run(list):  # a list that a weak reference can follow
+            pass
+
+        def tracked_blind_period(*args):
+            run = Run(blind_period(*args))
+            computed.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(engine, "_blind_period", tracked_blind_period)
+        segments = keep_segments(monkeypatch)
+        kernel = run_experiment(config)
+        (segment,) = segments
+        kept = [run for _, run in replays_of(kernel.policy, segments)]
+        assert len(segment.harvests) == len(kept) == engine.HARVESTS_MAX
+        assert all(run[-1] is not None for run in kept)
+        gc.collect()
+        alive = [run for run in (ref() for ref in computed) if run is not None]
+        assert len(computed) == config.n_periods
+        assert len(alive) == len(kept) and all(any(a is k for k in kept) for a in alive)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_fig_perf_summary_equals_per_tick_over_150_periods(self, policy):
@@ -1603,6 +1711,16 @@ class TestPartitionStudy:
         with pytest.raises(ValueError, match=r"distinct levels in 1\.\.4"):
             run_partition_study(base_config(entry_level=None), order)
 
+    @pytest.mark.parametrize("order", [[2.7, 1, 3, 4], [True], ["2"], [2.0, 1], [None]])
+    def test_an_order_of_other_than_integers_is_refused(self, order, monkeypatch):
+        # int() ran 2.7 as level 2, True as level 1 and "2" as level 2
+        def no_period(*args):
+            raise AssertionError("a period ran")
+
+        monkeypatch.setattr(engine, "run_period", no_period)
+        with pytest.raises(ValueError, match="partition order needs integer levels"):
+            run_partition_study(base_config(entry_level=None), order)
+
     def test_a_peak_inside_a_learner_slot_is_refused_before_any_period(self, monkeypatch):
         # forcing sets the store at the peak's start, tick 330: inside the
         # 60-tick learner slot 5
@@ -1753,8 +1871,8 @@ def _per_tick_harvest(source, unit, period, period_ticks):
 
 class TestSegmentHarvest:
     """A segment builds the `P` of each offset of its periods in the
-    source's cycle once, and every period at that offset shares the entry;
-    the entries' names are unique among a run's segments."""
+    source's cycle once, and every period at that offset shares the entry
+    and its replays; no entry is shared between a run's segments."""
 
     @pytest.mark.parametrize("source, offsets", [
         pytest.param(HarvestSource.constant(1.0), 1, id="constant"),
@@ -1773,43 +1891,47 @@ class TestSegmentHarvest:
         segment = Segment.of(source, store, 1200, 30, record=True)
         unit = store.inflow(source.step)
         first = [segment.harvest(k) for k in range(offsets)]
-        assert len({name for name, _, _ in first}) == len(segment.harvests) == offsets
+        assert len({id(replays) for _, _, replays in first}) == len(segment.harvests) == offsets
         for k in (*range(offsets, 2 * offsets), 7 * offsets + 3, 1001 * offsets):
             assert segment.harvest(k) is first[k % offsets]
-        for k, (_, P, inflows) in enumerate(first):
+        for k, (P, inflows, replays) in enumerate(first):
             assert list(P) == _per_tick_harvest(source, unit, k, 1200)
             assert inflows.tolist() == np.diff(P).tolist()
+            assert replays == {}
         # a summary segment keeps no per-tick inflows
-        assert Segment.of(source, store, 1200, 30).harvest(0)[2] is None
+        assert Segment.of(source, store, 1200, 30).harvest(0)[1] is None
 
-    def test_a_dropped_entry_is_built_again_under_a_new_name(self):
+    def test_a_dropped_entry_is_built_again_without_its_replays(self):
         # 1,201 ticks share no divisor with the period: no offset repeats
         # within 1,201 periods, and the table keeps the latest HARVESTS_MAX
-        source = HarvestSource.trace(tuple(TRACE_VALUES * 8)[:1201])
+        source = HarvestSource.trace(TRACE_1201)
         store = store_for(120, 9, levels=(source.step,))
         segment = Segment.of(source, store, 1200, 30)
-        names = [segment.harvest(k)[0] for k in range(300)]
-        assert len(set(names)) == 300
-        assert len(segment.harvests) == engine.HARVESTS_MAX
-        name, P, _ = segment.harvest(0)
-        assert name not in names
+        entries = [segment.harvest(k) for k in range(300)]
+        assert len({id(replays) for _, _, replays in entries}) == 300
+        live = list(segment.harvests.values())
+        assert len(live) == engine.HARVESTS_MAX
+        assert all(a is b for a, b in zip(live, entries[-engine.HARVESTS_MAX:]))
+        entries[0][2]["kept"] = True
+        P, _, replays = segment.harvest(0)
+        assert replays == {} and replays is not entries[0][2]
         assert list(P) == _per_tick_harvest(source, store.inflow(source.step), 0, 1200)
 
     @pytest.mark.parametrize("kind", ["constant", "diurnal"])
-    def test_names_are_unique_across_a_runs_segments(self, kind):
+    def test_no_entry_is_shared_across_a_runs_segments(self, kind):
         config = base_config(
             n_periods=90, source_kind=kind,
             schedule=(PatternChange(30, "shift", 4), PatternChange(60, "shift", -4)))
         policy, store = make_policy(config), make_store(config)
-        segments, names = {}, {}
+        segments, entries = {}, {}
         for p, segment, _ in engine._segment_periods(config, policy, store):
-            name, P, _ = segment.harvest(p)
-            assert names.setdefault(name, P) is P
+            replays = segment.harvest(p)[2]
+            assert entries.setdefault(id(replays), (segment, replays))[0] is segment
             segments[id(segment)] = segment
         assert len(segments) == 3
-        assert len({id(segment.names) for segment in segments.values()}) == 1
+        assert len({id(segment.harvests) for segment in segments.values()}) == 3
         # a constant source has one offset a segment, a day has 72
-        assert len(names) == (3 if kind == "constant" else 90)
+        assert len(entries) == (3 if kind == "constant" else 90)
 
 class TestProfilingPassCounts:
     def test_four_fundable_slots_per_pass_means_ten_passes(self):

@@ -53,6 +53,31 @@ class TestBuildPattern:
         with pytest.raises(InvalidSpec, match="divide"):
             build_pattern([("type1", 0)], period_ticks=1200, state_duration=33)
 
+    @pytest.mark.parametrize("name, value", [
+        ("period_ticks", 1200.0),
+        ("state_duration", 30.0),
+        ("peak_max_duration", 120.5),
+        ("peak_max_duration", 120.0),
+        ("state_duration", True),
+    ])
+    def test_sizes_that_are_not_integers_are_refused(self, name, value):
+        # 1200.0 and 30.0 passed every check, and the run failed later with
+        # a bare TypeError; 120.5 was accepted
+        with pytest.raises(InvalidSpec, match=f"{name} must be an integer"):
+            build_pattern([("type1", 10)], **{name: value})
+
+    @pytest.mark.parametrize("start", [10.5, 10.0, True, np.float64(10)])
+    def test_a_start_slot_that_is_not_an_integer_is_refused(self, start):
+        # True ran as slot 1
+        with pytest.raises(InvalidSpec, match="start_slot must be an integer"):
+            build_pattern([("type1", start)])
+        with pytest.raises(InvalidSpec, match="start_slot must be an integer"):
+            PeakSpec(start, ("L", "H", "L"))
+
+    def test_numpy_integers_are_integers(self):
+        pattern = build_pattern([("type1", np.int64(10))], period_ticks=np.int32(1200))
+        assert pattern.peaks[0].start_slot == 10 and pattern.n_slots == 40
+
     def test_probability_schedule(self):
         pattern = build_pattern([("type1", 10)], p_high=0.8, p_low=0.2)
         probs = pattern.slot_probabilities()
