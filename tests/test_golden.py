@@ -53,6 +53,9 @@ CASES = {
     "learning-order": ("learning-order", (("sweep", "seeds", "2:4"),)),
     "state-duration": ("state-duration", (("sweep", "seeds", "0"),)),
     "adaptation": ("adaptation", ()),
+    # CTIDpro beside the learner: its re-profiling, twice in this preset,
+    # shows in no other case's digests
+    "adaptation-both": ("adaptation", (("sweep", "policy", "smarton,ctidpro"),)),
     "fig-perf-subset": ("fig-perf", (("sweep", "seeds", "0"),) + FIG_PERF_SUBSET),
     # the varying sources, with CTID's phase jitter on: two diurnal days'
     # periods (the first dusk falls in period 36, the next dawn in period 72),
@@ -68,6 +71,11 @@ CASES = {
 DIGESTS = {
     "adaptation": (
         "532af741aabedd302985202fda5e65c1d7caad117444d3eea166759a6b030819",
+        "7e94d2e28ed77b1a941930c78764dd3a350f809dc5568982d7dc7666dfc326d6",
+        "51ec9df335811de6dce27f74df265fe172ddaae7ec91df4751f87bd25ee903a1",
+    ),
+    "adaptation-both": (
+        "f389866e893da2b499fbb0b3f188390b103edd77615cfdbb28b689fcda4d4397",
         "7e94d2e28ed77b1a941930c78764dd3a350f809dc5568982d7dc7666dfc326d6",
         "51ec9df335811de6dce27f74df265fe172ddaae7ec91df4751f87bd25ee903a1",
     ),
@@ -120,6 +128,7 @@ DIGESTS = {
 
 LEARNER_DIGESTS = {
     "adaptation": "39524b8045ec7b2dcb7eb57781838d5b4a5e7df991b1dba48e01de7d36364a01",
+    "adaptation-both": "39524b8045ec7b2dcb7eb57781838d5b4a5e7df991b1dba48e01de7d36364a01",
     "conv-per-entry": "847b854261359e6b1a9614791652dabce0c48660ba55bdac3e962e22cca02fa8",
     "conv-vs-ratio": "bf5312e195ec16cac82d21a9158dcfdade6d86e56ea689b008d6fe325707bc91",
     "fig-perf": "54d8d72bb60a98ed4e69ae38b4e3309109d82407a45656052c19f148e23aede3",
