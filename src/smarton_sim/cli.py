@@ -6,7 +6,7 @@
 
 Exit codes: 0 success, 2 validation error, 1 runtime error.  The environment
 variable SMARTON_SIM_SEED overrides the config seed (an explicit --seed flag
-beats both).
+beats both); a sweep with a [sweep] seeds axis refuses it.
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ScenarioError(f"--jobs must be at least 1, got {args.jobs}")
     scenario = load_scenario(args.scenario)
+    seeds = scenario.values[("sweep", "seeds")].strip()
+    if seeds and ENV_SEED in os.environ:
+        # the axis would set every run's seed over the variable's
+        raise ScenarioError(f"{ENV_SEED} cannot set the seed of a sweep with a "
+                            f"[sweep] seeds axis ({seeds}); unset one of them")
     scenario = _apply_seed_env(scenario)
     records = run_sweep(scenario, jobs=args.jobs)
     measure_from = scenario.values[("run", "measure_from")]

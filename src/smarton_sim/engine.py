@@ -996,14 +996,14 @@ def run_partition_study(config: SimConfig, order) -> PartitionStudyResult:
         level = order[target_idx]
         policy.entry_level_hint = level
         run_period(policy, store, segments[level], events, p)
-        if policy.ctx.phase < 2:
+        if policy.current_phase < 2:
             continue
         if shape_expected is None and policy.ctx.known_peaks:
             shape_expected = policy.ctx.known_peaks[0].shape
         table = policy.ctx.tables.get(shape_expected)
         if table is None:
             continue
-        if level in table.converged_levels:
+        if level in table.episodes_to_converge:
             if first_at is None:
                 first_at = len(policy.episodes)
             target_idx += 1

@@ -13,7 +13,7 @@ randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,6 +69,33 @@ class EventPattern:
         # a fractional size would fail in a run with a bare TypeError
         require_integer(self, "period_ticks", "state_duration", "peak_max_duration",
                         error=InvalidSpec)
+        period, duration = self.period_ticks, self.state_duration
+        if period <= 0 or duration <= 0 or self.peak_max_duration <= 0:
+            raise InvalidSpec("period_ticks, state_duration and peak_max_duration "
+                              "must be positive")
+        if period % duration != 0:
+            raise InvalidSpec(f"state_duration {duration} must divide period {period}")
+        if not 0 <= self.p_low < self.p_high <= 1:
+            raise InvalidSpec(f"need 0 <= p_low < p_high <= 1, got {self.p_low}, {self.p_high}")
+        if not 0 <= self.background_rate <= 1:
+            raise InvalidSpec(f"background_rate outside [0, 1]: {self.background_rate}")
+        max_steps = self.peak_max_duration // duration
+        end = 0  # of the peak before
+        for spec in self.peaks:
+            if len(spec.steps) > max_steps:
+                raise InvalidSpec(
+                    f"peak of {len(spec.steps)} steps exceeds max {max_steps} "
+                    f"({self.peak_max_duration}s at {duration}s slots)"
+                )
+            if spec.end_slot > self.n_slots:
+                raise InvalidSpec(
+                    f"peak {spec.shape_name}@{spec.start_slot} exits the period "
+                    f"({self.n_slots} slots)"
+                )
+            if spec.start_slot < end:
+                raise InvalidSpec(f"peak {spec} overlaps or precedes the peak before it: "
+                                  "peaks ascend by start slot")
+            end = spec.end_slot
 
     @property
     def n_slots(self) -> int:
@@ -92,25 +119,11 @@ def build_pattern(
     background_rate: float = 0.0,
     peak_max_duration: int = 120,
 ) -> EventPattern:
-    """Validate and assemble an event pattern.
+    """Assemble an event pattern, which checks itself.
 
     ``peaks`` entries are PeakSpec instances or (shape_name, start_slot)
-    pairs naming one of the canonical shapes.
+    pairs naming one of the canonical shapes, in any order.
     """
-    if period_ticks <= 0 or state_duration <= 0:
-        raise InvalidSpec("period_ticks and state_duration must be positive")
-    if period_ticks % state_duration != 0:
-        raise InvalidSpec(
-            f"state_duration {state_duration} must divide period {period_ticks}"
-        )
-    if not (0 <= p_low < p_high <= 1):
-        raise InvalidSpec(f"need 0 <= p_low < p_high <= 1, got {p_low}, {p_high}")
-    if not 0 <= background_rate <= 1:
-        raise InvalidSpec(f"background_rate outside [0, 1]: {background_rate}")
-
-    max_steps = peak_max_duration // state_duration
-    n_slots = period_ticks // state_duration
-
     specs: list[PeakSpec] = []
     for item in peaks:
         if isinstance(item, PeakSpec):
@@ -122,22 +135,6 @@ def build_pattern(
                     f"unknown peak shape {name!r}; valid: {sorted(CANONICAL_SHAPES)}"
                 )
             specs.append(PeakSpec(start, CANONICAL_SHAPES[name], shape_name=name))
-
-    occupied: set[int] = set()
-    for spec in specs:
-        if len(spec.steps) > max_steps:
-            raise InvalidSpec(
-                f"peak of {len(spec.steps)} steps exceeds max {max_steps} "
-                f"({peak_max_duration}s at {state_duration}s slots)"
-            )
-        if spec.end_slot > n_slots:
-            raise InvalidSpec(
-                f"peak {spec.shape_name}@{spec.start_slot} exits the period ({n_slots} slots)"
-            )
-        span = set(range(spec.start_slot, spec.end_slot))
-        if span & occupied:
-            raise InvalidSpec(f"peak {spec} overlaps another peak")
-        occupied |= span
 
     return EventPattern(
         period_ticks=period_ticks,
@@ -218,9 +215,8 @@ def sample_trace(
 
 def shift_pattern(pattern: EventPattern, delta_slots: int) -> EventPattern:
     """Move every peak by delta_slots; positional drift, same shapes."""
-    return _with_peaks(
-        pattern, [replace(p, start_slot=p.start_slot + delta_slots) for p in pattern.peaks]
-    )
+    return replace(pattern, peaks=tuple(replace(p, start_slot=p.start_slot + delta_slots)
+                                        for p in pattern.peaks))
 
 
 def morph_pattern(pattern: EventPattern, peak_index: int, new_shape) -> EventPattern:
@@ -238,10 +234,4 @@ def morph_pattern(pattern: EventPattern, peak_index: int, new_shape) -> EventPat
         name = "custom"
     peaks = list(pattern.peaks)
     peaks[peak_index] = PeakSpec(old.start_slot, steps, shape_name=name)
-    return _with_peaks(pattern, peaks)
-
-
-def _with_peaks(pattern: EventPattern, peaks) -> EventPattern:
-    """`pattern` with other peaks, built and checked by `build_pattern`."""
-    params = {f.name: getattr(pattern, f.name) for f in fields(pattern) if f.name != "peaks"}
-    return build_pattern(peaks, **params)
+    return replace(pattern, peaks=tuple(peaks))

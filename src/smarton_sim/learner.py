@@ -28,10 +28,6 @@ class EmptyPeak(Exception):
     """All slot counts in a candidate peak were zero."""
 
 
-class InvalidTransition(Exception):
-    """A phase observation arrived that the current phase cannot accept."""
-
-
 @dataclass
 class LearnerConfig:
     alpha: float = 0.7
@@ -251,7 +247,7 @@ class QTable:
         # episode entered there
         self.episode_changes: dict[int, list[float]] = {}
         self.entry_affordable: dict[int, set] = {}  # actions affordable at entry
-        self.converged_levels: set[int] = set()
+        # per converged entry level: the episodes entered there until it latched
         self.episodes_to_converge: dict[int, int] = {}
 
     def get_state(self, level: int, step: int) -> int:
@@ -385,36 +381,23 @@ class LearnedPeak:
 # ---------------------------------------------------------------------------
 # Phase machine
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProfileConverged:
-    peaks: tuple[LearnedPeak, ...]
-    entry_level_hint: int
-
-
-@dataclass(frozen=True)
-class PartitionConvergedObs:
-    shape: str
-    entry_level: int
-
-
-@dataclass(frozen=True)
-class ProbeCaught:
-    catches: int
+# The phase is the policy's `current_phase`, set at each of its edges: phase
+# 1 exits through `phase_transition`, phase 2 latches to 3 when the
+# partitions of the known peaks have converged, and a probe catch returns
+# phase 3 to phase 1 with a fresh profile.  What the phases learn outlives
+# them, in one `PhaseContext`.
 
 
 class PhaseContext:
-    """Owns the learner's phase, profile, tables and peak knowledge for one run."""
+    """What the learner keeps across its phases in one run: a Q-table per
+    peak shape, the peaks of the last converged profile, and the count of
+    completed profiling runs."""
 
-    def __init__(self, cfg: LearnerConfig, n_slots: int):
+    def __init__(self, cfg: LearnerConfig):
         self.cfg = cfg
-        self.n_slots = n_slots
-        self.phase = 1
-        self.profile = SlotProfile(n_slots)
         self.tables: dict[str, QTable] = {}
         self.known_peaks: tuple[LearnedPeak, ...] = ()
         self.profiles_completed = 0
-        self.phase1_entries = 1
 
     def table_for(self, shape: str) -> QTable:
         """The shape's table, zero-initialized on first encounter."""
@@ -425,34 +408,18 @@ class PhaseContext:
         return self.tables[shape]
 
 
-def phase_transition(ctx: PhaseContext, observation) -> PhaseContext:
-    """Apply one phase observation; mutates and returns ctx.
+def phase_transition(ctx: PhaseContext, peaks, entry_level: int) -> int:
+    """The phase that phase 1 exits to once its profile converges on
+    `peaks`, entered at `entry_level`; the peaks become `ctx.known_peaks`.
 
-    P1 -> P3 when every profiled shape already has a table converged at the
-    current entry level (covers positional drift), so also for a profile
-    with no peaks, which exploits nothing and keeps probing; P1 -> P2
-    otherwise; P2 -> P3 on partition convergence; P3 -> P1 on a probe catch
-    at or above the trigger.
+    Phase 3 when every peak's shape has a table converged at `entry_level`
+    (covers positional drift), so also for a profile with no peaks, which
+    exploits nothing and keeps probing; phase 2 otherwise.
     """
-    cfg = ctx.cfg
-    if ctx.phase == 1 and isinstance(observation, ProfileConverged):
-        ctx.known_peaks = tuple(observation.peaks)
-        level = observation.entry_level_hint
-        all_known = all(
-            p.shape in ctx.tables and level in ctx.tables[p.shape].converged_levels
-            for p in observation.peaks
-        )
-        ctx.phase = 3 if all_known else 2
-        return ctx
-    if ctx.phase == 2 and isinstance(observation, PartitionConvergedObs):
-        ctx.phase = 3
-        return ctx
-    if ctx.phase == 3 and isinstance(observation, ProbeCaught):
-        if observation.catches >= cfg.probe_trigger:
-            ctx.phase = 1
-            ctx.profile = SlotProfile(ctx.n_slots)
-            ctx.phase1_entries += 1
-        return ctx
-    raise InvalidTransition(
-        f"phase {ctx.phase} cannot accept {type(observation).__name__}"
+    ctx.known_peaks = tuple(peaks)
+    tables = ctx.tables
+    all_known = all(
+        p.shape in tables and entry_level in tables[p.shape].episodes_to_converge
+        for p in ctx.known_peaks
     )
+    return 3 if all_known else 2

@@ -27,10 +27,7 @@ from .energy import WAKE_COST, quanta, quantize, require_finite
 from .learner import (
     LearnedPeak,
     LearnerConfig,
-    PartitionConvergedObs,
     PhaseContext,
-    ProbeCaught,
-    ProfileConverged,
     QTable,
     SlotProfile,
     affordable_actions,
@@ -144,28 +141,30 @@ class CtidPolicy(BasePolicy):
 
 
 class _Profiling(BasePolicy):
-    """Phase-1 profiling and Phase-3 probing of the learning policy and
-    CTIDpro, keyed on `current_phase`: 1 while profiling, 3 while exploiting.
-    It is a plain attribute, set where the phase changes.
+    """Phase-1 profiling, Phase-3 probing and re-profiling of the learning
+    policy and CTIDpro, keyed on `current_phase`: 1 while profiling, 3 while
+    exploiting.  It is the policy's one phase fact, a plain attribute set
+    where the phase changes.
 
-    Profiling wakes at the top frequency in each unvisited slot whose whole
-    schedule the store can fund, until consecutive runs agree; `_exploit`
-    then takes the peaks, if any.  A period that starts in phase 3 draws its
-    `probe_slots` from the slots outside `known_slots`, a tuple built once
-    per change of them; the kernel wakes in each at the lowest nonzero
-    frequency (`probe_offsets`) when it holds `probe_floor`, and
+    Profiling wakes at the top frequency in each unvisited slot of `profile`
+    whose whole schedule the store can fund, until consecutive runs agree;
+    `_exploit` then takes the peaks, if any.  A period that starts in phase 3
+    draws its `probe_slots` from the slots outside `known_slots`, a tuple
+    built once per change of them; the kernel wakes in each at the lowest
+    nonzero frequency (`probe_offsets`) when it holds `probe_floor`, and
     `probe_trigger` or more catches there call `_reprofile` at the period's
-    end.  Subclasses provide `profile`, `known_slots`, `_exploit_starts`,
-    `_exploit` and `_reprofile`, and define the engine hooks themselves.
-    Stored energy is in quanta, `wake` of them to a wake-up."""
+    end: phase 1 again, on a fresh profile.  Subclasses provide
+    `known_slots`, `_exploit_starts` and `_exploit`, and define the engine
+    hooks themselves.  Stored energy is in quanta, `wake` of them to a
+    wake-up."""
 
     _episode: _Episode | None = None  # the learning policy's open episode
 
     def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int, wake: int = 1):
         self.cfg = cfg
-        self.wake = wake
         self.n_slots = n_slots
         self.current_phase = 1
+        self.profile = SlotProfile(n_slots)
         self.probe_stream = Stream(seed, "probe")
         # one schedule per frequency; the frequencies start at 0, so the
         # second is the probes' and the last the profiling schedule
@@ -223,7 +222,12 @@ class _Profiling(BasePolicy):
     def _end_probing(self, probe_catches: int) -> None:
         """At the end of a period: re-profile on enough probe catches."""
         if probe_catches >= self.cfg.probe_trigger:
-            self._reprofile(probe_catches)
+            self._reprofile()
+
+    def _reprofile(self) -> None:
+        """Phase 1 again, on a fresh profile; what was learned is kept."""
+        self.profile = SlotProfile(self.n_slots)
+        self.current_phase = 1
 
 
 @dataclass(slots=True)
@@ -259,13 +263,17 @@ class SmartOnPolicy(_Profiling):
 
     def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int, capacity: int,
                  wake: int = 1):
+        # an instance holds 28 attributes after a run; keep it below 30.  Under
+        # Python 3.11.7 on a 2-vCPU host, a learning-order sweep ran a median
+        # 8-14% slower with a 30th attribute, even a bare `None`, over two
+        # batches of 8 same-process pairs, and no slower with a 29th
         super().__init__(cfg, n_slots, seed, wake)
         self.capacity = capacity  # in quanta
         # the least stored energy that funds each action's schedule, and the
         # actions a store at each of these floors can fund
         self._floors = tuple(len(plan) * wake for plan in self._plans)
         self._affordable_at = tuple(affordable_actions(cfg, len(plan)) for plan in self._plans)
-        self.ctx = PhaseContext(cfg, n_slots)
+        self.ctx = PhaseContext(cfg)
         self.explore = Stream(seed, "explore")
         # the forced entry level of the running segment, if any
         self.entry_level_hint = None
@@ -273,17 +281,12 @@ class SmartOnPolicy(_Profiling):
         # exploitation gate is then read off the latch bookkeeping instead
         self.explore_forever = False
         # episode state
-        self._phase_at_period_start = 1
         self._last_entry_level: dict[str, int] = {}
         self.episodes: list[dict] = []
         self.phase1_stays: list[dict] = [{"entry": 1, "passes": 0, "profiles": 0}]
         self._peak_starts: dict[int, LearnedPeak] = {}
 
     # -- helpers -----------------------------------------------------------
-
-    @property
-    def profile(self) -> SlotProfile:
-        return self.ctx.profile
 
     @property
     def known_slots(self) -> set[int]:
@@ -305,15 +308,18 @@ class SmartOnPolicy(_Profiling):
     # -- engine hooks ------------------------------------------------------
 
     def on_period_start(self, period: int) -> None:
-        self._phase_at_period_start = self.ctx.phase
+        # a pass is one traversal of the period while profiling, counted in
+        # the stay the period starts in: it has no probes, so no re-profiling
+        # can end that stay before the period does
+        if self.current_phase == 1:
+            self.phase1_stays[-1]["passes"] += 1
         self._draw_probes()
 
-    def _transition(self, observation) -> None:
-        phase_transition(self.ctx, observation)
-        self.current_phase = self.ctx.phase
+    def _enter_phase3(self) -> None:
+        self.current_phase = 3
         # phase 3 plans greedily on tables it never updates, so an episode is a pure
         # function of peak, entry energy and `P` in a stay, numbered by phase-1 entries
-        self.episode_stay = self.ctx.phase1_entries if self.ctx.phase == 3 else None
+        self.episode_stay = len(self.phase1_stays)
 
     def episode_at(self, slot: int, stored: int):
         peak = self._peak_starts.get(slot)
@@ -325,7 +331,7 @@ class SmartOnPolicy(_Profiling):
 
     def plan_slot(self, slot: int, stored: int):
         self.current_step = 0
-        if self.ctx.phase == 1:
+        if self.current_phase == 1:
             return self._plan_profile(slot, stored)
         ep = self._episode
         if ep is None:
@@ -352,14 +358,14 @@ class SmartOnPolicy(_Profiling):
             ep.at = stored
             ep.state = ep.table.get_state(self._quantize(stored), ep.step)
             ep.affordable = self._affordable(stored)
-        action = ep.action = choose_action(ep.table, ep.state, self.ctx.phase, ep.affordable,
-                                           self.explore)
+        action = ep.action = choose_action(ep.table, ep.state, self.current_phase,
+                                           ep.affordable, self.explore)
         ep.actions.append(action)
         self.current_step = ep.step
         return self._plans[action]
 
     def on_slot_end(self, slot: int, awake: int, catches: int, stored: int) -> None:
-        if self.ctx.phase == 1:
+        if self.current_phase == 1:
             self._profile_slot_end(slot, catches, stored)
         elif self._episode is not None:
             self._finish_episode_step(catches, awake, stored)
@@ -371,7 +377,11 @@ class SmartOnPolicy(_Profiling):
 
     def _exploit(self, peaks: tuple[LearnedPeak, ...], stored: int) -> None:
         hint = self.entry_level_hint
-        self._transition(ProfileConverged(peaks, self._quantize(stored) if hint is None else hint))
+        level = self._quantize(stored) if hint is None else hint
+        if phase_transition(self.ctx, peaks, level) == 3:
+            self._enter_phase3()
+        else:
+            self.current_phase = 2
         self._refresh_peaks()
 
     def _finish_episode_step(self, catches: int, awake: int, stored: int) -> None:
@@ -388,7 +398,7 @@ class SmartOnPolicy(_Profiling):
             next_affordable = ep.affordable = self._affordable(stored)
         else:
             next_state = next_affordable = None
-        if self.ctx.phase == 2:
+        if self.current_phase == 2:
             ep.transitions.append((state, ep.action, reward, next_state, next_affordable))
         if next_state is None:
             self._complete_episode()
@@ -414,7 +424,7 @@ class SmartOnPolicy(_Profiling):
     def _complete_episode(self) -> None:
         ep = self._episode
         self._episode = None
-        if self.ctx.phase != 2:
+        if self.current_phase != 2:
             return
         max_change = self._apply_episode_updates(ep)
         table = ep.table
@@ -429,39 +439,28 @@ class SmartOnPolicy(_Profiling):
                 "max_change": max_change,
             }
         )
-        newly = (
-            level not in table.converged_levels
-            and partition_converged(table, level, self.cfg)
-        )
-        if newly:
-            table.converged_levels.add(level)
-            table.episodes_to_converge[level] = len(table.episode_changes[level])
-        if (
-            newly
-            and not self.explore_forever
-            and self._all_current_partitions_converged()
-        ):
-            self._transition(PartitionConvergedObs(table.shape, level))
+        if level in table.episodes_to_converge or not partition_converged(table, level, self.cfg):
+            return
+        table.episodes_to_converge[level] = len(table.episode_changes[level])
+        if not self.explore_forever and self._all_current_partitions_converged():
+            self._enter_phase3()
 
     def _all_current_partitions_converged(self) -> bool:
         for peak in self.ctx.known_peaks:
             table = self.ctx.tables.get(peak.shape)
             last = self._last_entry_level.get(peak.shape)
-            if table is None or last is None or last not in table.converged_levels:
+            if table is None or last is None or last not in table.episodes_to_converge:
                 return False
         return True
 
     def on_period_end(self, period: int, probe_catches: int) -> None:
-        # a pass is one traversal of the period while profiling; count it
-        # against the phase the period started in so a mid-period transition
-        # still credits the completed pass
-        if self._phase_at_period_start == 1:
-            self.phase1_stays[-1]["passes"] += 1
         self._end_probing(probe_catches)
 
-    def _reprofile(self, probe_catches: int) -> None:
-        self._transition(ProbeCaught(probe_catches))
-        self.phase1_stays.append({"entry": self.ctx.phase1_entries, "passes": 0, "profiles": 0})
+    def _reprofile(self) -> None:
+        super()._reprofile()
+        self.episode_stay = None
+        self.phase1_stays.append({"entry": len(self.phase1_stays) + 1, "passes": 0,
+                                  "profiles": 0})
 
 
 class CtidProPolicy(_Profiling):
@@ -473,7 +472,6 @@ class CtidProPolicy(_Profiling):
 
     def __init__(self, cfg: LearnerConfig, n_slots: int, seed: int, wake: int = 1):
         super().__init__(cfg, n_slots, seed, wake)
-        self.profile = SlotProfile(n_slots)
         self.known_slots: set[int] = set()
 
     def _exploit_starts(self):
@@ -498,7 +496,3 @@ class CtidProPolicy(_Profiling):
 
     def on_period_end(self, period: int, probe_catches: int) -> None:
         self._end_probing(probe_catches)
-
-    def _reprofile(self, probe_catches: int) -> None:
-        self.profile = SlotProfile(self.n_slots)
-        self.current_phase = 1

@@ -185,6 +185,28 @@ class TestSimulate:
         assert main(["simulate", "--config", config]) == 2
 
 
+    @pytest.mark.parametrize("scenario", ["seeds-axis", "fig-perf"])
+    def test_a_sweep_with_a_seeds_axis_refuses_env_seed(self, scenario, tmp_path, capsys,
+                                                        monkeypatch):
+        # the axis set every run's seed: seeds 0 and 1 were written, exit 0
+        if scenario == "seeds-axis":
+            scenario = write_config(tmp_path, "[run]\nn_periods = 3\n[sweep]\nseeds = 0:2\n")
+        monkeypatch.setenv("SMARTON_SIM_SEED", "5")
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", scenario, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "SMARTON_SIM_SEED" in err and "[sweep] seeds" in err
+        assert not out.exists()
+
+    def test_env_seed_sets_a_sweep_without_a_seeds_axis(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, "[run]\nn_periods = 3\n[sweep]\npolicy = gt,ctid\n")
+        monkeypatch.setenv("SMARTON_SIM_SEED", "5")
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", config, "--out", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert rows and {row.split(",")[4] for row in rows} == {"5"}
+
+
 class TestSweepAndReport:
     def test_sweep_preset_then_report(self, tmp_path, capsys):
         out = tmp_path / "out"

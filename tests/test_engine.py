@@ -651,7 +651,7 @@ def phase3_plans(monkeypatch):
         on_period_start(self, p)
 
     def counting_plan(self, stored):
-        if self.ctx.phase == 3:
+        if self.current_phase == 3:
             planned.append(period[0])
         return plan(self, stored)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from smarton_sim.events import (
     CANONICAL_SHAPES,
+    EventPattern,
     EventTrace,
     InvalidSpec,
     PeakSpec,
@@ -73,6 +74,31 @@ class TestBuildPattern:
             build_pattern([("type1", start)])
         with pytest.raises(InvalidSpec, match="start_slot must be an integer"):
             PeakSpec(start, ("L", "H", "L"))
+
+    @pytest.mark.parametrize("args, match", [
+        # a peak past the period: the run failed with an IndexError
+        ((1200, 30, (PeakSpec(39, ("L", "H", "L")),), 0.8, 0.2), "exits the period"),
+        # a slot length that does not divide the period: a numpy broadcast error
+        ((1200, 70, (PeakSpec(3, ("L", "H", "L")),), 0.8, 0.2), "divide"),
+        # these ran silently
+        ((1200, 30, (PeakSpec(3, ("L", "H", "L")), PeakSpec(4, ("H",))), 0.8, 0.2), "overlaps"),
+        ((1200, 30, (PeakSpec(10, ("H",)), PeakSpec(4, ("H",))), 0.8, 0.2), "ascend"),
+        ((1200, 30, (PeakSpec(3, ("L", "H", "L")),), 2.0, 0.2), "p_high"),
+        ((1200, 30, (), 0.8, 0.2, -0.1), "background_rate"),
+        ((1200, 30, (PeakSpec(0, ("H",) * 5),), 0.8, 0.2), "exceeds max"),
+        ((0, 30, (), 0.8, 0.2), "positive"),
+        ((1200, 30, (), 0.8, 0.2, 0.0, 0), "positive"),
+    ])
+    def test_a_hand_built_pattern_checks_every_rule(self, args, match):
+        # `SimConfig` takes a pattern as its base and in a replace change,
+        # neither of which passes through `build_pattern`
+        with pytest.raises(InvalidSpec, match=match):
+            EventPattern(*args)
+
+    def test_build_pattern_sorts_its_peaks(self):
+        pattern = build_pattern([("type2", 20), ("type1", 10)])
+        assert [p.start_slot for p in pattern.peaks] == [10, 20]
+        assert pattern == EventPattern(1200, 30, pattern.peaks, 0.8, 0.2)
 
     def test_numpy_integers_are_integers(self):
         pattern = build_pattern([("type1", np.int64(10))], period_ticks=np.int32(1200))

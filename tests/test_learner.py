@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 from smarton_sim.events import build_pattern
 from smarton_sim.learner import (
     EmptyPeak,
-    InvalidTransition,
     LearnedPeak,
     LearnerConfig,
-    PartitionConvergedObs,
     PhaseContext,
-    ProbeCaught,
-    ProfileConverged,
     QTable,
     SlotProfile,
     affordable_actions,
@@ -573,61 +569,30 @@ class TestProbePlan:
 
 
 class TestPhaseTransitions:
+    """Phase 1's exits.  The latch from phase 2 to 3 and the return to phase
+    1 are the policies' own (tests/test_policies.py, `TestPhaseEdges`)."""
+
     def _ctx(self):
-        return PhaseContext(LearnerConfig(), 40)
+        return PhaseContext(LearnerConfig())
 
     def test_profile_converged_to_phase2_when_shape_unknown(self):
         ctx = self._ctx()
-        obs = ProfileConverged((LearnedPeak(10, "LHL"),), entry_level_hint=4)
-        phase_transition(ctx, obs)
-        assert ctx.phase == 2
+        assert phase_transition(ctx, (LearnedPeak(10, "LHL"),), 4) == 2
         assert ctx.known_peaks == (LearnedPeak(10, "LHL"),)
 
     def test_profile_converged_to_phase3_when_table_converged(self):
         ctx = self._ctx()
-        table = ctx.table_for("LHL")
-        table.converged_levels.add(4)
-        obs = ProfileConverged((LearnedPeak(15, "LHL"),), entry_level_hint=4)
-        phase_transition(ctx, obs)
-        assert ctx.phase == 3
+        ctx.table_for("LHL").episodes_to_converge[4] = 12
+        assert phase_transition(ctx, (LearnedPeak(15, "LHL"),), 4) == 3
+        assert ctx.known_peaks == (LearnedPeak(15, "LHL"),)
+        # converged at another entry level only: learn this one
+        assert phase_transition(ctx, (LearnedPeak(15, "LHL"),), 3) == 2
 
     def test_profile_converged_without_peaks_to_phase3(self):
         # nothing to learn: exploit nothing and keep probing for events
         ctx = self._ctx()
-        phase_transition(ctx, ProfileConverged((), 4))
-        assert ctx.phase == 3
+        assert phase_transition(ctx, (), 4) == 3
         assert ctx.known_peaks == ()
-
-    def test_partition_converged_moves_to_phase3(self):
-        ctx = self._ctx()
-        ctx.phase = 2
-        phase_transition(ctx, PartitionConvergedObs("LHL", 4))
-        assert ctx.phase == 3
-
-    def test_probe_catch_returns_to_phase1_and_resets_profile(self):
-        ctx = self._ctx()
-        ctx.phase = 3
-        ctx.profile.record_slot(0, 3)
-        phase_transition(ctx, ProbeCaught(1))
-        assert ctx.phase == 1
-        assert not any(ctx.profile.visited)
-        assert ctx.phase1_entries == 2
-
-    def test_invalid_transition_raises(self):
-        ctx = self._ctx()
-        with pytest.raises(InvalidTransition):
-            phase_transition(ctx, ProbeCaught(1))
-        ctx.phase = 2
-        with pytest.raises(InvalidTransition):
-            phase_transition(ctx, ProfileConverged((), 1))
-
-    def test_tables_persist_across_reprofiling(self):
-        ctx = self._ctx()
-        table = ctx.table_for("LHL")
-        table.values[0][0] = 42.0
-        ctx.phase = 3
-        phase_transition(ctx, ProbeCaught(2))
-        assert ctx.tables["LHL"].values[0][0] == 42.0
 
 
 class TestPartitionIsolation:

@@ -182,7 +182,7 @@ class TestEpisodeSteps:
         # the step ends with 100 stored; entry forcing may then set 5, which
         # is level 1 and affords only the never-awake action
         policy = SmartOnPolicy(LearnerConfig(), n_slots=40, seed=0, capacity=120)
-        policy.ctx.phase = 3
+        policy.current_phase = 3
         policy.ctx.known_peaks = (LearnedPeak(10, "HHH"),)
         policy._refresh_peaks()
         table = policy.ctx.table_for("HHH")
@@ -197,13 +197,86 @@ class TestEpisodeSteps:
 
     def test_a_step_planned_off_the_episode_cursor_is_refused(self):
         policy = SmartOnPolicy(LearnerConfig(), n_slots=40, seed=0, capacity=120)
-        policy.ctx.phase = 3
+        policy.current_phase = 3
         policy.ctx.known_peaks = (LearnedPeak(10, "HHH"),)
         policy._refresh_peaks()
         policy.plan_slot(10, 120)
         policy.on_slot_end(10, 0, 0, 100)
         with pytest.raises(RuntimeError, match="episode cursor lost: slot 12, expected 11"):
             policy.plan_slot(12, 100)
+
+
+class TestPhaseEdges:
+    """The latch from phase 2 to 3, and the return from phase 3 to phase 1
+    on a probe catch, of each policy that has them."""
+
+    def _episode(self, policy):
+        # the learned peak at slot 10, on an empty store: level 1, where only
+        # the never-awake action is affordable, so no update moves a value
+        for slot in (10, 11, 12):
+            assert policy.plan_slot(slot, 0) == ()
+            policy.on_slot_end(slot, 0, 0, 0)
+
+    @pytest.mark.parametrize("explore_forever", [False, True])
+    def test_the_learner_latches_when_its_partition_converges(self, explore_forever):
+        # one affordable action at entry: the partition converges after
+        # 2 * convergence_window of its episodes
+        policy = SmartOnPolicy(LearnerConfig(), n_slots=40, seed=0, capacity=120)
+        policy.explore_forever = explore_forever
+        policy._exploit((LearnedPeak(10, "HHH"),), 0)
+        assert (policy.current_phase, policy.episode_stay) == (2, None)
+        for _ in range(9):
+            self._episode(policy)
+        assert policy.current_phase == 2
+        assert policy.ctx.tables["HHH"].episodes_to_converge == {}
+        self._episode(policy)
+        assert policy.ctx.tables["HHH"].episodes_to_converge == {1: 10}
+        if explore_forever:
+            assert (policy.current_phase, policy.episode_stay) == (2, None)
+        else:
+            assert (policy.current_phase, policy.episode_stay) == (3, 1)
+
+    def _exploiting(self, policy_name):
+        cfg = LearnerConfig(probe_trigger=2)
+        if policy_name == "ctidpro":
+            policy = CtidProPolicy(cfg, 40, seed=0)
+        else:
+            policy = SmartOnPolicy(cfg, n_slots=40, seed=0, capacity=120)
+            policy.ctx.table_for("HHH").values[0][0] = 42.0
+            policy.ctx.tables["HHH"].episodes_to_converge[1] = 10
+        policy._exploit((LearnedPeak(10, "HHH"),), 0)
+        assert policy.current_phase == 3
+        return policy
+
+    @pytest.mark.parametrize("policy_name", ["smarton", "ctidpro"])
+    def test_a_probe_catch_returns_to_phase1_on_a_fresh_profile(self, policy_name):
+        policy = self._exploiting(policy_name)
+        policy.profile.record_slot(0, 3)
+        profile = policy.profile
+        policy.on_period_start(0)
+        policy.on_period_end(0, 1)  # below the trigger
+        assert policy.current_phase == 3 and policy.profile is profile
+        policy.on_period_start(1)
+        policy.on_period_end(1, 2)
+        assert policy.current_phase == 1
+        assert policy.profile is not profile and not any(policy.profile.visited)
+        assert policy.profile.history == []
+        policy.on_period_start(2)  # profiling: no probes
+        assert policy.probe_slots == ()
+
+    def test_the_learner_keeps_its_tables_and_opens_a_stay(self):
+        policy = self._exploiting("smarton")
+        tables = policy.ctx.tables
+        for entry in (2, 3):
+            assert policy.episode_stay == entry - 1
+            policy.on_period_end(0, 2)
+            assert policy.current_phase == 1 and policy.episode_stay is None
+            assert policy.ctx.tables is tables and tables["HHH"].values[0][0] == 42.0
+            assert policy.phase1_stays[-1] == {"entry": entry, "passes": 0, "profiles": 0}
+            assert len(policy.phase1_stays) == entry
+            # converged at this entry level: back to exploiting
+            policy._exploit((LearnedPeak(10, "HHH"),), 0)
+            assert policy.current_phase == 3
 
 
 class TestLookAhead:
@@ -333,8 +406,7 @@ def _preset_run(name, **sweep):
 class TestProbeDraws:
     """Each period's probe slots, drawn from a candidate tuple the policy
     keeps between changes of its known slots, equal a fresh draw from the
-    slots outside the known ones, and the phase attribute follows the phase
-    context."""
+    slots outside the known ones."""
 
     @pytest.mark.parametrize("config", [
         pytest.param(_preset_run("fig-perf", seeds="0", event_type="type1", entry_level="1",
@@ -361,8 +433,6 @@ class TestProbeDraws:
                 probing.append(log.period)
             assert policy.probe_slots == want, f"period {log.period}"
             assert policy.probe_stream.cursor == reference.cursor, f"period {log.period}"
-            if isinstance(policy, SmartOnPolicy):
-                assert policy.current_phase == policy.ctx.phase, f"period {log.period}"
             return log
 
         monkeypatch.setattr(engine, "run_period", run_period)
